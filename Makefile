@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify bench bench-all benchdiff race vet examples loadgen serve loadgen-remote
+.PHONY: build test verify bench bench-all race vet procs layering examples loadgen serve loadgen-remote
 
 build:
 	$(GO) build ./...
@@ -28,23 +28,26 @@ vet:
 race:
 	$(GO) test -race -short ./...
 
-verify: vet race examples
+# No test outcome may depend on scheduling: the packages that drive real
+# goroutines against real listeners run on 1, 2 and 4 Ps.
+procs:
+	for p in 1 2 4; do \
+		GOMAXPROCS=$$p $(GO) test -count=3 ./internal/loadgen ./internal/server ./internal/obs || exit 1; \
+	done
 
-# Planning-engine micro-benchmarks at the Sort100GB scale, written as
-# machine-readable JSON (ns/op, allocs/op, warm-cache hit rate) so runs
-# are diffable across commits.
+# The production service must not link the load driver.
+layering:
+	! $(GO) list -deps ./cmd/astra-server | grep -q astra/internal/loadgen
+
+verify: vet race procs layering examples
+
+# The repo's benchmark (BENCHMARK.json, benchmark/README.md): six traffic
+# regimes through a loopback astra-server. Takes -aa N and -against
+# results.json, and refuses cross-nproc comparisons.
 bench:
-	$(GO) run ./cmd/astra-microbench -out BENCH_plan.json
+	bash benchmark/run.sh
 
-# Perf-regression gate: re-run the microbenchmarks (without rewriting the
-# baseline) and fail when ns/op regresses >5% or allocs/op >10% against
-# the checked-in BENCH_plan.json. CI runs this as a soft gate — shared
-# runners are noisy — so a red benchdiff flags a PR for a look rather
-# than blocking it.
-benchdiff:
-	$(GO) run ./cmd/astra-microbench -out "" -diff BENCH_plan.json
-
-# The full `go test -bench` sweep the JSON summary is distilled from.
+# Kernel-level `go test -bench` sweep of the planning engine.
 bench-all:
 	$(GO) test -run xxx -bench 'PlanSort100GB|FrontierSort100GB|PlanQuery202' -benchmem .
 

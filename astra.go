@@ -30,7 +30,6 @@ import (
 
 	"astra/internal/chaos"
 	"astra/internal/flight"
-	"astra/internal/lambda"
 	"astra/internal/mapreduce"
 	"astra/internal/model"
 	"astra/internal/objectstore"
@@ -41,6 +40,7 @@ import (
 	"astra/internal/profiler"
 	"astra/internal/qos"
 	"astra/internal/simtime"
+	"astra/internal/simworld"
 	"astra/internal/telemetry"
 	"astra/internal/workload"
 )
@@ -324,13 +324,6 @@ func PlanContext(ctx context.Context, job Job, obj Objective, opts ...PlanOption
 	pl.Templates, pl.Cache = ps.resolveCaches()
 	pl.Tel = ps.tel
 	return pl.PlanContext(ctx, obj)
-}
-
-// PlanWith is Plan with explicit model parameters and solver choice.
-//
-// Deprecated: use Plan (or PlanContext) with WithParams and WithSolver.
-func PlanWith(params Params, obj Objective, solver Solver) (*ExecutionPlan, error) {
-	return PlanContext(context.Background(), params.Job, obj, WithParams(params), WithSolver(solver))
 }
 
 // BatchRequest is one planning request in a PlanBatch call.
@@ -655,11 +648,11 @@ func RunWith(params Params, cfg Config, opts ...RunOption) (*Report, error) {
 }
 
 func runContextWith(ctx context.Context, params Params, cfg Config, opts ...RunOption) (*Report, error) {
-	world, keys, err := newWorld(params, false, 0)
+	world, err := simworld.New(params, simworld.Input{Bucket: "input"})
 	if err != nil {
 		return nil, err
 	}
-	return world.run(ctx, params.Job, keys, cfg, mapreduce.Profiled, opts)
+	return simulate(ctx, world, cfg, opts, nil)
 }
 
 // RunConcrete executes a configuration over real generated data: the
@@ -668,16 +661,15 @@ func runContextWith(ctx context.Context, params Params, cfg Config, opts ...RunO
 // Intended for correctness checks and small inputs (the host must hold
 // the dataset).
 func RunConcrete(job Job, cfg Config, seed int64, opts ...RunOption) (*Report, [][]byte, error) {
-	params := model.DefaultParams(job)
-	world, keys, err := newWorld(params, true, seed)
+	world, err := simworld.New(model.DefaultParams(job), simworld.Input{Bucket: "input", Concrete: true, Seed: seed})
 	if err != nil {
 		return nil, nil, err
 	}
 	var outputs [][]byte
-	rep, err := world.runThen(context.Background(), job, keys, cfg, mapreduce.Concrete, opts,
+	rep, err := simulate(context.Background(), world, cfg, opts,
 		func(p *simtime.Proc, rep *Report) error {
 			for _, key := range rep.OutputKeys {
-				obj, err := world.store.Get(p, rep.InterBucket, key)
+				obj, err := world.Store.Get(p, rep.InterBucket, key)
 				if err != nil {
 					return err
 				}
@@ -691,113 +683,63 @@ func RunConcrete(job Job, cfg Config, seed int64, opts ...RunOption) (*Report, [
 	return rep, outputs, nil
 }
 
-// world bundles one simulated platform instance.
-type world struct {
-	sched  *simtime.Scheduler
-	store  *objectstore.Store
-	plt    *lambda.Platform
-	driver *mapreduce.Driver
-	params Params
-}
-
-func newWorld(params Params, concrete bool, seed int64) (*world, []string, error) {
-	if err := params.Validate(); err != nil {
-		return nil, nil, err
-	}
-	sched := simtime.NewScheduler()
-	store := objectstore.New(sched, objectstore.Config{
-		Bandwidth:      params.BandwidthBps,
-		RequestLatency: params.RequestLatency,
-		Pricing:        params.Sheet.Store,
-	})
-	plt := lambda.New(sched, store, lambda.Config{
-		Sheet:           params.Sheet,
-		Speed:           params.Speed,
-		DispatchLatency: params.DispatchLatency,
-		DisableTimeout:  !concrete,
-		// Consulted only for injected 429 windows (capacity throttling
-		// queues FIFO in the default mode): retry with backoff the way a
-		// real SDK would, instead of failing on the first rejection.
-		MaxRetries: 8,
-	})
-	var keys []string
-	var err error
-	if concrete {
-		keys, err = workload.SeedConcrete(store, "input", params.Job, seed)
-	} else {
-		keys, err = workload.SeedProfiled(store, "input", params.Job)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	return &world{sched: sched, store: store, plt: plt, driver: mapreduce.NewDriver(plt), params: params}, keys, nil
-}
-
-// run executes one job on the world; the world's scheduler is consumed.
-func (w *world) run(ctx context.Context, job Job, keys []string, cfg Config, mode mapreduce.Mode, opts []RunOption) (*Report, error) {
-	return w.runThen(ctx, job, keys, cfg, mode, opts, nil)
-}
-
-// runThen executes one job and then, still inside the simulation, hands
-// the root process to after (e.g. to retrieve output objects).
-func (w *world) runThen(ctx context.Context, job Job, keys []string, cfg Config, mode mapreduce.Mode,
-	opts []RunOption, after func(*simtime.Proc, *Report) error) (*Report, error) {
-	spec := mapreduce.JobSpec{
-		Workload:  job,
-		Bucket:    "input",
-		InputKeys: keys,
-		Mode:      mode,
-	}
-	for _, opt := range opts {
-		opt(&spec)
-	}
-	if mon, ok := spec.QoS.(*qos.Monitor); ok && mon != nil {
-		// The monitor reads the run through the flight recorder; attach
-		// one if the caller didn't. Its plan inputs (predicted breakdown,
-		// price sheet, default deadline) are filled here so WithQoSMonitor
-		// callers don't have to predict the breakdown themselves.
-		if spec.Recorder == nil {
+// simulate executes one job on a fresh world and then, still inside the
+// simulation, hands the root process to after (e.g. to retrieve output
+// objects).
+func simulate(ctx context.Context, world *simworld.World, cfg Config, opts []RunOption,
+	after func(*simtime.Proc, *Report) error) (*Report, error) {
+	// The planner's per-stage breakdown for the executed configuration,
+	// predicted at most once and only when something consumes it. A
+	// prediction failure is not a run failure: the consumers degrade.
+	var bd *flight.Breakdown
+	recorded := false
+	apply := func(spec *mapreduce.JobSpec) {
+		for _, opt := range opts {
+			opt(spec)
+		}
+		mon, _ := spec.QoS.(*qos.Monitor)
+		if mon != nil && spec.Recorder == nil {
+			// The monitor reads the run through the flight recorder; attach
+			// one if the caller didn't.
 			spec.Recorder = flight.New()
 		}
-		if bd, perr := model.NewExact(w.params).PredictBreakdown(cfg); perr == nil {
-			mon.EnsurePlan(bd, w.params.Sheet)
+		pol := spec.Speculation
+		if pol != nil && (pol.MapTask != 0 || len(pol.StepTasks) != 0) {
+			pol = nil // the caller supplied the predicted task durations
 		}
-	}
-	if pol := spec.Speculation; pol != nil && pol.MapTask == 0 && len(pol.StepTasks) == 0 {
-		// Speculation needs per-task predicted durations to recognize a
-		// straggler; fill them from the planner's breakdown for this
-		// configuration. If prediction fails the run proceeds with
-		// speculation effectively disabled (no deadline, no backups).
-		if bd, perr := model.NewExact(w.params).PredictBreakdown(cfg); perr == nil {
+		recorded = spec.Recorder != nil
+		if !recorded && pol == nil {
+			return
+		}
+		pred, perr := model.NewExact(world.Params).PredictBreakdown(cfg)
+		if perr != nil {
+			return
+		}
+		bd = pred
+		if mon != nil {
+			// Plan inputs (predicted breakdown, price sheet, default
+			// deadline) are filled here so WithQoSMonitor callers don't
+			// have to predict the breakdown themselves.
+			mon.EnsurePlan(bd, world.Params.Sheet)
+		}
+		if pol != nil {
+			// Speculation needs per-task predicted durations to recognize
+			// a straggler; without a prediction the run proceeds with
+			// speculation effectively disabled (no deadline, no backups).
 			pol.FromBreakdown(bd)
 		}
 	}
-	var rep *Report
-	var runErr error
-	var err error
-	// The whole simulated execution runs under the pprof phase=simulate
-	// label, so CPU profiles separate planner phases from platform time.
-	telemetry.DoPhase(ctx, telemetry.PhaseSimulate, func(ctx context.Context) {
-		err = w.sched.RunContext(ctx, func(p *simtime.Proc) {
-			rep, runErr = w.driver.Run(p, spec, cfg)
-			if runErr == nil && after != nil {
-				runErr = after(p, rep)
-			}
-		})
-	})
+	rep, err := world.Run(ctx, cfg, apply, after)
 	if err != nil {
 		return nil, err
 	}
-	if runErr == nil && spec.Recorder != nil {
-		// Attach the planner's per-stage breakdown for the executed
-		// configuration so Report.Audit() can diff prediction against the
-		// recording. Purely additive: the measured outcome is unchanged,
-		// and a prediction failure only yields a measurement-only audit.
-		if bd, perr := model.NewExact(w.params).PredictBreakdown(cfg); perr == nil {
-			rep.Predicted = bd
-		}
+	if recorded {
+		// Lets Report.Audit() diff prediction against the recording.
+		// Purely additive: the measured outcome is unchanged, and without
+		// a prediction the audit is measurement-only.
+		rep.Predicted = bd
 	}
-	return rep, runErr
+	return rep, nil
 }
 
 // Pipeline types, re-exported for multi-stage analytics (chains of
@@ -964,31 +906,6 @@ func FrontierContext(ctx context.Context, job Job, opts ...FrontierOption) (*Fro
 		Tel:         fs.tel,
 		Observer:    fs.observer,
 	})
-}
-
-// FrontierWith is the historical positional frontier call.
-//
-// Deprecated: use Frontier with WithFrontierSize, which also returns
-// search stats and supports anytime observation.
-func FrontierWith(job Job, k int) ([]FrontierPoint, error) {
-	return FrontierContextWith(context.Background(), job, k)
-}
-
-// FrontierContextWith is the historical positional frontier call with
-// cancellation and plan options.
-//
-// Deprecated: use FrontierContext with WithFrontierSize.
-func FrontierContextWith(ctx context.Context, job Job, k int, opts ...PlanOption) ([]FrontierPoint, error) {
-	fopts := make([]FrontierOption, 0, len(opts)+1)
-	fopts = append(fopts, WithFrontierSize(k))
-	for _, o := range opts {
-		fopts = append(fopts, o)
-	}
-	res, err := FrontierContext(ctx, job, fopts...)
-	if err != nil {
-		return nil, err
-	}
-	return res.Points, nil
 }
 
 // CalibrateProfile measures a workload's real data ratios (mapper output

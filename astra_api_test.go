@@ -37,27 +37,6 @@ func TestParallelPlanMatchesSerialAcrossSeedWorkloads(t *testing.T) {
 	}
 }
 
-// TestDeprecatedPlanWithMatchesOptions exercises the compatibility shim:
-// the pre-redesign entry point must keep returning exactly what the
-// options API returns.
-func TestDeprecatedPlanWithMatchesOptions(t *testing.T) {
-	job := WordCount1GB()
-	obj := MinTime(1e9)
-	params := model.DefaultParams(job)
-
-	old, err := PlanWith(params, obj, SolverAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := Plan(job, obj, WithParams(params), WithSolver(SolverAuto))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if old.Config != cur.Config {
-		t.Fatalf("PlanWith chose %v, Plan chose %v", old.Config, cur.Config)
-	}
-}
-
 func TestPlanRejectsMalformedObjectives(t *testing.T) {
 	job := WordCount1GB()
 	if _, err := Plan(job, MinTime(-0.01)); !errors.Is(err, ErrInvalidObjective) {
@@ -181,29 +160,6 @@ func TestParallelFrontierMatchesSerial(t *testing.T) {
 	for i := range serial.Points {
 		if serial.Points[i].Config != par.Points[i].Config {
 			t.Fatalf("frontier point %d: serial %v, parallel %v", i, serial.Points[i].Config, par.Points[i].Config)
-		}
-	}
-}
-
-// TestDeprecatedFrontierWithMatchesOptions exercises the compatibility
-// shims: the positional frontier entry points must keep returning
-// exactly what the options API returns.
-func TestDeprecatedFrontierWithMatchesOptions(t *testing.T) {
-	job := WordCount1GB()
-	old, err := FrontierWith(job, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cur, err := Frontier(job, WithFrontierSize(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(old) != len(cur.Points) {
-		t.Fatalf("frontier sizes: FrontierWith %d, Frontier %d", len(old), len(cur.Points))
-	}
-	for i := range old {
-		if old[i].Config != cur.Points[i].Config {
-			t.Fatalf("point %d: FrontierWith %v, Frontier %v", i, old[i].Config, cur.Points[i].Config)
 		}
 	}
 }

@@ -1,45 +1,18 @@
 package main
 
 import (
-	"astra/internal/lambda"
+	"context"
+
 	"astra/internal/mapreduce"
 	"astra/internal/model"
-	"astra/internal/objectstore"
-	"astra/internal/simtime"
-	"astra/internal/workload"
+	"astra/internal/simworld"
 )
 
 // measure executes one sweep point on a fresh simulated platform.
 func measure(params model.Params, cfg mapreduce.Config) (*mapreduce.Report, error) {
-	sched := simtime.NewScheduler()
-	store := objectstore.New(sched, objectstore.Config{
-		Bandwidth:      params.BandwidthBps,
-		RequestLatency: params.RequestLatency,
-		Pricing:        params.Sheet.Store,
-	})
-	pl := lambda.New(sched, store, lambda.Config{
-		Sheet:           params.Sheet,
-		Speed:           params.Speed,
-		DispatchLatency: params.DispatchLatency,
-		DisableTimeout:  true,
-	})
-	keys, err := workload.SeedProfiled(store, "in", params.Job)
+	w, err := simworld.New(params, simworld.Input{Bucket: "in"})
 	if err != nil {
 		return nil, err
 	}
-	driver := mapreduce.NewDriver(pl)
-	var rep *mapreduce.Report
-	var runErr error
-	err = sched.Run(func(p *simtime.Proc) {
-		rep, runErr = driver.Run(p, mapreduce.JobSpec{
-			Workload:  params.Job,
-			Bucket:    "in",
-			InputKeys: keys,
-			Mode:      mapreduce.Profiled,
-		}, cfg)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rep, runErr
+	return w.Run(context.Background(), cfg, nil, nil)
 }

@@ -406,12 +406,37 @@ type FrontierPoint struct {
 }
 
 // FrontierStats is the deterministic subset of the sweep's stats
-// (wall-clock and cache traffic omitted: both vary run to run).
+// (wall-clock and cache traffic omitted: both vary run to run, and two
+// identical seeded sweeps must stream byte-identical updates).
 type FrontierStats struct {
 	Phases      int64 `json:"phases"`
 	Searches    int64 `json:"searches"`
 	Pruned      int64 `json:"pruned"`
 	Evaluations int64 `json:"evaluations"`
+}
+
+// FrontierUpdateOf renders one anytime update into its wire form — the
+// one schema both the planning service's /v1/frontier and the
+// observability plane's /frontier stream.
+func FrontierUpdateOf(u optimizer.FrontierUpdate) FrontierUpdate {
+	wire := FrontierUpdate{
+		Phase: u.Phase,
+		Final: u.Final,
+		Stats: FrontierStats{
+			Phases:      u.Stats.Phases,
+			Searches:    u.Stats.Searches,
+			Pruned:      u.Stats.Pruned,
+			Evaluations: u.Stats.Evaluations,
+		},
+	}
+	for _, pt := range u.Points {
+		wire.Points = append(wire.Points, FrontierPoint{
+			JCTSeconds: pt.Pred.TotalSec(),
+			CostUSD:    float64(pt.Pred.TotalCost()),
+			Config:     pt.Config,
+		})
+	}
+	return wire
 }
 
 // FrontierResponse is the completed sweep: its final update.

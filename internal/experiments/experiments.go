@@ -11,58 +11,27 @@ import (
 	"strings"
 	"time"
 
-	"astra/internal/lambda"
 	"astra/internal/mapreduce"
 	"astra/internal/model"
-	"astra/internal/objectstore"
 	"astra/internal/pricing"
-	"astra/internal/simtime"
-	"astra/internal/telemetry"
-	"astra/internal/workload"
+	"astra/internal/simworld"
 )
 
 // Execute runs one profiled job on a fresh simulated platform built from
 // the model parameters, so measurements are isolated and deterministic.
 func Execute(params model.Params, cfg mapreduce.Config) (*mapreduce.Report, error) {
-	var rep *mapreduce.Report
-	var runErr error
-	sched := simtime.NewScheduler()
-	store := objectstore.New(sched, objectstore.Config{
-		Bandwidth:      params.BandwidthBps,
-		RequestLatency: params.RequestLatency,
-		Pricing:        params.Sheet.Store,
-	})
-	pl := lambda.New(sched, store, lambda.Config{
-		Sheet:           params.Sheet,
-		Speed:           params.Speed,
-		DispatchLatency: params.DispatchLatency,
-		// The paper's optimization model carries no per-lambda duration
-		// constraint (Sec. IV), so evaluation runs disable the 900 s
-		// timeout; the examples keep it on.
-		DisableTimeout: true,
-	})
-	keys, err := workload.SeedProfiled(store, "in", params.Job)
+	return executeWithSpec(params, cfg, nil)
+}
+
+// executeWithSpec is Execute with full JobSpec control (orchestrator,
+// intermediate storage class, chaos).
+func executeWithSpec(params model.Params, cfg mapreduce.Config,
+	mut func(*mapreduce.JobSpec)) (*mapreduce.Report, error) {
+	w, err := simworld.New(params, simworld.Input{Bucket: "in"})
 	if err != nil {
 		return nil, err
 	}
-	driver := mapreduce.NewDriver(pl)
-	telemetry.DoPhase(context.Background(), telemetry.PhaseSimulate, func(context.Context) {
-		err = sched.Run(func(p *simtime.Proc) {
-			rep, runErr = driver.Run(p, mapreduce.JobSpec{
-				Workload:  params.Job,
-				Bucket:    "in",
-				InputKeys: keys,
-				Mode:      mapreduce.Profiled,
-			}, cfg)
-		})
-	})
-	if err != nil {
-		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	return rep, nil
+	return w.Run(context.Background(), cfg, mut, nil)
 }
 
 // fmtDur renders a duration in seconds with sensible precision.

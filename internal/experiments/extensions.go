@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"astra/internal/emr"
-	"astra/internal/lambda"
 	"astra/internal/mapreduce"
 	"astra/internal/model"
 	"astra/internal/objectstore"
@@ -14,7 +13,7 @@ import (
 	"astra/internal/pipeline"
 	"astra/internal/pricing"
 	"astra/internal/profiler"
-	"astra/internal/simtime"
+	"astra/internal/simworld"
 	"astra/internal/workload"
 )
 
@@ -84,37 +83,15 @@ func Providers() (string, error) {
 // bandwidth instead of the per-connection model — the regime real S3
 // imposes on very wide fan-outs.
 func executeShared(params model.Params, cfg mapreduce.Config, sharedBps float64) (*mapreduce.Report, error) {
-	var rep *mapreduce.Report
-	var runErr error
-	sched := simtime.NewScheduler()
-	store := objectstore.New(sched, objectstore.Config{
+	w, err := simworld.New(params, simworld.Input{Bucket: "in", Store: &objectstore.Config{
 		SharedBandwidth: sharedBps,
 		RequestLatency:  params.RequestLatency,
 		Pricing:         params.Sheet.Store,
-	})
-	pl := lambda.New(sched, store, lambda.Config{
-		Sheet:           params.Sheet,
-		Speed:           params.Speed,
-		DispatchLatency: params.DispatchLatency,
-		DisableTimeout:  true,
-	})
-	keys, err := workload.SeedProfiled(store, "in", params.Job)
+	}})
 	if err != nil {
 		return nil, err
 	}
-	driver := mapreduce.NewDriver(pl)
-	err = sched.Run(func(p *simtime.Proc) {
-		rep, runErr = driver.Run(p, mapreduce.JobSpec{
-			Workload:  params.Job,
-			Bucket:    "in",
-			InputKeys: keys,
-			Mode:      mapreduce.Profiled,
-		}, cfg)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rep, runErr
+	return w.Run(context.Background(), cfg, nil, nil)
 }
 
 // AblationSharedBandwidth quantifies what the fixed per-connection
@@ -145,49 +122,6 @@ func AblationSharedBandwidth() (string, error) {
 			fmt.Sprintf("%.2fx", rep.JCT.Seconds()/base.JCT.Seconds()))
 	}
 	return t.String(), nil
-}
-
-// executeWithSpec runs a job with full JobSpec control (orchestrator,
-// intermediate storage class).
-func executeWithSpec(params model.Params, cfg mapreduce.Config,
-	mut func(*mapreduce.JobSpec)) (*mapreduce.Report, error) {
-	var rep *mapreduce.Report
-	var runErr error
-	sched := simtime.NewScheduler()
-	store := objectstore.New(sched, objectstore.Config{
-		Bandwidth:      params.BandwidthBps,
-		RequestLatency: params.RequestLatency,
-		Pricing:        params.Sheet.Store,
-	})
-	pl := lambda.New(sched, store, lambda.Config{
-		Sheet:           params.Sheet,
-		Speed:           params.Speed,
-		DispatchLatency: params.DispatchLatency,
-		DisableTimeout:  true,
-		// Only consulted for injected 429 windows (resilience experiment).
-		MaxRetries: 8,
-	})
-	keys, err := workload.SeedProfiled(store, "in", params.Job)
-	if err != nil {
-		return nil, err
-	}
-	spec := mapreduce.JobSpec{
-		Workload:  params.Job,
-		Bucket:    "in",
-		InputKeys: keys,
-		Mode:      mapreduce.Profiled,
-	}
-	if mut != nil {
-		mut(&spec)
-	}
-	driver := mapreduce.NewDriver(pl)
-	err = sched.Run(func(p *simtime.Proc) {
-		rep, runErr = driver.Run(p, spec, cfg)
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rep, runErr
 }
 
 // FootnoteOrchestrator reproduces the paper's footnote 1: the coordinator

@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"astra"
 	"astra/internal/model"
 	"astra/internal/optimizer"
 	"astra/internal/pricing"
@@ -68,8 +69,8 @@ type Spec struct {
 	// Solver selects the search strategy (default optimizer.Auto).
 	Solver optimizer.Solver
 	// RunEvery, when > 0, executes every RunEvery-th planned request on a
-	// fresh simulated platform with a streaming QoS monitor attached
-	// (ExecuteMonitored). Which requests execute is a pure function of the
+	// fresh simulated platform with a streaming QoS monitor attached.
+	// Which requests execute is a pure function of the
 	// request index, so a count-bounded run executes a deterministic set.
 	RunEvery int
 	// SLOFactor scales each executed run's deadline relative to its
@@ -216,7 +217,27 @@ func shapeFor(shapes []Shape, weights []int, total int, seed int64, i int) int {
 	return len(shapes) - 1
 }
 
-// Run replays the spec's mix and reports the capacity profile. Per-plan
+// sample is one completed request's client-side accounting, whichever
+// mode produced it.
+type sample struct {
+	total   time.Duration
+	queue   time.Duration
+	service time.Duration
+	shape   int
+	// cache is the server's response-cache verdict (remote mode only).
+	cache string
+	// rateLimited counts the 429s the request absorbed before succeeding.
+	rateLimited int
+	// ran marks an executed request; attained is its deadline verdict.
+	ran, attained bool
+}
+
+// requester performs one request of shape si, optionally executed, on
+// behalf of worker w. The two modes differ only here: an in-process plan
+// or a POST to a running astra-server.
+type requester func(ctx context.Context, w, si int, execute bool) (sample, error)
+
+// Run replays the spec's mix and reports the capacity profile. Per-request
 // failures are counted (Result.Errors), not fatal; Run returns an error
 // only for an invalid spec or a cancelled context.
 func Run(ctx context.Context, spec Spec) (*Result, error) {
@@ -226,22 +247,10 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	if spec.MaxPlans <= 0 && spec.Duration <= 0 {
 		return nil, fmt.Errorf("loadgen: need MaxPlans or Duration")
 	}
-	if spec.TargetURL != "" {
-		return runRemote(ctx, spec)
-	}
 	workers := spec.Concurrency
 	if workers <= 0 {
 		workers = 1
 	}
-	tc := spec.Templates
-	if tc == nil {
-		tc = optimizer.NewTemplateCache(0)
-	}
-	pc := spec.Cache
-	if pc == nil {
-		pc = model.NewPredictionCache()
-	}
-
 	weights := make([]int, len(spec.Shapes))
 	total := 0
 	for i, s := range spec.Shapes {
@@ -252,14 +261,6 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		weights[i] = w
 		total += w
 	}
-
-	// Pre-resolve per-shape parameterizations once; the planner per
-	// request is then cheap to construct.
-	params := make([]model.Params, len(spec.Shapes))
-	for i, s := range spec.Shapes {
-		params[i] = model.DefaultParams(s.Job)
-	}
-
 	maxPlans := spec.MaxPlans
 	if maxPlans <= 0 {
 		// Time-bounded run: bound the index space generously; the
@@ -270,24 +271,22 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 	if spec.Duration > 0 {
 		deadline = time.Now().Add(spec.Duration)
 	}
-
 	if spec.Tel != nil {
 		ctx = telemetry.NewContext(ctx, spec.Tel)
 	}
 
-	ledger := spec.Ledger
-	if ledger == nil && spec.RunEvery > 0 {
-		ledger = qos.NewLedger()
+	remote := spec.TargetURL != ""
+	var do requester
+	var local *localPlanner
+	if remote {
+		do = remoteRequester(spec)
+	} else {
+		local = newLocalPlanner(spec)
+		do = local.request
 	}
 
-	perWorkerLat := make([][]time.Duration, workers)
-	perWorkerShape := make([][]int64, workers)
-	perWorkerSLO := make([][]ShapeSLO, workers)
-	for w := range perWorkerShape {
-		perWorkerShape[w] = make([]int64, len(spec.Shapes))
-		perWorkerSLO[w] = make([]ShapeSLO, len(spec.Shapes))
-	}
-	var next, planned, failed atomic.Int64
+	perWorker := make([][]sample, workers)
+	var next, failed, rateLimited atomic.Int64
 
 	// Tenants are plain goroutines, not the planning pool: a load driver
 	// must honor the requested concurrency even when it oversubscribes
@@ -311,39 +310,15 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 					return
 				}
 				si := shapeFor(spec.Shapes, weights, total, spec.Seed, i)
-				pl := optimizer.New(params[si])
-				pl.Solver = spec.Solver
-				pl.Parallelism = 1
-				pl.Templates, pl.Cache = tc, pc
-				pl.Tel = spec.Tel
-				t0 := time.Now()
-				plan, perr := pl.PlanContext(ctx, spec.Shapes[si].Objective)
-				lat := time.Since(t0)
-				if perr != nil {
+				execute := spec.RunEvery > 0 && i%spec.RunEvery == 0
+				s, err := do(ctx, w, si, execute)
+				rateLimited.Add(int64(s.rateLimited))
+				if err != nil {
 					failed.Add(1)
 					continue
 				}
-				planned.Add(1)
-				perWorkerLat[w] = append(perWorkerLat[w], lat)
-				perWorkerShape[w][si]++
-				if spec.RunEvery > 0 && i%spec.RunEvery == 0 {
-					// Execute this plan under a QoS monitor; run failures
-					// count like plan failures, SLO outcomes settle into
-					// the shared ledger and the per-shape split.
-					rep, mon, rerr := ExecuteMonitored(params[si],
-						spec.Shapes[si].Name, plan.Config, spec.SLOFactor, ledger)
-					if rerr != nil {
-						failed.Add(1)
-						continue
-					}
-					_ = rep
-					perWorkerSLO[w][si].Runs++
-					if mon.State() == qos.Breached {
-						perWorkerSLO[w][si].Breached++
-					} else {
-						perWorkerSLO[w][si].Attained++
-					}
-				}
+				s.shape = si
+				perWorker[w] = append(perWorker[w], s)
 			}
 		}(w)
 	}
@@ -353,60 +328,178 @@ func Run(ctx context.Context, spec Spec) (*Result, error) {
 		return nil, err
 	}
 
-	var lats []time.Duration
-	for _, l := range perWorkerLat {
-		lats = append(lats, l...)
+	var samples []sample
+	for _, s := range perWorker {
+		samples = append(samples, s...)
 	}
-	sort.Slice(lats, func(a, b int) bool { return lats[a] < lats[b] })
-
 	res := &Result{
-		Plans:       int(planned.Load()),
+		Plans:       len(samples),
 		Errors:      int(failed.Load()),
 		Concurrency: workers,
 		Elapsed:     elapsed,
+		RateLimited: int(rateLimited.Load()),
 		PerShape:    make(map[string]int, len(spec.Shapes)),
+	}
+	if remote {
+		// Every remote failure is a transport failure or a terminal status.
+		res.TransportErrors = res.Errors
 	}
 	if elapsed > 0 {
 		res.PlansPerSec = float64(res.Plans) / elapsed.Seconds()
 	}
-	if n := len(lats); n > 0 {
-		res.P50 = lats[n/2]
-		res.P95 = lats[min(n-1, n*95/100)]
-		res.P99 = lats[min(n-1, n*99/100)]
-		// No accept queue in-process: service time is the whole latency.
-		res.ServiceP50, res.ServiceP95, res.ServiceP99 = res.P50, res.P95, res.P99
-	}
-	publishClientTiming(spec.Tel, res)
-	for si, s := range spec.Shapes {
-		var c int64
-		for w := range perWorkerShape {
-			c += perWorkerShape[w][si]
-		}
-		res.PerShape[s.Name] = int(c)
-	}
+	res.P50, res.P95, res.P99 = quantiles(samples, func(s sample) time.Duration { return s.total })
+	res.QueueP50, res.QueueP95, res.QueueP99 = quantiles(samples, func(s sample) time.Duration { return s.queue })
+	res.ServiceP50, res.ServiceP95, res.ServiceP99 = quantiles(samples, func(s sample) time.Duration { return s.service })
 	if spec.RunEvery > 0 {
 		res.SLOPerShape = make(map[string]ShapeSLO, len(spec.Shapes))
-		for si, s := range spec.Shapes {
-			var agg ShapeSLO
-			for w := range perWorkerSLO {
-				agg.Runs += perWorkerSLO[w][si].Runs
-				agg.Attained += perWorkerSLO[w][si].Attained
-				agg.Breached += perWorkerSLO[w][si].Breached
-			}
-			res.SLOPerShape[s.Name] = agg
-			res.Runs += agg.Runs
-			res.DeadlineAttained += agg.Attained
-			res.DeadlineBreached += agg.Breached
-		}
-		ledger.Publish(spec.Tel)
 	}
-	res.TemplateStats = tc.Stats()
+	for _, s := range spec.Shapes {
+		res.PerShape[s.Name] = 0
+		if spec.RunEvery > 0 {
+			res.SLOPerShape[s.Name] = ShapeSLO{}
+		}
+	}
+	for _, s := range samples {
+		name := spec.Shapes[s.shape].Name
+		res.PerShape[name]++
+		switch s.cache {
+		case "hit":
+			res.RespCacheHits++
+		case "miss":
+			res.RespCacheMisses++
+		}
+		if !s.ran {
+			continue
+		}
+		agg := res.SLOPerShape[name]
+		agg.Runs++
+		res.Runs++
+		if s.attained {
+			agg.Attained++
+			res.DeadlineAttained++
+		} else {
+			agg.Breached++
+			res.DeadlineBreached++
+		}
+		res.SLOPerShape[name] = agg
+	}
+	publishClientTiming(spec.Tel, res)
+	if local != nil {
+		local.finish(res)
+	}
+	return res, nil
+}
+
+// quantiles sorts one extracted dimension and reads the usual three.
+func quantiles(samples []sample, dim func(sample) time.Duration) (p50, p95, p99 time.Duration) {
+	if len(samples) == 0 {
+		return 0, 0, 0
+	}
+	vals := make([]time.Duration, len(samples))
+	for i, s := range samples {
+		vals[i] = dim(s)
+	}
+	sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
+	n := len(vals)
+	return vals[n/2], vals[min(n-1, n*95/100)], vals[min(n-1, n*99/100)]
+}
+
+// publishClientTiming exports the driver's client-side view onto the
+// registry: p95 queue/service gauges plus remote outcome counters.
+func publishClientTiming(tel *telemetry.Registry, res *Result) {
+	if tel == nil {
+		return
+	}
+	tel.Gauge(telemetry.MLoadgenQueueWait).Set(res.QueueP95.Nanoseconds())
+	tel.Gauge(telemetry.MLoadgenServiceTime).Set(res.ServiceP95.Nanoseconds())
+	if res.RateLimited > 0 {
+		tel.Counter(telemetry.MLoadgenRateLimited).Add(int64(res.RateLimited))
+	}
+	if res.TransportErrors > 0 {
+		tel.Counter(telemetry.MLoadgenTransport).Add(int64(res.TransportErrors))
+	}
+}
+
+// localPlanner is the in-process mode: every request plans through the
+// run's shared template and prediction caches, and executed requests
+// settle into the run's SLO ledger under the "loadgen" tenant.
+type localPlanner struct {
+	spec   Spec
+	params []model.Params
+	tc     *optimizer.TemplateCache
+	pc     *model.PredictionCache
+	ledger *qos.Ledger
+}
+
+func newLocalPlanner(spec Spec) *localPlanner {
+	l := &localPlanner{spec: spec, tc: spec.Templates, pc: spec.Cache, ledger: spec.Ledger}
+	if l.tc == nil {
+		l.tc = optimizer.NewTemplateCache(0)
+	}
+	if l.pc == nil {
+		l.pc = model.NewPredictionCache()
+	}
+	if l.ledger == nil && spec.RunEvery > 0 {
+		l.ledger = qos.NewLedger()
+	}
+	if l.spec.SLOFactor <= 0 {
+		l.spec.SLOFactor = 1.05
+	}
+	// Pre-resolve per-shape parameterizations once; the planner per
+	// request is then cheap to construct.
+	l.params = make([]model.Params, len(spec.Shapes))
+	for i, s := range spec.Shapes {
+		l.params[i] = model.DefaultParams(s.Job)
+	}
+	return l
+}
+
+// request plans shape si and, when asked, executes the plan on a fresh
+// simulated platform under a QoS monitor. The run's SLO deadline is
+// SLOFactor x the predicted JCT, so attainment measures how reliably
+// execution honors the planner's Eq. 20 contract under the fleet's
+// shapes. Latency is the plan's alone: there is no accept queue
+// in-process, so service time is the whole of it.
+func (l *localPlanner) request(ctx context.Context, _, si int, execute bool) (sample, error) {
+	pl := optimizer.New(l.params[si])
+	pl.Solver = l.spec.Solver
+	pl.Parallelism = 1
+	pl.Templates, pl.Cache = l.tc, l.pc
+	pl.Tel = l.spec.Tel
+	t0 := time.Now()
+	plan, err := pl.PlanContext(ctx, l.spec.Shapes[si].Objective)
+	lat := time.Since(t0)
+	if err != nil {
+		return sample{}, err
+	}
+	s := sample{total: lat, service: lat}
+	if execute {
+		mon := astra.NewQoSMonitor(astra.QoSOptions{
+			Deadline: time.Duration(l.spec.SLOFactor * float64(plan.Exact.JCT())),
+			Tenant:   "loadgen",
+			Job:      l.spec.Shapes[si].Name,
+			Ledger:   l.ledger,
+		})
+		if _, err := astra.RunWith(l.params[si], plan.Config, astra.WithQoSMonitor(mon)); err != nil {
+			return sample{}, err
+		}
+		s.ran, s.attained = true, mon.State() != qos.Breached
+	}
+	return s, nil
+}
+
+// finish adds what only an in-process run can report: the SLO ledger's
+// published view and the shared caches' traffic.
+func (l *localPlanner) finish(res *Result) {
+	if l.spec.RunEvery > 0 {
+		l.ledger.Publish(l.spec.Tel)
+	}
+	res.TemplateStats = l.tc.Stats()
 	res.TemplateHitRate = res.TemplateStats.HitRate()
-	res.PredictionHits, res.PredictionMisses = pc.Stats()
+	res.PredictionHits, res.PredictionMisses = l.pc.Stats()
 	if t := res.PredictionHits + res.PredictionMisses; t > 0 {
 		res.PredictionHitRate = float64(res.PredictionHits) / float64(t)
 	}
-	return res, nil
 }
 
 func min(a, b int) int {

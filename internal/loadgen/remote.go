@@ -14,14 +14,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sort"
 	"strconv"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"astra/internal/api"
-	"astra/internal/telemetry"
 )
 
 // maxRetryPause caps how long the client honors a 429's retry_after_ms
@@ -55,211 +51,50 @@ func wireRequest(s Shape, execute bool, sloFactor float64) api.PlanRequest {
 	return req
 }
 
-// sample is one completed remote request's client-side accounting.
-type sample struct {
-	total   time.Duration
-	queue   time.Duration
-	service time.Duration
-	shape   int
-	run     *api.RunOutcome
-}
-
-// runRemote replays the spec's mix against spec.TargetURL.
-func runRemote(ctx context.Context, spec Spec) (*Result, error) {
-	workers := spec.Concurrency
-	if workers <= 0 {
-		workers = 1
-	}
+// remoteRequester is the remote-client mode: each request goes to
+// spec.TargetURL under its worker's tenant identity.
+func remoteRequester(spec Spec) requester {
 	tenants := spec.Tenants
 	if tenants <= 0 {
 		tenants = 1
 	}
-	weights := make([]int, len(spec.Shapes))
-	total := 0
-	for i, s := range spec.Shapes {
-		w := s.Weight
-		if w <= 0 {
-			w = 1
-		}
-		weights[i] = w
-		total += w
-	}
-	maxPlans := spec.MaxPlans
-	if maxPlans <= 0 {
-		maxPlans = 1 << 30
-	}
-	var deadline time.Time
-	if spec.Duration > 0 {
-		deadline = time.Now().Add(spec.Duration)
-	}
-
 	client := &http.Client{Timeout: 2 * time.Minute}
-	base := spec.TargetURL
-
-	perWorker := make([][]sample, workers)
-	var next, planned, failed atomic.Int64
-	var rateLimited, transport, cacheHits, cacheMisses atomic.Int64
-
-	start := time.Now()
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func(w int) {
-			defer wg.Done()
-			tenant := fmt.Sprintf("tenant-%d", w%tenants)
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				if !deadline.IsZero() && !time.Now().Before(deadline) {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= maxPlans {
-					return
-				}
-				si := shapeFor(spec.Shapes, weights, total, spec.Seed, i)
-				execute := spec.RunEvery > 0 && i%spec.RunEvery == 0
-				req := wireRequest(spec.Shapes[si], execute, spec.SLOFactor)
-				s, retried, err := planRemote(ctx, client, base, tenant, &req)
-				rateLimited.Add(int64(retried))
-				if err != nil {
-					transport.Add(1)
-					failed.Add(1)
-					continue
-				}
-				switch s.cacheVerdict {
-				case "hit":
-					cacheHits.Add(1)
-				case "miss":
-					cacheMisses.Add(1)
-				}
-				planned.Add(1)
-				s.shape = si
-				perWorker[w] = append(perWorker[w], s.sample)
-			}
-		}(w)
+	return func(ctx context.Context, w, si int, execute bool) (sample, error) {
+		req := wireRequest(spec.Shapes[si], execute, spec.SLOFactor)
+		return planRemote(ctx, client, spec.TargetURL, fmt.Sprintf("tenant-%d", w%tenants), &req)
 	}
-	wg.Wait()
-	elapsed := time.Since(start)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-
-	var samples []sample
-	for _, s := range perWorker {
-		samples = append(samples, s...)
-	}
-	res := &Result{
-		Plans:           int(planned.Load()),
-		Errors:          int(failed.Load()),
-		Concurrency:     workers,
-		Elapsed:         elapsed,
-		PerShape:        make(map[string]int, len(spec.Shapes)),
-		RateLimited:     int(rateLimited.Load()),
-		TransportErrors: int(transport.Load()),
-		RespCacheHits:   int(cacheHits.Load()),
-		RespCacheMisses: int(cacheMisses.Load()),
-	}
-	if elapsed > 0 {
-		res.PlansPerSec = float64(res.Plans) / elapsed.Seconds()
-	}
-	res.P50, res.P95, res.P99 = quantiles(samples, func(s sample) time.Duration { return s.total })
-	res.QueueP50, res.QueueP95, res.QueueP99 = quantiles(samples, func(s sample) time.Duration { return s.queue })
-	res.ServiceP50, res.ServiceP95, res.ServiceP99 = quantiles(samples, func(s sample) time.Duration { return s.service })
-	for _, s := range samples {
-		res.PerShape[spec.Shapes[s.shape].Name]++
-		if s.run != nil {
-			if res.SLOPerShape == nil {
-				res.SLOPerShape = make(map[string]ShapeSLO, len(spec.Shapes))
-			}
-			agg := res.SLOPerShape[spec.Shapes[s.shape].Name]
-			agg.Runs++
-			res.Runs++
-			if s.run.Attained {
-				agg.Attained++
-				res.DeadlineAttained++
-			} else {
-				agg.Breached++
-				res.DeadlineBreached++
-			}
-			res.SLOPerShape[spec.Shapes[s.shape].Name] = agg
-		}
-	}
-	for _, s := range spec.Shapes {
-		if _, ok := res.PerShape[s.Name]; !ok {
-			res.PerShape[s.Name] = 0
-		}
-	}
-	publishClientTiming(spec.Tel, res)
-	return res, nil
-}
-
-// quantiles sorts one extracted dimension and reads the usual three.
-func quantiles(samples []sample, dim func(sample) time.Duration) (p50, p95, p99 time.Duration) {
-	if len(samples) == 0 {
-		return 0, 0, 0
-	}
-	vals := make([]time.Duration, len(samples))
-	for i, s := range samples {
-		vals[i] = dim(s)
-	}
-	sort.Slice(vals, func(a, b int) bool { return vals[a] < vals[b] })
-	n := len(vals)
-	return vals[n/2], vals[min(n-1, n*95/100)], vals[min(n-1, n*99/100)]
-}
-
-// publishClientTiming exports the driver's client-side view onto the
-// registry: p95 queue/service gauges plus remote outcome counters.
-func publishClientTiming(tel *telemetry.Registry, res *Result) {
-	if tel == nil {
-		return
-	}
-	tel.Gauge(telemetry.MLoadgenQueueWait).Set(res.QueueP95.Nanoseconds())
-	tel.Gauge(telemetry.MLoadgenServiceTime).Set(res.ServiceP95.Nanoseconds())
-	if res.RateLimited > 0 {
-		tel.Counter(telemetry.MLoadgenRateLimited).Add(int64(res.RateLimited))
-	}
-	if res.TransportErrors > 0 {
-		tel.Counter(telemetry.MLoadgenTransport).Add(int64(res.TransportErrors))
-	}
-}
-
-type remoteSample struct {
-	sample
-	cacheVerdict string
 }
 
 // planRemote POSTs one plan request, absorbing 429s by honoring (a
-// capped) Retry-After and re-attempting. It returns the sample, how many
-// 429s were absorbed, and an error only for transport failures or
-// terminal statuses.
-func planRemote(ctx context.Context, client *http.Client, base, tenant string, req *api.PlanRequest) (remoteSample, int, error) {
+// capped) Retry-After and re-attempting. The sample always carries how
+// many 429s were absorbed; the error is non-nil only for transport
+// failures or terminal statuses.
+func planRemote(ctx context.Context, client *http.Client, base, tenant string, req *api.PlanRequest) (sample, error) {
+	var s sample
 	body, err := json.Marshal(req)
 	if err != nil {
-		return remoteSample{}, 0, err
+		return s, err
 	}
-	retried := 0
 	t0 := time.Now()
 	for attempt := 0; attempt < maxAttempts; attempt++ {
 		if err := ctx.Err(); err != nil {
-			return remoteSample{}, retried, err
+			return s, err
 		}
 		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, base+"/v1/plan", bytes.NewReader(body))
 		if err != nil {
-			return remoteSample{}, retried, err
+			return s, err
 		}
 		hreq.Header.Set("Content-Type", "application/json")
 		hreq.Header.Set(api.TenantHeader, tenant)
 		resp, err := client.Do(hreq)
 		if err != nil {
-			return remoteSample{}, retried, err
+			return s, err
 		}
 		if resp.StatusCode == http.StatusTooManyRequests {
 			var env api.ErrorResponse
 			_ = json.NewDecoder(io.LimitReader(resp.Body, 1<<16)).Decode(&env)
 			resp.Body.Close()
-			retried++
+			s.rateLimited++
 			pause := time.Duration(env.RetryAfterMS) * time.Millisecond
 			if pause <= 0 || pause > maxRetryPause {
 				pause = maxRetryPause
@@ -267,33 +102,31 @@ func planRemote(ctx context.Context, client *http.Client, base, tenant string, r
 			select {
 			case <-time.After(pause):
 			case <-ctx.Done():
-				return remoteSample{}, retried, ctx.Err()
+				return s, ctx.Err()
 			}
 			continue
 		}
 		if resp.StatusCode != http.StatusOK {
 			b, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<16))
 			resp.Body.Close()
-			return remoteSample{}, retried, fmt.Errorf("loadgen: %s: %s", resp.Status, bytes.TrimSpace(b))
+			return s, fmt.Errorf("loadgen: %s: %s", resp.Status, bytes.TrimSpace(b))
 		}
 		var planResp api.PlanResponse
 		err = json.NewDecoder(resp.Body).Decode(&planResp)
 		resp.Body.Close()
 		if err != nil {
-			return remoteSample{}, retried, err
+			return s, err
 		}
-		s := remoteSample{
-			sample: sample{
-				total:   time.Since(t0),
-				queue:   headerNs(resp.Header.Get(api.QueueHeader)),
-				service: headerNs(resp.Header.Get(api.ServiceHeader)),
-				run:     planResp.Run,
-			},
-			cacheVerdict: resp.Header.Get(api.CacheHeader),
+		s.total = time.Since(t0)
+		s.queue = headerNs(resp.Header.Get(api.QueueHeader))
+		s.service = headerNs(resp.Header.Get(api.ServiceHeader))
+		s.cache = resp.Header.Get(api.CacheHeader)
+		if run := planResp.Run; run != nil && req.Execute {
+			s.ran, s.attained = true, run.Attained
 		}
-		return s, retried, nil
+		return s, nil
 	}
-	return remoteSample{}, retried, fmt.Errorf("loadgen: gave up after %d rate-limited attempts", maxAttempts)
+	return s, fmt.Errorf("loadgen: gave up after %d rate-limited attempts", maxAttempts)
 }
 
 func headerNs(v string) time.Duration {

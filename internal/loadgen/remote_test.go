@@ -43,13 +43,14 @@ func TestRemoteDriver(t *testing.T) {
 		}
 	}()
 
+	const concurrency = 4
 	clientTel := telemetry.New()
 	res, err := loadgen.Run(context.Background(), loadgen.Spec{
 		Shapes: []loadgen.Shape{
 			loadgen.DefaultMix()[0], // wordcount-1gb
 			loadgen.DefaultMix()[1], // wordcount-10gb
 		},
-		Concurrency: 4,
+		Concurrency: concurrency,
 		Tenants:     2,
 		MaxPlans:    40,
 		Seed:        7,
@@ -65,10 +66,14 @@ func TestRemoteDriver(t *testing.T) {
 	if res.Plans != 40 {
 		t.Fatalf("plans = %d (%d errors), want 40", res.Plans, res.Errors)
 	}
-	// Two distinct fingerprints: everything past the two cold misses is a
-	// server-side response-cache hit.
-	if res.RespCacheMisses != 2 || res.RespCacheHits != 38 {
-		t.Fatalf("respcache hits/misses = %d/%d, want 38/2", res.RespCacheHits, res.RespCacheMisses)
+	// Two distinct fingerprints, but the response cache does not coalesce
+	// concurrent misses: each fingerprint misses at least once and at most
+	// once per worker that can be in flight on it while it is cold.
+	if res.RespCacheHits+res.RespCacheMisses != 40 {
+		t.Fatalf("respcache hits+misses = %d+%d, want 40 verdicts", res.RespCacheHits, res.RespCacheMisses)
+	}
+	if res.RespCacheMisses < 2 || res.RespCacheMisses > 2*concurrency {
+		t.Fatalf("respcache misses = %d, want 2..%d", res.RespCacheMisses, 2*concurrency)
 	}
 	if res.ServiceP50 < 0 || res.QueueP50 < 0 {
 		t.Fatalf("negative timing: queue %v service %v", res.QueueP50, res.ServiceP50)
@@ -81,8 +86,8 @@ func TestRemoteDriver(t *testing.T) {
 		t.Fatalf("per-shape accounting = %v", res.PerShape)
 	}
 	// Server-side accounting agrees with the client's view.
-	if st := srv.RespCache().Stats(); st.Hits != 38 || st.Misses != 2 {
-		t.Fatalf("server respcache stats = %+v", st)
+	if st := srv.RespCache().Stats(); st.Hits != int64(res.RespCacheHits) || st.Misses != int64(res.RespCacheMisses) {
+		t.Fatalf("server respcache stats = %+v, client saw %d/%d", st, res.RespCacheHits, res.RespCacheMisses)
 	}
 }
 

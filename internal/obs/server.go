@@ -37,8 +37,8 @@ import (
 	"sync"
 	"time"
 
+	"astra/internal/api"
 	"astra/internal/flight"
-	"astra/internal/mapreduce"
 	"astra/internal/optimizer"
 	"astra/internal/qos"
 	"astra/internal/telemetry"
@@ -226,52 +226,12 @@ func (s *Server) PublishExplain(report string) {
 // append); it never blocks on slow clients.
 func (s *Server) FrontierObserver() func(optimizer.FrontierUpdate) {
 	return func(u optimizer.FrontierUpdate) {
-		wire := frontierUpdateWire{
-			Phase: u.Phase,
-			Final: u.Final,
-			Stats: frontierStatsWire{
-				Phases:      u.Stats.Phases,
-				Searches:    u.Stats.Searches,
-				Pruned:      u.Stats.Pruned,
-				Evaluations: u.Stats.Evaluations,
-			},
-		}
-		for _, pt := range u.Points {
-			wire.Points = append(wire.Points, frontierPointWire{
-				JCTSeconds: pt.Pred.TotalSec(),
-				CostUSD:    float64(pt.Pred.TotalCost()),
-				Config:     pt.Config,
-			})
-		}
-		b, err := json.Marshal(wire)
+		b, err := json.Marshal(api.FrontierUpdateOf(u))
 		if err != nil {
 			return
 		}
 		s.frontier.append(b)
 	}
-}
-
-// frontierUpdateWire is the /frontier SSE data schema. Wall-clock stats
-// are deliberately omitted so two identical seeded sweeps stream
-// byte-identical updates.
-type frontierUpdateWire struct {
-	Phase  int                 `json:"phase"`
-	Final  bool                `json:"final"`
-	Points []frontierPointWire `json:"points"`
-	Stats  frontierStatsWire   `json:"stats"`
-}
-
-type frontierPointWire struct {
-	JCTSeconds float64          `json:"jct_seconds"`
-	CostUSD    float64          `json:"cost_usd"`
-	Config     mapreduce.Config `json:"config"`
-}
-
-type frontierStatsWire struct {
-	Phases      int64 `json:"phases"`
-	Searches    int64 `json:"searches"`
-	Pruned      int64 `json:"pruned"`
-	Evaluations int64 `json:"evaluations"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {

@@ -122,39 +122,6 @@ type FrontierResult struct {
 	Stats  FrontierStats
 }
 
-// Frontier computes a time/cost Pareto frontier with a background
-// context and default options.
-//
-// Deprecated: use SweepFrontier with a FrontierSpec, which also exposes
-// search stats, cache sharing and anytime observation.
-func Frontier(params model.Params, k int, opts dag.Options) ([]FrontierPoint, error) {
-	return FrontierContext(context.Background(), params, k, opts, 0)
-}
-
-// FrontierContext computes a time/cost Pareto frontier for a job,
-// sorted fastest first.
-//
-// Deprecated: use SweepFrontier with a FrontierSpec. Historically the
-// separate workers argument silently overrode a caller-set
-// opts.Parallelism in the search phases while the DAG build honored
-// opts; the shim resolves workers first, then opts.Parallelism, and
-// applies that one value everywhere.
-func FrontierContext(ctx context.Context, params model.Params, k int, opts dag.Options, workers int) ([]FrontierPoint, error) {
-	if workers == 0 {
-		workers = opts.Parallelism
-	}
-	res, err := SweepFrontier(ctx, FrontierSpec{
-		Params:      params,
-		Size:        k,
-		DAG:         opts,
-		Parallelism: workers,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return res.Points, nil
-}
-
 // deadlineSlack pads a constrained search's budget or cost limit so a
 // bound summed in a different association order cannot exclude its own
 // optimum by a few ULPs.

@@ -198,18 +198,6 @@ func TestFrontierSpecWorkersKnob(t *testing.T) {
 		t.Fatalf("pool workers peak = %d, want 3", peak)
 	}
 
-	// The shim resolves the same way and returns the same frontier.
-	viaOpts, err := FrontierContext(context.Background(), smallParams(), 8, dag.Options{Parallelism: 3}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaArg, err := FrontierContext(context.Background(), smallParams(), 8, dag.Options{}, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !samePoints(viaOpts, viaArg) {
-		t.Fatal("shim: opts.Parallelism and workers paths disagree")
-	}
 }
 
 // hypervolume is the area dominated by a frontier (sorted fastest first)

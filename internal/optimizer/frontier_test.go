@@ -1,6 +1,7 @@
 package optimizer
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -9,9 +10,17 @@ import (
 	"astra/internal/workload"
 )
 
+// sweepPoints runs a background-context sweep of size k and returns its points.
+func sweepPoints(params model.Params, k int, opts dag.Options) ([]FrontierPoint, error) {
+	res, err := SweepFrontier(context.Background(), FrontierSpec{Params: params, Size: k, DAG: opts})
+	if err != nil {
+		return nil, err
+	}
+	return res.Points, nil
+}
+
 func TestFrontierCoversConstrainedPlans(t *testing.T) {
-	params := smallParams()
-	front, err := Frontier(params, 16, dag.Options{Tiers: smallTiers})
+	front, err := sweepPoints(smallParams(), 16, dag.Options{Tiers: smallTiers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,7 +50,7 @@ func TestFrontierCoversConstrainedPlans(t *testing.T) {
 }
 
 func TestFrontierNoDominatedPoints(t *testing.T) {
-	front, err := Frontier(smallParams(), 12, dag.Options{Tiers: smallTiers})
+	front, err := sweepPoints(smallParams(), 12, dag.Options{Tiers: smallTiers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +69,7 @@ func TestFrontierNoDominatedPoints(t *testing.T) {
 }
 
 func TestFrontierDefaultK(t *testing.T) {
-	front, err := Frontier(smallParams(), 0, dag.Options{Tiers: smallTiers})
+	front, err := sweepPoints(smallParams(), 0, dag.Options{Tiers: smallTiers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,7 +79,7 @@ func TestFrontierDefaultK(t *testing.T) {
 }
 
 func TestFrontierRejectsBadParams(t *testing.T) {
-	if _, err := Frontier(model.Params{}, 8, dag.Options{}); err == nil {
+	if _, err := sweepPoints(model.Params{}, 8, dag.Options{}); err == nil {
 		t.Fatal("invalid params should fail")
 	}
 }

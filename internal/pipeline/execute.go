@@ -1,14 +1,14 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"time"
 
-	"astra/internal/lambda"
 	"astra/internal/mapreduce"
 	"astra/internal/model"
-	"astra/internal/objectstore"
 	"astra/internal/simtime"
+	"astra/internal/simworld"
 	"astra/internal/workload"
 )
 
@@ -33,31 +33,21 @@ func Execute(params model.Params, p Pipeline, plan *Plan) (*Result, error) {
 		return nil, fmt.Errorf("pipeline: plan has %d stages for a %d-stage pipeline",
 			len(plan.Stages), len(p.Stages))
 	}
-	sched := simtime.NewScheduler()
-	store := objectstore.New(sched, objectstore.Config{
-		Bandwidth:      params.BandwidthBps,
-		RequestLatency: params.RequestLatency,
-		Pricing:        params.Sheet.Store,
-	})
-	pl := lambda.New(sched, store, lambda.Config{
-		Sheet:           params.Sheet,
-		Speed:           params.Speed,
-		DispatchLatency: params.DispatchLatency,
-		DisableTimeout:  true,
-	})
-	perObj := maxInt64(p.InputBytes/int64(p.InputObjects), 1)
-	keys := make([]string, p.InputObjects)
-	store.CreateBucket("pipeline-input")
-	for i := range keys {
-		keys[i] = workload.InputKey(i)
-		store.SeedProfiled("pipeline-input", keys[i], perObj)
+	// The world holds the pipeline's external input: the first stage's
+	// job, whatever job the caller's params were derived from.
+	params.Job = workload.Job{
+		Profile:    p.Stages[0].Profile,
+		NumObjects: p.InputObjects,
+		ObjectSize: maxInt64(p.InputBytes/int64(p.InputObjects), 1),
 	}
-
-	driver := mapreduce.NewDriver(pl)
+	w, err := simworld.New(params, simworld.Input{Bucket: "pipeline-input"})
+	if err != nil {
+		return nil, err
+	}
 	res := &Result{}
-	err := sched.Run(func(proc *simtime.Proc) {
+	err = w.Simulate(context.Background(), func(proc *simtime.Proc) error {
 		bucket := "pipeline-input"
-		inKeys := keys
+		inKeys := w.Keys
 		io := stageIO{objects: p.InputObjects, bytes: p.InputBytes}
 		for i, st := range p.Stages {
 			job := workload.Job{
@@ -65,24 +55,23 @@ func Execute(params model.Params, p Pipeline, plan *Plan) (*Result, error) {
 				NumObjects: io.objects,
 				ObjectSize: maxInt64(io.bytes/int64(io.objects), 1),
 			}
-			rep, err := driver.Run(proc, mapreduce.JobSpec{
+			rep, err := w.Driver.Run(proc, mapreduce.JobSpec{
 				Workload:  job,
 				Bucket:    bucket,
 				InputKeys: inKeys,
 				Mode:      mapreduce.Profiled,
 			}, plan.Stages[i].Config)
 			if err != nil {
-				panic(fmt.Errorf("stage %q: %w", st.Name, err))
+				return fmt.Errorf("stage %q: %w", st.Name, err)
 			}
 			res.Stages = append(res.Stages, rep)
 			bucket = rep.InterBucket
 			inKeys = rep.OutputKeys
-			next, err := outputOf(st.Profile, io, plan.Stages[i].Config)
-			if err != nil {
-				panic(err)
+			if io, err = outputOf(st.Profile, io, plan.Stages[i].Config); err != nil {
+				return err
 			}
-			io = next
 		}
+		return nil
 	})
 	if err != nil {
 		return nil, err

@@ -13,14 +13,14 @@
 package profiler
 
 import (
+	"context"
 	"fmt"
 	"math"
 
-	"astra/internal/lambda"
 	"astra/internal/mapreduce"
 	"astra/internal/model"
-	"astra/internal/objectstore"
 	"astra/internal/simtime"
+	"astra/internal/simworld"
 	"astra/internal/workload"
 )
 
@@ -64,18 +64,7 @@ func Calibrate(pf workload.Profile, s Sample) (*Calibration, error) {
 		ObjectSize: int64(s.BytesPerObject),
 	}
 	params := model.DefaultParams(job)
-	sched := simtime.NewScheduler()
-	store := objectstore.New(sched, objectstore.Config{
-		Bandwidth:      params.BandwidthBps,
-		RequestLatency: params.RequestLatency,
-		Pricing:        params.Sheet.Store,
-	})
-	pl := lambda.New(sched, store, lambda.Config{
-		Sheet:           params.Sheet,
-		Speed:           params.Speed,
-		DispatchLatency: params.DispatchLatency,
-	})
-	keys, err := workload.SeedConcrete(store, "sample", job, s.Seed)
+	w, err := simworld.New(params, simworld.Input{Bucket: "sample", Concrete: true, Seed: s.Seed})
 	if err != nil {
 		return nil, err
 	}
@@ -85,35 +74,30 @@ func Calibrate(pf workload.Profile, s Sample) (*Calibration, error) {
 		MapperMemMB: 1024, CoordMemMB: 256, ReducerMemMB: 1024,
 		ObjsPerMapper: 2, ObjsPerReducer: 2,
 	}
-	driver := mapreduce.NewDriver(pl)
 
-	cal := &Calibration{Profile: pf}
-	runErr := sched.Run(func(p *simtime.Proc) {
-		rep, err := driver.Run(p, mapreduce.JobSpec{
-			Workload:  job,
-			Bucket:    "sample",
-			InputKeys: keys,
-			Mode:      mapreduce.Concrete,
-		}, cfg)
-		if err != nil {
-			panic(err)
-		}
-		sizeOf := func(bucket, key string) int64 {
-			obj, err := store.Head(p, bucket, key)
+	cal := &Calibration{Profile: pf, InputBytes: job.TotalBytes()}
+	_, err = w.Run(context.Background(), cfg, nil, func(p *simtime.Proc, rep *mapreduce.Report) error {
+		// bytesUnder sums the sizes of a run's objects under a key prefix.
+		bytesUnder := func(prefix string) (int64, error) {
+			keys, err := w.Store.List(p, rep.InterBucket, prefix)
 			if err != nil {
-				panic(err)
+				return 0, err
 			}
-			return obj.Size
+			var total int64
+			for _, k := range keys {
+				obj, err := w.Store.Head(p, rep.InterBucket, k)
+				if err != nil {
+					return 0, err
+				}
+				total += obj.Size
+			}
+			return total, nil
 		}
-		cal.InputBytes = job.TotalBytes()
 
 		// Mapper outputs.
-		mapKeys, err := store.List(p, rep.InterBucket, "map/")
-		if err != nil {
-			panic(err)
-		}
-		for _, k := range mapKeys {
-			cal.MapOutBytes += sizeOf(rep.InterBucket, k)
+		var err error
+		if cal.MapOutBytes, err = bytesUnder("map/"); err != nil {
+			return err
 		}
 		cal.MapOutputRatio = float64(cal.MapOutBytes) / float64(cal.InputBytes)
 
@@ -122,13 +106,9 @@ func Calibrate(pf workload.Profile, s Sample) (*Calibration, error) {
 		prevBytes := cal.MapOutBytes
 		logSum, steps := 0.0, 0
 		for pi := 0; pi < rep.Orchestration.NumSteps(); pi++ {
-			stepKeys, err := store.List(p, rep.InterBucket, fmt.Sprintf("red/%02d/", pi))
+			out, err := bytesUnder(fmt.Sprintf("red/%02d/", pi))
 			if err != nil {
-				panic(err)
-			}
-			var out int64
-			for _, k := range stepKeys {
-				out += sizeOf(rep.InterBucket, k)
+				return err
 			}
 			if prevBytes > 0 && out > 0 {
 				logSum += math.Log(float64(out) / float64(prevBytes))
@@ -141,9 +121,10 @@ func Calibrate(pf workload.Profile, s Sample) (*Calibration, error) {
 		} else {
 			cal.ReduceOutputRatio = pf.ReduceOutputRatio
 		}
+		return nil
 	})
-	if runErr != nil {
-		return nil, runErr
+	if err != nil {
+		return nil, err
 	}
 	if cal.MapOutputRatio <= 0 {
 		return nil, fmt.Errorf("profiler: sample produced no intermediate data")

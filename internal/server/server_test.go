@@ -301,8 +301,14 @@ func TestExecuteSettlesTenantSLO(t *testing.T) {
 	if err := json.Unmarshal([]byte(got), &pr); err != nil {
 		t.Fatal(err)
 	}
-	if pr.Run == nil || pr.Run.MeasuredJCTSeconds <= 0 {
+	if pr.Run == nil {
 		t.Fatalf("run outcome missing: %s", got)
+	}
+	// Both bodies below are pinned to what the service produced before its
+	// executed runs moved onto astra.RunWith: the swap changed no number.
+	const wantRun = `{"measured_jct_seconds":2.719464279,"measured_cost_usd":0.00007019618505192194,"deadline_seconds":2.8554374940000002,"attained":true}`
+	if run, _ := json.Marshal(pr.Run); string(run) != wantRun {
+		t.Fatalf("run outcome\n got %s\nwant %s", run, wantRun)
 	}
 
 	sresp, sbody := func() (*http.Response, string) {
@@ -316,6 +322,10 @@ func TestExecuteSettlesTenantSLO(t *testing.T) {
 	}()
 	if sresp.StatusCode != 200 {
 		t.Fatalf("slo status %d: %s", sresp.StatusCode, sbody)
+	}
+	const wantSLO = `{"tenant":"acme","runs":1,"attained":1,"breached":0,"entries":[{"tenant":"acme","job":"wordcount","runs":1,"attained":1,"breached":0,"attainment_rate":1,"window_runs":1,"window_burn_rate":0,"cost_usd":0.00007019593372500002,"wasted_usd":0}]}`
+	if strings.TrimSpace(sbody) != wantSLO {
+		t.Fatalf("slo body\n got %s\nwant %s", sbody, wantSLO)
 	}
 	var slo api.TenantSLOResponse
 	if err := json.Unmarshal([]byte(sbody), &slo); err != nil {

@@ -21,10 +21,10 @@ package server
 
 import (
 	"context"
+	"time"
 
 	"astra"
 	"astra/internal/api"
-	"astra/internal/loadgen"
 	"astra/internal/model"
 	"astra/internal/optimizer"
 	"astra/internal/qos"
@@ -150,9 +150,13 @@ func (s *service) execute(req *api.PlanRequest, job astra.Job, plan *astra.Execu
 	if factor <= 0 {
 		factor = s.cfg.SLOFactor
 	}
-	tenant := api.ResolveTenant("", req.Tenant)
-	params := model.DefaultParams(job)
-	rep, mon, err := loadgen.ExecuteMonitoredAs(params, tenant, req.Workload, plan.Config, factor, s.led)
+	mon := astra.NewQoSMonitor(astra.QoSOptions{
+		Deadline: time.Duration(factor * float64(plan.Exact.JCT())),
+		Tenant:   api.ResolveTenant("", req.Tenant),
+		Job:      req.Workload,
+		Ledger:   s.led,
+	})
+	rep, err := astra.RunWith(model.DefaultParams(job), plan.Config, astra.WithQoSMonitor(mon))
 	if err != nil {
 		return nil, err
 	}
@@ -218,7 +222,7 @@ func (s *service) Frontier(ctx context.Context, req *api.FrontierRequest, observ
 		astra.WithPlanCache(s.pc),
 		astra.WithTelemetry(s.tel),
 		astra.WithFrontierObserver(func(u astra.FrontierUpdate) {
-			wire := frontierWire(u)
+			wire := api.FrontierUpdateOf(u)
 			last = wire
 			if observe != nil {
 				observe(wire)
@@ -271,26 +275,4 @@ func planResponse(p *astra.ExecutionPlan) *api.PlanResponse {
 		},
 		Explain: p.Explain(),
 	}
-}
-
-// frontierWire renders one anytime update into its wire form.
-func frontierWire(u astra.FrontierUpdate) api.FrontierUpdate {
-	wire := api.FrontierUpdate{
-		Phase: u.Phase,
-		Final: u.Final,
-		Stats: api.FrontierStats{
-			Phases:      u.Stats.Phases,
-			Searches:    u.Stats.Searches,
-			Pruned:      u.Stats.Pruned,
-			Evaluations: u.Stats.Evaluations,
-		},
-	}
-	for _, pt := range u.Points {
-		wire.Points = append(wire.Points, api.FrontierPoint{
-			JCTSeconds: pt.Pred.TotalSec(),
-			CostUSD:    float64(pt.Pred.TotalCost()),
-			Config:     pt.Config,
-		})
-	}
-	return wire
 }
