@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify bench bench-all race vet procs layering examples loadgen serve loadgen-remote
+.PHONY: build test verify bench bench-all race vet fmt-check procs layering examples loadgen serve loadgen-remote
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,9 @@ test:
 vet:
 	$(GO) vet ./...
 
+fmt-check:
+	test -z "$$(gofmt -l .)"
+
 # -short skips the full evaluation sweeps (internal/experiments), which
 # replan every paper artifact and blow the test timeout under race
 # instrumentation on small hosts; the sweeps run race-free via `make test`,
@@ -29,17 +32,20 @@ race:
 	$(GO) test -race -short ./...
 
 # No test outcome may depend on scheduling: the packages that drive real
-# goroutines against real listeners run on 1, 2 and 4 Ps.
+# goroutines against real listeners, and the two that hold the tree's
+# single-flight code (internal/lru and its herd test in
+# internal/optimizer), run on 1, 2 and 4 Ps.
 procs:
 	for p in 1 2 4; do \
-		GOMAXPROCS=$$p $(GO) test -count=3 ./internal/loadgen ./internal/server ./internal/obs || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -count=3 ./internal/loadgen ./internal/server ./internal/obs \
+			./internal/optimizer ./internal/lru || exit 1; \
 	done
 
 # The production service must not link the load driver.
 layering:
 	! $(GO) list -deps ./cmd/astra-server | grep -q astra/internal/loadgen
 
-verify: vet race procs layering examples
+verify: vet fmt-check race procs layering examples
 
 # The repo's benchmark (BENCHMARK.json, benchmark/README.md): six traffic
 # regimes through a loopback astra-server. Takes -aa N and -against

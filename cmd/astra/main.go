@@ -245,25 +245,6 @@ func openOutputs(o *options) (*outputs, error) {
 	return of, nil
 }
 
-func solverByName(name string) (optimizer.Solver, error) {
-	switch name {
-	case "auto":
-		return optimizer.Auto, nil
-	case "algorithm1":
-		return optimizer.Algorithm1, nil
-	case "yen":
-		return optimizer.Yen, nil
-	case "csp":
-		return optimizer.CSP, nil
-	case "rerank":
-		return optimizer.Rerank, nil
-	case "brute":
-		return optimizer.Brute, nil
-	default:
-		return 0, fmt.Errorf("unknown solver %q", name)
-	}
-}
-
 // result is the JSON output schema.
 type result struct {
 	Workload  string            `json:"workload"`
@@ -402,7 +383,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		default:
 			return fmt.Errorf("unknown objective %q (want time or cost)", o.objective)
 		}
-		if solver, err = solverByName(o.solver); err != nil {
+		if solver, err = optimizer.ParseSolver(o.solver); err != nil {
 			return err
 		}
 	}

@@ -14,26 +14,7 @@ import (
 	"sync"
 	"testing"
 	"time"
-
-	"astra/internal/optimizer"
 )
-
-func TestSolverByName(t *testing.T) {
-	cases := map[string]optimizer.Solver{
-		"auto": optimizer.Auto, "algorithm1": optimizer.Algorithm1,
-		"yen": optimizer.Yen, "csp": optimizer.CSP,
-		"rerank": optimizer.Rerank, "brute": optimizer.Brute,
-	}
-	for name, want := range cases {
-		got, err := solverByName(name)
-		if err != nil || got != want {
-			t.Errorf("solverByName(%q) = %v, %v", name, got, err)
-		}
-	}
-	if _, err := solverByName("nope"); err == nil {
-		t.Fatal("unknown solver should fail")
-	}
-}
 
 func TestRunPlanOnly(t *testing.T) {
 	var out bytes.Buffer

@@ -84,27 +84,13 @@ type ObjectiveSpec struct {
 	Deadline string `json:"deadline,omitempty"`
 }
 
-// profiles maps wire workload names to calibration profiles.
-func profiles() map[string]workload.Profile {
-	return map[string]workload.Profile{
-		"wordcount":       workload.WordCount,
-		"sort":            workload.Sort,
-		"query":           workload.Query,
-		"grep":            workload.Grep,
-		"spark-wordcount": workload.SparkWordCount,
-		"spark-sql":       workload.SparkSQL,
-	}
-}
-
 // Workloads lists the accepted workload names, sorted.
-func Workloads() []string {
-	return []string{"grep", "query", "sort", "spark-sql", "spark-wordcount", "wordcount"}
-}
+func Workloads() []string { return workload.Names() }
 
 // resolveJob validates the shared job fields and builds the workload.Job.
 func resolveJob(name string, numObjects int, totalBytes, objectBytes int64) (workload.Job, error) {
-	pf, ok := profiles()[strings.ToLower(name)]
-	if !ok {
+	pf, err := workload.ByName(strings.ToLower(name))
+	if err != nil {
 		return workload.Job{}, fmt.Errorf("%w: unknown workload %q (have %s)",
 			ErrInvalid, name, strings.Join(Workloads(), ", "))
 	}
@@ -152,22 +138,11 @@ func (o ObjectiveSpec) Resolve() (optimizer.Objective, error) {
 // ParseSolver maps a wire solver name to the optimizer constant; ""
 // selects Auto.
 func ParseSolver(name string) (optimizer.Solver, error) {
-	switch strings.ToLower(name) {
-	case "", "auto":
-		return optimizer.Auto, nil
-	case "algorithm1", "alg1":
-		return optimizer.Algorithm1, nil
-	case "yen":
-		return optimizer.Yen, nil
-	case "rerank":
-		return optimizer.Rerank, nil
-	case "brute":
-		return optimizer.Brute, nil
-	case "csp":
-		return optimizer.CSP, nil
-	default:
-		return 0, fmt.Errorf("%w: unknown solver %q", ErrInvalid, name)
+	s, err := optimizer.ParseSolver(name)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrInvalid, err)
 	}
+	return s, nil
 }
 
 // Resolve validates the request into the planner's input types. The

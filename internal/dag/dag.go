@@ -116,14 +116,9 @@ type DAG struct {
 	iBase, kmBase, krBase, kraBase, sBase int
 }
 
-// Build constructs the DAG for the model under the given mode. It is
-// BuildContext with a background context.
-func Build(m *model.Paper, mode Mode, opts Options) (*DAG, error) {
-	return BuildContext(context.Background(), m, mode, opts)
-}
-
-// BuildContext constructs the DAG, evaluating edge weights on a bounded
-// worker pool and honoring cancellation: if ctx fires mid-build, the
+// BuildContext constructs the DAG for the model under the given mode,
+// evaluating edge weights on a bounded worker pool and honoring
+// cancellation: if ctx fires mid-build, the
 // partial work is discarded and ctx.Err() is returned.
 func BuildContext(ctx context.Context, m *model.Paper, mode Mode, opts Options) (*DAG, error) {
 	if err := m.P.Validate(); err != nil {

@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -20,7 +21,7 @@ func testModel() *model.Paper {
 var testTiers = []int{128, 512, 1024, 3008}
 
 func TestBuildShape(t *testing.T) {
-	d, err := Build(testModel(), MinimizeTime, Options{Tiers: testTiers})
+	d, err := BuildContext(context.Background(), testModel(), MinimizeTime, Options{Tiers: testTiers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +37,7 @@ func TestBuildShape(t *testing.T) {
 
 func TestShortestPathDecodesToValidConfig(t *testing.T) {
 	m := testModel()
-	d, err := Build(m, MinimizeTime, Options{Tiers: testTiers})
+	d, err := BuildContext(context.Background(), m, MinimizeTime, Options{Tiers: testTiers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,11 +64,11 @@ func TestShortestPathDecodesToValidConfig(t *testing.T) {
 // the sum of the model's four edge components for the decoded config.
 func TestPathWeightMatchesModelComponents(t *testing.T) {
 	m := testModel()
-	d, err := Build(m, MinimizeTime, Options{Tiers: testTiers})
+	d, err := BuildContext(context.Background(), m, MinimizeTime, Options{Tiers: testTiers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths := d.G.YenKSP(d.Src, d.Dst, 10)
+	paths, _ := d.G.YenKSPCtx(context.Background(), d.Src, d.Dst, 10, 1)
 	if len(paths) < 5 {
 		t.Fatalf("only %d paths", len(paths))
 	}
@@ -97,7 +98,7 @@ func TestPathWeightMatchesModelComponents(t *testing.T) {
 // edge-decomposed objective.
 func TestShortestPathIsGlobalOptimum(t *testing.T) {
 	m := testModel()
-	d, err := Build(m, MinimizeTime, Options{Tiers: testTiers})
+	d, err := BuildContext(context.Background(), m, MinimizeTime, Options{Tiers: testTiers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -136,11 +137,11 @@ func TestShortestPathIsGlobalOptimum(t *testing.T) {
 
 func TestCostModeSwapsWeights(t *testing.T) {
 	m := testModel()
-	dt, err := Build(m, MinimizeTime, Options{Tiers: testTiers})
+	dt, err := BuildContext(context.Background(), m, MinimizeTime, Options{Tiers: testTiers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	dc, err := Build(m, MinimizeCost, Options{Tiers: testTiers})
+	dc, err := BuildContext(context.Background(), m, MinimizeCost, Options{Tiers: testTiers})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,11 +177,11 @@ func TestLambdaLimitPrunesParallelism(t *testing.T) {
 		ObjectSize: 8 << 20,
 	})
 	p.MaxLambdas = 4 // at most 4 mappers -> kM >= 3
-	d, err := Build(model.NewPaper(p), MinimizeTime, Options{Tiers: testTiers})
+	d, err := BuildContext(context.Background(), model.NewPaper(p), MinimizeTime, Options{Tiers: testTiers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths := d.G.YenKSP(d.Src, d.Dst, 20)
+	paths, _ := d.G.YenKSPCtx(context.Background(), d.Src, d.Dst, 20, 1)
 	for _, path := range paths {
 		cfg, err := d.Decode(path)
 		if err != nil {
@@ -193,7 +194,7 @@ func TestLambdaLimitPrunesParallelism(t *testing.T) {
 }
 
 func TestDecodeRejectsMalformedPaths(t *testing.T) {
-	d, err := Build(testModel(), MinimizeTime, Options{Tiers: testTiers})
+	d, err := BuildContext(context.Background(), testModel(), MinimizeTime, Options{Tiers: testTiers})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package dag
 
 import (
+	"context"
 	"testing"
 
 	"astra/internal/model"
@@ -10,7 +11,7 @@ import (
 func TestDominatedTierPruning(t *testing.T) {
 	m := testModel() // speed floor at 1792
 	full := m.P.Sheet.Lambda.MemoryTiers()
-	d, err := Build(m, MinimizeTime, Options{Tiers: full})
+	d, err := BuildContext(context.Background(), m, MinimizeTime, Options{Tiers: full})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +27,7 @@ func TestDominatedTierPruning(t *testing.T) {
 func TestKeepDominatedTiers(t *testing.T) {
 	m := testModel()
 	full := m.P.Sheet.Lambda.MemoryTiers()
-	d, err := Build(m, MinimizeTime, Options{Tiers: full, KeepDominatedTiers: true})
+	d, err := BuildContext(context.Background(), m, MinimizeTime, Options{Tiers: full, KeepDominatedTiers: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -42,7 +43,7 @@ func TestFloorAppendedWhenMissing(t *testing.T) {
 	// A tier list ending below the floor gets the floor appended so the
 	// fastest speed remains reachable.
 	m := testModel()
-	d, err := Build(m, MinimizeTime, Options{Tiers: []int{128, 512}})
+	d, err := BuildContext(context.Background(), m, MinimizeTime, Options{Tiers: []int{128, 512}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,11 +62,12 @@ func TestFloorAppendedWhenMissing(t *testing.T) {
 
 func TestMaxKMAndKRCaps(t *testing.T) {
 	m := testModel()
-	d, err := Build(m, MinimizeTime, Options{Tiers: testTiers, MaxKM: 3, MaxKR: 2})
+	d, err := BuildContext(context.Background(), m, MinimizeTime, Options{Tiers: testTiers, MaxKM: 3, MaxKR: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range d.G.YenKSP(d.Src, d.Dst, 10) {
+	paths, _ := d.G.YenKSPCtx(context.Background(), d.Src, d.Dst, 10, 1)
+	for _, p := range paths {
 		cfg, err := d.Decode(p)
 		if err != nil {
 			t.Fatal(err)
@@ -78,7 +80,7 @@ func TestMaxKMAndKRCaps(t *testing.T) {
 
 func TestBuildRejectsInvalidParams(t *testing.T) {
 	bad := model.NewPaper(model.Params{})
-	if _, err := Build(bad, MinimizeTime, Options{}); err == nil {
+	if _, err := BuildContext(context.Background(), bad, MinimizeTime, Options{}); err == nil {
 		t.Fatal("invalid params should fail")
 	}
 }
@@ -88,7 +90,7 @@ func TestSingleStepProfileDAG(t *testing.T) {
 	p := model.DefaultParams(workload.Job{
 		Profile: workload.Sort, NumObjects: 12, ObjectSize: 8 << 20,
 	})
-	d, err := Build(model.NewPaper(p), MinimizeTime, Options{Tiers: testTiers})
+	d, err := BuildContext(context.Background(), model.NewPaper(p), MinimizeTime, Options{Tiers: testTiers})
 	if err != nil {
 		t.Fatal(err)
 	}

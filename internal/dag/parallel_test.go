@@ -42,12 +42,12 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 	for _, job := range jobs {
 		m := model.NewPaper(model.DefaultParams(job))
 		for _, mode := range []Mode{MinimizeTime, MinimizeCost} {
-			serial, err := Build(m, mode, Options{Tiers: testTiers, Parallelism: 1})
+			serial, err := BuildContext(context.Background(), m, mode, Options{Tiers: testTiers, Parallelism: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			for _, workers := range []int{0, 2, 8} {
-				par, err := Build(m, mode, Options{Tiers: testTiers, Parallelism: workers})
+				par, err := BuildContext(context.Background(), m, mode, Options{Tiers: testTiers, Parallelism: workers})
 				if err != nil {
 					t.Fatalf("%s workers=%d: %v", job.Profile.Name, workers, err)
 				}
@@ -70,7 +70,7 @@ func TestBuildContextCancellation(t *testing.T) {
 }
 
 func TestWithGraphSharesDecoder(t *testing.T) {
-	d, err := Build(testModel(), MinimizeTime, Options{Tiers: testTiers})
+	d, err := BuildContext(context.Background(), testModel(), MinimizeTime, Options{Tiers: testTiers})
 	if err != nil {
 		t.Fatal(err)
 	}

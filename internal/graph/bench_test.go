@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 )
@@ -68,7 +69,7 @@ func BenchmarkConstrainedSPPaperScale(b *testing.B) {
 	g, src, dst := optimizerShapedGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := g.ConstrainedShortestPath(src, dst, 2.5); err != nil {
+		if _, err := g.ConstrainedShortestPathCtx(context.Background(), src, dst, 2.5); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -79,7 +80,7 @@ func BenchmarkAlgorithm1PaperScale(b *testing.B) {
 		b.StopTimer()
 		g, src, dst := optimizerShapedGraph() // Algorithm 1 mutates the graph
 		b.StartTimer()
-		if _, err := g.Algorithm1(src, dst, 2.5); err != nil && err != ErrInfeasible {
+		if _, err := g.Algorithm1Ctx(context.Background(), src, dst, 2.5); err != nil && err != ErrInfeasible {
 			b.Fatal(err)
 		}
 	}
@@ -89,7 +90,7 @@ func BenchmarkYenK20PaperScale(b *testing.B) {
 	g, src, dst := optimizerShapedGraph()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if paths := g.YenKSP(src, dst, 20); len(paths) == 0 {
+		if paths, _ := g.YenKSPCtx(context.Background(), src, dst, 20, 1); len(paths) == 0 {
 			b.Fatal("no paths")
 		}
 	}

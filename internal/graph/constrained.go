@@ -1,25 +1,5 @@
 package graph
 
-import (
-	"context"
-)
-
-// Algorithm1 is the paper's constrained-path heuristic, as written in
-// Fig. "Algorithm 1": run Dijkstra on the objective weights, walk the
-// resulting path accumulating the side weight, and when the accumulated
-// side reaches the budget, delete the edge where the violation occurred
-// and re-run on the reduced graph. It terminates when a path satisfies
-// the budget or the graph disconnects.
-//
-// The receiver is mutated (edges are removed); callers that need the
-// graph afterwards should rebuild or Clone it. Algorithm 1 is a
-// heuristic: it can return a suboptimal path or miss a feasible one (see
-// the solver ablation); ConstrainedShortestPath is the exact reference.
-// Algorithm1Ctx is the cancellable variant.
-func (g *Graph) Algorithm1(src, dst int, budget float64) (Path, error) {
-	return g.Algorithm1Ctx(context.Background(), src, dst, budget)
-}
-
 // csLabel is a Pareto-optimal partial path in the bicriteria search,
 // allocated from the per-search slab arena. prev is the arena index of
 // the predecessor label (-1 for the root), so a label is a flat 32-byte
@@ -84,16 +64,6 @@ func frontInsert(labels []csLabel, front []int32, lo int, nidx int32, side float
 	front[lo] = nidx
 	copy(front[lo+1:], front[t:])
 	return front[:len(front)-(t-lo)+1]
-}
-
-// ConstrainedShortestPath solves the weight-constrained shortest path
-// problem exactly: the minimum-W path from src to dst whose accumulated
-// Side does not exceed budget. It is a label-setting search with Pareto
-// dominance pruning; with non-negative weights the first label settled at
-// dst is optimal. The graph is not mutated, so concurrent searches may
-// share one graph. ConstrainedShortestPathCtx is the cancellable variant.
-func (g *Graph) ConstrainedShortestPath(src, dst int, budget float64) (Path, error) {
-	return g.ConstrainedShortestPathCtx(context.Background(), src, dst, budget)
 }
 
 // pathFromArena rebuilds the node sequence of a settled label by walking

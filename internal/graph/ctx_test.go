@@ -36,7 +36,7 @@ func TestCloneIsIndependent(t *testing.T) {
 	edgesBefore := g.NumEdges()
 
 	// Algorithm1 destructively removes edges from its receiver.
-	if _, err := clone.Algorithm1(src, dst, 2.0); err != nil && !errors.Is(err, ErrInfeasible) {
+	if _, err := clone.Algorithm1Ctx(context.Background(), src, dst, 2.0); err != nil && !errors.Is(err, ErrInfeasible) {
 		t.Fatal(err)
 	}
 	if g.NumEdges() != edgesBefore {
@@ -52,38 +52,10 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
-func TestCtxVariantsMatchLegacy(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		legacy, src, dst := layered(5, 6, seed)
-		fresh, _, _ := layered(5, 6, seed)
-		budget := 3.0
-
-		lp, lerr := legacy.ConstrainedShortestPath(src, dst, budget)
-		cp, cerr := fresh.ConstrainedShortestPathCtx(context.Background(), src, dst, budget)
-		if (lerr == nil) != (cerr == nil) {
-			t.Fatalf("seed %d: CSP err %v vs %v", seed, lerr, cerr)
-		}
-		if lerr == nil && (lp.W != cp.W || !eqNodes(lp.Nodes, cp.Nodes)) {
-			t.Fatalf("seed %d: CSP path %+v vs %+v", seed, lp, cp)
-		}
-
-		a1, _, _ := layered(5, 6, seed)
-		a2, _, _ := layered(5, 6, seed)
-		p1, e1 := a1.Algorithm1(src, dst, budget)
-		p2, e2 := a2.Algorithm1Ctx(context.Background(), src, dst, budget)
-		if (e1 == nil) != (e2 == nil) {
-			t.Fatalf("seed %d: Algorithm1 err %v vs %v", seed, e1, e2)
-		}
-		if e1 == nil && (p1.W != p2.W || !eqNodes(p1.Nodes, p2.Nodes)) {
-			t.Fatalf("seed %d: Algorithm1 path %+v vs %+v", seed, p1, p2)
-		}
-	}
-}
-
 func TestParallelYenMatchesSerial(t *testing.T) {
 	for seed := int64(1); seed <= 5; seed++ {
 		g, src, dst := layered(5, 6, seed)
-		serial := g.YenKSP(src, dst, 12)
+		serial, _ := g.YenKSPCtx(context.Background(), src, dst, 12, 1)
 		for _, workers := range []int{2, 4, 8} {
 			par, err := g.YenKSPCtx(context.Background(), src, dst, 12, workers)
 			if err != nil {

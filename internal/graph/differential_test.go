@@ -2,6 +2,7 @@ package graph
 
 import (
 	"container/heap"
+	"context"
 	"math"
 	"math/rand"
 	"reflect"
@@ -364,16 +365,16 @@ func TestDifferentialAgainstReferenceSolvers(t *testing.T) {
 		rp, rok := ref.shortestPath(src, dst)
 		samePath(t, "dijkstra", sp, err == nil, rp, rok)
 
-		cp, err := g.ConstrainedShortestPath(src, dst, budget)
+		cp, err := g.ConstrainedShortestPathCtx(context.Background(), src, dst, budget)
 		rcp, rok := ref.constrained(src, dst, budget)
 		samePath(t, "csp", cp, err == nil, rcp, rok)
 
-		ap, err := g.Clone().Algorithm1(src, dst, budget)
+		ap, err := g.Clone().Algorithm1Ctx(context.Background(), src, dst, budget)
 		rap, rok := ref.clone().algorithm1(src, dst, budget)
 		samePath(t, "algorithm1", ap, err == nil, rap, rok)
 
 		k := 1 + rng.Intn(6)
-		ys := g.YenKSP(src, dst, k)
+		ys, _ := g.YenKSPCtx(context.Background(), src, dst, k, 1)
 		rys := ref.yenKSP(src, dst, k)
 		if len(ys) != len(rys) {
 			t.Fatalf("yen: got %d paths, reference %d", len(ys), len(rys))
@@ -403,7 +404,7 @@ func TestConcurrentConstrainedSharedGraph(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				p, err := g.ConstrainedShortestPath(src, dst, budget)
+				p, err := g.ConstrainedShortestPathCtx(context.Background(), src, dst, budget)
 				if (err == nil) != wantOK {
 					errs <- "feasibility changed across concurrent runs"
 					return

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -79,7 +80,7 @@ func TestAlgorithm1PicksFeasibleRoute(t *testing.T) {
 	// Budget 5 rules out the fast route (side 20); Algorithm 1 must fall
 	// back to the slow, cheap one.
 	g := diamond()
-	p, err := g.Algorithm1(0, 3, 5)
+	p, err := g.Algorithm1Ctx(context.Background(), 0, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestAlgorithm1PicksFeasibleRoute(t *testing.T) {
 }
 
 func TestAlgorithm1UnconstrainedKeepsShortest(t *testing.T) {
-	p, err := diamond().Algorithm1(0, 3, 1e9)
+	p, err := diamond().Algorithm1Ctx(context.Background(), 0, 3, 1e9)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,13 +104,13 @@ func TestAlgorithm1UnconstrainedKeepsShortest(t *testing.T) {
 
 func TestAlgorithm1Infeasible(t *testing.T) {
 	g := diamond()
-	if _, err := g.Algorithm1(0, 3, 0.5); !errors.Is(err, ErrInfeasible) {
+	if _, err := g.Algorithm1Ctx(context.Background(), 0, 3, 0.5); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }
 
 func TestConstrainedShortestPathExact(t *testing.T) {
-	p, err := diamond().ConstrainedShortestPath(0, 3, 5)
+	p, err := diamond().ConstrainedShortestPathCtx(context.Background(), 0, 3, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,12 +118,12 @@ func TestConstrainedShortestPathExact(t *testing.T) {
 		t.Fatalf("path = %+v", p)
 	}
 	// With a loose budget the unconstrained optimum comes back.
-	p, err = diamond().ConstrainedShortestPath(0, 3, 100)
+	p, err = diamond().ConstrainedShortestPathCtx(context.Background(), 0, 3, 100)
 	if err != nil || p.W != 2 {
 		t.Fatalf("path = %+v, %v", p, err)
 	}
 	// Infeasible budget.
-	if _, err := diamond().ConstrainedShortestPath(0, 3, 1); !errors.Is(err, ErrInfeasible) {
+	if _, err := diamond().ConstrainedShortestPathCtx(context.Background(), 0, 3, 1); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -143,7 +144,7 @@ func TestConstrainedBeatsAlgorithm1WhenGreedyFails(t *testing.T) {
 	g.AddEdge(1, 3, 1, 9)
 	g.AddEdge(0, 2, 5, 1)
 	g.AddEdge(2, 3, 5, 1)
-	exact, err := g.ConstrainedShortestPath(0, 3, 10)
+	exact, err := g.ConstrainedShortestPathCtx(context.Background(), 0, 3, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func TestYenKSPOrderAndSimplicity(t *testing.T) {
 	g.AddEdge(2, 3, 1, 0)
 	g.AddEdge(2, 4, 5, 0)
 	g.AddEdge(3, 4, 1, 0)
-	paths := g.YenKSP(0, 4, 5)
+	paths, _ := g.YenKSPCtx(context.Background(), 0, 4, 5, 1)
 	if len(paths) < 3 {
 		t.Fatalf("got %d paths", len(paths))
 	}
@@ -188,18 +189,18 @@ func TestYenKSPOrderAndSimplicity(t *testing.T) {
 
 func TestYenUntil(t *testing.T) {
 	g := diamond()
-	p, err := g.YenUntil(0, 3, 5, 10)
+	p, err := g.YenUntilCtx(context.Background(), 0, 3, 5, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if p.Side > 5 {
 		t.Fatalf("budget violated: %+v", p)
 	}
-	if _, err := g.YenUntil(0, 3, 0.1, 10); !errors.Is(err, ErrInfeasible) {
+	if _, err := g.YenUntilCtx(context.Background(), 0, 3, 0.1, 10, 1); !errors.Is(err, ErrInfeasible) {
 		t.Fatalf("err = %v", err)
 	}
 	empty := New(2)
-	if _, err := empty.YenUntil(0, 1, 1, 5); !errors.Is(err, ErrNoPath) {
+	if _, err := empty.YenUntilCtx(context.Background(), 0, 1, 1, 5, 1); !errors.Is(err, ErrNoPath) {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -251,7 +252,7 @@ func TestConstrainedMatchesBruteForceProperty(t *testing.T) {
 		g, src, dst := randomDAG(rng, 3, 3)
 		budget := float64(budgetRaw%40) + 1
 		want, feasible := bruteBest(g, src, dst, budget)
-		got, err := g.ConstrainedShortestPath(src, dst, budget)
+		got, err := g.ConstrainedShortestPathCtx(context.Background(), src, dst, budget)
 		if !feasible {
 			return errors.Is(err, ErrInfeasible)
 		}
@@ -270,7 +271,7 @@ func TestAlgorithm1NeverViolatesBudgetProperty(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g, src, dst := randomDAG(rng, 3, 3)
 		budget := float64(budgetRaw%40) + 1
-		p, err := g.Algorithm1(src, dst, budget)
+		p, err := g.Algorithm1Ctx(context.Background(), src, dst, budget)
 		if err != nil {
 			return true // infeasible claims are allowed for the heuristic
 		}
@@ -289,7 +290,7 @@ func TestDijkstraMatchesYenFirstPathProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		yen := g.YenKSP(src, dst, 1)
+		yen, _ := g.YenKSPCtx(context.Background(), src, dst, 1, 1)
 		return len(yen) == 1 && math.Abs(yen[0].W-sp.W) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {

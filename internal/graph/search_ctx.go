@@ -34,10 +34,22 @@ func (g *Graph) Clone() *Graph {
 	return c
 }
 
-// Algorithm1Ctx is Algorithm1 with cancellation: the context is checked
-// before every Dijkstra round (the paper's heuristic can run one round per
-// edge in the worst case), and ctx.Err() is returned if it fires. The
-// receiver is still mutated by the rounds that did run.
+// Algorithm1Ctx is the paper's constrained-path heuristic, as written in
+// Fig. "Algorithm 1": run Dijkstra on the objective weights, walk the
+// resulting path accumulating the side weight, and when the accumulated
+// side reaches the budget, delete the edge where the violation occurred
+// and re-run on the reduced graph. It terminates when a path satisfies
+// the budget or the graph disconnects.
+//
+// The receiver is mutated (edges are removed); callers that need the
+// graph afterwards should rebuild or Clone it. Algorithm 1 is a
+// heuristic: it can return a suboptimal path or miss a feasible one (see
+// the solver ablation); ConstrainedShortestPathCtx is the exact
+// reference.
+//
+// The context is checked before every Dijkstra round (the heuristic can
+// run one round per edge in the worst case), and ctx.Err() is returned if
+// it fires. The receiver is still mutated by the rounds that did run.
 //
 // One pooled scratch carries the dist/prev/heap buffers across every
 // destructive round, so the per-round cost is the search itself, not
@@ -98,9 +110,13 @@ func (g *Graph) algorithm1Ctx(ctx context.Context, src, dst int, budget float64)
 	return Path{}, ErrInfeasible
 }
 
-// ConstrainedShortestPathCtx is ConstrainedShortestPath with cancellation:
-// the label-setting loop checks the context every ctxCheckEvery pops and
-// returns ctx.Err() when it fires. The graph is not mutated.
+// ConstrainedShortestPathCtx solves the weight-constrained shortest path
+// problem exactly: the minimum-W path from src to dst whose accumulated
+// Side does not exceed budget. It is a label-setting search with Pareto
+// dominance pruning; with non-negative weights the first label settled at
+// dst is optimal. The graph is not mutated, so concurrent searches may
+// share one graph. The label-setting loop checks the context every
+// ctxCheckEvery pops and returns ctx.Err() when it fires.
 //
 // Labels live in the scratch's slab arena and each node's Pareto front
 // is a w-sorted list of arena indices, so dominance tests are two O(1)

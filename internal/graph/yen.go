@@ -8,24 +8,16 @@ import (
 	"astra/internal/telemetry"
 )
 
-// YenKSP enumerates up to k loopless shortest paths from src to dst in
+// YenKSPCtx enumerates up to k loopless shortest paths from src to dst in
 // non-decreasing W order (Yen's algorithm). It underlies the
 // "keep taking the next-shortest path until one fits the budget" exact
 // solver on the configuration DAG, and the k-shortest-path reference the
-// paper cites for Algorithm 1. It runs serially; YenKSPCtx is the
-// cancellable, parallel variant.
-func (g *Graph) YenKSP(src, dst, k int) []Path {
-	paths, _ := g.YenKSPCtx(context.Background(), src, dst, k, 1)
-	return paths
-}
-
-// YenKSPCtx is YenKSP with cancellation and a bounded worker pool: each
-// round's spur-node searches (independent Dijkstra runs over a read-only
-// view of the graph) are distributed over up to workers goroutines
-// (workers <= 0 means all cores). Candidates are merged in spur order, so
-// the returned paths are identical to the serial enumeration regardless
-// of parallelism. On cancellation the paths found so far are returned
-// alongside ctx.Err().
+// paper cites for Algorithm 1. Each round's spur-node searches
+// (independent Dijkstra runs over a read-only view of the graph) are
+// distributed over up to workers goroutines (workers <= 0 means all
+// cores). Candidates are merged in spur order, so the returned paths are
+// identical to the serial enumeration regardless of parallelism. On
+// cancellation the paths found so far are returned alongside ctx.Err().
 //
 // Each spur search borrows a pooled scratch: banned root nodes live in
 // the scratch's node flags and banned edges in its CSR-indexed bitset
@@ -135,15 +127,10 @@ func (g *Graph) yenKSPCtx(ctx context.Context, src, dst, k, workers int) ([]Path
 	return paths, nil
 }
 
-// YenUntil walks the k-shortest-path stream until a path satisfying the
-// side budget appears, scanning at most maxPaths paths. It is exact on
-// DAG instances whenever a feasible path exists within the scan horizon.
-func (g *Graph) YenUntil(src, dst int, budget float64, maxPaths int) (Path, error) {
-	return g.YenUntilCtx(context.Background(), src, dst, budget, maxPaths, 1)
-}
-
-// YenUntilCtx is YenUntil with cancellation and a worker pool (see
-// YenKSPCtx for the concurrency contract).
+// YenUntilCtx walks the k-shortest-path stream until a path satisfying
+// the side budget appears, scanning at most maxPaths paths. It is exact
+// on DAG instances whenever a feasible path exists within the scan
+// horizon. See YenKSPCtx for the concurrency contract.
 func (g *Graph) YenUntilCtx(ctx context.Context, src, dst int, budget float64, maxPaths, workers int) (Path, error) {
 	paths, err := g.YenKSPCtx(ctx, src, dst, maxPaths, workers)
 	if err != nil {

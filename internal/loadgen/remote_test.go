@@ -66,14 +66,18 @@ func TestRemoteDriver(t *testing.T) {
 	if res.Plans != 40 {
 		t.Fatalf("plans = %d (%d errors), want 40", res.Plans, res.Errors)
 	}
-	// Two distinct fingerprints, but the response cache does not coalesce
-	// concurrent misses: each fingerprint misses at least once and at most
-	// once per worker that can be in flight on it while it is cold.
+	// Two distinct fingerprints: each misses at least once and at most
+	// once per worker that can be in flight on it while it is cold — the
+	// response cache coalesces those, so a worker that waited for another's
+	// plan reports a miss too, but the planner ran once per fingerprint.
 	if res.RespCacheHits+res.RespCacheMisses != 40 {
 		t.Fatalf("respcache hits+misses = %d+%d, want 40 verdicts", res.RespCacheHits, res.RespCacheMisses)
 	}
 	if res.RespCacheMisses < 2 || res.RespCacheMisses > 2*concurrency {
 		t.Fatalf("respcache misses = %d, want 2..%d", res.RespCacheMisses, 2*concurrency)
+	}
+	if got := tel.Counter(telemetry.MPlanSolves).Value(); got != 2 {
+		t.Fatalf("planner solves = %d, want one per distinct fingerprint (2)", got)
 	}
 	if res.ServiceP50 < 0 || res.QueueP50 < 0 {
 		t.Fatalf("negative timing: queue %v service %v", res.QueueP50, res.ServiceP50)

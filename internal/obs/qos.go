@@ -54,7 +54,7 @@ func (s *Server) handleQoS(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	since, follow := sseParams(r)
-	flusher := sseHeaders(w)
+	flusher := SSEHeaders(w)
 	clients := s.reg.Gauge(telemetry.MObsSSEClients)
 	clients.Add(1)
 	defer clients.Add(-1)
@@ -67,7 +67,7 @@ func (s *Server) handleQoS(w http.ResponseWriter, r *http.Request) {
 			if err != nil {
 				continue
 			}
-			fmt.Fprintf(w, "id: %d\ndata: %s\n\n", tr.Seq, b)
+			WriteSSE(w, int64(tr.Seq), b)
 			last = tr.Seq
 		}
 		if flusher != nil {

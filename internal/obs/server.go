@@ -30,7 +30,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	httppprof "net/http/pprof"
 	"strconv"
@@ -76,10 +75,9 @@ type Server struct {
 	sampler   *Sampler
 	frontier  *updateLog
 
-	mux       *http.ServeMux
-	srv       *http.Server
-	ln        net.Listener
-	serveDone chan struct{}
+	mux *http.ServeMux
+	// Listener provides Start, Addr and URL.
+	*Listener
 
 	closing   chan struct{}
 	closeOnce sync.Once
@@ -116,6 +114,7 @@ func NewServer(o Options) *Server {
 		closing:   make(chan struct{}),
 		qos:       o.QoS,
 	}
+	s.Listener = NewListener(s.mux)
 	if o.RuntimeMetrics {
 		s.sampler = NewSampler(reg, o.SampleEvery)
 		s.sampler.Start()
@@ -153,39 +152,6 @@ func (s *Server) Registry() *telemetry.Registry { return s.reg }
 // sampler and release SSE clients.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Start listens on addr (host:port; port 0 picks a free one) and serves
-// in a background goroutine until Shutdown.
-func (s *Server) Start(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	s.ln = ln
-	s.srv = &http.Server{Handler: s.mux}
-	s.serveDone = make(chan struct{})
-	go func() {
-		defer close(s.serveDone)
-		_ = s.srv.Serve(ln) // http.ErrServerClosed on Shutdown
-	}()
-	return nil
-}
-
-// Addr reports the bound listen address ("" before Start).
-func (s *Server) Addr() string {
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
-// URL is the server's base URL ("" before Start).
-func (s *Server) URL() string {
-	if s.ln == nil {
-		return ""
-	}
-	return "http://" + s.Addr()
-}
-
 // Shutdown gracefully stops the plane: the runtime sampler exits, every
 // SSE client is released (their handlers return, so active connections
 // drain), and the HTTP server (when Start was used) shuts down within
@@ -198,18 +164,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			s.sampler.Stop()
 		}
 	})
-	if s.srv == nil {
-		return nil
-	}
-	if err := s.srv.Shutdown(ctx); err != nil {
-		return err
-	}
-	select {
-	case <-s.serveDone:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-	return nil
+	return s.Listener.Shutdown(ctx)
 }
 
 // PublishExplain stores a plan's Explain() report for GET /explain.
@@ -269,16 +224,6 @@ func sseParams(r *http.Request) (since int64, follow bool) {
 	return since, follow
 }
 
-// sseHeaders marks the response as an event stream and returns the
-// flusher (nil when the ResponseWriter cannot stream).
-func sseHeaders(w http.ResponseWriter) http.Flusher {
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
-	w.Header().Set("Connection", "keep-alive")
-	f, _ := w.(http.Flusher)
-	return f
-}
-
 // handleEvents streams the flight recorder as SSE frames (id = event
 // sequence number, data = the event's deterministic JSON). The client's
 // pace bounds nothing but its own connection: the handler polls
@@ -291,7 +236,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	since, follow := sseParams(r)
-	flusher := sseHeaders(w)
+	flusher := SSEHeaders(w)
 	clients := s.reg.Gauge(telemetry.MObsSSEClients)
 	clients.Add(1)
 	defer clients.Add(-1)
@@ -311,7 +256,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 				if err != nil {
 					continue
 				}
-				fmt.Fprintf(w, "id: %d\ndata: %s\n\n", ev.Seq, b)
+				WriteSSE(w, ev.Seq, b)
 				last = ev.Seq
 			}
 			if flusher != nil {
@@ -340,7 +285,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 // or the server shuts down.
 func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 	since, follow := sseParams(r)
-	flusher := sseHeaders(w)
+	flusher := SSEHeaders(w)
 	clients := s.reg.Gauge(telemetry.MObsSSEClients)
 	clients.Add(1)
 	defer clients.Add(-1)
@@ -355,7 +300,7 @@ func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 			fmt.Fprintf(w, ": gap %d update(s) dropped\n\n", from-next)
 		}
 		for i, b := range frames {
-			fmt.Fprintf(w, "id: %d\ndata: %s\n\n", from+int64(i)+1, b)
+			WriteSSE(w, from+int64(i)+1, b)
 		}
 		next = n
 		if flusher != nil {

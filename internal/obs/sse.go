@@ -1,6 +1,9 @@
 package obs
 
 import (
+	"fmt"
+	"io"
+	"net/http"
 	"sync"
 
 	"astra/internal/telemetry"
@@ -83,4 +86,20 @@ func (l *updateLog) close() {
 	l.closed = true
 	close(l.wake)
 	l.wake = make(chan struct{})
+}
+
+// SSEHeaders marks the response as an event stream and returns the
+// flusher (nil when the ResponseWriter cannot stream). It sets no
+// Connection header: HTTP/1.1 connections persist by default.
+func SSEHeaders(w http.ResponseWriter) http.Flusher {
+	w.Header().Set("Content-Type", "text/event-stream")
+	w.Header().Set("Cache-Control", "no-cache")
+	f, _ := w.(http.Flusher)
+	return f
+}
+
+// WriteSSE writes one Server-Sent Events frame: the id line clients
+// resume from, and one line of data.
+func WriteSSE(w io.Writer, id int64, data []byte) {
+	fmt.Fprintf(w, "id: %d\ndata: %s\n\n", id, data)
 }

@@ -43,11 +43,11 @@ type FrontierSpec struct {
 	// created; set it to share one cache across sweeps and planners for
 	// the same parameterization.
 	Cache *model.PredictionCache
-	// Templates, when non-nil, resolves the sweep's frozen cost-mode DAG
-	// through the shared template cache: repeated sweeps (and pipeline
-	// stage sweeps) over the same job shape skip the build entirely. The
-	// sweep only ever searches the DAG read-only, so the shared graph is
-	// used as-is.
+	// Templates resolves the sweep's frozen cost-mode DAG: through a
+	// shared cache, repeated sweeps (and pipeline stage sweeps) over the
+	// same job shape skip the build entirely. Left nil, a private cache
+	// is created. The sweep only ever searches the DAG read-only, so the
+	// shared graph is used as-is.
 	Templates *TemplateCache
 	// Tel, when non-nil, receives phase/search/prune counters and the
 	// usual search-engine instrumentation. Observe-only.
@@ -200,16 +200,14 @@ func sweepFrontier(ctx context.Context, spec FrontierSpec) (*FrontierResult, err
 	// One frozen cost-mode DAG serves the whole sweep: W carries cost
 	// (with a time tiebreak), Side carries time, so a deadline-budgeted
 	// constrained search returns the cheapest plan at that deadline.
-	var d *dag.DAG
-	var err error
-	if tc := spec.Templates; tc != nil {
-		d, err = tc.Get(ctx, KeyFor(spec.Params, dag.MinimizeCost, dagOpts, false),
-			func(ctx context.Context) (*dag.DAG, error) {
-				return dag.BuildContext(ctx, model.NewPaper(spec.Params), dag.MinimizeCost, dagOpts)
-			})
-	} else {
-		d, err = dag.BuildContext(ctx, model.NewPaper(spec.Params), dag.MinimizeCost, dagOpts)
+	tc := spec.Templates
+	if tc == nil {
+		tc = NewTemplateCache(1)
 	}
+	d, err := tc.Get(ctx, KeyFor(spec.Params, dag.MinimizeCost, dagOpts, false),
+		func(ctx context.Context) (*dag.DAG, error) {
+			return dag.BuildContext(ctx, model.NewPaper(spec.Params), dag.MinimizeCost, dagOpts)
+		})
 	if err != nil {
 		return nil, err
 	}

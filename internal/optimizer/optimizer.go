@@ -30,6 +30,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"time"
 
@@ -135,6 +136,28 @@ func (s Solver) String() string {
 	}
 }
 
+// ParseSolver maps a solver name, as flags, spec files and the wire
+// schema spell it, to the constant. Names are case-insensitive; ""
+// selects Auto.
+func ParseSolver(name string) (Solver, error) {
+	switch strings.ToLower(name) {
+	case "", "auto":
+		return Auto, nil
+	case "algorithm1", "alg1":
+		return Algorithm1, nil
+	case "yen":
+		return Yen, nil
+	case "rerank":
+		return Rerank, nil
+	case "brute":
+		return Brute, nil
+	case "csp":
+		return CSP, nil
+	default:
+		return 0, fmt.Errorf("unknown solver %q", name)
+	}
+}
+
 // ErrNoFeasiblePlan is returned when no configuration satisfies the
 // objective's constraint.
 var ErrNoFeasiblePlan = errors.New("optimizer: no feasible plan")
@@ -179,17 +202,13 @@ type Planner struct {
 	// private cache is created on first use; set it to share one cache
 	// across planners for the same parameterization family.
 	Cache *model.PredictionCache
-	// Templates, when non-nil, shares frozen DAG builds across planner
-	// instances: a template hit skips BuildContext entirely and hands
-	// the solvers the shared CSR graph (destructive searches already run
-	// on a Clone). The per-planner dagCache remains as an L1 in front of
-	// it, so a planner reused across objectives does not even pay the
-	// fingerprint hash twice.
+	// Templates memoizes frozen DAG builds: a template hit skips
+	// BuildContext entirely and hands the solvers the shared CSR graph
+	// (destructive searches already run on a Clone). Left nil, a private
+	// cache is created on first use, so a planner reused across objectives
+	// or calibration rounds builds each DAG once; set it to share builds
+	// across planner instances.
 	Templates *TemplateCache
-	// YenMaxPaths bounds the Yen scan (default 200).
-	YenMaxPaths int
-	// RerankPaths is the K for the rerank solver (default 50).
-	RerankPaths int
 	// BruteWorkLimit bounds brute-force enumeration (default 2e6 configs).
 	BruteWorkLimit int
 	// AggregateModel makes the DAG edges use the literal Eq. 9 aggregate
@@ -203,20 +222,19 @@ type Planner struct {
 	// per phase.
 	Tel *telemetry.Registry
 
-	// mu guards the lazily-built memoization state below.
-	mu       sync.Mutex
-	dagCache map[dagCacheKey]*dag.DAG
-	fp       uint64
-	fpOK     bool
+	// mu guards the lazily-built memoization state: the fingerprint below
+	// and the Cache and Templates defaults above.
+	mu   sync.Mutex
+	fp   uint64
+	fpOK bool
 }
 
-// dagCacheKey identifies one memoized DAG build. DAGOptions and Params
-// are fixed for a Planner's lifetime, so the mode and model flavor are
-// the only variables.
-type dagCacheKey struct {
-	mode      dag.Mode
-	aggregate bool
-}
+// yenMaxPaths bounds the Yen scan; rerankPaths is the K of the rerank
+// solver.
+const (
+	yenMaxPaths = 200
+	rerankPaths = 50
+)
 
 // paperModel builds the DAG's edge-weight model per the planner's flags.
 func (pl *Planner) paperModel() *model.Paper {
@@ -272,51 +290,29 @@ func (pl *Planner) dagOpts() dag.Options {
 	return opts
 }
 
+// templates returns the template cache, creating a private one on demand.
+func (pl *Planner) templates() *TemplateCache {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	if pl.Templates == nil {
+		pl.Templates = NewTemplateCache(0)
+	}
+	return pl.Templates
+}
+
 // buildDAG returns the memoized DAG for a mode, building it on first use.
 // The returned DAG is pristine and shared: read-only searches may use it
 // directly; destructive searches must run on a clone (see WithGraph).
 func (pl *Planner) buildDAG(ctx context.Context, mode dag.Mode) (*dag.DAG, error) {
-	key := dagCacheKey{mode: mode, aggregate: pl.AggregateModel}
-	pl.mu.Lock()
-	if pl.dagCache == nil {
-		pl.dagCache = make(map[dagCacheKey]*dag.DAG)
-	}
-	if d, ok := pl.dagCache[key]; ok {
-		pl.mu.Unlock()
-		return d, nil
-	}
-	pl.mu.Unlock()
-	// Built outside the lock: a long build must not block concurrent
-	// plans for the other mode. At worst two racing callers build the
-	// same DAG and one wins the cache slot; both results are identical.
-	// With a shared template cache attached, the build is resolved (and
-	// deduplicated across planner instances) there instead.
-	var d *dag.DAG
-	var err error
 	opts := pl.dagOpts()
-	if tc := pl.Templates; tc != nil {
-		d, err = tc.Get(ctx, TemplateKey{
-			Params:    pl.fingerprint(),
-			Opts:      opts.Fingerprint(),
-			Mode:      mode,
-			Aggregate: pl.AggregateModel,
-		}, func(ctx context.Context) (*dag.DAG, error) {
-			return dag.BuildContext(ctx, pl.paperModel(), mode, opts)
-		})
-	} else {
-		d, err = dag.BuildContext(ctx, pl.paperModel(), mode, opts)
-	}
-	if err != nil {
-		return nil, err
-	}
-	pl.mu.Lock()
-	if prev, ok := pl.dagCache[key]; ok {
-		d = prev
-	} else {
-		pl.dagCache[key] = d
-	}
-	pl.mu.Unlock()
-	return d, nil
+	return pl.templates().Get(ctx, TemplateKey{
+		Params:    pl.fingerprint(),
+		Opts:      opts.Fingerprint(),
+		Mode:      mode,
+		Aggregate: pl.AggregateModel,
+	}, func(ctx context.Context) (*dag.DAG, error) {
+		return dag.BuildContext(ctx, pl.paperModel(), mode, opts)
+	})
 }
 
 // Plan solves the objective with a background context; see PlanContext.
@@ -484,16 +480,12 @@ func (pl *Planner) dagSolve(ctx context.Context, obj Objective) (mapreduce.Confi
 	if err != nil {
 		return mapreduce.Config{}, err
 	}
-	maxPaths := pl.YenMaxPaths
-	if maxPaths <= 0 {
-		maxPaths = 200
-	}
 	tel := telemetry.FromContext(ctx)
 	var path graph.Path
 	switch pl.Solver {
 	case Yen:
 		sp := tel.StartSpan("plan/solve/yen")
-		path, err = d.G.YenUntilCtx(ctx, d.Src, d.Dst, obj.sideBudget(), maxPaths, pl.Parallelism)
+		path, err = d.G.YenUntilCtx(ctx, d.Src, d.Dst, obj.sideBudget(), yenMaxPaths, pl.Parallelism)
 		sp.End()
 	case CSP:
 		sp := tel.StartSpan("plan/solve/csp")
@@ -536,13 +528,9 @@ func (pl *Planner) rerankSolve(ctx context.Context, obj Objective) (mapreduce.Co
 	if err != nil {
 		return mapreduce.Config{}, err
 	}
-	k := pl.RerankPaths
-	if k <= 0 {
-		k = 50
-	}
 	sp := telemetry.FromContext(ctx).StartSpan("plan/solve/rerank")
 	defer sp.End()
-	paths, err := d.G.YenKSPCtx(ctx, d.Src, d.Dst, k, pl.Parallelism)
+	paths, err := d.G.YenKSPCtx(ctx, d.Src, d.Dst, rerankPaths, pl.Parallelism)
 	if err != nil {
 		return mapreduce.Config{}, err
 	}

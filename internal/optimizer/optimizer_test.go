@@ -285,6 +285,24 @@ func TestGoalAndSolverStrings(t *testing.T) {
 	}
 }
 
+// TestParseSolver pins the one name table flags, spec files and the
+// wire schema all parse through.
+func TestParseSolver(t *testing.T) {
+	cases := map[string]Solver{
+		"": Auto, "auto": Auto, "algorithm1": Algorithm1, "alg1": Algorithm1,
+		"yen": Yen, "csp": CSP, "rerank": Rerank, "brute": Brute, "CSP": CSP,
+	}
+	for name, want := range cases {
+		got, err := ParseSolver(name)
+		if err != nil || got != want {
+			t.Errorf("ParseSolver(%q) = %v, %v", name, got, err)
+		}
+	}
+	if _, err := ParseSolver("nope"); err == nil {
+		t.Fatal("unknown solver should fail")
+	}
+}
+
 func TestPlanSummary(t *testing.T) {
 	plan, err := planner(Algorithm1).Plan(unconstrainedTime())
 	if err != nil {

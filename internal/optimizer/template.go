@@ -2,10 +2,9 @@ package optimizer
 
 import (
 	"context"
-	"sync"
-	"sync/atomic"
 
 	"astra/internal/dag"
+	"astra/internal/lru"
 	"astra/internal/model"
 	"astra/internal/telemetry"
 )
@@ -21,18 +20,14 @@ import (
 // destructive ones (Algorithm 1) already run on a Clone, which since the
 // CSR refactor is O(m/64) — copy the removal bitset, share the arrays.
 //
-// Misses build under singleflight: a thundering herd of identical jobs
-// performs one build while the rest wait on it. The cache is bounded
-// (template count) with least-recently-used eviction; evicted templates
-// stay valid for searches already holding them, the arrays are simply no
-// longer findable. All methods are safe for concurrent use.
+// The bound, the least-recently-used eviction and the single-flight
+// builds — a thundering herd of identical jobs performs one build while
+// the rest wait on it — are lru.Cache's; this type adds the key, the
+// freeze before publish and the astra_plan_template_* series. Evicted
+// templates stay valid for searches already holding them, the arrays are
+// simply no longer findable. All methods are safe for concurrent use.
 type TemplateCache struct {
-	mu      sync.Mutex
-	entries map[TemplateKey]*templateEntry
-	cap     int
-	tick    uint64 // logical clock for LRU
-
-	hits, misses, builds, evictions, waits atomic.Uint64
+	c *lru.Cache[TemplateKey, *dag.DAG]
 }
 
 // TemplateKey identifies one DAG template. Two planning calls with equal
@@ -62,15 +57,6 @@ func KeyFor(params model.Params, mode dag.Mode, opts dag.Options, aggregate bool
 	}
 }
 
-// templateEntry is one cache slot. ready is closed when the build
-// finishes; d/err are immutable afterwards. lastUse orders eviction.
-type templateEntry struct {
-	ready   chan struct{}
-	d       *dag.DAG
-	err     error
-	lastUse uint64
-}
-
 // DefaultTemplateCap bounds NewTemplateCache(0). Templates are a few MB
 // apiece at the Sort100GB scale; 64 distinct (shape, mode) pairs is far
 // beyond what a tenant mix touches between evictions.
@@ -83,10 +69,7 @@ func NewTemplateCache(maxTemplates int) *TemplateCache {
 	if maxTemplates <= 0 {
 		maxTemplates = DefaultTemplateCap
 	}
-	return &TemplateCache{
-		entries: make(map[TemplateKey]*templateEntry),
-		cap:     maxTemplates,
-	}
+	return &TemplateCache{c: lru.New[TemplateKey, *dag.DAG](maxTemplates, 0, nil)}
 }
 
 // TemplateStats is a point-in-time summary of cache traffic.
@@ -110,128 +93,55 @@ func (s TemplateStats) HitRate() float64 {
 
 // Stats reports cumulative cache traffic.
 func (tc *TemplateCache) Stats() TemplateStats {
-	tc.mu.Lock()
-	n := len(tc.entries)
-	tc.mu.Unlock()
+	st := tc.c.Stats()
 	return TemplateStats{
-		Hits:      tc.hits.Load(),
-		Misses:    tc.misses.Load(),
-		Builds:    tc.builds.Load(),
-		Evictions: tc.evictions.Load(),
-		Waits:     tc.waits.Load(),
-		Entries:   n,
+		Hits:      st.Hits,
+		Misses:    st.Misses,
+		Builds:    st.Fills,
+		Evictions: st.Evictions,
+		Waits:     st.Waits,
+		Entries:   st.Entries,
 	}
 }
 
 // Get resolves a template, building it through build on a miss. Exactly
 // one concurrent caller per key runs build; the rest block on its result
-// (or their own ctx). A failed build is not cached: the entry is removed
-// before waiters wake, so they retry — a caller whose own build fails
-// gets that error, and one builder's cancellation never poisons the key
-// for others. The returned DAG is shared and frozen: search it
-// read-only, Clone before mutating.
+// (or their own ctx). A failed build is not cached: waiters retry — a
+// caller whose own build fails gets that error, and one builder's
+// cancellation never poisons the key for others. The returned DAG is
+// shared and frozen: search it read-only, Clone before mutating.
+//
+// The caller's registry (telemetry.FromContext) is counted into at the
+// instant each thing happens, not after Get returns: astra.
+// PublishCacheStats raises the same series to this cache's totals from
+// other goroutines, and a late increment would land on top of a total
+// that already includes it.
 func (tc *TemplateCache) Get(ctx context.Context, key TemplateKey, build func(context.Context) (*dag.DAG, error)) (*dag.DAG, error) {
 	tel := telemetry.FromContext(ctx)
-	for {
-		tc.mu.Lock()
-		e, ok := tc.entries[key]
-		if ok {
-			tc.tick++
-			e.lastUse = tc.tick
-			tc.mu.Unlock()
-			select {
-			case <-e.ready:
-			default:
-				// Someone else is mid-build; joining the flight is a miss
-				// that waits rather than works.
-				tc.misses.Add(1)
-				tc.waits.Add(1)
-				tel.Counter(telemetry.MPlanTemplateMisses).Inc()
-				tel.Counter(telemetry.MPlanTemplateWaits).Inc()
-				select {
-				case <-e.ready:
-				case <-ctx.Done():
-					return nil, ctx.Err()
-				}
-				if e.err != nil {
-					// The builder failed and removed the entry; retry (the
-					// next round either finds a fresh build or becomes the
-					// builder and surfaces its own error).
-					continue
-				}
-				return e.d, nil
-			}
-			if e.err != nil {
-				// Lost a race with a failed builder whose entry removal is
-				// in flight; retry.
-				continue
-			}
-			tc.hits.Add(1)
-			tel.Counter(telemetry.MPlanTemplateHits).Inc()
-			return e.d, nil
-		}
-		// Miss with no flight underway: this caller builds.
-		e = &templateEntry{ready: make(chan struct{})}
-		tc.tick++
-		e.lastUse = tc.tick
-		tc.entries[key] = e
-		tc.mu.Unlock()
-		tc.misses.Add(1)
-		tc.builds.Add(1)
+	built := false
+	d, res, err := tc.c.Do(ctx, key, func(ctx context.Context) (*dag.DAG, error) {
+		built = true
 		tel.Counter(telemetry.MPlanTemplateMisses).Inc()
 		tel.Counter(telemetry.MPlanTemplateBuilds).Inc()
-
 		d, err := build(ctx)
 		if err == nil {
 			// Freeze before publishing so no reader ever contends on the
-			// lazy CSR build, then bound the cache.
+			// lazy CSR build.
 			d.G.Freeze()
-			e.d = d
-			tc.mu.Lock()
-			tc.evictOverCapLocked(key, tel)
-			tc.mu.Unlock()
-		} else {
-			e.err = err
-			tc.mu.Lock()
-			if tc.entries[key] == e {
-				delete(tc.entries, key)
-			}
-			tc.mu.Unlock()
-		}
-		close(e.ready)
-		if tel != nil {
-			tel.Gauge(telemetry.MPlanTemplateEntries).Set(int64(tc.Stats().Entries))
 		}
 		return d, err
+	}, func() {
+		tel.Counter(telemetry.MPlanTemplateMisses).Inc()
+		tel.Counter(telemetry.MPlanTemplateWaits).Inc()
+	})
+	if res.Hit {
+		tel.Counter(telemetry.MPlanTemplateHits).Inc()
 	}
-}
-
-// evictOverCapLocked drops least-recently-used ready entries until the
-// cache fits its bound. In-flight builds and the just-inserted key are
-// never evicted.
-func (tc *TemplateCache) evictOverCapLocked(keep TemplateKey, tel *telemetry.Registry) {
-	for len(tc.entries) > tc.cap {
-		var victim TemplateKey
-		var victimEntry *templateEntry
-		found := false
-		for k, e := range tc.entries {
-			if k == keep {
-				continue
-			}
-			select {
-			case <-e.ready:
-			default:
-				continue // mid-build; its builder still owns the slot
-			}
-			if !found || e.lastUse < victimEntry.lastUse {
-				victim, victimEntry, found = k, e, true
-			}
-		}
-		if !found {
-			return
-		}
-		delete(tc.entries, victim)
-		tc.evictions.Add(1)
-		tel.Counter(telemetry.MPlanTemplateEvictions).Inc()
+	if res.Evicted > 0 {
+		tel.Counter(telemetry.MPlanTemplateEvictions).Add(int64(res.Evicted))
 	}
+	if built && tel != nil {
+		tel.Gauge(telemetry.MPlanTemplateEntries).Set(int64(tc.c.Stats().Entries))
+	}
+	return d, err
 }

@@ -140,7 +140,7 @@ func TestTemplateHitPlanIdentical(t *testing.T) {
 			cold := normalizePlan(plan(nil))
 			shared := NewTemplateCache(0)
 			missPlan := normalizePlan(plan(shared)) // populates the cache
-			hitPlan := normalizePlan(plan(shared)) // must be served from it
+			hitPlan := normalizePlan(plan(shared))  // must be served from it
 			if st := shared.Stats(); st.Hits == 0 {
 				t.Fatalf("second plan did not hit the template cache: %+v", st)
 			}

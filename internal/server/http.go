@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"net"
 	"net/http"
 	"strconv"
 	"sync"
@@ -50,10 +49,9 @@ type Server struct {
 	cache *RespCache
 	obs   *obs.Server
 
-	mux       *http.ServeMux
-	srv       *http.Server
-	ln        net.Listener
-	serveDone chan struct{}
+	mux *http.ServeMux
+	// Listener provides Start, Addr and URL.
+	*obs.Listener
 
 	closing   chan struct{}
 	closeOnce sync.Once
@@ -80,6 +78,7 @@ func New(cfg Config) *Server {
 		mux:     http.NewServeMux(),
 		closing: make(chan struct{}),
 	}
+	s.Listener = obs.NewListener(s.mux)
 	s.adm = NewAdmission(cfg.Quota, reg, s.closing, cfg.Now)
 	s.cache = NewRespCache(cfg.CacheEntries, cfg.CacheTTL, reg, cfg.Now)
 
@@ -118,39 +117,6 @@ func (s *Server) Admission() *Admission { return s.adm }
 // RespCache exposes the response cache (tests verify hit accounting).
 func (s *Server) RespCache() *RespCache { return s.cache }
 
-// Start listens on addr (host:port; port 0 picks a free one) and serves
-// in a background goroutine until Shutdown.
-func (s *Server) Start(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	s.ln = ln
-	s.srv = &http.Server{Handler: s.mux}
-	s.serveDone = make(chan struct{})
-	go func() {
-		defer close(s.serveDone)
-		_ = s.srv.Serve(ln) // http.ErrServerClosed on Shutdown
-	}()
-	return nil
-}
-
-// Addr reports the bound listen address ("" before Start).
-func (s *Server) Addr() string {
-	if s.ln == nil {
-		return ""
-	}
-	return s.ln.Addr().String()
-}
-
-// URL is the server's base URL ("" before Start).
-func (s *Server) URL() string {
-	if s.ln == nil {
-		return ""
-	}
-	return "http://" + s.Addr()
-}
-
 // Shutdown drains the control plane gracefully, in order: (1) the drain
 // gate flips, so new requests get 503; (2) every in-flight plan — SSE
 // frontier streams included — runs to completion (bounded by ctx); (3)
@@ -182,20 +148,8 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			}
 		}
 	})
-	if s.srv == nil {
-		return err
-	}
-	if serr := s.srv.Shutdown(ctx); serr != nil && err == nil {
+	if serr := s.Listener.Shutdown(ctx); err == nil {
 		err = serr
-	}
-	if s.serveDone != nil {
-		select {
-		case <-s.serveDone:
-		case <-ctx.Done():
-			if err == nil {
-				err = ctx.Err()
-			}
-		}
 	}
 	return err
 }
@@ -263,6 +217,38 @@ func writeJSONBytes(w http.ResponseWriter, body []byte) {
 	_, _ = w.Write(body)
 }
 
+// respond renders one JSON response and writes it with its timing
+// headers. A non-empty key sends it through the response cache, where
+// concurrent misses on one key coalesce: one request renders, the rest
+// wait for the same bytes and answer "miss" like it. An empty key
+// bypasses the cache.
+func (s *Server) respond(w http.ResponseWriter, r *http.Request, ticket *Ticket, key string, render func(context.Context) ([]byte, error)) {
+	t0 := time.Now()
+	var body []byte
+	var err error
+	verdict := "bypass"
+	if key == "" {
+		body, err = render(r.Context())
+	} else {
+		var hit bool
+		body, hit, err = s.cache.Do(r.Context(), key, render)
+		verdict = "miss"
+		if hit {
+			verdict = "hit"
+		}
+	}
+	if err != nil {
+		writeError(w, api.ErrorCode(err), err.Error(), 0)
+		return
+	}
+	service := time.Since(t0)
+	if verdict == "hit" {
+		service = 0
+	}
+	finish(w, ticket.QueueWait, service, verdict)
+	writeJSONBytes(w, body)
+}
+
 func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	if !s.enter() {
 		writeError(w, http.StatusServiceUnavailable, "server draining", 0)
@@ -284,33 +270,18 @@ func (s *Server) handlePlan(w http.ResponseWriter, r *http.Request) {
 	defer ticket.Release()
 
 	// Executed requests have ledger side effects, so only pure planning
-	// consults (and fills) the response cache.
-	key := req.Fingerprint()
+	// goes through the response cache.
+	key := ""
 	if !req.Execute {
-		if body := s.cache.Get(key); body != nil {
-			finish(w, ticket.QueueWait, 0, "hit")
-			writeJSONBytes(w, body)
-			return
+		key = req.Fingerprint()
+	}
+	s.respond(w, r, ticket, key, func(ctx context.Context) ([]byte, error) {
+		resp, err := s.svc.Plan(ctx, req)
+		if err != nil {
+			return nil, err
 		}
-	}
-	t0 := time.Now()
-	resp, err := s.svc.Plan(r.Context(), req)
-	if err != nil {
-		writeError(w, api.ErrorCode(err), err.Error(), 0)
-		return
-	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error(), 0)
-		return
-	}
-	cacheState := "bypass"
-	if !req.Execute {
-		s.cache.Put(key, body)
-		cacheState = "miss"
-	}
-	finish(w, ticket.QueueWait, time.Since(t0), cacheState)
-	writeJSONBytes(w, body)
+		return json.Marshal(resp)
+	})
 }
 
 func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
@@ -333,19 +304,13 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	defer ticket.Release()
 
-	t0 := time.Now()
-	resp, err := s.svc.PlanBatch(r.Context(), req)
-	if err != nil {
-		writeError(w, api.ErrorCode(err), err.Error(), 0)
-		return
-	}
-	body, err := json.Marshal(resp)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, err.Error(), 0)
-		return
-	}
-	finish(w, ticket.QueueWait, time.Since(t0), "bypass")
-	writeJSONBytes(w, body)
+	s.respond(w, r, ticket, "", func(ctx context.Context) ([]byte, error) {
+		resp, err := s.svc.PlanBatch(ctx, req)
+		if err != nil {
+			return nil, err
+		}
+		return json.Marshal(resp)
+	})
 }
 
 // handleFrontier serves both forms of the frontier endpoint. The default
@@ -383,41 +348,26 @@ func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 		stream = false
 	}
 	if !stream {
-		key := req.Fingerprint()
-		if body := s.cache.Get(key); body != nil {
-			finish(w, ticket.QueueWait, 0, "hit")
-			writeJSONBytes(w, body)
-			return
-		}
-		t0 := time.Now()
-		resp, err := s.svc.Frontier(r.Context(), req, nil)
-		if err != nil {
-			writeError(w, api.ErrorCode(err), err.Error(), 0)
-			return
-		}
-		body, err := json.Marshal(resp.Final)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, err.Error(), 0)
-			return
-		}
-		s.cache.Put(key, body)
-		finish(w, ticket.QueueWait, time.Since(t0), "miss")
-		writeJSONBytes(w, body)
+		s.respond(w, r, ticket, req.Fingerprint(), func(ctx context.Context) ([]byte, error) {
+			resp, err := s.svc.Frontier(ctx, req, nil)
+			if err != nil {
+				return nil, err
+			}
+			return json.Marshal(resp.Final)
+		})
 		return
 	}
 
-	w.Header().Set("Content-Type", "text/event-stream")
-	w.Header().Set("Cache-Control", "no-cache")
+	flusher := obs.SSEHeaders(w)
 	w.Header().Set(api.QueueHeader, strconv.FormatInt(ticket.QueueWait.Nanoseconds(), 10))
-	flusher, _ := w.(http.Flusher)
-	seq := 0
+	seq := int64(0)
 	_, err = s.svc.Frontier(r.Context(), req, func(u api.FrontierUpdate) {
 		b, merr := json.Marshal(u)
 		if merr != nil {
 			return
 		}
 		seq++
-		fmt.Fprintf(w, "id: %d\ndata: %s\n\n", seq, b)
+		obs.WriteSSE(w, seq, b)
 		if flusher != nil {
 			flusher.Flush()
 		}

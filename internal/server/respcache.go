@@ -8,37 +8,31 @@
 package server
 
 import (
-	"container/list"
-	"sync"
+	"context"
 	"time"
 
+	"astra/internal/lru"
 	"astra/internal/telemetry"
 )
 
 // RespCacheStats summarizes response-cache traffic.
 type RespCacheStats struct {
-	Hits      int64
-	Misses    int64
+	Hits   int64
+	Misses int64
+	// Waits counts the misses that joined another request's render
+	// instead of running their own (see Do).
+	Waits     int64
 	Expired   int64
 	Evictions int64
 	Entries   int
 }
 
-type respEntry struct {
-	key     string
-	body    []byte
-	storedA time.Time
-}
-
 // RespCache is a bounded, TTL'd LRU of rendered responses. Safe for
-// concurrent use.
+// concurrent use. The bound, the TTL and the coalescing of concurrent
+// misses are lru.Cache's; this type adds the defaults and the
+// astra_server_respcache_* series.
 type RespCache struct {
-	mu      sync.Mutex
-	ttl     time.Duration
-	max     int
-	now     func() time.Time
-	order   *list.List // front = most recent
-	entries map[string]*list.Element
+	c *lru.Cache[string, []byte]
 
 	hits, misses, expired, evictions *telemetry.Counter
 	resident                         *telemetry.Gauge
@@ -53,18 +47,11 @@ func NewRespCache(max int, ttl time.Duration, reg *telemetry.Registry, now func(
 	if ttl <= 0 {
 		ttl = time.Minute
 	}
-	if now == nil {
-		now = time.Now
-	}
 	if reg == nil {
 		reg = telemetry.New()
 	}
 	return &RespCache{
-		ttl:       ttl,
-		max:       max,
-		now:       now,
-		order:     list.New(),
-		entries:   make(map[string]*list.Element),
+		c:         lru.New[string, []byte](max, ttl, now),
 		hits:      reg.Counter(telemetry.MServerRespCacheHits),
 		misses:    reg.Counter(telemetry.MServerRespCacheMisses),
 		expired:   reg.Counter(telemetry.MServerRespCacheExpired),
@@ -77,62 +64,59 @@ func NewRespCache(max int, ttl time.Duration, reg *telemetry.Registry, now func(
 // count as both an expiry and a miss (the caller re-plans and re-Puts).
 // The returned slice is shared and must not be mutated.
 func (c *RespCache) Get(key string) []byte {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	el, ok := c.entries[key]
-	if !ok {
+	body, res := c.c.Get(key)
+	if !res.Hit {
 		c.misses.Inc()
-		return nil
 	}
-	ent := el.Value.(*respEntry)
-	if c.now().Sub(ent.storedA) >= c.ttl {
-		c.removeLocked(el)
-		c.expired.Inc()
-		c.misses.Inc()
-		return nil
-	}
-	c.order.MoveToFront(el)
-	c.hits.Inc()
-	return ent.body
+	c.count(res)
+	return body
 }
 
 // Put stores a rendered response, evicting the least-recently-used
 // entry past the bound.
 func (c *RespCache) Put(key string, body []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.entries[key]; ok {
-		el.Value.(*respEntry).body = body
-		el.Value.(*respEntry).storedA = c.now()
-		c.order.MoveToFront(el)
+	c.count(c.c.Put(key, body))
+}
+
+// Do is Get, then on a miss render and Put, with concurrent misses on
+// one key coalesced: one caller runs render and the rest wait for its
+// bytes, so a herd of identical cold requests plans once. hit is true
+// only when the body was already resident; a caller that waited counts
+// as a miss like the one that rendered. A failed render is not cached
+// and fails only its own caller — the waiters retry.
+func (c *RespCache) Do(ctx context.Context, key string, render func(context.Context) ([]byte, error)) (body []byte, hit bool, err error) {
+	body, res, err := c.c.Do(ctx, key, func(ctx context.Context) ([]byte, error) {
+		c.misses.Inc()
+		return render(ctx)
+	}, c.misses.Inc)
+	c.count(res)
+	return body, res.Hit, err
+}
+
+// count publishes what one call did, misses aside: those are counted at
+// the moment they are decided, a waiter's before it blocks.
+func (c *RespCache) count(res lru.Result) {
+	if res.Hit {
+		c.hits.Inc()
 		return
 	}
-	el := c.order.PushFront(&respEntry{key: key, body: body, storedA: c.now()})
-	c.entries[key] = el
-	if c.order.Len() > c.max {
-		oldest := c.order.Back()
-		c.removeLocked(oldest)
-		c.evictions.Inc()
+	if res.Expired {
+		c.expired.Inc()
 	}
-	c.resident.Set(int64(c.order.Len()))
+	c.evictions.Add(int64(res.Evicted))
+	c.resident.Set(int64(c.c.Stats().Entries))
 }
 
-// removeLocked drops one element. Caller holds mu.
-func (c *RespCache) removeLocked(el *list.Element) {
-	c.order.Remove(el)
-	delete(c.entries, el.Value.(*respEntry).key)
-	c.resident.Set(int64(c.order.Len()))
-}
-
-// Stats snapshots the counters.
+// Stats snapshots the cache's own tallies (the registry series follow
+// them call by call).
 func (c *RespCache) Stats() RespCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+	st := c.c.Stats()
 	return RespCacheStats{
-		Hits:      c.hits.Value(),
-		Misses:    c.misses.Value(),
-		Expired:   c.expired.Value(),
-		Evictions: c.evictions.Value(),
-		Entries:   c.order.Len(),
+		Hits:      int64(st.Hits),
+		Misses:    int64(st.Misses),
+		Waits:     int64(st.Waits),
+		Expired:   int64(st.Expired),
+		Evictions: int64(st.Evictions),
+		Entries:   st.Entries,
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -41,6 +42,9 @@ func startReal(t *testing.T, cfg Config) *Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
+		// Concurrent requests can leave the client a dialed-but-never-used
+		// connection, which http.Server.Shutdown waits 5 s on; drop it.
+		http.DefaultClient.CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {
@@ -356,30 +360,45 @@ func TestExecuteSettlesTenantSLO(t *testing.T) {
 	}
 }
 
-// stubService scripts request timing so the drain test controls exactly
-// when an in-flight request completes.
+// stubService scripts request timing so a test controls exactly when an
+// in-flight request completes, and counts how often the planner ran.
+// Every call answers differently, so equal bodies prove shared bytes.
 type stubService struct {
 	started chan struct{} // closed when the first Plan enters
-	release chan struct{} // Plan blocks until this closes
+	release chan struct{} // Plan and Frontier block until this closes
 	once    sync.Once
+	calls   atomic.Int64
 }
 
-func (s *stubService) Plan(ctx context.Context, req *api.PlanRequest) (*api.PlanResponse, error) {
+func (s *stubService) block(ctx context.Context) (int, error) {
+	n := int(s.calls.Add(1))
 	s.once.Do(func() { close(s.started) })
 	select {
 	case <-s.release:
+		return n, nil
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		return n, ctx.Err()
 	}
-	return &api.PlanResponse{Solver: "stub"}, nil
+}
+
+func (s *stubService) Plan(ctx context.Context, req *api.PlanRequest) (*api.PlanResponse, error) {
+	n, err := s.block(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &api.PlanResponse{Solver: fmt.Sprintf("stub-%d", n)}, nil
 }
 
 func (s *stubService) PlanBatch(context.Context, *api.PlanBatchRequest) (*api.PlanBatchResponse, error) {
 	return &api.PlanBatchResponse{}, nil
 }
 
-func (s *stubService) Frontier(context.Context, *api.FrontierRequest, func(api.FrontierUpdate)) (*api.FrontierResponse, error) {
-	return &api.FrontierResponse{}, nil
+func (s *stubService) Frontier(ctx context.Context, _ *api.FrontierRequest, _ func(api.FrontierUpdate)) (*api.FrontierResponse, error) {
+	n, err := s.block(ctx)
+	if err != nil {
+		return nil, err
+	}
+	return &api.FrontierResponse{Final: api.FrontierUpdate{Phase: n, Final: true}}, nil
 }
 
 func (s *stubService) TenantSLO(context.Context, *api.TenantSLORequest) (*api.TenantSLOResponse, error) {
@@ -456,6 +475,82 @@ func TestGracefulShutdownDrains(t *testing.T) {
 	}
 	if err := <-done; err != nil {
 		t.Fatalf("shutdown: %v", err)
+	}
+}
+
+// TestConcurrentMissesPlanOnce is the stampede gate: a herd of identical
+// cold requests runs the planner once, every member gets the same bytes
+// and answers "miss" (a request that waited did not find the body
+// resident), and the next request is a hit. The herd is released only
+// once all but one member are counted as waiting, so the outcome does
+// not depend on scheduling.
+func TestConcurrentMissesPlanOnce(t *testing.T) {
+	const herd = 8
+	for _, tc := range []struct {
+		name string
+		send func(base string) (*http.Response, error)
+	}{
+		{"plan", func(base string) (*http.Response, error) {
+			return http.Post(base+"/v1/plan", "application/json", strings.NewReader(planBody))
+		}},
+		{"frontier", func(base string) (*http.Response, error) {
+			return http.Get(base + "/v1/frontier?workload=wordcount&objects=10&object_bytes=1048576&size=4&stream=0")
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stub := &stubService{started: make(chan struct{}), release: make(chan struct{})}
+			srv := startReal(t, Config{Service: stub, Quota: TenantQuota{MaxInFlight: herd}})
+			fetch := func() (verdict, body string) {
+				resp, err := tc.send(srv.URL())
+				if err != nil {
+					t.Error(err)
+					return "", ""
+				}
+				defer resp.Body.Close()
+				b, _ := io.ReadAll(resp.Body)
+				if resp.StatusCode != 200 {
+					t.Errorf("status %d: %s", resp.StatusCode, b)
+				}
+				return resp.Header.Get(api.CacheHeader), string(b)
+			}
+
+			verdicts, bodies := make([]string, herd), make([]string, herd)
+			var wg sync.WaitGroup
+			for i := 0; i < herd; i++ {
+				wg.Add(1)
+				go func(i int) {
+					defer wg.Done()
+					verdicts[i], bodies[i] = fetch()
+				}(i)
+			}
+			deadline := time.Now().Add(5 * time.Second)
+			for srv.RespCache().Stats().Waits < herd-1 && time.Now().Before(deadline) {
+				time.Sleep(time.Millisecond)
+			}
+			waits := srv.RespCache().Stats().Waits
+			close(stub.release)
+			wg.Wait()
+			if waits != herd-1 {
+				t.Fatalf("%d of %d requests joined the first one's render (planner calls: %d)", waits, herd-1, stub.calls.Load())
+			}
+
+			if n := stub.calls.Load(); n != 1 {
+				t.Fatalf("herd of %d ran the planner %d times, want 1", herd, n)
+			}
+			for i := 0; i < herd; i++ {
+				if bodies[i] != bodies[0] || verdicts[i] != "miss" {
+					t.Fatalf("request %d: verdict %q, body %q; want miss and request 0's body %q",
+						i, verdicts[i], bodies[i], bodies[0])
+				}
+			}
+			if st := srv.RespCache().Stats(); st.Hits != 0 || st.Misses != herd {
+				t.Fatalf("respcache stats = %+v, want 0 hits / %d misses", st, herd)
+			}
+			if v, b := fetch(); v != "hit" || b != bodies[0] || stub.calls.Load() != 1 {
+				t.Fatalf("request after the herd: verdict %q, body %q, planner calls %d; want a hit on %q",
+					v, b, stub.calls.Load(), bodies[0])
+			}
+		})
 	}
 }
 

@@ -14,7 +14,8 @@
 //	admission     per-tenant token bucket + in-flight cap + bounded queue
 //	              (deterministic 429 with Retry-After)
 //	response      TTL'd LRU of rendered bodies keyed by canonical request
-//	cache         fingerprint — a warm repeat never touches the search
+//	cache         fingerprint — a warm repeat never touches the search,
+//	              and concurrent cold repeats share one
 //	service       astra.Plan / PlanBatch / Frontier / qos.Ledger over the
 //	              shared template + prediction caches
 package server

@@ -98,10 +98,8 @@ func (f *File) Validate() error {
 			return fmt.Errorf("spec: bad deadline: %w", err)
 		}
 	}
-	switch f.Solver {
-	case "", "auto", "algorithm1", "yen", "csp", "rerank", "brute":
-	default:
-		return fmt.Errorf("spec: unknown solver %q", f.Solver)
+	if _, err := f.SolverValue(); err != nil {
+		return err
 	}
 	switch f.Orchestrator {
 	case "", "coordinator", "step-functions":
@@ -161,21 +159,11 @@ func (f *File) ObjectiveValue() (optimizer.Objective, error) {
 
 // SolverValue materializes the solver choice (Auto by default).
 func (f *File) SolverValue() (optimizer.Solver, error) {
-	switch f.Solver {
-	case "", "auto":
-		return optimizer.Auto, nil
-	case "algorithm1":
-		return optimizer.Algorithm1, nil
-	case "yen":
-		return optimizer.Yen, nil
-	case "csp":
-		return optimizer.CSP, nil
-	case "rerank":
-		return optimizer.Rerank, nil
-	case "brute":
-		return optimizer.Brute, nil
+	s, err := optimizer.ParseSolver(f.Solver)
+	if err != nil {
+		return 0, fmt.Errorf("spec: %w", err)
 	}
-	return 0, fmt.Errorf("spec: unknown solver %q", f.Solver)
+	return s, nil
 }
 
 // ApplyExecution folds the execution options into a job spec.

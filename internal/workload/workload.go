@@ -119,14 +119,26 @@ var (
 	}
 )
 
+// profiles is every calibration profile, in name order.
+var profiles = []Profile{Grep, Query, Sort, SparkSQL, SparkWordCount, WordCount}
+
 // ByName resolves a profile from its name.
 func ByName(name string) (Profile, error) {
-	for _, pf := range []Profile{WordCount, Sort, Query, SparkWordCount, SparkSQL, Grep} {
+	for _, pf := range profiles {
 		if pf.Name == name {
 			return pf, nil
 		}
 	}
 	return Profile{}, fmt.Errorf("workload: unknown profile %q", name)
+}
+
+// Names lists the profile names ByName accepts, sorted.
+func Names() []string {
+	names := make([]string, len(profiles))
+	for i, pf := range profiles {
+		names[i] = pf.Name
+	}
+	return names
 }
 
 // Job describes one benchmark input: a profile plus the input layout in
