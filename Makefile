@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify bench bench-all race vet fmt-check procs layering examples loadgen serve loadgen-remote
+.PHONY: build test verify bench bench-all race vet fmt-check procs layering books examples loadgen serve loadgen-remote
 
 build:
 	$(GO) build ./...
@@ -32,20 +32,29 @@ race:
 	$(GO) test -race -short ./...
 
 # No test outcome may depend on scheduling: the packages that drive real
-# goroutines against real listeners, and the two that hold the tree's
+# goroutines against real listeners, the two that hold the tree's
 # single-flight code (internal/lru and its herd test in
-# internal/optimizer), run on 1, 2 and 4 Ps.
+# internal/optimizer), and the two whose per-plan books must be exact in
+# company (internal/model's tally, internal/telemetry's scope), run on 1,
+# 2 and 4 Ps.
 procs:
 	for p in 1 2 4; do \
 		GOMAXPROCS=$$p $(GO) test -count=3 ./internal/loadgen ./internal/server ./internal/obs \
-			./internal/optimizer ./internal/lru || exit 1; \
+			./internal/optimizer ./internal/lru ./internal/model ./internal/telemetry || exit 1; \
 	done
 
 # The production service must not link the load driver.
 layering:
 	! $(GO) list -deps ./cmd/astra-server | grep -q astra/internal/loadgen
 
-verify: vet fmt-check race procs layering examples
+# One set of books per plan: nothing reconciles a series towards a total
+# another writer also increments, and the planner never copies the
+# registry to read its own counters.
+books:
+	! grep -rn 'PublishCacheStats\|publishCounterTotal\|fillFromDeltas\|MPlanCache' --include=*.go .
+	! grep -n 'Snapshot()' internal/optimizer/*.go | grep -v _test
+
+verify: vet fmt-check race procs layering books examples
 
 # The repo's benchmark (BENCHMARK.json, benchmark/README.md): six traffic
 # regimes through a loopback astra-server. Takes -aa N and -against

@@ -400,49 +400,11 @@ func PlanBatch(ctx context.Context, reqs []BatchRequest, opts ...PlanOption) ([]
 		if failed > 0 {
 			tel.Counter(telemetry.MBatchErrors).Add(failed)
 		}
-		PublishCacheStats(tel, tc, pc)
 	}
 	if err != nil {
 		return results, err
 	}
 	return results, nil
-}
-
-// PublishCacheStats reconciles a template cache's and prediction cache's
-// cumulative counters into a telemetry registry (astra_plan_template_*
-// and astra_predcache_* series), so a /metrics scrape sees cache traffic
-// even for caches shared across planner instances. Idempotent: counters
-// are set to the caches' totals, not incremented, so repeated publishes
-// (every batch, every scrape) never double-count. Either cache may be
-// nil; a nil registry is a no-op.
-func PublishCacheStats(tel *Telemetry, tc *TemplateCache, pc *PlanCache) {
-	if tel == nil {
-		return
-	}
-	if tc != nil {
-		st := tc.Stats()
-		publishCounterTotal(tel, telemetry.MPlanTemplateHits, int64(st.Hits))
-		publishCounterTotal(tel, telemetry.MPlanTemplateMisses, int64(st.Misses))
-		publishCounterTotal(tel, telemetry.MPlanTemplateBuilds, int64(st.Builds))
-		publishCounterTotal(tel, telemetry.MPlanTemplateEvictions, int64(st.Evictions))
-		publishCounterTotal(tel, telemetry.MPlanTemplateWaits, int64(st.Waits))
-		tel.Gauge(telemetry.MPlanTemplateEntries).Set(int64(st.Entries))
-	}
-	if pc != nil {
-		hits, misses := pc.Stats()
-		publishCounterTotal(tel, telemetry.MPredCacheHits, int64(hits))
-		publishCounterTotal(tel, telemetry.MPredCacheMisses, int64(misses))
-		publishCounterTotal(tel, telemetry.MPredCacheEvictions, int64(pc.Evictions()))
-	}
-}
-
-// publishCounterTotal raises a counter to an externally-tracked
-// cumulative total without double-counting across publishes.
-func publishCounterTotal(tel *Telemetry, name string, total int64) {
-	c := tel.Counter(name)
-	if d := total - c.Value(); d > 0 {
-		c.Add(d)
-	}
 }
 
 // Baselines returns the paper's three baseline configurations for a job.

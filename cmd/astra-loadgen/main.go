@@ -97,9 +97,7 @@ func run() error {
 	}
 	// One shared cache pair for the whole run — the multi-tenant regime.
 	// (Remote runs plan inside the server; these stay idle there.)
-	tc := optimizer.NewTemplateCache(0)
-	pc := model.NewPredictionCache()
-	spec.Templates, spec.Cache = tc, pc
+	spec.Templates, spec.Cache = optimizer.NewTemplateCache(0), model.NewPredictionCache()
 
 	res, err := loadgen.Run(context.Background(), spec)
 	if err != nil {
@@ -159,7 +157,6 @@ func run() error {
 		fmt.Printf("wrote %s\n", *out)
 	}
 	if *metricsOut != "" {
-		astra.PublishCacheStats(spec.Tel, tc, pc)
 		f, err := os.Create(*metricsOut)
 		if err != nil {
 			return err

@@ -101,13 +101,15 @@ type cacheShard struct {
 // Config). A single cache may serve many parameterizations and predictors
 // at once; the zero value is not usable — use NewPredictionCache.
 type PredictionCache struct {
-	shards [cacheShards]cacheShard
+	// shards is shared between a cache and its tallies (see Tally).
+	shards *[cacheShards]cacheShard
 	// shardCap bounds each shard's entry count (0: unbounded). When a
 	// full shard takes a new entry, an arbitrary resident entry is
 	// evicted; cached values equal recomputed ones, so eviction affects
 	// only speed, never results.
 	shardCap int
 
+	parent                  *PredictionCache // set on a Tally: counts repeat on it
 	hits, misses, evictions atomic.Uint64
 }
 
@@ -121,7 +123,7 @@ func NewPredictionCache() *PredictionCache {
 // is enforced per shard, so the real capacity is rounded up to a
 // multiple of the shard count.
 func NewPredictionCacheWithCap(maxEntries int) *PredictionCache {
-	c := &PredictionCache{}
+	c := &PredictionCache{shards: new([cacheShards]cacheShard)}
 	if maxEntries > 0 {
 		c.shardCap = (maxEntries + cacheShards - 1) / cacheShards
 	}
@@ -129,6 +131,15 @@ func NewPredictionCacheWithCap(maxEntries int) *PredictionCache {
 		c.shards[i].m = make(map[cacheKey]cacheVal)
 	}
 	return c
+}
+
+// Tally returns the same cache under books of its own: lookups through
+// it (and through predictors it Wraps) read and fill c's entries and
+// are counted from zero on the tally as well as on c. A plan or a sweep
+// takes one, so its Stats and Evictions are exactly the traffic it
+// caused, whatever else shares c meanwhile.
+func (c *PredictionCache) Tally() *PredictionCache {
+	return &PredictionCache{shards: c.shards, shardCap: c.shardCap, parent: c}
 }
 
 // shardFor picks the shard for a key by rehashing its volatile parts.
@@ -158,16 +169,22 @@ func (c *PredictionCache) predict(k cacheKey, compute Predictor, cfg mapreduce.C
 	v, ok := sh.m[k]
 	sh.mu.RUnlock()
 	if ok {
-		c.hits.Add(1)
+		for t := c; t != nil; t = t.parent {
+			t.hits.Add(1)
+		}
 		return v.pred, v.err
 	}
-	c.misses.Add(1)
+	for t := c; t != nil; t = t.parent {
+		t.misses.Add(1)
+	}
 	pred, err := compute.Predict(cfg)
 	sh.mu.Lock()
 	if _, present := sh.m[k]; !present && c.shardCap > 0 && len(sh.m) >= c.shardCap {
 		for victim := range sh.m {
 			delete(sh.m, victim)
-			c.evictions.Add(1)
+			for t := c; t != nil; t = t.parent {
+				t.evictions.Add(1)
+			}
 			break
 		}
 	}

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"reflect"
 	"sync"
 	"testing"
 
@@ -188,33 +189,75 @@ func TestPredictionCacheBoundedEvicts(t *testing.T) {
 	}
 }
 
+// TestPredictionCacheConcurrent pins what the cache promises under
+// concurrency: every lookup is counted once, every config ends up
+// resident, and a cached value equals a recomputed one. It does not
+// single-flight — two goroutines may both miss a config and both compute
+// it — so misses has a floor, not a ceiling. Each goroutine looks up
+// through its own Tally, whose books must hold exactly its 25 lookups
+// while the cache holds the sum.
 func TestPredictionCacheConcurrent(t *testing.T) {
 	params := cacheTestParams()
 	cache := NewPredictionCache()
-	pred := cache.Wrap(NewExact(params), params.Fingerprint(), "exact")
+	var cfgs []mapreduce.Config
+	for kM := 1; kM <= 5; kM++ {
+		for kR := 1; kR <= 5; kR++ {
+			cfgs = append(cfgs, mapreduce.Config{
+				MapperMemMB: 1024, CoordMemMB: 256, ReducerMemMB: 1024,
+				ObjsPerMapper: kM, ObjsPerReducer: kR,
+			})
+		}
+	}
 
+	const workers = 8
+	got := make([][]Prediction, workers)
+	tallies := make([]*PredictionCache, workers)
 	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
+	for w := 0; w < workers; w++ {
+		tallies[w] = cache.Tally()
+		pred := tallies[w].Wrap(NewExact(params), params.Fingerprint(), "exact")
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
-			for kM := 1; kM <= 5; kM++ {
-				for kR := 1; kR <= 5; kR++ {
-					cfg := mapreduce.Config{
-						MapperMemMB: 1024, CoordMemMB: 256, ReducerMemMB: 1024,
-						ObjsPerMapper: kM, ObjsPerReducer: kR,
-					}
-					pred.Predict(cfg)
+			for _, cfg := range cfgs {
+				p, err := pred.Predict(cfg)
+				if err != nil {
+					t.Errorf("worker %d: %v: %v", w, cfg, err)
 				}
+				got[w] = append(got[w], p)
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
+
 	hits, misses := cache.Stats()
-	if hits+misses != 8*25 {
-		t.Fatalf("hits+misses = %d, want %d", hits+misses, 8*25)
+	if hits+misses != uint64(workers*len(cfgs)) {
+		t.Fatalf("hits+misses = %d, want %d", hits+misses, workers*len(cfgs))
 	}
-	if misses > 25 {
-		t.Fatalf("misses = %d for 25 distinct configs", misses)
+	if misses < uint64(len(cfgs)) {
+		t.Fatalf("misses = %d for %d distinct configs", misses, len(cfgs))
+	}
+	var sumHits, sumMisses uint64
+	for w, tally := range tallies {
+		h, m := tally.Stats()
+		if h+m != uint64(len(cfgs)) {
+			t.Errorf("tally %d: hits+misses = %d, want %d", w, h+m, len(cfgs))
+		}
+		sumHits, sumMisses = sumHits+h, sumMisses+m
+	}
+	if sumHits != hits || sumMisses != misses {
+		t.Errorf("tallies sum to %d hits / %d misses, cache counted %d / %d", sumHits, sumMisses, hits, misses)
+	}
+	resident := 0
+	for i := range cache.shards {
+		resident += len(cache.shards[i].m)
+	}
+	if resident != len(cfgs) {
+		t.Errorf("%d resident entries, want %d", resident, len(cfgs))
+	}
+	for w := 1; w < workers; w++ {
+		if !reflect.DeepEqual(got[w], got[0]) {
+			t.Errorf("worker %d read different predictions than worker 0", w)
+		}
 	}
 }

@@ -8,11 +8,14 @@ import (
 	"astra/internal/telemetry"
 )
 
-// SearchStats describes how one PlanContext call found its plan. The
-// cache and calibration fields are always populated; the counter fields
-// (DAG sizes, solver rounds, relaxations, pool activity) require a
-// telemetry registry on the Planner and are zero — with Telemetry false
-// — without one.
+// SearchStats describes how one PlanContext call found its plan, from
+// that call's own books: its tally of the prediction cache and its scope
+// of the planner's registry, so the numbers are exact however many plans
+// share the cache and the registry concurrently. The cache, calibration
+// and DAG-size fields are always populated; the counter fields (DAG
+// builds, solver rounds, relaxations, pool activity) require a telemetry
+// registry on the Planner and are zero — with Telemetry false — without
+// one.
 type SearchStats struct {
 	// Solver is the strategy that produced the plan.
 	Solver Solver
@@ -34,7 +37,7 @@ type SearchStats struct {
 	CacheEvictions int64
 
 	// DAG construction: builds this search triggered (0 when memoized
-	// builds were reused) and the graph size of the last build.
+	// builds were reused) and the size of the graph it searched.
 	DAGBuilds int64
 	DAGNodes  int64
 	DAGEdges  int64
@@ -60,25 +63,23 @@ type SearchStats struct {
 	PoolWorkersPeak int64
 }
 
-// fillFromDeltas populates the counter fields from the growth between
-// two snapshots of the planner's registry (gauges are read from the
-// later snapshot directly: they describe current state, not traffic).
-func (st *SearchStats) fillFromDeltas(now, prev telemetry.Snapshot) {
-	st.DAGBuilds = now.CounterDelta(prev, telemetry.MDAGBuilds)
-	st.DAGNodes = now.Gauge(telemetry.MDAGNodes)
-	st.DAGEdges = now.Gauge(telemetry.MDAGEdges)
-	st.DijkstraRuns = now.CounterDelta(prev, telemetry.MSearchDijkstraRuns)
-	st.EdgesRelaxed = now.CounterDelta(prev, telemetry.MSearchEdgesRelaxed)
-	st.Alg1Rounds = now.CounterDelta(prev, telemetry.MAlg1Rounds)
-	st.Alg1EdgesDropped = now.CounterDelta(prev, telemetry.MAlg1EdgesRemoved)
-	st.YenRounds = now.CounterDelta(prev, telemetry.MYenRounds)
-	st.YenSpurSearches = now.CounterDelta(prev, telemetry.MYenSpurSearches)
-	st.CSPLabelsPopped = now.CounterDelta(prev, telemetry.MCSPLabelsPopped)
-	st.ScratchReuse = now.CounterDelta(prev, telemetry.MSearchScratchReuse)
-	st.CSPLabelsAllocated = now.CounterDelta(prev, telemetry.MCSPLabelsAllocated)
-	st.PoolBatches = now.CounterDelta(prev, telemetry.MPoolBatches)
-	st.PoolTasks = now.CounterDelta(prev, telemetry.MPoolTasks)
-	st.PoolWorkersPeak = now.Gauge(telemetry.MPoolWorkersPeak)
+// fillCounters populates the counter fields from what one plan's
+// telemetry scope booked (see telemetry.Registry.Scope).
+func (st *SearchStats) fillCounters(booked func(name string) int64) {
+	st.Telemetry = true
+	st.DAGBuilds = booked(telemetry.MDAGBuilds)
+	st.DijkstraRuns = booked(telemetry.MSearchDijkstraRuns)
+	st.EdgesRelaxed = booked(telemetry.MSearchEdgesRelaxed)
+	st.Alg1Rounds = booked(telemetry.MAlg1Rounds)
+	st.Alg1EdgesDropped = booked(telemetry.MAlg1EdgesRemoved)
+	st.YenRounds = booked(telemetry.MYenRounds)
+	st.YenSpurSearches = booked(telemetry.MYenSpurSearches)
+	st.CSPLabelsPopped = booked(telemetry.MCSPLabelsPopped)
+	st.ScratchReuse = booked(telemetry.MSearchScratchReuse)
+	st.CSPLabelsAllocated = booked(telemetry.MCSPLabelsAllocated)
+	st.PoolBatches = booked(telemetry.MPoolBatches)
+	st.PoolTasks = booked(telemetry.MPoolTasks)
+	st.PoolWorkersPeak = booked(telemetry.MPoolWorkersPeak)
 }
 
 // ConfigsEvaluated is the number of fresh model evaluations the search

@@ -185,17 +185,18 @@ func sweepFrontier(ctx context.Context, spec FrontierSpec) (*FrontierResult, err
 	if cache == nil {
 		cache = model.NewPredictionCache()
 	}
+	tally := cache.Tally()
+	defer flushPredictionTally(tel, tally)
 	s := &sweep{
 		k:       k,
 		workers: workers,
 		tel:     tel,
-		cache:   cache,
-		exact:   cache.Wrap(model.NewExact(spec.Params), spec.Params.Fingerprint(), "exact"),
+		tally:   tally,
+		exact:   tally.Wrap(model.NewExact(spec.Params), spec.Params.Fingerprint(), "exact"),
 		observe: spec.Observer,
 		sides:   make(map[mapreduce.Config]float64),
 		start:   time.Now(),
 	}
-	s.hits0, s.misses0 = cache.Stats()
 
 	// One frozen cost-mode DAG serves the whole sweep: W carries cost
 	// (with a time tiebreak), Side carries time, so a deadline-budgeted
@@ -284,10 +285,6 @@ func sweepFrontier(ctx context.Context, spec FrontierSpec) (*FrontierResult, err
 			Stats:  res.Stats,
 		})
 	}
-	if tel != nil {
-		tel.Counter(telemetry.MPlanCacheHits).Add(res.Stats.CacheHits)
-		tel.Counter(telemetry.MPlanCacheMisses).Add(res.Stats.CacheMisses)
-	}
 	return res, nil
 }
 
@@ -310,7 +307,7 @@ type sweep struct {
 	d       *dag.DAG
 	bounds  *graph.Bounds
 	tel     *telemetry.Registry
-	cache   *model.PredictionCache
+	tally   *model.PredictionCache // this sweep's books on the prediction cache
 	exact   model.Predictor
 	observe func(FrontierUpdate)
 
@@ -328,19 +325,17 @@ type sweep struct {
 	searches int64
 	pruned   int64
 	start    time.Time
-	hits0    uint64
-	misses0  uint64
 }
 
 func (s *sweep) stats() FrontierStats {
-	h1, m1 := s.cache.Stats()
+	hits, misses := s.tally.Stats()
 	return FrontierStats{
 		Phases:      int64(s.phase),
 		Searches:    s.searches,
 		Pruned:      s.pruned,
 		Evaluations: int64(len(s.sides)),
-		CacheHits:   int64(h1 - s.hits0),
-		CacheMisses: int64(m1 - s.misses0),
+		CacheHits:   int64(hits),
+		CacheMisses: int64(misses),
 		Wall:        time.Since(s.start),
 	}
 }

@@ -173,8 +173,8 @@ type Plan struct {
 	// measure.
 	Exact model.Prediction
 	// Search describes how the plan was found (see SearchStats); the
-	// cache and calibration fields are always populated, the search
-	// counters only when the Planner carried a telemetry registry.
+	// cache, calibration and DAG-size fields are always populated, the
+	// search counters only when the Planner carried a telemetry registry.
 	Search SearchStats
 }
 
@@ -217,9 +217,11 @@ type Planner struct {
 	AggregateModel bool
 	// Tel, when non-nil, receives spans and counters for every search
 	// phase (DAG builds, solver rounds, pool batches, cache traffic).
-	// Telemetry is observe-only: the chosen plan is bit-identical with
-	// Tel set or nil. Left nil, instrumentation costs one context lookup
-	// per phase.
+	// Each PlanContext call writes through its own Scope of Tel and reads
+	// Plan.Search back from it, so plans sharing a registry never report
+	// each other's work. Telemetry is observe-only: the chosen plan is
+	// bit-identical with Tel set or nil. Left nil, instrumentation costs
+	// one context lookup per phase.
 	Tel *telemetry.Registry
 
 	// mu guards the lazily-built memoization state: the fingerprint below
@@ -269,15 +271,13 @@ func (pl *Planner) cache() *model.PredictionCache {
 	return pl.Cache
 }
 
-// exactPredictor returns the memoized engine-faithful predictor.
-func (pl *Planner) exactPredictor() model.Predictor {
-	return pl.cache().Wrap(model.NewExact(pl.Params), pl.fingerprint(), "exact")
-}
-
-// paperPredictor returns the memoized whole-configuration paper model (the
-// default per-step formulation, as finish has always used).
-func (pl *Planner) paperPredictor() model.Predictor {
-	return pl.cache().Wrap(model.NewPaper(pl.Params), pl.fingerprint(), "paper")
+// flushPredictionTally adds a finished plan's or sweep's prediction-cache
+// traffic to the registry. It is the only writer of astra_predcache_*.
+func flushPredictionTally(tel *telemetry.Registry, tally *model.PredictionCache) {
+	hits, misses := tally.Stats()
+	tel.Counter(telemetry.MPredCacheHits).Add(int64(hits))
+	tel.Counter(telemetry.MPredCacheMisses).Add(int64(misses))
+	tel.Counter(telemetry.MPredCacheEvictions).Add(int64(tally.Evictions()))
 }
 
 // dagOpts resolves the DAG options, defaulting the build parallelism to
@@ -339,26 +339,27 @@ func (pl *Planner) PlanContext(ctx context.Context, obj Objective) (*Plan, error
 	if err := obj.Validate(); err != nil {
 		return nil, err
 	}
-	tel := pl.Tel
+	// This plan's own books; both forward, to pl.Tel and to the cache.
+	tel, booked := pl.Tel.Scope()
+	tally := pl.cache().Tally()
+	defer flushPredictionTally(tel, tally)
 	ctx = telemetry.NewContext(ctx, tel)
 	planSpan := tel.StartSpan("plan")
 	defer planSpan.End()
+	// The memoized engine-faithful model and whole-configuration paper
+	// model (the default per-step formulation, not the DAG's flavor).
+	exact := tally.Wrap(model.NewExact(pl.Params), pl.fingerprint(), "exact")
+	paper := tally.Wrap(model.NewPaper(pl.Params), pl.fingerprint(), "paper")
+	st := SearchStats{Solver: pl.Solver}
 	start := time.Now()
-	cache := pl.cache()
-	hits0, misses0 := cache.Stats()
-	evict0 := cache.Evictions()
-	var snap0 telemetry.Snapshot
-	if tel != nil {
-		snap0 = tel.Snapshot()
-	}
 	solve := func(o Objective) (mapreduce.Config, error) {
 		switch pl.Solver {
 		case Brute:
-			return pl.bruteSolve(ctx, o)
+			return pl.bruteSolve(ctx, o, exact)
 		case Rerank:
-			return pl.rerankSolve(ctx, o)
+			return pl.rerankSolve(ctx, o, exact, &st)
 		default:
-			return pl.dagSolve(ctx, o)
+			return pl.dagSolve(ctx, o, &st)
 		}
 	}
 	// Brute and Rerank already enforce the constraint under the exact
@@ -366,27 +367,18 @@ func (pl *Planner) PlanContext(ctx context.Context, obj Objective) (*Plan, error
 	needCalibration := pl.Solver != Brute && pl.Solver != Rerank
 
 	// attach stamps the plan with this search's statistics: the cache
-	// and calibration fields come from always-on counters, the search
-	// counters from registry deltas when telemetry is attached.
+	// and calibration fields come from the tally and the loop, the search
+	// counters from the scope when telemetry is attached.
 	attach := func(plan *Plan, iter int) *Plan {
-		st := SearchStats{
-			Solver:            pl.Solver,
-			Wall:              time.Since(start),
-			CalibrationRounds: int64(iter),
-		}
-		h1, m1 := cache.Stats()
-		st.CacheHits = int64(h1 - hits0)
-		st.CacheMisses = int64(m1 - misses0)
-		st.CacheEvictions = int64(cache.Evictions() - evict0)
+		st.Wall = time.Since(start)
+		st.CalibrationRounds = int64(iter)
+		hits, misses := tally.Stats()
+		st.CacheHits, st.CacheMisses = int64(hits), int64(misses)
+		st.CacheEvictions = int64(tally.Evictions())
 		if tel != nil {
 			tel.Counter(telemetry.MPlanSolves).Inc()
 			tel.Counter(telemetry.MPlanCalibrations).Add(int64(iter))
-			tel.Counter(telemetry.MPlanCacheHits).Add(st.CacheHits)
-			tel.Counter(telemetry.MPlanCacheMisses).Add(st.CacheMisses)
-			tel.Counter(telemetry.MPlanCacheEvictions).Add(st.CacheEvictions)
-			snap1 := tel.Snapshot()
-			st.fillFromDeltas(snap1, snap0)
-			st.Telemetry = true
+			st.fillCounters(booked)
 		}
 		plan.Search = st
 		return plan
@@ -402,7 +394,7 @@ func (pl *Planner) PlanContext(ctx context.Context, obj Objective) (*Plan, error
 		if err != nil {
 			return nil, err
 		}
-		plan, err := pl.finish(cfg, obj)
+		plan, err := pl.finish(cfg, obj, paper, exact)
 		if err != nil {
 			return nil, err
 		}
@@ -428,12 +420,12 @@ func (pl *Planner) PlanContext(ctx context.Context, obj Objective) (*Plan, error
 }
 
 // finish attaches both model predictions to a chosen configuration.
-func (pl *Planner) finish(cfg mapreduce.Config, obj Objective) (*Plan, error) {
-	paperPred, err := pl.paperPredictor().Predict(cfg)
+func (pl *Planner) finish(cfg mapreduce.Config, obj Objective, paper, exact model.Predictor) (*Plan, error) {
+	paperPred, err := paper.Predict(cfg)
 	if err != nil {
 		return nil, err
 	}
-	exactPred, err := pl.exactPredictor().Predict(cfg)
+	exactPred, err := exact.Predict(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -475,11 +467,12 @@ func searchErr(ctx context.Context, err error) error {
 
 // dagSolve runs Algorithm 1, CSP or Yen on the Fig. 5 DAG. The build is
 // memoized; destructive searches run on a clone.
-func (pl *Planner) dagSolve(ctx context.Context, obj Objective) (mapreduce.Config, error) {
+func (pl *Planner) dagSolve(ctx context.Context, obj Objective, st *SearchStats) (mapreduce.Config, error) {
 	d, err := pl.buildDAG(ctx, obj.mode())
 	if err != nil {
 		return mapreduce.Config{}, err
 	}
+	st.DAGNodes, st.DAGEdges = int64(d.G.NumNodes()), int64(d.G.NumEdges())
 	tel := telemetry.FromContext(ctx)
 	var path graph.Path
 	switch pl.Solver {
@@ -523,11 +516,12 @@ func (pl *Planner) dagSolve(ctx context.Context, obj Objective) (mapreduce.Confi
 // model in parallel, and returns the best configuration that satisfies
 // the constraint under the exact model. The scan order is fixed, so the
 // result does not depend on the pool size.
-func (pl *Planner) rerankSolve(ctx context.Context, obj Objective) (mapreduce.Config, error) {
+func (pl *Planner) rerankSolve(ctx context.Context, obj Objective, exact model.Predictor, st *SearchStats) (mapreduce.Config, error) {
 	d, err := pl.buildDAG(ctx, obj.mode())
 	if err != nil {
 		return mapreduce.Config{}, err
 	}
+	st.DAGNodes, st.DAGEdges = int64(d.G.NumNodes()), int64(d.G.NumEdges())
 	sp := telemetry.FromContext(ctx).StartSpan("plan/solve/rerank")
 	defer sp.End()
 	paths, err := d.G.YenKSPCtx(ctx, d.Src, d.Dst, rerankPaths, pl.Parallelism)
@@ -537,7 +531,6 @@ func (pl *Planner) rerankSolve(ctx context.Context, obj Objective) (mapreduce.Co
 	if len(paths) == 0 {
 		return mapreduce.Config{}, ErrNoFeasiblePlan
 	}
-	exact := pl.exactPredictor()
 	type scored struct {
 		cfg  mapreduce.Config
 		pred model.Prediction
@@ -610,7 +603,7 @@ func (c bruteCandidate) better(than bruteCandidate) bool {
 // sharding the (kM, kR) enumeration across the worker pool. Each pair's
 // inner tier scan runs in the serial order, and pair results fold in
 // ascending (kM, kR) order, so the winner is exactly the serial scan's.
-func (pl *Planner) bruteSolve(ctx context.Context, obj Objective) (mapreduce.Config, error) {
+func (pl *Planner) bruteSolve(ctx context.Context, obj Objective, exact model.Predictor) (mapreduce.Config, error) {
 	tiers := pl.DAGOptions.Tiers
 	if len(tiers) == 0 {
 		tiers = pl.Params.Sheet.Lambda.MemoryTiers()
@@ -636,7 +629,6 @@ func (pl *Planner) bruteSolve(ctx context.Context, obj Objective) (mapreduce.Con
 	}
 	sp := telemetry.FromContext(ctx).StartSpan("plan/solve/brute")
 	defer sp.End()
-	exact := pl.exactPredictor()
 	pairs := make([]bruteCandidate, maxKM*maxKR)
 	if err := parallel.ForEach(ctx, len(pairs), pl.Parallelism, func(pi int) {
 		kM := pi/maxKR + 1

@@ -1,11 +1,15 @@
 package optimizer
 
 import (
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"astra/internal/model"
 	"astra/internal/telemetry"
+	"astra/internal/workload"
 )
 
 // TestTelemetryDoesNotPerturbPlans is the observe-only guarantee:
@@ -163,5 +167,126 @@ func TestPlanSnapshotDeltasAreScoped(t *testing.T) {
 	if second.Search.DAGBuilds != 0 {
 		t.Fatalf("second search rebuilt the DAG %d times, want 0 (memoized)",
 			second.Search.DAGBuilds)
+	}
+}
+
+// searchBooks is the part of SearchStats that is a pure function of the
+// plan and its caches' warmth — what must not change with company.
+type searchBooks struct {
+	DAGBuilds, DAGNodes, DijkstraRuns, EdgesRelaxed, Alg1Rounds, CacheHits, CacheMisses int64
+}
+
+func booksOf(st SearchStats) searchBooks {
+	return searchBooks{st.DAGBuilds, st.DAGNodes, st.DijkstraRuns, st.EdgesRelaxed, st.Alg1Rounds, st.CacheHits, st.CacheMisses}
+}
+
+// TestConcurrentPlansKeepTheirOwnBooks: two cold plans of different
+// shapes sharing one registry, started together, must each report
+// exactly what the same plan reports alone — not the neighbour's
+// Dijkstra runs, DAG build or cache traffic — and the registry must hold
+// the sum of the two.
+func TestConcurrentPlansKeepTheirOwnBooks(t *testing.T) {
+	free, err := planner(Auto).Plan(unconstrainedTime())
+	if err != nil {
+		t.Fatal(err)
+	}
+	objs := [2]Objective{
+		unconstrainedTime(),
+		{Goal: MinTimeUnderBudget, Budget: free.Exact.TotalCost() * 9 / 10}, // binds: Algorithm 1 iterates
+	}
+	fresh := func(i int, reg *telemetry.Registry) *Planner {
+		pl := planner(Auto)
+		pl.Parallelism = 1
+		pl.Tel = reg
+		if i == 0 {
+			pl.Params.Job.NumObjects = 16
+		}
+		return pl
+	}
+	var alone [2]searchBooks
+	for i := range alone {
+		plan, err := fresh(i, telemetry.New()).Plan(objs[i])
+		if err != nil {
+			t.Fatalf("plan %d alone: %v", i, err)
+		}
+		alone[i] = booksOf(plan.Search)
+	}
+	if alone[0] == alone[1] || alone[1].Alg1Rounds < 2 || alone[0].DAGBuilds == 0 {
+		t.Fatalf("the two plans should do different, non-trivial work: %+v", alone)
+	}
+
+	const rounds = 50
+	reg := telemetry.New()
+	for r := 0; r < rounds; r++ {
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for i := range alone {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				pl := fresh(i, reg)
+				<-start
+				plan, err := pl.Plan(objs[i])
+				if err != nil {
+					t.Errorf("round %d plan %d: %v", r, i, err)
+					return
+				}
+				if got := booksOf(plan.Search); got != alone[i] {
+					t.Errorf("round %d plan %d reports %+v in company, %+v alone", r, i, got, alone[i])
+				}
+			}(i)
+		}
+		close(start)
+		wg.Wait()
+		if t.Failed() {
+			t.FailNow()
+		}
+	}
+	for name, each := range map[string][2]int64{
+		telemetry.MPlanSolves:         {1, 1},
+		telemetry.MDAGBuilds:          {alone[0].DAGBuilds, alone[1].DAGBuilds},
+		telemetry.MSearchDijkstraRuns: {alone[0].DijkstraRuns, alone[1].DijkstraRuns},
+		telemetry.MSearchEdgesRelaxed: {alone[0].EdgesRelaxed, alone[1].EdgesRelaxed},
+		telemetry.MAlg1Rounds:         {alone[0].Alg1Rounds, alone[1].Alg1Rounds},
+		telemetry.MPredCacheHits:      {alone[0].CacheHits, alone[1].CacheHits},
+		telemetry.MPredCacheMisses:    {alone[0].CacheMisses, alone[1].CacheMisses},
+	} {
+		if got, want := reg.Counter(name).Value(), rounds*(each[0]+each[1]); got != want {
+			t.Errorf("%s = %d after %d rounds, want %d", name, got, rounds, want)
+		}
+	}
+}
+
+// TestWarmPlanAllocatesLittle is the deterministic side of "planning
+// costs next to nothing": a warm plan on a registry whose span buffer is
+// at its cap — the long-running server's state — must not allocate in
+// proportion to the registry. Bracketing each plan with two registry
+// snapshots cost 1.33 MB per plan here.
+func TestWarmPlanAllocatesLittle(t *testing.T) {
+	reg := telemetry.New()
+	for i := 0; i < telemetry.DefaultSpanCap; i++ {
+		reg.StartSpan("filler").End()
+	}
+	pl := New(model.DefaultParams(workload.WordCount10GB()))
+	pl.Solver = Auto
+	pl.Parallelism = 1
+	pl.Tel = reg
+	obj := Objective{Goal: MinTimeUnderBudget, Budget: 1}
+	if _, err := pl.Plan(obj); err != nil {
+		t.Fatal(err)
+	}
+	const plans = 200
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < plans; i++ {
+		if _, err := pl.Plan(obj); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	perPlan := (after.TotalAlloc - before.TotalAlloc) / plans
+	t.Logf("a warm plan allocates %d bytes", perPlan)
+	if perPlan >= 64<<10 {
+		t.Fatalf("a warm plan allocates %d bytes, want < 64 KB", perPlan)
 	}
 }

@@ -111,18 +111,20 @@ func (tc *TemplateCache) Stats() TemplateStats {
 // cancellation never poisons the key for others. The returned DAG is
 // shared and frozen: search it read-only, Clone before mutating.
 //
-// The caller's registry (telemetry.FromContext) is counted into at the
-// instant each thing happens, not after Get returns: astra.
-// PublishCacheStats raises the same series to this cache's totals from
-// other goroutines, and a late increment would land on top of a total
-// that already includes it.
+// Get is the only writer of astra_plan_template_*: each call counts what
+// it did into the caller's registry (telemetry.FromContext), so a
+// registry that every user of the cache passes holds exactly Stats().
 func (tc *TemplateCache) Get(ctx context.Context, key TemplateKey, build func(context.Context) (*dag.DAG, error)) (*dag.DAG, error) {
+	// Looked up on every call, so all five are exported from the first on.
 	tel := telemetry.FromContext(ctx)
+	hits, misses := tel.Counter(telemetry.MPlanTemplateHits), tel.Counter(telemetry.MPlanTemplateMisses)
+	builds, waits := tel.Counter(telemetry.MPlanTemplateBuilds), tel.Counter(telemetry.MPlanTemplateWaits)
+	evictions := tel.Counter(telemetry.MPlanTemplateEvictions)
 	built := false
 	d, res, err := tc.c.Do(ctx, key, func(ctx context.Context) (*dag.DAG, error) {
 		built = true
-		tel.Counter(telemetry.MPlanTemplateMisses).Inc()
-		tel.Counter(telemetry.MPlanTemplateBuilds).Inc()
+		misses.Inc()
+		builds.Inc()
 		d, err := build(ctx)
 		if err == nil {
 			// Freeze before publishing so no reader ever contends on the
@@ -131,15 +133,13 @@ func (tc *TemplateCache) Get(ctx context.Context, key TemplateKey, build func(co
 		}
 		return d, err
 	}, func() {
-		tel.Counter(telemetry.MPlanTemplateMisses).Inc()
-		tel.Counter(telemetry.MPlanTemplateWaits).Inc()
+		misses.Inc()
+		waits.Inc()
 	})
 	if res.Hit {
-		tel.Counter(telemetry.MPlanTemplateHits).Inc()
+		hits.Inc()
 	}
-	if res.Evicted > 0 {
-		tel.Counter(telemetry.MPlanTemplateEvictions).Add(int64(res.Evicted))
-	}
+	evictions.Add(int64(res.Evicted))
 	if built && tel != nil {
 		tel.Gauge(telemetry.MPlanTemplateEntries).Set(int64(tc.c.Stats().Entries))
 	}

@@ -9,8 +9,10 @@ import (
 	"time"
 
 	"astra/internal/dag"
+	"astra/internal/graph"
 	"astra/internal/model"
 	"astra/internal/pricing"
+	"astra/internal/telemetry"
 	"astra/internal/workload"
 )
 
@@ -310,5 +312,57 @@ func TestTemplateRaceHammer(t *testing.T) {
 	}
 	if st := tpl.Stats(); st.Evictions == 0 {
 		t.Logf("warning: hammer produced no template evictions (stats %+v)", st)
+	}
+}
+
+// TestTemplateSeriesMatchCacheStats: Get is the only writer of
+// astra_plan_template_*, so a registry every caller passes holds exactly
+// the cache's own totals — while a neighbouring request races the same
+// keys (hits, waits, evictions all interleave at cap 4) and scrapes the
+// registry throughout. A second writer reconciling the series towards
+// Stats() used to over-count builds or evictions here.
+func TestTemplateSeriesMatchCacheStats(t *testing.T) {
+	keys, trials := 20000, 20
+	if testing.Short() {
+		keys, trials = 2000, 5
+	}
+	build := func(context.Context) (*dag.DAG, error) { return &dag.DAG{G: graph.New(1)}, nil }
+	for trial := 0; trial < trials; trial++ {
+		tel := telemetry.New()
+		ctx := telemetry.NewContext(context.Background(), tel)
+		tc := NewTemplateCache(4)
+		walk := func(scrape bool) {
+			for i := 0; i < keys; i++ {
+				if _, err := tc.Get(ctx, TemplateKey{Params: uint64(i)}, build); err != nil {
+					t.Errorf("Get: %v", err)
+				}
+				if scrape && i%64 == 0 {
+					tel.Snapshot()
+				}
+			}
+		}
+		neighbour := make(chan struct{})
+		go func() {
+			defer close(neighbour)
+			walk(true)
+		}()
+		walk(false)
+		<-neighbour
+
+		st := tc.Stats()
+		for name, want := range map[string]uint64{
+			telemetry.MPlanTemplateHits:      st.Hits,
+			telemetry.MPlanTemplateMisses:    st.Misses,
+			telemetry.MPlanTemplateBuilds:    st.Builds,
+			telemetry.MPlanTemplateEvictions: st.Evictions,
+			telemetry.MPlanTemplateWaits:     st.Waits,
+		} {
+			if got := tel.Counter(name).Value(); got != int64(want) {
+				t.Errorf("trial %d: %s = %d, cache counted %d (%+v)", trial, name, got, want, st)
+			}
+		}
+		if st.Hits+st.Misses != uint64(2*keys) || st.Builds < uint64(keys) {
+			t.Fatalf("trial %d: implausible traffic %+v", trial, st)
+		}
 	}
 }

@@ -807,7 +807,12 @@ func (m *Monitor) publishLocked() {
 }
 
 // raiseCounter lifts a counter to an externally-tracked total without
-// double-counting across publishes.
+// double-counting across publishes. Raise-to-total is sound only for a
+// series nothing else increments. The read-then-add is not atomic: two
+// racing publishes can overshoot, but only until the growing total
+// catches up (later publishes add nothing meanwhile), whereas an inline
+// Add landing between the two steps would be counted twice for good.
+// Every astra_qos_* counter is written only from here.
 func raiseCounter(reg *telemetry.Registry, name string, total int64) {
 	c := reg.Counter(name)
 	if d := total - c.Value(); d > 0 {

@@ -444,23 +444,27 @@ func TestGracefulShutdownDrains(t *testing.T) {
 		done <- srv.Shutdown(ctx)
 	}()
 
-	// Once draining, new requests are refused up front with 503.
-	deadline := time.After(5 * time.Second)
-	for {
-		resp, err := http.Post(srv.URL()+"/v1/plan", "application/json", strings.NewReader(planBody))
-		if err == nil {
-			code := resp.StatusCode
-			resp.Body.Close()
-			if code == http.StatusServiceUnavailable {
-				break
-			}
-			t.Fatalf("request during drain: status %d, want 503", code)
+	// Once draining, new requests are refused up front with 503. Wait for
+	// the gate itself to flip before probing: a probe that got through it
+	// first would block in the stub until release, which is closed below.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		srv.drainMu.RLock()
+		draining := srv.draining
+		srv.drainMu.RUnlock()
+		if draining {
+			break
 		}
-		select {
-		case <-deadline:
-			t.Fatal("drain gate never rejected new work")
-		case <-time.After(5 * time.Millisecond):
+		if time.Now().After(deadline) {
+			t.Fatal("Shutdown never closed the drain gate")
 		}
+	}
+	resp, err := http.Post(srv.URL()+"/v1/plan", "application/json", strings.NewReader(planBody))
+	if err != nil {
+		t.Fatalf("request during drain: %v", err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("request during drain: status %d, want 503", resp.StatusCode)
 	}
 	select {
 	case err := <-done:

@@ -139,7 +139,6 @@ func (s *service) Plan(ctx context.Context, req *api.PlanRequest) (*api.PlanResp
 		}
 		resp.Run = run
 	}
-	s.publish()
 	return resp, nil
 }
 
@@ -207,7 +206,6 @@ func (s *service) PlanBatch(ctx context.Context, req *api.PlanBatchRequest) (*ap
 			out.Results[i] = api.BatchResult{Plan: planResponse(r.Plan)}
 		}
 	}
-	s.publish()
 	return out, nil
 }
 
@@ -236,7 +234,6 @@ func (s *service) Frontier(ctx context.Context, req *api.FrontierRequest, observ
 	if _, err := astra.FrontierContext(ctx, job, fopts...); err != nil {
 		return nil, err
 	}
-	s.publish()
 	return &api.FrontierResponse{Final: last}, nil
 }
 
@@ -253,12 +250,6 @@ func (s *service) TenantSLO(_ context.Context, req *api.TenantSLORequest) (*api.
 		resp.Entries = append(resp.Entries, e)
 	}
 	return resp, nil
-}
-
-// publish reconciles the shared caches' cumulative totals onto the
-// registry so every /metrics scrape sees cross-tenant cache traffic.
-func (s *service) publish() {
-	astra.PublishCacheStats(s.tel, s.tc, s.pc)
 }
 
 // planResponse renders a plan into its deterministic wire form.

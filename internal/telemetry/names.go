@@ -7,9 +7,6 @@ const (
 	// Planner / search engine.
 	MPlanSolves          = "astra_plan_solves_total"
 	MPlanCalibrations    = "astra_plan_calibration_rounds_total"
-	MPlanCacheHits       = "astra_plan_cache_hits_total"
-	MPlanCacheMisses     = "astra_plan_cache_misses_total"
-	MPlanCacheEvictions  = "astra_plan_cache_evictions_total"
 	MDAGBuilds           = "astra_dag_builds_total"
 	MDAGNodes            = "astra_dag_nodes"
 	MDAGEdges            = "astra_dag_edges"
@@ -45,9 +42,8 @@ const (
 	MPlanTemplateWaits     = "astra_plan_template_waits_total"
 	MPlanTemplateEntries   = "astra_plan_template_entries"
 
-	// Process-wide shared prediction cache (cumulative, published by the
-	// batch front-end and the load driver from PredictionCache.Stats so
-	// /metrics shows cross-planner reuse, not one search's deltas).
+	// Prediction-cache traffic: each plan and each frontier sweep adds
+	// its own tally (model.PredictionCache.Tally) once, when it ends.
 	MPredCacheHits      = "astra_predcache_hits_total"
 	MPredCacheMisses    = "astra_predcache_misses_total"
 	MPredCacheEvictions = "astra_predcache_evictions_total"

@@ -14,7 +14,8 @@
 // Registries travel through context (NewContext/FromContext) so the
 // concurrent search engine's existing context plumbing carries the
 // registry down to the graph solvers and the worker pool without new
-// parameters. All operations are safe for concurrent use.
+// parameters (a request that wants its own numbers back sends a Scope
+// instead). All operations are safe for concurrent use.
 package telemetry
 
 import (
@@ -29,15 +30,15 @@ import (
 // Counter is a monotonically increasing atomic counter. The zero value
 // of *Counter (nil) is a no-op.
 type Counter struct {
-	v atomic.Int64
+	v      atomic.Int64
+	parent *Counter // set on a Scope's counter: every write is repeated on it
 }
 
 // Add increments the counter by n; no-op on a nil receiver.
 func (c *Counter) Add(n int64) {
-	if c == nil {
-		return
+	for ; c != nil; c = c.parent {
+		c.v.Add(n)
 	}
-	c.v.Add(n)
 }
 
 // Inc increments the counter by one.
@@ -55,33 +56,33 @@ func (c *Counter) Value() int64 {
 // (nil) is a no-op.
 type Gauge struct {
 	v atomic.Int64
+	// parent is set on a Scope's gauge: each operation is repeated on it
+	// as issued, so a Set overwrites it and a SetMax can only raise it.
+	parent *Gauge
 }
 
 // Set stores v; no-op on a nil receiver.
 func (g *Gauge) Set(v int64) {
-	if g == nil {
-		return
+	for ; g != nil; g = g.parent {
+		g.v.Store(v)
 	}
-	g.v.Store(v)
 }
 
 // Add adjusts the gauge by delta (negative deltas allowed).
 func (g *Gauge) Add(delta int64) {
-	if g == nil {
-		return
+	for ; g != nil; g = g.parent {
+		g.v.Add(delta)
 	}
-	g.v.Add(delta)
 }
 
 // SetMax raises the gauge to v if v is larger (a high-water mark).
 func (g *Gauge) SetMax(v int64) {
-	if g == nil {
-		return
-	}
-	for {
-		cur := g.v.Load()
-		if v <= cur || g.v.CompareAndSwap(cur, v) {
-			return
+	for ; g != nil; g = g.parent {
+		for {
+			cur := g.v.Load()
+			if v <= cur || g.v.CompareAndSwap(cur, v) {
+				break
+			}
 		}
 	}
 }
@@ -212,6 +213,10 @@ const DefaultSpanCap = 8192
 // of *Registry (nil) is the no-op default: every method returns
 // immediately. Construct with New and share freely across goroutines.
 type Registry struct {
+	// parent is non-nil on a Scope: counters and gauges created here
+	// forward to its same-named series, histograms and spans are its own.
+	parent *Registry
+
 	mu       sync.RWMutex
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
@@ -234,6 +239,35 @@ func New() *Registry {
 	}
 }
 
+// Scope opens one request's books on r: a registry that starts at zero
+// and tees. A counter or gauge obtained from it counts what was written
+// through it and repeats every write on r's series of the same name
+// (created alongside, as a lookup on r would); histograms and spans are
+// simply r's. A tee, not snapshot-and-merge: a merge would have to know
+// which gauges are Set and which SetMax. Instrumented code gets sc (via
+// NewContext); the opener gets read, which reports a series as written
+// through the scope, 0 if untouched — without creating it, where
+// Counter(name).Value() would add a zero series to r's exports. A nil
+// registry yields a nil scope.
+func (r *Registry) Scope() (sc *Registry, read func(name string) int64) {
+	if r == nil {
+		return nil, func(string) int64 { return 0 }
+	}
+	sc = &Registry{
+		parent:   r,
+		counters: make(map[string]*Counter),
+		gauges:   make(map[string]*Gauge),
+	}
+	return sc, func(name string) int64 {
+		sc.mu.RLock()
+		defer sc.mu.RUnlock()
+		if c, ok := sc.counters[name]; ok {
+			return c.Value()
+		}
+		return sc.gauges[name].Value()
+	}
+}
+
 // Counter returns the named counter, creating it on first use. Returns
 // nil (the no-op counter) on a nil registry.
 func (r *Registry) Counter(name string) *Counter {
@@ -249,7 +283,7 @@ func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c, ok = r.counters[name]; !ok {
-		c = &Counter{}
+		c = &Counter{parent: r.parent.Counter(name)}
 		r.counters[name] = c
 	}
 	return c
@@ -269,7 +303,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if g, ok = r.gauges[name]; !ok {
-		g = &Gauge{}
+		g = &Gauge{parent: r.parent.Gauge(name)}
 		r.gauges[name] = g
 	}
 	return g
@@ -281,6 +315,9 @@ func (r *Registry) Gauge(name string) *Gauge {
 func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 	if r == nil {
 		return nil
+	}
+	if r.parent != nil {
+		return r.parent.Histogram(name, bounds)
 	}
 	r.mu.RLock()
 	h, ok := r.hists[name]
@@ -326,9 +363,14 @@ func (r *Registry) RecordVirtual(path string, start, end time.Duration) {
 	})
 }
 
-// record appends a finished span, honoring the buffer cap.
+// record appends a finished span, honoring the buffer cap; a scope hands
+// it to its parent.
 func (r *Registry) record(rec SpanRecord) {
 	if r == nil {
+		return
+	}
+	if r.parent != nil {
+		r.parent.record(rec)
 		return
 	}
 	r.spanMu.Lock()

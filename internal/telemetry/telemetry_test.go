@@ -455,3 +455,126 @@ func TestObserveN(t *testing.T) {
 		t.Fatalf("bucket counts = %v", hs.Counts)
 	}
 }
+
+// TestScope pins what a per-request scope promises: its books start at
+// zero, every write reaches the parent's series exactly once, a SetMax
+// through a scope never lowers the parent, reading the scope's books
+// creates nothing, and histograms and spans are the parent's.
+func TestScope(t *testing.T) {
+	if sc, read := (*Registry)(nil).Scope(); sc != nil || read("c") != 0 {
+		t.Fatalf("nil registry: scope %v, read %d; want nil, 0", sc, read("c"))
+	}
+
+	reg := New()
+	reg.Counter("c").Add(10)
+	reg.Gauge("set").Set(10)
+	reg.Gauge("peak").SetMax(10)
+
+	sc, read := reg.Scope()
+	if got := read("c") + read("set") + read("peak"); got != 0 {
+		t.Fatalf("fresh scope reads %d, want 0", got)
+	}
+	sc.Counter("c").Add(3)
+	sc.Counter("c").Inc()
+	sc.Gauge("set").Set(2)
+	sc.Gauge("peak").SetMax(4)
+	sc.Gauge("depth").Add(5)
+	sc.Gauge("depth").Add(-2)
+	check := func(name string, scope, parent int64) {
+		t.Helper()
+		snap := reg.Snapshot()
+		if got := snap.Counters[name] + snap.Gauges[name]; read(name) != scope || got != parent {
+			t.Errorf("%s: scope %d, parent %d; want %d, %d", name, read(name), got, scope, parent)
+		}
+	}
+	check("c", 4, 14)
+	check("set", 2, 2)
+	check("peak", 4, 10)
+	check("depth", 3, 3)
+	sc.Gauge("peak").SetMax(12)
+	check("peak", 12, 12)
+
+	// A second scope starts at zero again and adds to the same parent.
+	sc2, read2 := reg.Scope()
+	sc2.Counter("c").Add(6)
+	if read2("c") != 6 || read("c") != 4 || reg.Counter("c").Value() != 20 {
+		t.Errorf("second scope %d, first %d, parent %d; want 6, 4, 20",
+			read2("c"), read("c"), reg.Counter("c").Value())
+	}
+
+	// Reading a series the scope never touched creates it nowhere; looking
+	// one up creates it on the parent too, as a direct lookup would.
+	if read("untouched") != 0 {
+		t.Error("untouched series read non-zero")
+	}
+	sc.Counter("looked_up")
+	snap := reg.Snapshot()
+	if _, ok := snap.Counters["untouched"]; ok {
+		t.Error("reading the scope's books created a series on the parent")
+	}
+	if _, ok := snap.Counters["looked_up"]; !ok {
+		t.Error("a counter looked up through the scope is missing from the parent")
+	}
+	if own := sc.Snapshot(); own.Counters["c"] != 4 || len(own.Spans) != 0 || len(own.Histograms) != 0 {
+		t.Errorf("scope snapshot = %+v, want its own counters and nothing of the parent's", own)
+	}
+
+	sc.Histogram("h", SizeBuckets).Observe(3)
+	sp := sc.StartSpan("plan")
+	sp.Child("solve").End()
+	sp.End()
+	sc.RecordVirtual("run", 0, time.Second)
+	snap = reg.Snapshot()
+	if snap.Histograms["h"].Count != 1 {
+		t.Errorf("histogram observed through the scope: parent count %d, want 1", snap.Histograms["h"].Count)
+	}
+	if len(snap.Spans) != 3 || len(snap.SpansUnder("plan")) != 2 {
+		t.Errorf("parent holds %d spans (%d under plan), want 3 (2)", len(snap.Spans), len(snap.SpansUnder("plan")))
+	}
+}
+
+// TestScopeHammer runs eight scopes over one parent under contention:
+// each scope must end with exactly its own writes, the parent with the
+// sum and the highest peak. Under -race this is the tee's safety gate.
+func TestScopeHammer(t *testing.T) {
+	reg := New()
+	const scopes, writes = 8, 2000
+	var wg sync.WaitGroup
+	for s := 1; s <= scopes; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			sc, read := reg.Scope()
+			var inner sync.WaitGroup
+			for w := 0; w < 2; w++ { // a plan's pool workers share its scope
+				inner.Add(1)
+				go func() {
+					defer inner.Done()
+					for i := 0; i < writes; i++ {
+						sc.Counter("work").Add(int64(s))
+						sc.Gauge("peak").SetMax(int64(s * i))
+						sc.StartSpan("plan").End()
+					}
+				}()
+			}
+			inner.Wait()
+			if got, want := read("work"), int64(2*writes*s); got != want {
+				t.Errorf("scope %d booked %d, want %d", s, got, want)
+			}
+			if got, want := read("peak"), int64(s*(writes-1)); got != want {
+				t.Errorf("scope %d peak %d, want %d", s, got, want)
+			}
+		}(s)
+	}
+	wg.Wait()
+	if got, want := reg.Counter("work").Value(), int64(2*writes*scopes*(scopes+1)/2); got != want {
+		t.Errorf("parent total %d, want %d", got, want)
+	}
+	if got, want := reg.Gauge("peak").Value(), int64(scopes*(writes-1)); got != want {
+		t.Errorf("parent peak %d, want %d", got, want)
+	}
+	snap := reg.Snapshot()
+	if got := int64(len(snap.Spans)) + snap.SpanDrops; got != 2*writes*scopes {
+		t.Errorf("parent saw %d spans, want %d", got, 2*writes*scopes)
+	}
+}
