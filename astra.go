@@ -82,8 +82,9 @@ var (
 
 // Solvers.
 const (
-	// SolverAuto runs the paper's Algorithm 1 with an exact
-	// constrained-shortest-path fallback; the recommended default.
+	// SolverAuto is exact on the configuration DAG: one Dijkstra, then
+	// bounded label-setting only when the constraint binds; the
+	// recommended default.
 	SolverAuto = optimizer.Auto
 	// SolverAlgorithm1 is the paper's heuristic, as written.
 	SolverAlgorithm1 = optimizer.Algorithm1

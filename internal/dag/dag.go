@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"math"
+	"sync"
 
 	"astra/internal/graph"
 	"astra/internal/mapreduce"
@@ -107,12 +108,22 @@ type DAG struct {
 	Src, Dst int
 	Mode     Mode
 
+	layout
+
+	// The to-go bounds of G toward Dst, computed by the first ToGoBounds
+	// call and shared by every later one (see ToGoBounds).
+	boundsOnce sync.Once
+	bounds     *graph.Bounds
+}
+
+// layout is what Decode needs to read a path back: the tier list, the
+// fan-in caps and the node id base of each column.
+type layout struct {
 	tiers  []int
 	maxKM  int
 	maxKR  int
 	nTiers int
 
-	// node id bases for decoding
 	iBase, kmBase, krBase, kraBase, sBase int
 }
 
@@ -162,10 +173,7 @@ func BuildContext(ctx context.Context, m *model.Paper, mode Mode, opts Options) 
 
 	d := &DAG{
 		Mode:   mode,
-		tiers:  tiers,
-		maxKM:  maxKM,
-		maxKR:  maxKR,
-		nTiers: L,
+		layout: layout{tiers: tiers, maxKM: maxKM, maxKR: maxKR, nTiers: L},
 	}
 	// Node ids: [src, dst, i x L, kM x maxKM, kR x maxKR, (kR,a) x maxKR*L, s x L]
 	d.Src = 0
@@ -354,13 +362,31 @@ func BuildContext(ctx context.Context, m *model.Paper, mode Mode, opts Options) 
 	return d, nil
 }
 
-// WithGraph returns a shallow copy of the DAG whose searches run on g —
+// WithGraph returns a copy of the DAG whose searches run on g —
 // typically a Clone of the original graph, so destructive searches
-// (Algorithm 1) can reuse one memoized build.
+// (Algorithm 1) can reuse one memoized build. The copy starts without
+// to-go bounds: they describe d.G, not g.
 func (d *DAG) WithGraph(g *graph.Graph) *DAG {
-	c := *d
-	c.G = g
-	return &c
+	return &DAG{G: g, Src: d.Src, Dst: d.Dst, Mode: d.Mode, layout: d.layout}
+}
+
+// ToGoBounds returns the admissible per-node bounds of G toward Dst
+// (graph.ToGoBounds), computing them on the first call and handing the
+// same arrays to every later one. Bounds are a pure function of a graph
+// that no longer changes, so they belong to the template: a shape pays
+// for them once — on its first binding request or frontier sweep, never
+// on a request the unconstrained optimum already answers — and they go
+// when the template is evicted. Concurrent first callers compute once;
+// the one that does records a plan/togo-bounds span on the context's
+// registry. G must not be mutated afterwards: destructive searches run on
+// WithGraph(G.Clone()), which carries no bounds.
+func (d *DAG) ToGoBounds(ctx context.Context) *graph.Bounds {
+	d.boundsOnce.Do(func() {
+		sp := telemetry.FromContext(ctx).StartSpan("plan/togo-bounds")
+		d.bounds = d.G.ToGoBounds(d.Dst)
+		sp.End()
+	})
+	return d.bounds
 }
 
 // Decode maps a source-to-destination path back to a configuration.

@@ -2,7 +2,9 @@ package dag
 
 import (
 	"context"
+	"errors"
 	"math"
+	"reflect"
 	"testing"
 
 	"astra/internal/graph"
@@ -211,5 +213,47 @@ func TestDecodeRejectsMalformedPaths(t *testing.T) {
 func TestModeString(t *testing.T) {
 	if MinimizeTime.String() != "minimize-time" || MinimizeCost.String() != "minimize-cost" {
 		t.Fatal("mode names changed")
+	}
+}
+
+// TestToGoBoundsMemoizedOnTheTemplate: the template computes its bounds
+// once and hands every caller the same arrays, and a working copy whose
+// graph lost edges never sees them — it computes its own, for its own
+// graph.
+func TestToGoBoundsMemoizedOnTheTemplate(t *testing.T) {
+	ctx := context.Background()
+	d, err := BuildContext(ctx, testModel(), MinimizeTime, Options{Tiers: testTiers})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := d.ToGoBounds(ctx)
+	if d.ToGoBounds(ctx) != b {
+		t.Fatal("second ToGoBounds call recomputed the bounds")
+	}
+	if want := d.G.ToGoBounds(d.Dst); !reflect.DeepEqual(b, want) {
+		t.Fatal("memoized bounds differ from graph.ToGoBounds")
+	}
+
+	// Algorithm 1 under a budget the fastest path breaks removes edges
+	// from the clone, whether or not it then finds a feasible path.
+	work := d.WithGraph(d.G.Clone())
+	if _, err := work.G.Algorithm1Ctx(ctx, work.Src, work.Dst, b.SideToGo[d.Src]*1.01); err != nil && !errors.Is(err, graph.ErrInfeasible) {
+		t.Fatal(err)
+	}
+	if work.G.NumEdges() == d.G.NumEdges() {
+		t.Fatal("Algorithm 1 removed no edge; the test needs a mutated clone")
+	}
+	wb := work.ToGoBounds(ctx)
+	if wb == b {
+		t.Fatal("WithGraph copy returned the pristine graph's bounds")
+	}
+	if want := work.G.ToGoBounds(work.Dst); !reflect.DeepEqual(wb, want) {
+		t.Fatal("the copy's bounds are not its own graph's")
+	}
+	if !(wb.WToGo[work.Src] > b.WToGo[d.Src]) {
+		t.Fatalf("removing the fastest paths left WToGo[src] at %v (pristine %v)", wb.WToGo[work.Src], b.WToGo[d.Src])
+	}
+	if d.ToGoBounds(ctx) != b {
+		t.Fatal("mutating the clone disturbed the template's bounds")
 	}
 }

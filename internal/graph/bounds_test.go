@@ -122,3 +122,48 @@ func TestBoundedConstrainedInfeasibleRoot(t *testing.T) {
 		t.Fatalf("err = %v, want ErrInfeasible", err)
 	}
 }
+
+// TestExactNeverWorseThanAlgorithm1 is the property the default planner
+// stands on: one Dijkstra, and bounded label-setting only when its path
+// breaks the budget, is feasible whenever the paper's Algorithm 1 is and
+// never returns a worse objective — and on some budgets a strictly
+// better one, or a path where the heuristic disconnects the graph.
+func TestExactNeverWorseThanAlgorithm1(t *testing.T) {
+	ctx := context.Background()
+	better, rescued := 0, 0
+	for seed := int64(0); seed < 40; seed++ {
+		rng := rand.New(rand.NewSource(2000 + seed))
+		layers := 2 + rng.Intn(4)
+		g, _, src, dst := randomPair(rng, layers, 2+rng.Intn(4))
+		b := g.ToGoBounds(dst)
+		free, err := g.ShortestPathCtx(ctx, src, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for trial := 0; trial < 6; trial++ {
+			budget := b.SideToGo[src] + (free.Side-b.SideToGo[src])*rng.Float64()*1.1
+			exact, eerr := free, error(nil)
+			if free.Side > budget {
+				exact, eerr = g.ConstrainedShortestPathBoundedCtx(ctx, src, dst, budget, b, math.Inf(1))
+			}
+			alg1, aerr := g.Clone().Algorithm1Ctx(ctx, src, dst, budget)
+			switch {
+			case aerr == nil && eerr != nil:
+				t.Fatalf("seed %d budget %v: Algorithm 1 found %+v, the exact search nothing (%v)", seed, budget, alg1, eerr)
+			case aerr == nil && exact.W > alg1.W:
+				t.Fatalf("seed %d budget %v: exact W %v worse than Algorithm 1's %v", seed, budget, exact.W, alg1.W)
+			case aerr == nil && exact.W < alg1.W:
+				better++
+			case aerr != nil && eerr == nil:
+				rescued++
+			}
+			if eerr == nil && exact.Side > budget {
+				t.Fatalf("seed %d budget %v: exact path side %v over budget", seed, budget, exact.Side)
+			}
+		}
+	}
+	t.Logf("exact strictly better on %d searches, feasible where Algorithm 1 was not on %d", better, rescued)
+	if better+rescued == 0 {
+		t.Fatal("no search separated the two solvers; the instances are too easy to test anything")
+	}
+}

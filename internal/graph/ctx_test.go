@@ -4,7 +4,10 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"reflect"
 	"testing"
+
+	"astra/internal/telemetry"
 )
 
 // layered builds a random layered DAG shaped like the configuration DAG:
@@ -90,5 +93,37 @@ func TestSearchCancellation(t *testing.T) {
 	}
 	if _, err := g.YenUntilCtx(ctx, src, dst, 2.0, 50, 4); !errors.Is(err, context.Canceled) {
 		t.Fatalf("YenUntilCtx err = %v, want context.Canceled", err)
+	}
+}
+
+// TestShortestPathCtxIsOnTheBooks: the counted Dijkstra returns what
+// ShortestPath returns, books exactly one run and its relaxations on the
+// context's registry, and observes a context that is already done.
+func TestShortestPathCtxIsOnTheBooks(t *testing.T) {
+	g, src, dst := layered(4, 5, 3)
+	want, err := g.ShortestPath(src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := telemetry.New()
+	ctx := telemetry.NewContext(context.Background(), reg)
+	got, err := g.ShortestPathCtx(ctx, src, dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.W != want.W || got.Side != want.Side || !reflect.DeepEqual(got.Nodes, want.Nodes) {
+		t.Fatalf("ShortestPathCtx = %+v, ShortestPath = %+v", got, want)
+	}
+	if runs, relaxed := reg.Counter(telemetry.MSearchDijkstraRuns).Value(), reg.Counter(telemetry.MSearchEdgesRelaxed).Value(); runs != 1 || relaxed < int64(len(got.Nodes)-1) {
+		t.Fatalf("booked %d runs and %d relaxations for a %d-hop path, want 1 run", runs, relaxed, len(got.Nodes)-1)
+	}
+
+	cctx, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, err := g.ShortestPathCtx(cctx, src, dst); err != context.Canceled {
+		t.Fatalf("cancelled context: err = %v", err)
+	}
+	if _, err := g.ShortestPathCtx(ctx, dst, src); !errors.Is(err, ErrNoPath) {
+		t.Fatalf("dst -> src: err = %v, want ErrNoPath", err)
 	}
 }

@@ -350,23 +350,33 @@ func (g *Graph) assemble(src, dst int, prev []int32) (Path, bool) {
 
 // ShortestPath returns the minimum-W path from src to dst.
 func (g *Graph) ShortestPath(src, dst int) (Path, error) {
-	var p Path
-	var err error
-	telemetry.DoPhase(context.Background(), telemetry.PhaseDijkstra, func(context.Context) {
-		p, _, err = g.shortestPathStats(src, dst)
-	})
-	return p, err
+	return g.ShortestPathCtx(context.Background(), src, dst)
 }
 
-// shortestPathStats is ShortestPath plus the relaxation count, for
-// instrumented callers.
-func (g *Graph) shortestPathStats(src, dst int) (Path, int64, error) {
-	sc := g.getScratch(nil)
-	defer putScratch(sc)
-	relaxed := g.dijkstra(sc, src, nil, nil)
-	p, ok := g.assemble(src, dst, sc.prev)
-	if !ok {
-		return Path{}, relaxed, ErrNoPath
+// ShortestPathCtx is ShortestPath on the caller's books: the one counted
+// Dijkstra entry point. The run and its relaxations go to the context's
+// telemetry registry (astra_search_dijkstra_runs_total,
+// astra_search_edges_relaxed_total), so a planner that opens with a
+// single unconstrained search reports it like every other solver pass.
+// The graph is not mutated. A single Dijkstra is short enough that the
+// context is only checked on entry.
+func (g *Graph) ShortestPathCtx(ctx context.Context, src, dst int) (Path, error) {
+	if err := ctx.Err(); err != nil {
+		return Path{}, err
 	}
-	return p, relaxed, nil
+	var p Path
+	var err error
+	telemetry.DoPhase(ctx, telemetry.PhaseDijkstra, func(ctx context.Context) {
+		tel := telemetry.FromContext(ctx)
+		sc := g.getScratch(tel)
+		defer putScratch(sc)
+		relaxed := g.dijkstra(sc, src, nil, nil)
+		tel.Counter(telemetry.MSearchDijkstraRuns).Inc()
+		tel.Counter(telemetry.MSearchEdgesRelaxed).Add(relaxed)
+		var ok bool
+		if p, ok = g.assemble(src, dst, sc.prev); !ok {
+			err = ErrNoPath
+		}
+	})
+	return p, err
 }

@@ -40,9 +40,7 @@ func (g *Graph) yenKSPCtx(ctx context.Context, src, dst, k, workers int) ([]Path
 	spurSearches := tel.Counter(telemetry.MYenSpurSearches)
 	runs := tel.Counter(telemetry.MSearchDijkstraRuns)
 	relaxations := tel.Counter(telemetry.MSearchEdgesRelaxed)
-	first, relaxed0, err := g.shortestPathStats(src, dst)
-	runs.Inc()
-	relaxations.Add(relaxed0)
+	first, err := g.ShortestPathCtx(ctx, src, dst)
 	if err != nil {
 		return nil, ctx.Err()
 	}

@@ -143,8 +143,9 @@ const deadlineSlack = 1e-9
 //     gaps of the frontier-so-far until Size points are on hand,
 //     refinement stops making progress, or the round cap is hit.
 //
-// Before any search, per-node to-go bounds from the destination
-// (graph.ToGoBounds) are computed once; they prune label expansions
+// Every search reads the template's per-node to-go bounds from the
+// destination (dag.DAG.ToGoBounds: computed by the first sweep or binding
+// plan on the shape, shared after); they prune label expansions
 // that cannot meet the deadline or undercut the best known cost, and a
 // probe algebra over completed searches skips whole deadlines whose
 // optimum is already determined (monotonicity of the constrained
@@ -213,7 +214,7 @@ func sweepFrontier(ctx context.Context, spec FrontierSpec) (*FrontierResult, err
 		return nil, err
 	}
 	s.d = d
-	s.bounds = d.G.ToGoBounds(d.Dst)
+	s.bounds = d.ToGoBounds(ctx)
 	s.minTime = s.bounds.SideToGo[d.Src]
 	if math.IsInf(s.minTime, 1) {
 		return nil, fmt.Errorf("%w: configuration graph is disconnected", ErrNoFeasiblePlan)
@@ -223,7 +224,7 @@ func sweepFrontier(ctx context.Context, spec FrontierSpec) (*FrontierResult, err
 	// Dijkstra — and its Side is the slow end of the bracket; the
 	// cheapest plan at the minimum achievable time is one constrained
 	// search at the fast end.
-	cheap, err := d.G.ShortestPath(d.Src, d.Dst)
+	cheap, err := d.G.ShortestPathCtx(ctx, d.Src, d.Dst)
 	if err != nil {
 		return nil, searchErr(ctx, err)
 	}

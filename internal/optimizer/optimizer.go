@@ -4,10 +4,15 @@
 // threshold — it searches the configuration space and returns the
 // execution plan (memory tiers and degrees of parallelism).
 //
-// Four solvers are provided:
+// The default, Auto, is exact on the DAG: one Dijkstra answers a request
+// whose constraint does not bind, and a binding one is solved by
+// label-setting ordered and pruned by to-go bounds that are computed once
+// per DAG template. The named alternatives:
 //
 //   - Algorithm1: the paper's method — Dijkstra on the Fig. 5 DAG with
 //     iterative removal of constraint-violating edges.
+//   - CSP: exact label-setting with Pareto dominance pruning and no
+//     bounds; the reference Auto is property-tested against.
 //   - Yen: k-shortest paths on the same DAG until one satisfies the
 //     constraint; exact on the DAG, the reference for Algorithm 1's gap.
 //   - Rerank: top-K DAG paths re-evaluated with the exact engine model,
@@ -19,17 +24,18 @@
 // The engine is concurrent: DAG construction and candidate evaluation
 // shard across a bounded worker pool (Planner.Parallelism), model
 // predictions memoize through a sharded cache keyed by (Config, params
-// fingerprint), and built DAGs are reused across the calibration loop and
-// Algorithm 1's destructive rounds via cloning. Every search accepts a
-// context (PlanContext) for cancellation and deadlines. Results are
-// deterministic: a Planner returns the identical Plan at every
-// parallelism degree.
+// fingerprint), and built DAGs are frozen templates shared read-only
+// across plans and calibration rounds (only Algorithm 1, which removes
+// edges, works on a clone). Every search accepts a context (PlanContext)
+// for cancellation and deadlines. Results are deterministic: a Planner
+// returns the identical Plan at every parallelism degree.
 package optimizer
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"time"
@@ -109,9 +115,10 @@ const (
 	Rerank
 	// Brute exhaustively enumerates with the exact model.
 	Brute
-	// Auto runs Algorithm 1 and falls back to CSP when the heuristic's
-	// destructive edge removal disconnects the graph before finding a
-	// feasible path (a known failure mode, quantified in ablation A1).
+	// Auto is the exact default: one Dijkstra on the shared template, and
+	// when that path breaks the constraint, label-setting CSP ordered and
+	// pruned by the template's memoized to-go bounds. It returns CSP's
+	// plan; a request whose constraint does not bind costs one Dijkstra.
 	Auto
 	// CSP solves the weight-constrained shortest path on the DAG exactly
 	// with label-setting and Pareto dominance pruning.
@@ -128,7 +135,7 @@ func (s Solver) String() string {
 	case Brute:
 		return "brute-force"
 	case Auto:
-		return "algorithm1+csp"
+		return "dijkstra+csp"
 	case CSP:
 		return "label-setting-csp"
 	default:
@@ -204,10 +211,10 @@ type Planner struct {
 	Cache *model.PredictionCache
 	// Templates memoizes frozen DAG builds: a template hit skips
 	// BuildContext entirely and hands the solvers the shared CSR graph
-	// (destructive searches already run on a Clone). Left nil, a private
-	// cache is created on first use, so a planner reused across objectives
-	// or calibration rounds builds each DAG once; set it to share builds
-	// across planner instances.
+	// (only Algorithm 1 mutates, and it runs on a Clone). Left nil, a
+	// private cache is created on first use, so a planner reused across
+	// objectives or calibration rounds builds each DAG once; set it to
+	// share builds across planner instances.
 	Templates *TemplateCache
 	// BruteWorkLimit bounds brute-force enumeration (default 2e6 configs).
 	BruteWorkLimit int
@@ -301,8 +308,9 @@ func (pl *Planner) templates() *TemplateCache {
 }
 
 // buildDAG returns the memoized DAG for a mode, building it on first use.
-// The returned DAG is pristine and shared: read-only searches may use it
-// directly; destructive searches must run on a clone (see WithGraph).
+// The returned DAG is pristine and shared: read-only searches use it
+// directly; Algorithm 1, which removes edges, must run on a clone (see
+// WithGraph).
 func (pl *Planner) buildDAG(ctx context.Context, mode dag.Mode) (*dag.DAG, error) {
 	opts := pl.dagOpts()
 	return pl.templates().Get(ctx, TemplateKey{
@@ -330,8 +338,11 @@ func (pl *Planner) Plan(obj Objective) (*Plan, error) {
 // on a violation, re-solves with a proportionally tightened internal
 // constraint until the user's requirement holds (a small calibration
 // loop — the "dynamically adjusted and refined" modeling the paper's
-// discussion section sketches). The memoized DAG and prediction caches
-// make these re-solves incremental rather than from-scratch.
+// discussion section sketches). A re-solve searches the same shared
+// template against warm prediction caches, and under Auto it is only the
+// bounded label-setting: the plan's one Dijkstra is kept across rounds,
+// since a budget that only tightens cannot revive a path it already
+// rejected.
 func (pl *Planner) PlanContext(ctx context.Context, obj Objective) (*Plan, error) {
 	if err := pl.Params.Validate(); err != nil {
 		return nil, err
@@ -352,6 +363,7 @@ func (pl *Planner) PlanContext(ctx context.Context, obj Objective) (*Plan, error
 	paper := tally.Wrap(model.NewPaper(pl.Params), pl.fingerprint(), "paper")
 	st := SearchStats{Solver: pl.Solver}
 	start := time.Now()
+	var free graph.Path // Auto's unconstrained optimum, found once per plan
 	solve := func(o Objective) (mapreduce.Config, error) {
 		switch pl.Solver {
 		case Brute:
@@ -359,7 +371,7 @@ func (pl *Planner) PlanContext(ctx context.Context, obj Objective) (*Plan, error
 		case Rerank:
 			return pl.rerankSolve(ctx, o, exact, &st)
 		default:
-			return pl.dagSolve(ctx, o, &st)
+			return pl.dagSolve(ctx, o, &st, &free)
 		}
 	}
 	// Brute and Rerank already enforce the constraint under the exact
@@ -465,9 +477,11 @@ func searchErr(ctx context.Context, err error) error {
 	return err
 }
 
-// dagSolve runs Algorithm 1, CSP or Yen on the Fig. 5 DAG. The build is
-// memoized; destructive searches run on a clone.
-func (pl *Planner) dagSolve(ctx context.Context, obj Objective, st *SearchStats) (mapreduce.Config, error) {
+// dagSolve runs the planner's DAG solver on the Fig. 5 DAG. The build is
+// memoized and searched in place; only Algorithm 1, which removes edges,
+// runs on a clone. free carries Auto's Dijkstra across one plan's
+// calibration rounds (see autoSolve).
+func (pl *Planner) dagSolve(ctx context.Context, obj Objective, st *SearchStats, free *graph.Path) (mapreduce.Config, error) {
 	d, err := pl.buildDAG(ctx, obj.mode())
 	if err != nil {
 		return mapreduce.Config{}, err
@@ -485,21 +499,7 @@ func (pl *Planner) dagSolve(ctx context.Context, obj Objective, st *SearchStats)
 		path, err = d.G.ConstrainedShortestPathCtx(ctx, d.Src, d.Dst, obj.sideBudget())
 		sp.End()
 	case Auto:
-		// Algorithm 1 mutates the graph; run it on a clone so the exact
-		// label-setting fallback (and later calibration rounds) reuse the
-		// pristine memoized build.
-		work := d.WithGraph(d.G.Clone())
-		sp := tel.StartSpan("plan/solve/algorithm1")
-		path, err = work.G.Algorithm1Ctx(ctx, work.Src, work.Dst, obj.sideBudget())
-		sp.End()
-		if err != nil {
-			if cerr := ctx.Err(); cerr != nil {
-				return mapreduce.Config{}, cerr
-			}
-			sp := tel.StartSpan("plan/solve/csp")
-			path, err = d.G.ConstrainedShortestPathCtx(ctx, d.Src, d.Dst, obj.sideBudget())
-			sp.End()
-		}
+		path, err = autoSolve(ctx, d, obj.sideBudget(), free)
 	default:
 		work := d.WithGraph(d.G.Clone())
 		sp := tel.StartSpan("plan/solve/algorithm1")
@@ -510,6 +510,33 @@ func (pl *Planner) dagSolve(ctx context.Context, obj Objective, st *SearchStats)
 		return mapreduce.Config{}, searchErr(ctx, err)
 	}
 	return d.Decode(path)
+}
+
+// autoSolve is the Auto solver: exact, and one Dijkstra when the
+// constraint does not bind. The unconstrained optimum is found once per
+// plan and kept in free; if its Side meets the budget it is the
+// constrained optimum too (and is what Algorithm 1's first round
+// returns). Otherwise the answer comes from label-setting over the
+// template's to-go bounds, which every plan and sweep on the template
+// shares. Neither step mutates the template. A calibration round only
+// tightens the budget, so it re-reads free instead of searching again.
+func autoSolve(ctx context.Context, d *dag.DAG, budget float64, free *graph.Path) (graph.Path, error) {
+	tel := telemetry.FromContext(ctx)
+	if free.Nodes == nil {
+		sp := tel.StartSpan("plan/solve/dijkstra")
+		p, err := d.G.ShortestPathCtx(ctx, d.Src, d.Dst)
+		sp.End()
+		if err != nil {
+			return graph.Path{}, err
+		}
+		*free = p
+	}
+	if free.Side <= budget {
+		return *free, nil
+	}
+	sp := tel.StartSpan("plan/solve/csp")
+	defer sp.End()
+	return d.G.ConstrainedShortestPathBoundedCtx(ctx, d.Src, d.Dst, budget, d.ToGoBounds(ctx), math.Inf(1))
 }
 
 // rerankSolve takes the top-K DAG paths, re-evaluates each with the exact

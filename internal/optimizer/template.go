@@ -16,9 +16,11 @@ import (
 // expensive part of a cold plan; keying the finished CSR graph by a
 // fingerprint of (model params, DAG mode, dag.Options, model flavor)
 // lets every subsequent plan for that shape skip dag.BuildContext
-// entirely. Read-only solvers search the shared template directly;
-// destructive ones (Algorithm 1) already run on a Clone, which since the
-// CSR refactor is O(m/64) — copy the removal bitset, share the arrays.
+// entirely. Every solver but one searches the shared template directly,
+// and the to-go bounds the default solver and the frontier sweep prune
+// with are memoized on it (dag.DAG.ToGoBounds), so they too are computed
+// once per shape and evicted with it. Algorithm 1, which removes edges,
+// runs on a Clone — O(m/64): copy the removal bitset, share the arrays.
 //
 // The bound, the least-recently-used eviction and the single-flight
 // builds — a thundering herd of identical jobs performs one build while
