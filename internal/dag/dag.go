@@ -4,12 +4,34 @@
 // phase costs) of the model so the optimal configuration is a shortest
 // path.
 //
-// Column layout (left to right): source, mapper memory tier (x_i), mapper
-// parallelism (expressed as objects-per-mapper, which fixes j), objects
-// per reducer (k_R), coordinator memory tier, reducer memory tier,
-// destination. Coordinator-memory nodes are keyed (k_R, a) so the final
-// edge set can compute the reduce-phase terms that need k_R — the minimal
-// state augmentation that makes the paper's drawing well-defined.
+// Column layout (left to right), nine columns: source, mapper memory tier
+// (x_i), mapper parallelism (objects per mapper k_M), transfer class
+// jc(j), objects per reducer (k_R), coordinator memory tier keyed
+// (k_R, a), join(k_R), reducer memory tier (s), destination. A path is
+// a configuration and a configuration is exactly one path.
+//
+// The paper's drawing is not well-defined as drawn: an edge weight may
+// only read the two nodes it joins, and the reduce-phase terms need k_R
+// two columns after the path chose it. The fix is state augmentation, and
+// the rule for how much is: a node remembers exactly what the weights
+// downstream of it read — no less, or the weight is undefined; no more,
+// or the same weight is written once per value of something it ignores.
+// Two zero-weight columns follow from that rule:
+//
+//   - jc(j). The transfer/glue pair reads the reducing steps, and those
+//     depend on k_M only through the mapper count j = ceil(N/k_M), which
+//     takes ~2*sqrt(N) distinct values. Each feasible k_M has one free
+//     edge to its class, and the class carries the transfer fan to every
+//     k_R: J*N evaluated pairs and edges where a k_M -> k_R fan has N^2.
+//   - join(k_R). The coordinator weight reads (k_R, a), so that column
+//     is keyed by both; the reduce weight reads (k_R, s) and not a, so
+//     every (k_R, a) has one free edge to k_R's join and the join carries
+//     the reduce fan: 3L edges per k_R where a (k_R, a) -> s fan has
+//     L + L^2.
+//
+// A free edge adds (0, 0): x + 0.0 == x in floating point, so a path's W
+// and Side are bit for bit the left-to-right sum of its four model
+// components, with or without the joins.
 //
 // Every edge carries both the objective weight and the other metric as a
 // side weight, so the constrained searches (Algorithm 1, Yen, exact
@@ -116,28 +138,28 @@ type DAG struct {
 	bounds     *graph.Bounds
 }
 
-// layout is what Decode needs to read a path back: the tier list, the
-// fan-in caps and the node id base of each column.
+// layout is what assembly and Decode share: the tier list, the fan-in
+// caps, the transfer class of every k_M and the node id base of each
+// column.
 type layout struct {
 	tiers  []int
 	maxKM  int
 	maxKR  int
 	nTiers int
 
-	iBase, kmBase, krBase, kraBase, sBase int
+	// jcOf[kM-1] is the transfer class of k_M: the rank of its mapper
+	// count j = ceil(N/k_M) among the nJC distinct ones k_M = 1..maxKM
+	// produce (j falls as k_M grows, so a class is a run of k_M values).
+	jcOf []int
+	nJC  int
+
+	iBase, kmBase, jcBase, krBase, kraBase, joinBase, sBase int
 }
 
-// BuildContext constructs the DAG for the model under the given mode,
-// evaluating edge weights on a bounded worker pool and honoring
-// cancellation: if ctx fires mid-build, the
-// partial work is discarded and ctx.Err() is returned.
-func BuildContext(ctx context.Context, m *model.Paper, mode Mode, opts Options) (*DAG, error) {
-	if err := m.P.Validate(); err != nil {
-		return nil, err
-	}
-	tel := telemetry.FromContext(ctx)
-	buildSpan := tel.StartSpan("plan/dag-build")
-	defer buildSpan.End()
+// newLayout resolves the options against the model: the tier list after
+// dominated-tier pruning, the fan-in caps, the transfer classes and the
+// node numbering.
+func newLayout(m *model.Paper, opts Options) layout {
 	tiers := opts.Tiers
 	if len(tiers) == 0 {
 		tiers = m.P.Sheet.Lambda.MemoryTiers()
@@ -169,31 +191,70 @@ func BuildContext(ctx context.Context, m *model.Paper, mode Mode, opts Options) 
 		maxKR = n
 	}
 	L := len(tiers)
-	workers := opts.Parallelism
-
-	d := &DAG{
-		Mode:   mode,
-		layout: layout{tiers: tiers, maxKM: maxKM, maxKR: maxKR, nTiers: L},
+	lay := layout{tiers: tiers, maxKM: maxKM, maxKR: maxKR, nTiers: L, jcOf: make([]int, maxKM)}
+	for kM, prev := 1, 0; kM <= maxKM; kM++ {
+		if j := (n + kM - 1) / kM; j != prev {
+			lay.nJC++
+			prev = j
+		}
+		lay.jcOf[kM-1] = lay.nJC - 1
 	}
-	// Node ids: [src, dst, i x L, kM x maxKM, kR x maxKR, (kR,a) x maxKR*L, s x L]
-	d.Src = 0
-	d.Dst = 1
-	d.iBase = 2
-	d.kmBase = d.iBase + L
-	d.krBase = d.kmBase + maxKM
-	d.kraBase = d.krBase + maxKR
-	d.sBase = d.kraBase + maxKR*L
+	// Node ids: [src, dst, i x L, kM x maxKM, jc x nJC, kR x maxKR,
+	// (kR,a) x maxKR*L, join x maxKR, s x L]
+	lay.iBase = 2
+	lay.kmBase = lay.iBase + L
+	lay.jcBase = lay.kmBase + maxKM
+	lay.krBase = lay.jcBase + lay.nJC
+	lay.kraBase = lay.krBase + maxKR
+	lay.joinBase = lay.kraBase + maxKR*L
+	lay.sBase = lay.joinBase + maxKR
+	return lay
+}
 
-	// --- Phase 1: evaluate every edge weight into indexed slots. Each
-	// slot is written by exactly one worker, so the values (and therefore
-	// the assembled graph) do not depend on scheduling. The slots live in
-	// a pooled scratch (flat backing arrays recycled across builds), so a
-	// steady stream of cold builds stops allocating them.
-	sc := getBuildScratch(L, maxKM, maxKR, tel)
+// newDAG is a DAG before its graph is built: the layout, and the source
+// and destination, which are the first two node ids of every layout.
+func newDAG(m *model.Paper, mode Mode, opts Options) *DAG {
+	return &DAG{Src: 0, Dst: 1, Mode: mode, layout: newLayout(m, opts)}
+}
+
+// BuildContext constructs the DAG for the model under the given mode,
+// evaluating edge weights on a bounded worker pool and honoring
+// cancellation: if ctx fires mid-build, the
+// partial work is discarded and ctx.Err() is returned.
+func BuildContext(ctx context.Context, m *model.Paper, mode Mode, opts Options) (*DAG, error) {
+	if err := m.P.Validate(); err != nil {
+		return nil, err
+	}
+	tel := telemetry.FromContext(ctx)
+	buildSpan := tel.StartSpan("plan/dag-build")
+	defer buildSpan.End()
+
+	d := newDAG(m, mode, opts)
+	// The weight slots live in a pooled scratch (flat backing arrays
+	// recycled across builds), so a steady stream of cold builds stops
+	// allocating them.
+	sc := getBuildScratch(&d.layout, tel)
 	defer putBuildScratch(sc)
+	if err := d.evaluate(ctx, m, sc, opts.Parallelism); err != nil {
+		return nil, err
+	}
+	d.G = d.assemble(sc)
+	tel.Counter(telemetry.MDAGBuilds).Inc()
+	tel.Gauge(telemetry.MDAGNodes).Set(int64(d.G.NumNodes()))
+	tel.Gauge(telemetry.MDAGEdges).Set(int64(d.G.NumEdges()))
+	return d, nil
+}
+
+// evaluate is phase 1 of a build: every edge weight, computed into the
+// scratch's indexed slots. Each slot is written by exactly one worker, so
+// the values (and therefore the assembled graph) do not depend on
+// scheduling.
+func (lay *layout) evaluate(ctx context.Context, m *model.Paper, sc *buildScratch, workers int) error {
+	tiers, L, maxKR := lay.tiers, lay.nTiers, lay.maxKR
+	n := m.P.Job.NumObjects
 
 	// Mapper column: feasibility plus L (time, cost) pairs per kM.
-	if err := parallel.ForEach(ctx, maxKM, workers, func(i int) {
+	if err := parallel.ForEach(ctx, lay.maxKM, workers, func(i int) {
 		kM := i + 1
 		orch, err := mapreduce.OrchestrateFor(m.P.Job.Profile, n, kM, 2)
 		if err != nil {
@@ -208,18 +269,25 @@ func BuildContext(ctx context.Context, m *model.Paper, mode Mode, opts Options) 
 			sc.mapC[(kM-1)*L+ti] = m.MapperCostFor(orch, mem, kM)
 		}
 	}); err != nil {
-		return nil, err
+		return err
 	}
 
-	// Transfer column: one (time, cost) pair per feasible (kM, kR).
-	for kM := 1; kM <= maxKM; kM++ {
+	// Transfer column: one (time, cost) pair per (class, kR). The pair
+	// reads the orchestration's reducing steps and nothing else, and the
+	// steps depend on kM only through the mapper count, so a class's row
+	// is bound from its smallest feasible kM; a class without one keeps
+	// an absent row.
+	for kM := lay.maxKM; kM >= 1; kM-- {
 		if sc.mapFeasible[kM-1] {
-			sc.feasKM = append(sc.feasKM, kM)
+			sc.repKM[lay.jcOf[kM-1]] = kM
 		}
 	}
-	if err := parallel.ForEach(ctx, len(sc.feasKM), workers, func(i int) {
-		kM := sc.feasKM[i]
-		row := sc.transfer[(kM-1)*maxKR : kM*maxKR]
+	if err := parallel.ForEach(ctx, lay.nJC, workers, func(jc int) {
+		kM := sc.repKM[jc]
+		if kM == 0 {
+			return
+		}
+		row := sc.transfer[jc*maxKR : (jc+1)*maxKR]
 		var e model.RowEval // orchestration + shapes bound once per kR
 		for kR := 1; kR <= maxKR; kR++ {
 			if err := m.BindRowFor(&e, kM, kR); err != nil {
@@ -228,7 +296,7 @@ func BuildContext(ctx context.Context, m *model.Paper, mode Mode, opts Options) 
 			row[kR-1] = pairW{ok: true, t: e.TransferTime(), c: e.GlueCost(kR)}
 		}
 	}); err != nil {
-		return nil, err
+		return err
 	}
 
 	// Coordinator column: one (time, cost) pair per (kR, tier).
@@ -242,12 +310,12 @@ func BuildContext(ctx context.Context, m *model.Paper, mode Mode, opts Options) 
 			}
 		}
 	}); err != nil {
-		return nil, err
+		return err
 	}
 
 	// Reducer column: Eq. 9 compute and VP+WP cost depend only on
 	// (kR, s); one evaluation per pair, fanned out over kR.
-	if err := parallel.ForEach(ctx, maxKR, workers, func(i int) {
+	return parallel.ForEach(ctx, maxKR, workers, func(i int) {
 		kR := i + 1
 		row := sc.reduce[(kR-1)*L : kR*L]
 		var e model.RowEval
@@ -256,38 +324,39 @@ func BuildContext(ctx context.Context, m *model.Paper, mode Mode, opts Options) 
 				row[ts] = pairW{ok: true, t: e.ReduceCompute(mem), c: e.ReduceCost(mem)}
 			}
 		}
-	}); err != nil {
-		return nil, err
-	}
+	})
+}
 
-	// --- Phase 2: assemble the graph serially, in a fixed column order,
-	// from the precomputed slots. The edge log is reserved to the slot
-	// census up front, so assembly appends without reallocation. ---
-	total := d.sBase + L
-	g := graph.New(total)
-	d.G = g
-	edgeCount := 2 * L // source and destination columns
-	edgeCount += len(sc.feasKM) * L
-	for _, p := range sc.transfer {
-		if p.ok {
-			edgeCount++
-		}
-	}
-	for _, p := range sc.coord {
-		if p.ok {
-			edgeCount++
-		}
-	}
-	for kR := 1; kR <= maxKR; kR++ {
-		okReduce := 0
-		for ts := 0; ts < L; ts++ {
-			if sc.reduce[(kR-1)*L+ts].ok {
-				okReduce++
+// census counts the edges assemble adds from the evaluated slots, so the
+// edge log is reserved once and assembly appends without reallocation.
+func (lay *layout) census(sc *buildScratch) int {
+	count := func(ps []pairW) int {
+		n := 0
+		for _, p := range ps {
+			if p.ok {
+				n++
 			}
 		}
-		edgeCount += okReduce * L // one fan per coordinator tier
+		return n
 	}
-	g.Reserve(edgeCount)
+	edges := 2 * lay.nTiers // source and destination columns
+	for _, ok := range sc.mapFeasible {
+		if ok {
+			edges += lay.nTiers + 1 // the tier fan in, the class edge out
+		}
+	}
+	// A present coordinator slot is two edges: into (kR, a) and on to
+	// the join.
+	return edges + count(sc.transfer) + 2*count(sc.coord) + count(sc.reduce)
+}
+
+// assemble is phase 2 of a build: the graph, put together serially in a
+// fixed column order from the evaluated slots.
+func (d *DAG) assemble(sc *buildScratch) *graph.Graph {
+	lay, mode := &d.layout, d.Mode
+	tiers, L, maxKM, maxKR := lay.tiers, lay.nTiers, lay.maxKM, lay.maxKR
+	g := graph.New(lay.sBase + L) // s is the last column
+	g.Reserve(lay.census(sc))
 
 	// tieEps breaks objective ties toward the cheaper side metric:
 	// with the speed floor, many configurations have identical times and
@@ -306,7 +375,7 @@ func BuildContext(ctx context.Context, m *model.Paper, mode Mode, opts Options) 
 
 	// source -> mapper memory tiers.
 	for ti := range tiers {
-		addEdge(d.Src, d.iBase+ti, 0, 0)
+		addEdge(d.Src, lay.iBase+ti, 0, 0)
 	}
 
 	// mapper-mem -> objects-per-mapper: Eq. 4 time, U1+V1+W1 cost.
@@ -317,49 +386,55 @@ func BuildContext(ctx context.Context, m *model.Paper, mode Mode, opts Options) 
 			continue
 		}
 		for ti := range tiers {
-			addEdge(d.iBase+ti, d.kmBase+(kM-1), sc.mapT[(kM-1)*L+ti], sc.mapC[(kM-1)*L+ti])
+			addEdge(lay.iBase+ti, lay.kmBase+(kM-1), sc.mapT[(kM-1)*L+ti], sc.mapC[(kM-1)*L+ti])
 		}
 	}
 
-	// objects-per-mapper -> objects-per-reducer: transfer times, glue
-	// costs (requests + invocations).
+	// objects-per-mapper -> its transfer class, free: the class is the
+	// part of kM the rest of the path can still read.
 	for kM := 1; kM <= maxKM; kM++ {
+		if sc.mapFeasible[kM-1] {
+			addEdge(lay.kmBase+(kM-1), lay.jcBase+lay.jcOf[kM-1], 0, 0)
+		}
+	}
+
+	// transfer class -> objects-per-reducer: transfer times, glue costs
+	// (requests + invocations).
+	for jc := 0; jc < lay.nJC; jc++ {
 		for kR := 1; kR <= maxKR; kR++ {
-			if w := sc.transfer[(kM-1)*maxKR+(kR-1)]; w.ok {
-				addEdge(d.kmBase+(kM-1), d.krBase+(kR-1), w.t, w.c)
+			if w := sc.transfer[jc*maxKR+(kR-1)]; w.ok {
+				addEdge(lay.jcBase+jc, lay.krBase+(kR-1), w.t, w.c)
 			}
 		}
 	}
 
-	// objects-per-reducer -> (kR, coordinator memory): c2 time, V2+W2 cost.
+	// objects-per-reducer -> (kR, coordinator memory): c2 time, V2+W2
+	// cost; then on to kR's join, free — the reduce weights below read
+	// kR and not the coordinator tier.
 	for kR := 1; kR <= maxKR; kR++ {
 		for ta := range tiers {
 			if w := sc.coord[(kR-1)*L+ta]; w.ok {
-				addEdge(d.krBase+(kR-1), d.kraBase+(kR-1)*L+ta, w.t, w.c)
+				kra := lay.kraBase + (kR-1)*L + ta
+				addEdge(lay.krBase+(kR-1), kra, w.t, w.c)
+				addEdge(kra, lay.joinBase+(kR-1), 0, 0)
 			}
 		}
 	}
 
-	// (kR, coord-mem) -> reducer memory: Eq. 9 compute, VP+WP cost.
+	// kR's join -> reducer memory: Eq. 9 compute, VP+WP cost.
 	for kR := 1; kR <= maxKR; kR++ {
-		for ta := 0; ta < L; ta++ {
-			from := d.kraBase + (kR-1)*L + ta
-			for ts := range tiers {
-				if w := sc.reduce[(kR-1)*L+ts]; w.ok {
-					addEdge(from, d.sBase+ts, w.t, w.c)
-				}
+		for ts := range tiers {
+			if w := sc.reduce[(kR-1)*L+ts]; w.ok {
+				addEdge(lay.joinBase+(kR-1), lay.sBase+ts, w.t, w.c)
 			}
 		}
 	}
 
 	// reducer memory -> destination.
 	for ts := range tiers {
-		addEdge(d.sBase+ts, d.Dst, 0, 0)
+		addEdge(lay.sBase+ts, d.Dst, 0, 0)
 	}
-	tel.Counter(telemetry.MDAGBuilds).Inc()
-	tel.Gauge(telemetry.MDAGNodes).Set(int64(g.NumNodes()))
-	tel.Gauge(telemetry.MDAGEdges).Set(int64(g.NumEdges()))
-	return d, nil
+	return g
 }
 
 // WithGraph returns a copy of the DAG whose searches run on g —
@@ -389,28 +464,35 @@ func (d *DAG) ToGoBounds(ctx context.Context) *graph.Bounds {
 	return d.bounds
 }
 
-// Decode maps a source-to-destination path back to a configuration.
+// Decode maps a source-to-destination path back to a configuration. A
+// path that walks the nine columns but whose transfer class is not its
+// k_M's, or whose (k_R, a) or join node belongs to another k_R, is not a
+// configuration and is rejected.
 func (d *DAG) Decode(p graph.Path) (mapreduce.Config, error) {
-	if len(p.Nodes) != 7 || p.Nodes[0] != d.Src || p.Nodes[6] != d.Dst {
+	if len(p.Nodes) != 9 || p.Nodes[0] != d.Src || p.Nodes[8] != d.Dst {
 		return mapreduce.Config{}, fmt.Errorf("dag: path %v is not a full configuration", p.Nodes)
 	}
 	L := d.nTiers
 	iIdx := p.Nodes[1] - d.iBase
 	kM := p.Nodes[2] - d.kmBase + 1
-	kR := p.Nodes[3] - d.krBase + 1
-	kra := p.Nodes[4] - d.kraBase
-	aIdx := kra % L
-	if kra/L+1 != kR {
-		return mapreduce.Config{}, fmt.Errorf("dag: path switches k_R mid-way: %v", p.Nodes)
-	}
-	sIdx := p.Nodes[5] - d.sBase
-	if iIdx < 0 || iIdx >= L || sIdx < 0 || sIdx >= L || aIdx < 0 ||
+	jc := p.Nodes[3] - d.jcBase
+	kR := p.Nodes[4] - d.krBase + 1
+	kra := p.Nodes[5] - d.kraBase
+	join := p.Nodes[6] - d.joinBase
+	sIdx := p.Nodes[7] - d.sBase
+	if iIdx < 0 || iIdx >= L || sIdx < 0 || sIdx >= L || kra < 0 ||
 		kM < 1 || kM > d.maxKM || kR < 1 || kR > d.maxKR {
 		return mapreduce.Config{}, fmt.Errorf("dag: path %v decodes out of range", p.Nodes)
 	}
+	if d.jcOf[kM-1] != jc {
+		return mapreduce.Config{}, fmt.Errorf("dag: path leaves k_M=%d through another mapper count's transfer class: %v", kM, p.Nodes)
+	}
+	if kra/L+1 != kR || join+1 != kR {
+		return mapreduce.Config{}, fmt.Errorf("dag: path switches k_R mid-way: %v", p.Nodes)
+	}
 	return mapreduce.Config{
 		MapperMemMB:    d.tiers[iIdx],
-		CoordMemMB:     d.tiers[aIdx],
+		CoordMemMB:     d.tiers[kra%L],
 		ReducerMemMB:   d.tiers[sIdx],
 		ObjsPerMapper:  kM,
 		ObjsPerReducer: kR,

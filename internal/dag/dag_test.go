@@ -22,15 +22,29 @@ func testModel() *model.Paper {
 
 var testTiers = []int{128, 512, 1024, 3008}
 
+// testClasses is the transfer class of k_M = 1..10 for testModel's ten
+// objects, worked by hand: ceil(10/k_M) runs 10, 5, 4, 3, 2, 2, 2, 2, 2, 1
+// — six distinct mapper counts, so J = 6.
+var testClasses = []int{0, 1, 2, 3, 4, 4, 4, 4, 4, 5}
+
+// wantNodes is the node count of the nine-column layout: source and
+// destination, L mapper tiers, maxKM objects-per-mapper values, J
+// transfer classes, maxKR objects-per-reducer values, their maxKR*L
+// coordinator nodes and maxKR joins, and L reducer tiers.
+func wantNodes(L, maxKM, J, maxKR int) int {
+	return 2 + L + maxKM + J + maxKR + maxKR*L + maxKR + L
+}
+
 func TestBuildShape(t *testing.T) {
 	d, err := BuildContext(context.Background(), testModel(), MinimizeTime, Options{Tiers: testTiers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	L, n := 4, 10
-	wantNodes := 2 + L + n + n + n*L + L
-	if d.G.NumNodes() != wantNodes {
-		t.Fatalf("nodes = %d, want %d", d.G.NumNodes(), wantNodes)
+	if !reflect.DeepEqual(d.jcOf, testClasses) || d.nJC != 6 {
+		t.Fatalf("transfer classes %v (%d of them), want %v", d.jcOf, d.nJC, testClasses)
+	}
+	if want := wantNodes(4, 10, 6, 10); d.G.NumNodes() != want {
+		t.Fatalf("nodes = %d, want %d", d.G.NumNodes(), want)
 	}
 	if d.G.NumEdges() == 0 {
 		t.Fatal("no edges")

@@ -18,9 +18,8 @@ func TestDominatedTierPruning(t *testing.T) {
 	// Pruned tier set: 128..1792 = 27 tiers.
 	wantL := 27
 	n := m.P.Job.NumObjects
-	wantNodes := 2 + wantL + n + n + n*wantL + wantL
-	if d.G.NumNodes() != wantNodes {
-		t.Fatalf("nodes = %d, want %d (pruned to %d tiers)", d.G.NumNodes(), wantNodes, wantL)
+	if want := wantNodes(wantL, n, d.nJC, n); d.G.NumNodes() != want {
+		t.Fatalf("nodes = %d, want %d (pruned to %d tiers)", d.G.NumNodes(), want, wantL)
 	}
 }
 
@@ -33,9 +32,8 @@ func TestKeepDominatedTiers(t *testing.T) {
 	}
 	wantL := len(full) // all 46
 	n := m.P.Job.NumObjects
-	wantNodes := 2 + wantL + n + n + n*wantL + wantL
-	if d.G.NumNodes() != wantNodes {
-		t.Fatalf("nodes = %d, want %d (L = 46 kept)", d.G.NumNodes(), wantNodes)
+	if want := wantNodes(wantL, n, d.nJC, n); d.G.NumNodes() != want {
+		t.Fatalf("nodes = %d, want %d (L = 46 kept)", d.G.NumNodes(), want)
 	}
 }
 

@@ -46,7 +46,7 @@ func TestParallelBuildMatchesSerial(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, workers := range []int{0, 2, 8} {
+			for _, workers := range []int{0, 2, 4, 8} {
 				par, err := BuildContext(context.Background(), m, mode, Options{Tiers: testTiers, Parallelism: workers})
 				if err != nil {
 					t.Fatalf("%s workers=%d: %v", job.Profile.Name, workers, err)

@@ -23,10 +23,10 @@ type pairW struct {
 type buildScratch struct {
 	mapFeasible []bool    // by kM-1
 	mapT, mapC  []float64 // by (kM-1)*L + tierIndex
-	transfer    []pairW   // by (kM-1)*maxKR + (kR-1)
+	repKM       []int     // by transfer class: its smallest feasible kM, 0 for none
+	transfer    []pairW   // by class*maxKR + (kR-1)
 	coord       []pairW   // by (kR-1)*L + tierIndex
 	reduce      []pairW   // by (kR-1)*L + tierIndex
-	feasKM      []int
 	used        bool
 }
 
@@ -34,54 +34,31 @@ var buildPool = sync.Pool{New: func() any { return &buildScratch{} }}
 
 // grow returns s resized to n, reusing capacity and clearing the kept
 // prefix (the zero value of every buffer element means "absent").
-func growPairs(s []pairW, n int) []pairW {
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]pairW, n)
+		return make([]T, n)
 	}
 	s = s[:n]
-	for i := range s {
-		s[i] = pairW{}
-	}
-	return s
-}
-
-func growFloats(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = 0
-	}
-	return s
-}
-
-func growBools(s []bool, n int) []bool {
-	if cap(s) < n {
-		return make([]bool, n)
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = false
-	}
+	clear(s)
 	return s
 }
 
 // getBuildScratch checks a scratch out of the pool, sized (and cleared)
-// for an L-tier, maxKM x maxKR build.
-func getBuildScratch(L, maxKM, maxKR int, tel *telemetry.Registry) *buildScratch {
+// for the layout's build.
+func getBuildScratch(lay *layout, tel *telemetry.Registry) *buildScratch {
+	L, maxKM, maxKR := lay.nTiers, lay.maxKM, lay.maxKR
 	sc := buildPool.Get().(*buildScratch)
 	if sc.used {
 		tel.Counter(telemetry.MDAGScratchReuse).Inc()
 	}
 	sc.used = true
-	sc.mapFeasible = growBools(sc.mapFeasible, maxKM)
-	sc.mapT = growFloats(sc.mapT, maxKM*L)
-	sc.mapC = growFloats(sc.mapC, maxKM*L)
-	sc.transfer = growPairs(sc.transfer, maxKM*maxKR)
-	sc.coord = growPairs(sc.coord, maxKR*L)
-	sc.reduce = growPairs(sc.reduce, maxKR*L)
-	sc.feasKM = sc.feasKM[:0]
+	sc.mapFeasible = grow(sc.mapFeasible, maxKM)
+	sc.mapT = grow(sc.mapT, maxKM*L)
+	sc.mapC = grow(sc.mapC, maxKM*L)
+	sc.repKM = grow(sc.repKM, lay.nJC)
+	sc.transfer = grow(sc.transfer, lay.nJC*maxKR)
+	sc.coord = grow(sc.coord, maxKR*L)
+	sc.reduce = grow(sc.reduce, maxKR*L)
 	return sc
 }
 

@@ -313,14 +313,54 @@ func (r *Recorder) Events() []Event {
 	return out
 }
 
+// sinceLocked returns the retained events with Seq > after as the two
+// runs of the ring that hold them, older run first. Retained events have
+// consecutive sequence numbers ending at r.seq, so the cut is arithmetic.
+func (r *Recorder) sinceLocked(after int64) (older, newer []Event) {
+	older, newer = r.buf[r.head:], r.buf[:r.head]
+	skip := after - (r.seq - int64(len(r.buf))) // retained events at or below after
+	switch {
+	case skip <= 0:
+		return older, newer
+	case skip >= int64(len(r.buf)):
+		return nil, nil
+	case skip >= int64(len(older)):
+		return newer[skip-int64(len(older)):], nil
+	}
+	return older[skip:], newer
+}
+
 // EventsSince returns the retained events with Seq > after, in emission
 // order.
 func (r *Recorder) EventsSince(after int64) []Event {
-	evs := r.Events()
-	for i, ev := range evs {
-		if ev.Seq > after {
-			return evs[i:]
-		}
+	if r == nil {
+		return nil
 	}
-	return nil
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	older, newer := r.sinceLocked(after)
+	if len(older)+len(newer) == 0 {
+		return nil
+	}
+	out := make([]Event, 0, len(older)+len(newer))
+	return append(append(out, older...), newer...)
+}
+
+// VisitSince calls fn, in emission order, on every retained event with
+// Seq > after, in place: nothing is copied. fn runs with the recorder
+// locked, so it must not call the recorder, and the pointer is valid
+// only for the call.
+func (r *Recorder) VisitSince(after int64, fn func(*Event)) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	older, newer := r.sinceLocked(after)
+	for i := range older {
+		fn(&older[i])
+	}
+	for i := range newer {
+		fn(&newer[i])
+	}
 }

@@ -4,7 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
+	"reflect"
+	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -64,6 +67,97 @@ func TestEventsSince(t *testing.T) {
 	}
 	if got := len(r.EventsSince(0)); got != 5 {
 		t.Fatalf("EventsSince(0) returned %d events, want 5", got)
+	}
+}
+
+// TestSinceOnAWrappedRing: for every cut point — below the retained
+// window, inside either run of the ring, at and past the newest event —
+// EventsSince and VisitSince hand back exactly the retained events with
+// Seq > after, in order, and EventsSince copies no more than that.
+func TestSinceOnAWrappedRing(t *testing.T) {
+	for _, emitted := range []int{0, 3, 8, 13, 16, 21} {
+		r := NewWithCapacity(8)
+		for i := 0; i < emitted; i++ {
+			r.Emit(Event{Kind: KindCompute})
+		}
+		all := r.Events()
+		for after := int64(-1); after <= int64(emitted)+1; after++ {
+			var want []int64
+			for _, ev := range all {
+				if ev.Seq > after {
+					want = append(want, ev.Seq)
+				}
+			}
+			var visited []int64
+			r.VisitSince(after, func(ev *Event) { visited = append(visited, ev.Seq) })
+			got := r.EventsSince(after)
+			if len(want) == 0 && got != nil {
+				t.Fatalf("%d emitted: EventsSince(%d) = %v, want nil", emitted, after, got)
+			}
+			if cap(got) != len(want) {
+				t.Fatalf("%d emitted: EventsSince(%d) allocated %d slots for %d events", emitted, after, cap(got), len(want))
+			}
+			copied := make([]int64, len(got))
+			for i := range got {
+				copied[i] = got[i].Seq
+			}
+			if !reflect.DeepEqual(copied, append([]int64{}, want...)) || !reflect.DeepEqual(visited, want) {
+				t.Fatalf("%d emitted, after %d: copied %v, visited %v, want %v", emitted, after, copied, visited, want)
+			}
+		}
+	}
+}
+
+// TestSinceUnderConcurrentEmit: readers cutting the ring while writers
+// rotate it see only whole, in-order tails (and the race detector sees
+// every access locked).
+func TestSinceUnderConcurrentEmit(t *testing.T) {
+	r := NewWithCapacity(64)
+	var writers, readers sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; i < 2000; i++ {
+				r.Emit(Event{Kind: KindCompute})
+			}
+		}()
+	}
+	for g := 0; g < 2; g++ {
+		readers.Add(1)
+		go func(visit bool) {
+			defer readers.Done()
+			var last int64
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				check := func(ev *Event) {
+					if ev.Seq <= last {
+						t.Errorf("event %d handed out after %d", ev.Seq, last)
+					}
+					last = ev.Seq
+				}
+				if visit {
+					r.VisitSince(last, check)
+				} else {
+					evs := r.EventsSince(last)
+					for i := range evs {
+						check(&evs[i])
+					}
+				}
+				runtime.Gosched()
+			}
+		}(g == 0)
+	}
+	writers.Wait()
+	close(stop)
+	readers.Wait()
+	if r.Seq() != 4000 {
+		t.Fatalf("Seq = %d, want 4000", r.Seq())
 	}
 }
 
@@ -218,5 +312,34 @@ func TestBuildAuditMeasurementOnly(t *testing.T) {
 func TestStageGaugeName(t *testing.T) {
 	if got := StageGauge("step-01"); got != "astra_audit_stage_abs_error_ns_step_01" {
 		t.Fatalf("StageGauge = %q", got)
+	}
+}
+
+// TestVisitSinceHoldsTheLock states the contract VisitSince's callers
+// build on: fn runs with the recorder locked. An Emit from another
+// goroutine waits for the visit to finish and lands after it; an Emit
+// from fn itself would wait on its own goroutine, which is why fn must
+// not call the recorder (qos.TestFoldNeverCallsTheRecorder holds the one
+// caller to that).
+func TestVisitSinceHoldsTheLock(t *testing.T) {
+	r := New()
+	r.Emit(Event{Kind: KindCompute})
+	emitted := make(chan struct{})
+	visited := 0
+	r.VisitSince(0, func(ev *Event) {
+		visited++
+		go func() {
+			r.Emit(Event{Kind: KindStoreGet})
+			close(emitted)
+		}()
+		select {
+		case <-emitted:
+			t.Error("an Emit completed while a visit held the recorder")
+		case <-time.After(20 * time.Millisecond):
+		}
+	})
+	<-emitted
+	if visited != 1 || r.Seq() != 2 {
+		t.Fatalf("visited %d events, seq %d; want 1 visited and the blocked Emit at seq 2", visited, r.Seq())
 	}
 }

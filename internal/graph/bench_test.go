@@ -6,23 +6,38 @@ import (
 	"testing"
 )
 
-// optimizerShapedGraph builds a graph with the Fig. 5 DAG's proportions
-// at paper scale (N = 202 objects, pruned tier set).
+// optimizerShapedGraph builds a graph with the Fig. 5 DAG's topology as
+// internal/dag assembles it, at paper scale (N = 202 objects, pruned tier
+// set): nine columns, with the transfer fan leaving one node per distinct
+// mapper count ceil(N/kM) and the reduce fan leaving one join per kR.
+// (internal/dag imports this package, so the class numbering is restated
+// here rather than read from dag's layout.)
 func optimizerShapedGraph() (*Graph, int, int) {
 	rng := rand.New(rand.NewSource(1))
 	const (
 		L = 27  // pruned tiers (128..1792)
 		N = 202 // objects
 	)
-	// Columns: src, i(L), kM(N), kR(N), (kR,a)(N*L), s(L), dst.
-	n := 2 + L + N + N + N*L + L
+	var jcOf [N]int // transfer class of kM = k+1
+	J := 0
+	for k, prev := 0, 0; k < N; k++ {
+		if j := (N + k) / (k + 1); j != prev {
+			J++
+			prev = j
+		}
+		jcOf[k] = J - 1
+	}
+	// Columns: src, dst, i(L), kM(N), jc(J), kR(N), (kR,a)(N*L), join(N), s(L).
+	n := 2 + L + N + J + N + N*L + N + L
 	g := New(n)
 	src, dst := 0, 1
 	iBase := 2
 	kmBase := iBase + L
-	krBase := kmBase + N
+	jcBase := kmBase + N
+	krBase := jcBase + J
 	kraBase := krBase + N
-	sBase := kraBase + N*L
+	joinBase := kraBase + N*L
+	sBase := joinBase + N
 	for i := 0; i < L; i++ {
 		g.AddEdge(src, iBase+i, 0, 0)
 	}
@@ -32,20 +47,22 @@ func optimizerShapedGraph() (*Graph, int, int) {
 		}
 	}
 	for k := 0; k < N; k++ {
+		g.AddEdge(kmBase+k, jcBase+jcOf[k], 0, 0)
+	}
+	for c := 0; c < J; c++ {
 		for r := 0; r < N; r++ {
-			g.AddEdge(kmBase+k, krBase+r, rng.Float64()*10, rng.Float64())
+			g.AddEdge(jcBase+c, krBase+r, rng.Float64()*10, rng.Float64())
 		}
 	}
 	for r := 0; r < N; r++ {
 		for a := 0; a < L; a++ {
 			g.AddEdge(krBase+r, kraBase+r*L+a, rng.Float64(), rng.Float64())
+			g.AddEdge(kraBase+r*L+a, joinBase+r, 0, 0)
 		}
 	}
 	for r := 0; r < N; r++ {
-		for a := 0; a < L; a++ {
-			for s := 0; s < L; s++ {
-				g.AddEdge(kraBase+r*L+a, sBase+s, rng.Float64()*10, rng.Float64())
-			}
+		for s := 0; s < L; s++ {
+			g.AddEdge(joinBase+r, sBase+s, rng.Float64()*10, rng.Float64())
 		}
 	}
 	for s := 0; s < L; s++ {

@@ -41,6 +41,16 @@ func (g *Graph) Clone() *Graph {
 // and re-run on the reduced graph. It terminates when a path satisfies
 // the budget or the graph disconnects.
 //
+// An edge whose side weight is zero is never the one deleted: the
+// accumulated side does not move across it, so it cannot be where the
+// budget is first exceeded. On the configuration DAG (internal/dag) that
+// keeps the two zero-weight join columns intact through every round, and
+// makes one deletion go further than in a graph without them: the fan
+// edge leaving a join carries its weight for every path through the
+// join, so deleting join(k_R) -> s bans (k_R, s) under every coordinator
+// tier at once, and deleting jc(j) -> k_R bans that transfer for every
+// k_M with j mappers.
+//
 // The receiver is mutated (edges are removed); callers that need the
 // graph afterwards should rebuild or Clone it. Algorithm 1 is a
 // heuristic: it can return a suboptimal path or miss a feasible one (see

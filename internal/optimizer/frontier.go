@@ -1,9 +1,11 @@
 package optimizer
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"time"
 
@@ -568,44 +570,69 @@ func containsFloat(xs []float64, x float64) bool {
 // strictly better on one; equal (time, cost) pairs with distinct
 // configurations all survive. One sort plus one linear pass replaces
 // the historical all-pairs scan.
+//
+// A sweep prunes after every phase and a FrontierPoint is ~250 bytes, so
+// the sort and the filter run over an index into cands: the only
+// point-sized allocation is the result, made once at its final length.
 func paretoPrune(cands []FrontierPoint) []FrontierPoint {
 	if len(cands) == 0 {
 		return nil
 	}
-	sorted := append([]FrontierPoint(nil), cands...)
-	sort.Slice(sorted, func(a, b int) bool {
-		ta, tb := sorted[a].Pred.TotalSec(), sorted[b].Pred.TotalSec()
-		if ta != tb {
-			return ta < tb
+	idx := make([]int32, len(cands))
+	for i := range idx {
+		idx[i] = int32(i)
+	}
+	slices.SortFunc(idx, func(a, b int32) int {
+		pa, pb := &cands[a], &cands[b]
+		if c := cmp.Compare(pa.Pred.TotalSec(), pb.Pred.TotalSec()); c != 0 {
+			return c
 		}
-		ca, cb := sorted[a].Pred.TotalCost(), sorted[b].Pred.TotalCost()
-		if ca != cb {
-			return ca < cb
+		if c := cmp.Compare(pa.Pred.TotalCost(), pb.Pred.TotalCost()); c != 0 {
+			return c
 		}
-		return configLess(sorted[a].Config, sorted[b].Config)
+		switch {
+		case configLess(pa.Config, pb.Config):
+			return -1
+		case configLess(pb.Config, pa.Config):
+			return 1
+		}
+		return 0
 	})
-	seen := map[mapreduce.Config]bool{}
-	var front []FrontierPoint
+	// keep is the surviving prefix of idx, written in place. It stays
+	// short (a frontier is tens of points), so "already kept" is a scan.
+	keep := idx[:0]
+	kept := func(c mapreduce.Config) bool {
+		for _, k := range keep {
+			if cands[k].Config == c {
+				return true
+			}
+		}
+		return false
+	}
 	bestCost := math.Inf(1)
-	for i := 0; i < len(sorted); {
+	for i := 0; i < len(idx); {
 		// One group of equal times: its cheapest cost leads the group.
+		lead := &cands[idx[i]]
+		groupCost := float64(lead.Pred.TotalCost())
 		j := i
-		groupCost := float64(sorted[i].Pred.TotalCost())
-		for ; j < len(sorted) && sorted[j].Pred.TotalSec() == sorted[i].Pred.TotalSec(); j++ {
+		for ; j < len(idx) && cands[idx[j]].Pred.TotalSec() == lead.Pred.TotalSec(); j++ {
 		}
 		if groupCost < bestCost {
-			for _, c := range sorted[i:j] {
-				if float64(c.Pred.TotalCost()) != groupCost {
+			for _, k := range idx[i:j] {
+				if float64(cands[k].Pred.TotalCost()) != groupCost {
 					break // dominated within the group
 				}
-				if !seen[c.Config] {
-					seen[c.Config] = true
-					front = append(front, c)
+				if !kept(cands[k].Config) {
+					keep = append(keep, k)
 				}
 			}
 			bestCost = groupCost
 		}
 		i = j
+	}
+	front := make([]FrontierPoint, len(keep))
+	for i, k := range keep {
+		front[i] = cands[k]
 	}
 	return front
 }

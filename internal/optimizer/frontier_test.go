@@ -2,11 +2,15 @@ package optimizer
 
 import (
 	"context"
+	"math/rand"
+	"sort"
 	"testing"
 	"time"
 
 	"astra/internal/dag"
+	"astra/internal/mapreduce"
 	"astra/internal/model"
+	"astra/internal/pricing"
 	"astra/internal/workload"
 )
 
@@ -115,5 +119,88 @@ func TestAggregateModelPlanning(t *testing.T) {
 	if aggregate.Exact.TotalSec() < perStep.Exact.TotalSec()*0.99 {
 		t.Fatalf("aggregate-planned config (%.2fs) substantially beat the per-step one (%.2fs)",
 			aggregate.Exact.TotalSec(), perStep.Exact.TotalSec())
+	}
+}
+
+// paretoPruneAllPairs is the definition paretoPrune implements, written
+// the slow way: drop every candidate some other candidate dominates,
+// order the rest (time, cost, configuration) and keep the first of each
+// configuration.
+func paretoPruneAllPairs(cands []FrontierPoint) []FrontierPoint {
+	var front []FrontierPoint
+	for i, a := range cands {
+		dominated := false
+		for j, b := range cands {
+			if i != j && b.Pred.TotalSec() <= a.Pred.TotalSec() && b.Pred.TotalCost() <= a.Pred.TotalCost() &&
+				(b.Pred.TotalSec() < a.Pred.TotalSec() || b.Pred.TotalCost() < a.Pred.TotalCost()) {
+				dominated = true
+				break
+			}
+		}
+		if !dominated {
+			front = append(front, a)
+		}
+	}
+	sort.SliceStable(front, func(i, j int) bool {
+		a, b := front[i], front[j]
+		if a.Pred.TotalSec() != b.Pred.TotalSec() {
+			return a.Pred.TotalSec() < b.Pred.TotalSec()
+		}
+		if a.Pred.TotalCost() != b.Pred.TotalCost() {
+			return a.Pred.TotalCost() < b.Pred.TotalCost()
+		}
+		return configLess(a.Config, b.Config)
+	})
+	seen := map[mapreduce.Config]bool{}
+	out := front[:0]
+	for _, p := range front {
+		if !seen[p.Config] {
+			seen[p.Config] = true
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// TestParetoPruneMatchesAllPairs checks the index-sorted prune against
+// the all-pairs definition on seeded candidates drawn from a small grid,
+// so equal times, equal (time, cost) pairs and repeated configurations
+// all occur, and pins what a prune allocates: the index and the result.
+func TestParetoPruneMatchesAllPairs(t *testing.T) {
+	rng := rand.New(rand.NewSource(24))
+	for trial := 0; trial < 300; trial++ {
+		cands := make([]FrontierPoint, 1+rng.Intn(40))
+		for i := range cands {
+			if i > 0 && rng.Intn(5) == 0 {
+				cands[i] = cands[rng.Intn(i)] // a repeated configuration
+				continue
+			}
+			cfg := mapreduce.Config{MapperMemMB: 128 << rng.Intn(3), ObjsPerMapper: 1 + rng.Intn(3), ObjsPerReducer: i}
+			cands[i] = FrontierPoint{Config: cfg, Pred: model.Prediction{
+				Config: cfg, MapSec: float64(1 + rng.Intn(6)), LambdaCost: pricing.USD(1 + rng.Intn(6)),
+			}}
+		}
+		got, want := paretoPrune(cands), paretoPruneAllPairs(cands)
+		if len(got) != len(want) {
+			t.Fatalf("trial %d: %d points, all-pairs keeps %d", trial, len(got), len(want))
+		}
+		for i := range got {
+			if got[i].Config != want[i].Config || got[i].Pred.TotalSec() != want[i].Pred.TotalSec() ||
+				got[i].Pred.TotalCost() != want[i].Pred.TotalCost() {
+				t.Fatalf("trial %d point %d: %+v, all-pairs has %+v", trial, i, got[i], want[i])
+			}
+		}
+	}
+	if paretoPrune(nil) != nil {
+		t.Fatal("pruning nothing returned a frontier")
+	}
+	cands := make([]FrontierPoint, 60)
+	for i := range cands {
+		cands[i] = FrontierPoint{Config: mapreduce.Config{ObjsPerReducer: i}, Pred: model.Prediction{
+			MapSec: float64(i), LambdaCost: pricing.USD(len(cands) - i),
+		}}
+	}
+	if n := testing.AllocsPerRun(20, func() { paretoPrune(cands) }); n > 2 {
+		t.Fatalf("one prune makes %v allocations, want the index and the result", n)
 	}
 }

@@ -393,16 +393,20 @@ func (m *Monitor) breachReasonLocked(attained bool) string {
 	return "deadline_exceeded"
 }
 
-// ingestLocked folds every event recorded since the last fold.
+// ingestLocked folds every event recorded since the last fold, in place
+// in the recorder's ring: the fold runs under the recorder's lock, taken
+// after the monitor's own. The recorder calls nothing back, so that is
+// the only order the two locks nest in — and nothing under applyLocked
+// may call the recorder, which would wait on a lock its own goroutine
+// holds (TestFoldNeverCallsTheRecorder).
 func (m *Monitor) ingestLocked() {
 	if m.rec == nil {
 		return
 	}
-	evs := m.rec.EventsSince(m.lastSeq)
-	for i := range evs {
-		m.applyLocked(&evs[i])
-		m.lastSeq = evs[i].Seq
-	}
+	m.rec.VisitSince(m.lastSeq, func(ev *flight.Event) {
+		m.applyLocked(ev)
+		m.lastSeq = ev.Seq
+	})
 }
 
 // applyLocked folds one event.

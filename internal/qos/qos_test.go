@@ -1,6 +1,8 @@
 package qos
 
 import (
+	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -188,6 +190,58 @@ func TestCostBurnBillsTerminalEvents(t *testing.T) {
 	}
 }
 
+// TestPollFoldsEachEventOnceWhileTheRingFills: Poll folds the recorder's
+// new events in place, under the recorder's lock, while holding its own
+// — the one order the two locks are ever taken in. With writers
+// appending, a poller folding and a reader taking snapshots all at once,
+// every event is folded exactly once and nothing deadlocks.
+func TestPollFoldsEachEventOnceWhileTheRingFills(t *testing.T) {
+	const writers, perWriter = 2, 3000
+	rec := flight.NewWithCapacity(2 * writers * perWriter)
+	m := New(Options{Deadline: time.Hour})
+	m.EnsurePlan(testBreakdown(), pricing.AWS())
+	m.BeginRun(rec, 0, testStages())
+	var emit, watch sync.WaitGroup
+	stop := make(chan struct{})
+	for w := 0; w < writers; w++ {
+		emit.Add(1)
+		go func() {
+			defer emit.Done()
+			for i := 0; i < perWriter; i++ {
+				rec.Emit(flight.Event{Kind: flight.KindStoreGet, Bucket: "b", Key: "k"})
+			}
+		}()
+	}
+	for _, loop := range []func(){
+		func() { m.Poll(0) },
+		func() { _ = m.Snapshot() },
+	} {
+		watch.Add(1)
+		go func(loop func()) {
+			defer watch.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					loop()
+					runtime.Gosched()
+				}
+			}
+		}(loop)
+	}
+	emit.Wait()
+	close(stop)
+	watch.Wait()
+	m.Poll(0)
+	m.mu.Lock()
+	gets, lastSeq := m.gets, m.lastSeq
+	m.mu.Unlock()
+	if gets != writers*perWriter || lastSeq != rec.Seq() {
+		t.Fatalf("folded %d gets up to seq %d, want %d up to %d", gets, lastSeq, writers*perWriter, rec.Seq())
+	}
+}
+
 // TestEnsurePlanDefaultsDeadline: an unset deadline defaults to 1.5x the
 // predicted JCT, and explicit options are never overridden.
 func TestEnsurePlanDefaultsDeadline(t *testing.T) {
@@ -277,5 +331,54 @@ func TestNilSafety(t *testing.T) {
 	l.Publish(telemetry.New())
 	if s := l.Snapshot(); s.Runs != 0 {
 		t.Fatalf("nil ledger %+v", s)
+	}
+}
+
+// TestFoldNeverCallsTheRecorder guards the lock order Poll relies on:
+// the fold runs as flight.(*Recorder).VisitSince's callback, with the
+// recorder's lock held, so anything under applyLocked that called the
+// recorder (say, to emit a breach event) would block on a lock its own
+// goroutine holds, forever and without a message. One run sends every
+// branch of the fold through a single Poll: all three terminal kinds,
+// compute and every store op, a completed stage, a drifting term and a
+// deadline passed mid-fold (at-risk and breach transitions), with a
+// ledger and telemetry attached. The watchdog turns a re-entry into a
+// failure that names the rule.
+func TestFoldNeverCallsTheRecorder(t *testing.T) {
+	rec := flight.New()
+	m := New(Options{Predicted: testBreakdown(), Deadline: 30 * time.Second, Tenant: "acme", Job: "j",
+		Ledger: NewLedger(), Telemetry: telemetry.New()})
+	m.EnsurePlan(testBreakdown(), pricing.AWS())
+	m.BeginRun(rec, 0, testStages())
+	sec := func(s int) simtime.Time { return simtime.Time(time.Duration(s) * time.Second) }
+	for inv, label := range []string{"map-0", "map-1", "coordinator", "red-0-0", "red-0-1"} {
+		rec.Emit(flight.Event{Kind: flight.KindInvokeScheduled, Inv: int64(inv + 1), Label: label})
+	}
+	rec.Emit(flight.Event{Kind: flight.KindCompute, Inv: 1, Start: sec(1), Time: sec(16)})
+	for _, k := range []flight.Kind{flight.KindStoreGet, flight.KindStorePut, flight.KindStoreHead,
+		flight.KindStoreList, flight.KindStoreDelete, flight.KindStoreCopy} {
+		rec.Emit(flight.Event{Kind: k, Inv: 1, Bucket: "b", Key: "k", Start: sec(16), Time: sec(17)})
+	}
+	for inv, k := range []flight.Kind{flight.KindInvokeDone, flight.KindInvokeDone, flight.KindInvokeTimeout,
+		flight.KindInvokeError, flight.KindInvokeCanceled} {
+		rec.Emit(flight.Event{Kind: k, Inv: int64(inv + 1), Start: sec(1), Time: sec(17 + 5*inv), MemoryMB: 1024})
+	}
+	done := make(chan Snapshot, 1)
+	go func() {
+		m.Poll(sec(40))
+		m.EndRun(sec(40))
+		done <- m.Snapshot()
+	}()
+	select {
+	case snap := <-done:
+		if m.lastSeq != rec.Seq() {
+			t.Fatalf("folded up to seq %d of %d", m.lastSeq, rec.Seq())
+		}
+		if snap.DriftedTerms == 0 || snap.State != Breached.String() {
+			t.Fatalf("the run was meant to drift and breach inside the fold: %+v", snap)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Poll did not return: the fold runs under the recorder's lock (flight.VisitSince), " +
+			"so nothing under applyLocked may call the recorder")
 	}
 }
