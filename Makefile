@@ -38,13 +38,14 @@ race:
 # company (internal/model's tally, internal/telemetry's scope), the DAG
 # builder (its worker pool is capped at GOMAXPROCS, so the parallel build
 # is only compared with the serial one where there are Ps to run it on)
-# and the recorder/monitor pair (the monitor folds events under both
-# locks), run on 1, 2 and 4 Ps.
+# with the orchestration its workers rebind and the graph it freezes in
+# place, and the recorder/monitor pair (the monitor folds events under
+# both locks), run on 1, 2 and 4 Ps.
 procs:
 	for p in 1 2 4; do \
 		GOMAXPROCS=$$p $(GO) test -count=3 ./internal/loadgen ./internal/server ./internal/obs \
 			./internal/optimizer ./internal/lru ./internal/model ./internal/telemetry \
-			./internal/dag ./internal/flight ./internal/qos || exit 1; \
+			./internal/dag ./internal/mapreduce ./internal/graph ./internal/flight ./internal/qos || exit 1; \
 	done
 
 # The production service must not link the load driver.

@@ -180,9 +180,11 @@ var (
 )
 
 // sharedPredictionCap bounds the process-wide prediction cache. A cold
-// Sort100GB plan memoizes ~2k predictions; 1<<18 entries holds on the
-// order of a hundred distinct tenant shapes before eviction while
-// keeping worst-case residency bounded.
+// unconstrained plan memoizes 2 predictions (the chosen configuration
+// under the paper model and under the exact one); binding plans and
+// frontier sweeps memoize one per candidate they re-evaluate. 1<<18
+// entries holds a long stream of distinct tenant shapes before eviction
+// while keeping worst-case residency bounded.
 const sharedPredictionCap = 1 << 18
 
 // SharedCaches returns the process-wide template and prediction caches

@@ -39,9 +39,14 @@
 //
 // Edge-weight evaluation — thousands of analytic model calls over L
 // memory tiers and N fan-in candidates — is sharded across a bounded
-// worker pool (Options.Parallelism); the weights are computed into
-// per-index slots and the graph is assembled serially in a fixed order,
-// so the built DAG is bit-for-bit identical at every parallelism degree.
+// worker pool (Options.Parallelism). Each worker rebinds one model.RowEval
+// from row to row, and every orchestration a row reads is a closed form
+// (mapreduce.Split), so evaluating a row allocates nothing. The weights
+// are computed into per-index slots and the graph is assembled serially
+// in a fixed order, so the built DAG is bit-for-bit identical at every
+// parallelism degree. That order is source order: node ids ascend column
+// by column and each node's edges are added in one run, so the graph's
+// edge log already is its CSR and freezing it copies nothing.
 package dag
 
 import (
@@ -276,21 +281,22 @@ func (lay *layout) evaluate(ctx context.Context, m *model.Paper, sc *buildScratc
 	// reads the orchestration's reducing steps and nothing else, and the
 	// steps depend on kM only through the mapper count, so a class's row
 	// is bound from its smallest feasible kM; a class without one keeps
-	// an absent row.
+	// an absent row. Each worker rebinds one RowEval from row to row, so
+	// only its first binding allocates (the step-shape buffer).
 	for kM := lay.maxKM; kM >= 1; kM-- {
 		if sc.mapFeasible[kM-1] {
 			sc.repKM[lay.jcOf[kM-1]] = kM
 		}
 	}
-	if err := parallel.ForEach(ctx, lay.nJC, workers, func(jc int) {
+	newRow := func() *model.RowEval { return new(model.RowEval) }
+	if err := parallel.ForEachWith(ctx, lay.nJC, workers, newRow, func(e *model.RowEval, jc int) {
 		kM := sc.repKM[jc]
 		if kM == 0 {
 			return
 		}
 		row := sc.transfer[jc*maxKR : (jc+1)*maxKR]
-		var e model.RowEval // orchestration + shapes bound once per kR
 		for kR := 1; kR <= maxKR; kR++ {
-			if err := m.BindRowFor(&e, kM, kR); err != nil {
+			if err := m.BindRowFor(e, kM, kR); err != nil {
 				continue
 			}
 			row[kR-1] = pairW{ok: true, t: e.TransferTime(), c: e.GlueCost(kR)}
@@ -299,30 +305,19 @@ func (lay *layout) evaluate(ctx context.Context, m *model.Paper, sc *buildScratc
 		return err
 	}
 
-	// Coordinator column: one (time, cost) pair per (kR, tier).
-	if err := parallel.ForEach(ctx, maxKR, workers, func(i int) {
+	// Coordinator and reducer columns: one (time, cost) pair per
+	// (kR, tier) each, both read off kR's JHat row — c2 time and V2+W2
+	// cost for the coordinator, Eq. 9 compute and VP+WP cost for the
+	// reducers.
+	return parallel.ForEachWith(ctx, maxKR, workers, newRow, func(e *model.RowEval, i int) {
 		kR := i + 1
-		row := sc.coord[(kR-1)*L : kR*L]
-		var e model.RowEval
-		if err := m.BindRowHat(&e, kR); err == nil {
-			for ta, mem := range tiers {
-				row[ta] = pairW{ok: true, t: m.CoordCompute(mem), c: e.CoordCost(mem)}
-			}
+		if err := m.BindRowHat(e, kR); err != nil {
+			return
 		}
-	}); err != nil {
-		return err
-	}
-
-	// Reducer column: Eq. 9 compute and VP+WP cost depend only on
-	// (kR, s); one evaluation per pair, fanned out over kR.
-	return parallel.ForEach(ctx, maxKR, workers, func(i int) {
-		kR := i + 1
-		row := sc.reduce[(kR-1)*L : kR*L]
-		var e model.RowEval
-		if err := m.BindRowHat(&e, kR); err == nil {
-			for ts, mem := range tiers {
-				row[ts] = pairW{ok: true, t: e.ReduceCompute(mem), c: e.ReduceCost(mem)}
-			}
+		coord, reduce := sc.coord[(kR-1)*L:kR*L], sc.reduce[(kR-1)*L:kR*L]
+		for ti, mem := range tiers {
+			coord[ti] = pairW{ok: true, t: m.CoordCompute(mem), c: e.CoordCost(mem)}
+			reduce[ti] = pairW{ok: true, t: e.ReduceCompute(mem), c: e.ReduceCost(mem)}
 		}
 	})
 }
@@ -350,8 +345,10 @@ func (lay *layout) census(sc *buildScratch) int {
 	return edges + count(sc.transfer) + 2*count(sc.coord) + count(sc.reduce)
 }
 
-// assemble is phase 2 of a build: the graph, put together serially in a
-// fixed column order from the evaluated slots.
+// assemble is phase 2 of a build: the graph, put together serially from
+// the evaluated slots in source order — node ids ascend column by column
+// and every node's edges are added in one run — so the graph's log is its
+// CSR and freezing it copies nothing.
 func (d *DAG) assemble(sc *buildScratch) *graph.Graph {
 	lay, mode := &d.layout, d.Mode
 	tiers, L, maxKM, maxKR := lay.tiers, lay.nTiers, lay.maxKM, lay.maxKR
@@ -381,12 +378,11 @@ func (d *DAG) assemble(sc *buildScratch) *graph.Graph {
 	// mapper-mem -> objects-per-mapper: Eq. 4 time, U1+V1+W1 cost.
 	// Infeasible kM values (mapper count over the lambda limit R) have no
 	// row and contribute no edges.
-	for kM := 1; kM <= maxKM; kM++ {
-		if !sc.mapFeasible[kM-1] {
-			continue
-		}
-		for ti := range tiers {
-			addEdge(lay.iBase+ti, lay.kmBase+(kM-1), sc.mapT[(kM-1)*L+ti], sc.mapC[(kM-1)*L+ti])
+	for ti := range tiers {
+		for kM := 1; kM <= maxKM; kM++ {
+			if sc.mapFeasible[kM-1] {
+				addEdge(lay.iBase+ti, lay.kmBase+(kM-1), sc.mapT[(kM-1)*L+ti], sc.mapC[(kM-1)*L+ti])
+			}
 		}
 	}
 
@@ -409,14 +405,21 @@ func (d *DAG) assemble(sc *buildScratch) *graph.Graph {
 	}
 
 	// objects-per-reducer -> (kR, coordinator memory): c2 time, V2+W2
-	// cost; then on to kR's join, free — the reduce weights below read
-	// kR and not the coordinator tier.
+	// cost.
 	for kR := 1; kR <= maxKR; kR++ {
 		for ta := range tiers {
 			if w := sc.coord[(kR-1)*L+ta]; w.ok {
-				kra := lay.kraBase + (kR-1)*L + ta
-				addEdge(lay.krBase+(kR-1), kra, w.t, w.c)
-				addEdge(kra, lay.joinBase+(kR-1), 0, 0)
+				addEdge(lay.krBase+(kR-1), lay.kraBase+(kR-1)*L+ta, w.t, w.c)
+			}
+		}
+	}
+
+	// (kR, coordinator memory) -> kR's join, free: the reduce weights
+	// below read kR and not the coordinator tier.
+	for kR := 1; kR <= maxKR; kR++ {
+		for ta := range tiers {
+			if sc.coord[(kR-1)*L+ta].ok {
+				addEdge(lay.kraBase+(kR-1)*L+ta, lay.joinBase+(kR-1), 0, 0)
 			}
 		}
 	}

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
 	"astra/internal/graph"
+	"astra/internal/mapreduce"
 	"astra/internal/model"
 	"astra/internal/workload"
 )
@@ -77,7 +79,12 @@ func TestShortestPathDecodesToValidConfig(t *testing.T) {
 }
 
 // TestPathWeightMatchesModelComponents: any full path's weight must equal
-// the sum of the model's four edge components for the decoded config.
+// the sum of the model's four edge components for the decoded config —
+// for the ten cheapest paths of a small shape, and for seeded random
+// feasible configurations whose greedy splits leave short tails, on
+// graphs built by a worker pool that rebinds each worker's RowEval from
+// row to row. Those must weigh bit for bit what the components, each
+// evaluated on its own, sum to.
 func TestPathWeightMatchesModelComponents(t *testing.T) {
 	m := testModel()
 	d, err := BuildContext(context.Background(), m, MinimizeTime, Options{Tiers: testTiers})
@@ -105,6 +112,43 @@ func TestPathWeightMatchesModelComponents(t *testing.T) {
 		}
 		if diff := math.Abs(p.W - (e1 + e2 + e3 + e4)); diff > 1e-9 {
 			t.Fatalf("%v: path weight %v != component sum %v", cfg, p.W, e1+e2+e3+e4)
+		}
+	}
+
+	// N = 97 is prime: every k_M > 1 leaves a short last mapper.
+	const n = 97
+	for _, pf := range []workload.Profile{workload.Query, workload.Sort, workload.WordCount} {
+		m := goldenModel(pf, n)
+		for _, mode := range []Mode{MinimizeTime, MinimizeCost} {
+			d, err := BuildContext(context.Background(), m, mode, Options{Tiers: testTiers, Parallelism: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(n))
+			tails := 0
+			for tails < 100 {
+				kM, kR := 1+rng.Intn(n), 1+rng.Intn(n)
+				orch, err := mapreduce.OrchestrateFor(pf, n, kM, kR)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if orch.MapperLoads.Tail == 0 && orch.Step(0).Tail == 0 || model.Feasible(m.P, orch) != nil {
+					continue
+				}
+				tails++
+				cfg := mapreduce.Config{
+					MapperMemMB:    d.tiers[rng.Intn(d.nTiers)],
+					CoordMemMB:     d.tiers[rng.Intn(d.nTiers)],
+					ReducerMemMB:   d.tiers[rng.Intn(d.nTiers)],
+					ObjsPerMapper:  kM,
+					ObjsPerReducer: kR,
+				}
+				w, side := walk(t, d.G, d.pathOf(t, cfg))
+				if wantW, wantSide := modelSums(t, m, mode, cfg); w != wantW || side != wantSide {
+					t.Fatalf("%s %v %v: path weighs (%v, %v), the model's components sum to (%v, %v)",
+						pf.Name, mode, cfg, w, side, wantW, wantSide)
+				}
+			}
 		}
 	}
 }

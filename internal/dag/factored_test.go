@@ -3,6 +3,7 @@ package dag
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"astra/internal/graph"
@@ -61,6 +62,57 @@ func countPaths(g *graph.Graph, src, dst int) int {
 	return from(src)
 }
 
+// walk sums W and Side along a node sequence that must be joined by
+// exactly one edge per hop.
+func walk(t *testing.T, g *graph.Graph, nodes []int) (w, side float64) {
+	t.Helper()
+	for i := 0; i+1 < len(nodes); i++ {
+		hops := 0
+		for _, e := range g.EdgesFrom(nodes[i]) {
+			if e.To == nodes[i+1] {
+				hops++
+				w += e.W
+				side += e.Side
+			}
+		}
+		if hops != 1 {
+			t.Fatalf("%d edges %d -> %d, want exactly one", hops, nodes[i], nodes[i+1])
+		}
+	}
+	return w, side
+}
+
+// modelSums is what cfg's path must weigh: the left-to-right sum of the
+// model's four (time, cost) components, each evaluated on its own by the
+// per-edge methods, combined the way mode weighs an edge.
+func modelSums(t *testing.T, m *model.Paper, mode Mode, cfg mapreduce.Config) (w, side float64) {
+	t.Helper()
+	const tieEps = 1e-7
+	kM, kR := cfg.ObjsPerMapper, cfg.ObjsPerReducer
+	glue, err1 := m.GlueCost(kM, kR)
+	xfer, err2 := m.TransferTime(kM, kR)
+	coordC, err3 := m.CoordCost(cfg.CoordMemMB, kR)
+	redT, err4 := m.ReduceCompute(cfg.ReducerMemMB, kR)
+	redC, err5 := m.ReduceCost(cfg.ReducerMemMB, kR)
+	for _, err := range []error{err1, err2, err3, err4, err5} {
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	times := [4]float64{m.MapperTime(cfg.MapperMemMB, kM), xfer, m.CoordCompute(cfg.CoordMemMB), redT}
+	costs := [4]float64{m.MapperCost(cfg.MapperMemMB, kM), glue, coordC, redC}
+	for k := range times {
+		if mode == MinimizeTime {
+			w += times[k] + tieEps*costs[k]
+			side += costs[k]
+		} else {
+			w += costs[k] + tieEps*times[k]
+			side += times[k]
+		}
+	}
+	return w, side
+}
+
 // TestPathsAreConfigurations: source-to-destination paths and feasible
 // configurations are in bijection, and a path weighs what the model says
 // its configuration does. There are as many paths as feasible
@@ -70,7 +122,6 @@ func countPaths(g *graph.Graph, src, dst int) int {
 // sum of the model's four (time, cost) components — the two joins add
 // (0, 0), which changes no float.
 func TestPathsAreConfigurations(t *testing.T) {
-	const tieEps = 1e-7
 	shapes := []struct {
 		job        workload.Job
 		maxLambdas int
@@ -113,47 +164,11 @@ func TestPathsAreConfigurations(t *testing.T) {
 					ObjsPerReducer: 1 + rng.Intn(n),
 				}
 				nodes := d.pathOf(t, cfg)
-				var w, side float64
-				for i := 0; i+1 < len(nodes); i++ {
-					hops := 0
-					for _, e := range d.G.EdgesFrom(nodes[i]) {
-						if e.To == nodes[i+1] {
-							hops++
-							w += e.W
-							side += e.Side
-						}
-					}
-					if hops != 1 {
-						t.Fatalf("%v: %d edges %d -> %d, want exactly one", cfg, hops, nodes[i], nodes[i+1])
-					}
-				}
+				w, side := walk(t, d.G, nodes)
 				if got, err := d.Decode(graph.Path{Nodes: nodes}); err != nil || got != cfg {
 					t.Fatalf("path of %v decodes to %v, %v", cfg, got, err)
 				}
-
-				kM, kR := cfg.ObjsPerMapper, cfg.ObjsPerReducer
-				glue, err1 := m.GlueCost(kM, kR)
-				xfer, err2 := m.TransferTime(kM, kR)
-				coordC, err3 := m.CoordCost(cfg.CoordMemMB, kR)
-				redT, err4 := m.ReduceCompute(cfg.ReducerMemMB, kR)
-				redC, err5 := m.ReduceCost(cfg.ReducerMemMB, kR)
-				for _, err := range []error{err1, err2, err3, err4, err5} {
-					if err != nil {
-						t.Fatal(err)
-					}
-				}
-				times := [4]float64{m.MapperTime(cfg.MapperMemMB, kM), xfer, m.CoordCompute(cfg.CoordMemMB), redT}
-				costs := [4]float64{m.MapperCost(cfg.MapperMemMB, kM), glue, coordC, redC}
-				var wantW, wantSide float64
-				for k := range times {
-					if mode == MinimizeTime {
-						wantW += times[k] + tieEps*costs[k]
-						wantSide += costs[k]
-					} else {
-						wantW += costs[k] + tieEps*times[k]
-						wantSide += times[k]
-					}
-				}
+				wantW, wantSide := modelSums(t, m, mode, cfg)
 				if w != wantW || side != wantSide {
 					t.Fatalf("%s %v %v: path weighs (%v, %v), the model's components sum to (%v, %v)",
 						sh.job.Profile.Name, mode, cfg, w, side, wantW, wantSide)
@@ -234,34 +249,59 @@ func TestReserveCensusIsExact(t *testing.T) {
 }
 
 // TestFactoredGraphStaysSmall bounds what a cold build costs, in numbers
-// that repeat exactly: the seven-column graph with the L^2 fan out of
+// that repeat exactly. The seven-column graph with the L^2 fan out of
 // every (k_R, a) and the N^2 transfer fan had 204,984 edges at query
 // N=207 and 125,038 at sort N=136, and a sort N=136 build made ~57k
-// allocations.
+// allocations. With the two joins, but with every orchestration still
+// holding its loads as slices and the edge log copied into CSR by
+// freeze, a build made 10,929 (sort N=136) and 23,172 (query N=207)
+// allocations, and allocated 4-5x the bytes of the graph it returned.
+// Now the splits are closed forms, rows are bound into one RowEval per
+// worker, and the source-ordered log is the CSR: a build allocates little
+// beyond its own graph's arrays.
 func TestFactoredGraphStaysSmall(t *testing.T) {
 	ctx := context.Background()
 	opts := Options{Parallelism: 1}
-	q, err := BuildContext(ctx, goldenModel(workload.Query, 207), MinimizeTime, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if q.G.NumEdges() > 30000 {
-		t.Errorf("query N=207: %d edges, want at most 30,000", q.G.NumEdges())
-	}
-	m := goldenModel(workload.Sort, 136)
-	s, err := BuildContext(ctx, m, MinimizeTime, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.G.NumEdges() > 19000 {
-		t.Errorf("sort N=136: %d edges, want at most 19,000", s.G.NumEdges())
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		if _, err := BuildContext(ctx, m, MinimizeTime, opts); err != nil {
+	for _, c := range []struct {
+		pf       workload.Profile
+		n        int
+		maxEdges int
+	}{
+		{workload.Query, 207, 30000},
+		{workload.Sort, 136, 19000},
+	} {
+		m := goldenModel(c.pf, c.n)
+		d, err := BuildContext(ctx, m, MinimizeTime, opts)
+		if err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs >= 15000 {
-		t.Errorf("sort N=136: %.0f allocations per build, want under 15,000", allocs)
+		nodes, edges := d.G.NumNodes(), d.G.NumEdges()
+		if edges > c.maxEdges {
+			t.Errorf("%s N=%d: %d edges, want at most %d", c.pf.Name, c.n, edges, c.maxEdges)
+		}
+		build := func() {
+			if _, err := BuildContext(ctx, m, MinimizeTime, opts); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if allocs := testing.AllocsPerRun(5, build); allocs >= 1000 {
+			t.Errorf("%s N=%d: %.0f allocations per build, want under 1,000", c.pf.Name, c.n, allocs)
+		}
+		if raceEnabled {
+			continue
+		}
+		// The frozen graph's own arrays: off, to, w, side and the removal
+		// bitset.
+		graphBytes := 4*(nodes+1) + (4+8+8)*edges + 8*((edges+63)/64)
+		const runs = 5
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for i := 0; i < runs; i++ {
+			build()
+		}
+		runtime.ReadMemStats(&after)
+		if perBuild := float64(after.TotalAlloc-before.TotalAlloc) / runs; perBuild > 1.3*float64(graphBytes) {
+			t.Errorf("%s N=%d: %.0f bytes allocated per build, want at most 1.3x the graph's %d", c.pf.Name, c.n, perBuild, graphBytes)
+		}
 	}
 }

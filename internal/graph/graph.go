@@ -11,11 +11,13 @@
 //
 // Storage is compressed sparse row (CSR): AddEdge appends to a flat
 // arrival-order log, and the first search freezes the log into off/to/
-// w/side arrays so every solver walks contiguous memory. Removal
-// (Algorithm 1) flips a bit in a per-graph bitset instead of mutating
-// the arrays, which also makes Clone O(m/64): clones share the frozen
-// arrays and copy only the bitset. See DESIGN.md, "Memory layout of the
-// search core".
+// w/side arrays so every solver walks contiguous memory. A log added in
+// source order (the DAG assembler's order) already is the CSR: freeze
+// adopts its arrays in place and only builds off; any other order is
+// placed by one counted pass. Removal (Algorithm 1) flips a bit in a
+// per-graph bitset instead of mutating the arrays, which also makes Clone
+// O(m/64): clones share the frozen arrays and copy only the bitset. See
+// DESIGN.md, "Memory layout of the search core".
 package graph
 
 import (
@@ -51,11 +53,15 @@ type Graph struct {
 	n int
 	m int // live (non-removed) edge count
 
-	// Builder log in arrival order; dropped once frozen into CSR form,
-	// reconstructed (live edges only) if AddEdge is called afterwards.
+	// Builder log in arrival order; handed to (or placed into) the CSR
+	// arrays by freeze, reconstructed (live edges only) if AddEdge is
+	// called afterwards. While every edge has arrived in source order the
+	// log keeps no per-edge source — deg's runs imply it — and lu stays
+	// nil; the first edge out of order materializes lu from those runs.
 	lu, lv []int32
 	lw, ls []float64
-	deg    []int32 // per-node log edge counts, for the counted freeze pass
+	deg    []int32 // per-node log edge counts, n+1 long: freeze turns it into off
+	last   int32   // the latest logged edge's source
 
 	// Frozen CSR: node u's outgoing edges are indices off[u]..off[u+1]
 	// of the parallel to/w/side arrays, in per-node insertion order.
@@ -100,9 +106,15 @@ func (g *Graph) AddEdge(u, v int, w, side float64) {
 		g.thaw()
 	}
 	if g.deg == nil {
-		g.deg = make([]int32, g.n)
+		g.deg = make([]int32, g.n+1)
 	}
-	g.lu = append(g.lu, int32(u))
+	if g.lu == nil && int32(u) < g.last {
+		g.lu = g.sources()
+	}
+	if g.lu != nil {
+		g.lu = append(g.lu, int32(u))
+	}
+	g.last = int32(u)
 	g.lv = append(g.lv, int32(v))
 	g.lw = append(g.lw, w)
 	g.ls = append(g.ls, side)
@@ -134,11 +146,26 @@ func (g *Graph) Reserve(m int) {
 		copy(ns, s)
 		return ns
 	}
-	g.lu, g.lv = growI(g.lu), growI(g.lv)
+	if g.lu != nil {
+		g.lu = growI(g.lu)
+	}
+	g.lv = growI(g.lv)
 	g.lw, g.ls = grow(g.lw), grow(g.ls)
 	if g.deg == nil {
-		g.deg = make([]int32, g.n)
+		g.deg = make([]int32, g.n+1)
 	}
+}
+
+// sources lists the source of every logged edge, read off deg's runs; it
+// is only valid while the log is in source order.
+func (g *Graph) sources() []int32 {
+	lu := make([]int32, 0, cap(g.lv))
+	for u := 0; u < g.n; u++ {
+		for k := int32(0); k < g.deg[u]; k++ {
+			lu = append(lu, int32(u))
+		}
+	}
+	return lu
 }
 
 // Freeze forces the lazy CSR build now. Searches freeze on first use
@@ -146,10 +173,13 @@ func (g *Graph) Reserve(m int) {
 // cache) freeze eagerly so readers never contend on the build lock.
 func (g *Graph) Freeze() { g.freeze() }
 
-// freeze builds the CSR arrays from the log in one counted pass and
-// drops the log. It is idempotent and safe to call from concurrent
-// readers: the first caller builds, the rest observe the published
-// arrays through the atomic flag.
+// freeze turns the log into the CSR arrays and drops it: deg becomes off
+// in place, and a log in source order becomes to/w/side as it stands; any
+// other log is placed by one counted pass, which keeps each node's edges
+// in arrival order, so both paths freeze the same edges to the same
+// arrays. It is idempotent and safe to call from concurrent readers: the
+// first caller builds, the rest observe the published arrays through the
+// atomic flag.
 func (g *Graph) freeze() {
 	if g.frozen.Load() {
 		return
@@ -159,49 +189,59 @@ func (g *Graph) freeze() {
 	if g.frozen.Load() {
 		return
 	}
-	off := make([]int32, g.n+1)
-	for u := 0; u < g.n && g.deg != nil; u++ {
-		off[u+1] = off[u] + g.deg[u]
+	off := g.deg
+	if off == nil {
+		off = make([]int32, g.n+1)
 	}
-	total := len(g.lu)
-	to := make([]int32, total)
-	w := make([]float64, total)
-	side := make([]float64, total)
-	pos := make([]int32, g.n)
-	copy(pos, off[:g.n])
-	for i, u := range g.lu {
-		p := pos[u]
-		pos[u] = p + 1
-		to[p] = g.lv[i]
-		w[p] = g.lw[i]
-		side[p] = g.ls[i]
+	total := int32(0)
+	for u, d := range off[:g.n] {
+		off[u] = total
+		total += d
 	}
-	g.off, g.to, g.w, g.side = off, to, w, side
-	g.removed = newBitset(total)
-	g.lu, g.lv, g.lw, g.ls, g.deg = nil, nil, nil, nil, nil
+	off[g.n] = total
+	if g.lu == nil {
+		g.to, g.w, g.side = g.lv, g.lw, g.ls
+	} else {
+		g.to = make([]int32, total)
+		g.w = make([]float64, total)
+		g.side = make([]float64, total)
+		pos := make([]int32, g.n)
+		copy(pos, off[:g.n])
+		for i, u := range g.lu {
+			p := pos[u]
+			pos[u] = p + 1
+			g.to[p] = g.lv[i]
+			g.w[p] = g.lw[i]
+			g.side[p] = g.ls[i]
+		}
+	}
+	g.off = off
+	g.removed = newBitset(int(total))
+	g.lu, g.lv, g.lw, g.ls, g.deg, g.last = nil, nil, nil, nil, nil, 0
 	g.frozen.Store(true)
 }
 
 // thaw reconstructs the builder log from the frozen CSR (live edges
-// only, in CSR order) so AddEdge can extend a graph that has already
-// been searched. Removed edges are dropped for good. Callers must hold
-// exclusive access (AddEdge is a mutating method).
+// only, in CSR order, which is source order) so AddEdge can extend a
+// graph that has already been searched. Removed edges are dropped for
+// good. The frozen arrays are copied, never appended to: clones may share
+// them. Callers must hold exclusive access (AddEdge is a mutating
+// method).
 func (g *Graph) thaw() {
-	g.lu = make([]int32, 0, g.m)
 	g.lv = make([]int32, 0, g.m)
 	g.lw = make([]float64, 0, g.m)
 	g.ls = make([]float64, 0, g.m)
-	g.deg = make([]int32, g.n)
+	g.deg = make([]int32, g.n+1)
 	for u := 0; u < g.n; u++ {
 		for ei := g.off[u]; ei < g.off[u+1]; ei++ {
 			if g.removed.get(ei) {
 				continue
 			}
-			g.lu = append(g.lu, int32(u))
 			g.lv = append(g.lv, g.to[ei])
 			g.lw = append(g.lw, g.w[ei])
 			g.ls = append(g.ls, g.side[ei])
 			g.deg[u]++
+			g.last = int32(u)
 		}
 	}
 	g.off, g.to, g.w, g.side, g.removed = nil, nil, nil, nil, nil

@@ -352,7 +352,8 @@ func (d *Driver) Run(p *simtime.Proc, spec JobSpec, cfg Config) (*Report, error)
 		invs := make([]*lambda.Invocation, orch.Mappers())
 		payloads := make([][]byte, orch.Mappers())
 		inKeys := make([][]string, orch.Mappers())
-		for m, load := range orch.MapperLoads {
+		for m := range invs {
+			load := orch.MapperLoads.Load(m)
 			run.mapOutKeys[m] = fmt.Sprintf("map/part-%05d", m)
 			out := run.mapOutKeys[m]
 			if run.policy != nil {
@@ -423,7 +424,7 @@ func (d *Driver) Run(p *simtime.Proc, spec JobSpec, cfg Config) (*Report, error)
 		// Wait for the last step's reducers, launched asynchronously by
 		// the coordinator.
 		if run.policy != nil {
-			finalPred := run.policy.stepTask(len(run.orch.Steps) - 1)
+			finalPred := run.policy.stepTask(run.orch.NumSteps() - 1)
 			deadline := run.policy.deadlineFor(run.finalStart, finalPred)
 			for i, iv := range run.finalInvs {
 				i := i
@@ -623,16 +624,18 @@ func (d *Driver) reduceViaStepFunctions(p *simtime.Proc, run *jobRun, reducerFn 
 	sf := d.pl.Sheet().StepFunctions
 	orchTime := time.Duration(0)
 	prevKeys := run.mapOutKeys
-	for pi, step := range run.orch.Steps {
+	for pi := 0; pi < run.orch.NumSteps(); pi++ {
+		step := run.orch.Step(pi)
 		p.Sleep(sf.TransitionLatency)
 		orchTime += sf.TransitionLatency
 		stepStart := p.Now()
-		outKeys := make([]string, step.Reducers())
-		invs := make([]*lambda.Invocation, step.Reducers())
-		bodies := make([][]byte, step.Reducers())
-		inKeys := make([][]string, step.Reducers())
+		outKeys := make([]string, step.Count())
+		invs := make([]*lambda.Invocation, step.Count())
+		bodies := make([][]byte, step.Count())
+		inKeys := make([][]string, step.Count())
 		off := 0
-		for r, load := range step.Loads {
+		for r := range invs {
+			load := step.Load(r)
 			outKeys[r] = fmt.Sprintf("red/%02d/part-%05d", pi, r)
 			out := outKeys[r]
 			if run.policy != nil {
@@ -761,20 +764,21 @@ func (d *Driver) coordHandler(run *jobRun, reducerFn string) lambda.Handler {
 		ctx.Work(run.spec.Workload.Profile.CoordSecPerObject * float64(run.orch.Mappers()))
 
 		prevKeys := run.mapOutKeys
-		steps := run.orch.Steps
-		for pi, step := range steps {
+		for pi := 0; pi < run.orch.NumSteps(); pi++ {
+			step := run.orch.Step(pi)
 			stateKey := fmt.Sprintf("state/step-%02d", pi)
 			if err := ctx.PutProfiled(run.interBucket, stateKey, StateObjectBytes); err != nil {
 				return nil, err
 			}
-			outKeys := make([]string, step.Reducers())
-			invs := make([]*lambda.Invocation, step.Reducers())
-			labels := make([]string, step.Reducers())
-			bodies := make([][]byte, step.Reducers())
-			inKeys := make([][]string, step.Reducers())
+			outKeys := make([]string, step.Count())
+			invs := make([]*lambda.Invocation, step.Count())
+			labels := make([]string, step.Count())
+			bodies := make([][]byte, step.Count())
+			inKeys := make([][]string, step.Count())
 			stepStart := ctx.Now()
 			off := 0
-			for r, load := range step.Loads {
+			for r := range invs {
+				load := step.Load(r)
 				outKeys[r] = fmt.Sprintf("red/%02d/part-%05d", pi, r)
 				out := outKeys[r]
 				if run.policy != nil {
@@ -793,7 +797,7 @@ func (d *Driver) coordHandler(run *jobRun, reducerFn string) lambda.Handler {
 				bodies[r] = body
 				invs[r] = ctx.InvokeAsync(reducerFn, labels[r], body)
 			}
-			if pi < len(steps)-1 {
+			if pi < run.orch.NumSteps()-1 {
 				if run.policy != nil {
 					stepPred := run.policy.stepTask(pi)
 					deadline := run.policy.deadlineFor(stepStart, stepPred)

@@ -151,14 +151,11 @@ func TestRequestCountsMatchModel(t *testing.T) {
 	m := w.store.Metrics().Sub(before)
 
 	o := rep.Orchestration
-	wantGets := int64(10 /* mapper gets = N */ + o.Mappers() + (o.Reducers() - o.Steps[len(o.Steps)-1].Reducers()) + 0)
-	// Reducer GETs: every step's reducers fetch exactly the previous
-	// step's outputs = objects consumed per step. Total consumed =
-	// mappers + sum of intermediate step outputs = mappers + (reducers -
-	// final step reducers)... computed directly instead:
-	wantGets = 10 // mapper phase: N input objects
-	for _, s := range o.Steps {
-		wantGets += int64(s.Objects())
+	// Mapper GETs are the N input objects; every step's reducers fetch
+	// exactly the previous step's outputs, the objects the step consumes.
+	wantGets := int64(10)
+	for p := 0; p < o.NumSteps(); p++ {
+		wantGets += int64(o.Step(p).Objects())
 	}
 	wantPuts := int64(o.Mappers() + o.NumSteps() /* state objects */ + o.Reducers())
 	if m.Gets != wantGets {

@@ -16,8 +16,8 @@ func ExampleOrchestrate() {
 		panic(err)
 	}
 	fmt.Println("mappers:", o.Mappers())
-	for i, s := range o.Steps {
-		fmt.Printf("step %d: %d reducer(s)\n", i+1, s.Reducers())
+	for p := 0; p < o.NumSteps(); p++ {
+		fmt.Printf("step %d: %d reducer(s)\n", p+1, o.Step(p).Count())
 	}
 	// Output:
 	// mappers: 5

@@ -7,7 +7,11 @@ import (
 
 // FuzzOrchestrate drives the Table I recurrence with arbitrary inputs:
 // it must never panic, and every accepted input must satisfy the shape
-// invariants (loads partition the objects, the cascade converges).
+// invariants (the mapper split partitions the objects with no load above
+// k_M, each step consumes exactly the previous step's outputs, the
+// cascade converges). Seeds beyond the four below — a collapsed k_R = 1
+// cascade, one mapper, one reducer taking a tailed mapper split, a deep
+// cascade — are checked in under testdata/fuzz/FuzzOrchestrate.
 func FuzzOrchestrate(f *testing.F) {
 	f.Add(10, 2, 2)
 	f.Add(202, 1, 11)
@@ -18,22 +22,17 @@ func FuzzOrchestrate(f *testing.F) {
 		if err != nil {
 			return // rejected inputs are fine; panics are not
 		}
-		sum := 0
-		for _, l := range o.MapperLoads {
-			if l <= 0 {
-				t.Fatalf("non-positive mapper load in %+v", o)
-			}
-			sum += l
-		}
-		if sum != n {
-			t.Fatalf("mapper loads sum %d != %d", sum, n)
+		ml := o.MapperLoads
+		if ml.Objects() != n || ml.Max() != kM || ml.Load(ml.Count()-1) <= 0 {
+			t.Fatalf("mapper split %+v of %d objects at k_M=%d", ml, n, kM)
 		}
 		prev := o.Mappers()
-		for _, s := range o.Steps {
+		for p := 0; p < o.NumSteps(); p++ {
+			s := o.Step(p)
 			if s.Objects() != prev {
 				t.Fatalf("step consumes %d, previous produced %d", s.Objects(), prev)
 			}
-			prev = s.Reducers()
+			prev = s.Count()
 		}
 		if prev != 1 {
 			t.Fatalf("cascade did not converge: %+v", o)

@@ -12,6 +12,7 @@ package mapreduce
 
 import (
 	"fmt"
+	"math"
 
 	"astra/internal/workload"
 )
@@ -21,72 +22,101 @@ import (
 // assumes 1 MB).
 const StateObjectBytes = 1 << 20
 
-// Step is one reducing step: Loads[i] is the number of input objects
-// assigned to reducer i of the step.
-type Step struct {
-	Loads []int
+// Split is a greedy distribution of objects over workers, in closed
+// form: Full workers carry K objects each and, when Tail > 0, one last
+// worker carries the remaining Tail < K — the skewed tail distribution the
+// paper describes in Sec. II-C (10 objects at k=7 split as (7,3)). Worker
+// i's load is Load(i), so a shape never materializes a per-worker slice.
+type Split struct {
+	Full, K, Tail int
 }
 
-// Reducers reports the number of reducer lambdas in the step (g_p).
-func (s Step) Reducers() int { return len(s.Loads) }
+// greedySplit distributes n objects into loads of k, the remainder on the
+// last worker.
+func greedySplit(n, k int) Split {
+	return Split{Full: n / k, K: k, Tail: n % k}
+}
 
-// Objects reports the number of input objects consumed by the step.
-func (s Step) Objects() int {
-	n := 0
-	for _, l := range s.Loads {
-		n += l
+// Count reports the number of workers.
+func (s Split) Count() int {
+	if s.Tail > 0 {
+		return s.Full + 1
 	}
-	return n
+	return s.Full
 }
+
+// Load reports worker i's object count, for 0 <= i < Count().
+func (s Split) Load(i int) int {
+	if i < s.Full {
+		return s.K
+	}
+	return s.Tail
+}
+
+// Max reports the busiest worker's object count.
+func (s Split) Max() int {
+	if s.Full > 0 {
+		return s.K
+	}
+	return s.Tail
+}
+
+// Objects reports the number of objects distributed.
+func (s Split) Objects() int { return s.Full*s.K + s.Tail }
 
 // Orchestration is the complete shape of a serverless MapReduce job for
 // given object counts: how many mappers, how objects are distributed, and
-// the full reducing-step cascade (the paper's Table I and Table II).
+// the full reducing-step cascade (the paper's Table I and Table II). It is
+// a small value in closed form: the cascade is the mapper count and the
+// per-step split rule, and Step(p) derives step p on demand.
 type Orchestration struct {
 	NumObjects     int
 	ObjsPerMapper  int
 	ObjsPerReducer int
-	// MapperLoads[i] is the number of input objects mapper i processes.
-	MapperLoads []int
-	// Steps is the reducing cascade; Steps[p].Reducers() is g_{p+1}.
-	Steps []Step
+	// MapperLoads splits the input objects over the mappers.
+	MapperLoads Split
+
+	steps int // P, the number of reducing steps
+	// stepK is the per-reducer object count of every step's split: k_R,
+	// or the mapper count j for the k_R = 1 cascade's single
+	// all-consuming reducer.
+	stepK int
 }
 
 // Mappers reports the number of mapper lambdas (j).
-func (o Orchestration) Mappers() int { return len(o.MapperLoads) }
+func (o Orchestration) Mappers() int { return o.MapperLoads.Count() }
+
+// NumSteps reports the number of reducing steps (P).
+func (o Orchestration) NumSteps() int { return o.steps }
+
+// Step returns reducing step p's split of its input objects over its
+// reducers, for 0 <= p < NumSteps(): step 0 consumes the mapper outputs
+// and every later step the previous step's outputs. Step(p).Count() is
+// g_{p+1}.
+func (o Orchestration) Step(p int) Split {
+	// Step p consumes ceil(j/k^p) objects (a ceiling of a quotient's
+	// ceiling is the ceiling of the quotient by the product), and step p
+	// exists only while k^p < j, so k^p cannot overflow.
+	div := 1
+	for ; p > 0; p-- {
+		div *= o.stepK
+	}
+	return greedySplit((o.Mappers()-1)/div+1, o.stepK)
+}
 
 // Reducers reports the total number of reducer lambdas across all steps
 // (g in the paper).
 func (o Orchestration) Reducers() int {
 	n := 0
-	for _, s := range o.Steps {
-		n += s.Reducers()
+	for p := 0; p < o.steps; p++ {
+		n += o.Step(p).Count()
 	}
 	return n
 }
 
-// NumSteps reports the number of reducing steps (P).
-func (o Orchestration) NumSteps() int { return len(o.Steps) }
-
 // TotalLambdas reports every lambda the job invokes: mappers, one
 // coordinator, and all reducers.
 func (o Orchestration) TotalLambdas() int { return o.Mappers() + 1 + o.Reducers() }
-
-// splitGreedy distributes n objects into loads of k, with the remainder on
-// the last worker — the skewed tail distribution the paper describes in
-// Sec. II-C (e.g. 10 objects at k=7 gives loads (7,3)).
-func splitGreedy(n, k int) []int {
-	loads := make([]int, 0, (n+k-1)/k)
-	for n > 0 {
-		take := k
-		if take > n {
-			take = n
-		}
-		loads = append(loads, take)
-		n -= take
-	}
-	return loads
-}
 
 // Orchestrate computes the job shape for n input objects with kM objects
 // per mapper and kR objects per reducer.
@@ -97,38 +127,7 @@ func splitGreedy(n, k int) []int {
 // j objects (Table I, column 1). A job always has at least one reducing
 // step, which produces the final output object.
 func Orchestrate(n, kM, kR int) (Orchestration, error) {
-	if n <= 0 {
-		return Orchestration{}, fmt.Errorf("mapreduce: need a positive object count, got %d", n)
-	}
-	if kM <= 0 || kM > n {
-		return Orchestration{}, fmt.Errorf("mapreduce: objects per mapper %d out of range [1, %d]", kM, n)
-	}
-	if kR <= 0 {
-		return Orchestration{}, fmt.Errorf("mapreduce: objects per reducer %d must be positive", kR)
-	}
-	o := Orchestration{
-		NumObjects:     n,
-		ObjsPerMapper:  kM,
-		ObjsPerReducer: kR,
-		MapperLoads:    splitGreedy(n, kM),
-	}
-	count := o.Mappers()
-	if kR == 1 {
-		// A reducer that consumes one object and emits one object would
-		// cascade forever; the reference framework collapses this to a
-		// single reducer handling everything (Table I, column 1).
-		o.Steps = []Step{{Loads: []int{count}}}
-		return o, nil
-	}
-	for {
-		step := Step{Loads: splitGreedy(count, kR)}
-		o.Steps = append(o.Steps, step)
-		count = step.Reducers()
-		if count <= 1 {
-			break
-		}
-	}
-	return o, nil
+	return orchestrate(n, kM, kR, false)
 }
 
 // OrchestrateFor computes the job shape for a workload profile:
@@ -136,9 +135,10 @@ func Orchestrate(n, kM, kR int) (Orchestration, error) {
 // whose partitioned outputs are final; aggregations cascade until a
 // single object remains.
 func OrchestrateFor(pf workload.Profile, n, kM, kR int) (Orchestration, error) {
-	if !pf.SingleStepReduce {
-		return Orchestrate(n, kM, kR)
-	}
+	return orchestrate(n, kM, kR, pf.SingleStepReduce)
+}
+
+func orchestrate(n, kM, kR int, singleStep bool) (Orchestration, error) {
 	if n <= 0 {
 		return Orchestration{}, fmt.Errorf("mapreduce: need a positive object count, got %d", n)
 	}
@@ -152,9 +152,28 @@ func OrchestrateFor(pf workload.Profile, n, kM, kR int) (Orchestration, error) {
 		NumObjects:     n,
 		ObjsPerMapper:  kM,
 		ObjsPerReducer: kR,
-		MapperLoads:    splitGreedy(n, kM),
+		MapperLoads:    greedySplit(n, kM),
+		steps:          1,
+		stepK:          kR,
 	}
-	o.Steps = []Step{{Loads: splitGreedy(o.Mappers(), kR)}}
+	switch {
+	case singleStep:
+	case kR == 1:
+		// A reducer that consumes one object and emits one object would
+		// cascade forever; the reference framework collapses this to a
+		// single reducer handling everything (Table I, column 1).
+		o.stepK = o.Mappers()
+	default:
+		// Step p consumes ceil(j/kR^p) objects (see Step), so the
+		// cascade runs the least P >= 1 steps with kR^P >= j.
+		j, limit := o.Mappers(), math.MaxInt/kR
+		for pow := kR; pow < j; pow *= kR {
+			o.steps++
+			if pow > limit {
+				break // kR^P overflows, so it exceeds j
+			}
+		}
+	}
 	return o, nil
 }
 
@@ -177,8 +196,8 @@ func TableI(n int, ks []int) ([]TableIRow, error) {
 			return nil, err
 		}
 		row := TableIRow{ObjectsPerLambda: k, Mappers: o.Mappers()}
-		for _, s := range o.Steps {
-			row.StepReducers = append(row.StepReducers, s.Reducers())
+		for p := 0; p < o.NumSteps(); p++ {
+			row.StepReducers = append(row.StepReducers, o.Step(p).Count())
 		}
 		rows = append(rows, row)
 	}

@@ -1,20 +1,102 @@
 package mapreduce
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
+
+	"astra/internal/workload"
 )
 
-func eqInts(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
+// splitGreedy is the reference a Split must agree with: the greedy
+// distribution of n objects into loads of k, the remainder on the last
+// worker, as a per-worker slice.
+func splitGreedy(n, k int) []int {
+	loads := make([]int, 0, (n+k-1)/k)
+	for n > 0 {
+		take := min(k, n)
+		loads = append(loads, take)
+		n -= take
 	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
+	return loads
+}
+
+// loadsOf lists a split's per-worker loads.
+func loadsOf(s Split) []int {
+	loads := make([]int, s.Count())
+	for i := range loads {
+		loads[i] = s.Load(i)
+	}
+	return loads
+}
+
+// TestSplitMatchesGreedyReference: for every 1 <= k <= n <= 512 the closed
+// form agrees with the per-worker slice on the worker count, every load,
+// the maximum and the object count (the reference's loads sum to n).
+func TestSplitMatchesGreedyReference(t *testing.T) {
+	for n := 1; n <= 512; n++ {
+		for k := 1; k <= n; k++ {
+			s, ref := greedySplit(n, k), splitGreedy(n, k)
+			if got := loadsOf(s); !slices.Equal(got, ref) {
+				t.Fatalf("split(%d, %d): loads %v, reference %v", n, k, got, ref)
+			}
+			if s.Max() != slices.Max(ref) || s.Objects() != n {
+				t.Fatalf("split(%d, %d): max %d objects %d, reference max %d", n, k, s.Max(), s.Objects(), slices.Max(ref))
+			}
 		}
 	}
-	return true
+}
+
+// referenceCascade is the reducing cascade built the way the paper's
+// Table I recurrence reads, one per-worker slice per step: every step
+// splits the previous step's outputs, k_R = 1 collapses to one reducer
+// taking everything, and a single-step profile stops after one step.
+func referenceCascade(j, kR int, singleStep bool) [][]int {
+	if kR == 1 && !singleStep {
+		return [][]int{{j}}
+	}
+	var steps [][]int
+	for count := j; ; {
+		loads := splitGreedy(count, kR)
+		steps = append(steps, loads)
+		count = len(loads)
+		if singleStep || count <= 1 {
+			return steps
+		}
+	}
+}
+
+// TestCascadeMatchesReference: for every 1 <= k_M <= n <= 64 and
+// 1 <= k_R <= n+2, under both profile kinds, Step(p) lists the reference
+// cascade's loads step by step, and NumSteps, Reducers and TotalLambdas
+// count them.
+func TestCascadeMatchesReference(t *testing.T) {
+	for _, pf := range []workload.Profile{workload.WordCount, workload.Sort} {
+		for n := 1; n <= 64; n++ {
+			for kM := 1; kM <= n; kM++ {
+				for kR := 1; kR <= n+2; kR++ {
+					o, err := OrchestrateFor(pf, n, kM, kR)
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref := referenceCascade(len(splitGreedy(n, kM)), kR, pf.SingleStepReduce)
+					if o.NumSteps() != len(ref) {
+						t.Fatalf("%s n=%d kM=%d kR=%d: %d steps, reference %d", pf.Name, n, kM, kR, o.NumSteps(), len(ref))
+					}
+					reducers := 0
+					for p, loads := range ref {
+						if got := loadsOf(o.Step(p)); !slices.Equal(got, loads) {
+							t.Fatalf("%s n=%d kM=%d kR=%d: step %d loads %v, reference %v", pf.Name, n, kM, kR, p, got, loads)
+						}
+						reducers += len(loads)
+					}
+					if o.Reducers() != reducers || o.TotalLambdas() != o.Mappers()+1+reducers {
+						t.Fatalf("%s n=%d kM=%d kR=%d: %d reducers, reference %d", pf.Name, n, kM, kR, o.Reducers(), reducers)
+					}
+				}
+			}
+		}
+	}
 }
 
 // TestTableIExact reproduces the paper's Table I for 10 input objects.
@@ -32,7 +114,7 @@ func TestTableIExact(t *testing.T) {
 	}
 	for i, w := range want {
 		g := rows[i]
-		if g.Mappers != w.Mappers || !eqInts(g.StepReducers, w.StepReducers) {
+		if g.Mappers != w.Mappers || !slices.Equal(g.StepReducers, w.StepReducers) {
 			t.Errorf("k=%d: got mappers=%d steps=%v, want mappers=%d steps=%v",
 				w.ObjectsPerLambda, g.Mappers, g.StepReducers, w.Mappers, w.StepReducers)
 		}
@@ -50,8 +132,8 @@ func TestSkewedTail(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !eqInts(o.MapperLoads, loads) {
-			t.Errorf("k=%d: loads = %v, want %v", k, o.MapperLoads, loads)
+		if got := loadsOf(o.MapperLoads); !slices.Equal(got, loads) {
+			t.Errorf("k=%d: loads = %v, want %v", k, got, loads)
 		}
 	}
 }
@@ -71,8 +153,8 @@ func TestOrchestrateKR1SingleStep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.NumSteps() != 1 || o.Steps[0].Reducers() != 1 || o.Steps[0].Loads[0] != 10 {
-		t.Fatalf("kR=1 should collapse to one all-consuming reducer: %+v", o.Steps)
+	if o.NumSteps() != 1 || o.Step(0).Count() != 1 || o.Step(0).Load(0) != 10 {
+		t.Fatalf("kR=1 should collapse to one all-consuming reducer: %+v", o.Step(0))
 	}
 }
 
@@ -133,7 +215,7 @@ func TestOrchestrateInvariantsProperty(t *testing.T) {
 			return false
 		}
 		sum := 0
-		for _, l := range o.MapperLoads {
+		for _, l := range loadsOf(o.MapperLoads) {
 			if l <= 0 || l > kM {
 				return false
 			}
@@ -143,18 +225,19 @@ func TestOrchestrateInvariantsProperty(t *testing.T) {
 			return false
 		}
 		prev := o.Mappers()
-		for _, s := range o.Steps {
+		for p := 0; p < o.NumSteps(); p++ {
+			s := o.Step(p)
 			if s.Objects() != prev {
 				return false
 			}
 			if kR > 1 {
-				for _, l := range s.Loads {
+				for _, l := range loadsOf(s) {
 					if l <= 0 || l > kR {
 						return false
 					}
 				}
 			}
-			prev = s.Reducers()
+			prev = s.Count()
 		}
 		return prev == 1 // converges to a single final reducer
 	}

@@ -44,10 +44,10 @@ func qosStages(spec JobSpec, orch Orchestration) []QoSStage {
 	if spec.Orchestrator == CoordinatorLambda {
 		stages = append(stages, QoSStage{Name: "coordinator", Tasks: 1})
 	}
-	for pi, step := range orch.Steps {
+	for pi := 0; pi < orch.NumSteps(); pi++ {
 		stages = append(stages, QoSStage{
 			Name:  fmt.Sprintf("step-%02d", pi),
-			Tasks: step.Reducers(),
+			Tasks: orch.Step(pi).Count(),
 		})
 	}
 	return stages

@@ -183,7 +183,8 @@ func (m *Exact) predict(cfg mapreduce.Config, bd *flight.Breakdown) (Prediction,
 	mapOutSizes := make([]int64, orch.Mappers())
 	mapLaunch := make([]float64, orch.Mappers())
 	mapDur := make([]float64, orch.Mappers())
-	for mi, load := range orch.MapperLoads {
+	for mi := range mapDur {
+		load := orch.MapperLoads.Load(mi)
 		in := int64(load) * m.P.Job.ObjectSize
 		out := int64(float64(in) * alpha)
 		mapOutSizes[mi] = out
@@ -193,10 +194,10 @@ func (m *Exact) predict(cfg mapreduce.Config, bd *flight.Breakdown) (Prediction,
 	mapStarts := waveStarts(mapLaunch, mapDur, cap)
 	mapEnd := 0.0
 	critMi := 0
-	for mi, load := range orch.MapperLoads {
+	for mi := range mapDur {
 		end := mapStarts[mi] + mapDur[mi]
 		events = append(events, stored{at: end, size: mapOutSizes[mi]})
-		gets += int64(load)
+		gets += int64(orch.MapperLoads.Load(mi))
 		puts++
 		lambdaBill += m.billedSec(mapDur[mi]) * float64(l.PerSecond(cfg.MapperMemMB))
 		if end > mapEnd {
@@ -209,7 +210,7 @@ func (m *Exact) predict(cfg mapreduce.Config, bd *flight.Breakdown) (Prediction,
 		// The critical mapper's terms, mirroring the analyzer: startup is
 		// its actual start (dispatch serialization + queueing), I/O its
 		// store round trips and transfer, compute its declared CPU work.
-		load := orch.MapperLoads[critMi]
+		load := orch.MapperLoads.Load(critMi)
 		in := int64(load) * m.P.Job.ObjectSize
 		io := float64(load+1)*lat + m.P.xferSec(in+mapOutSizes[critMi])
 		bd.Stages = append(bd.Stages, stageTerms(
@@ -228,7 +229,8 @@ func (m *Exact) predict(cfg mapreduce.Config, bd *flight.Breakdown) (Prediction,
 	stateXfer := lat + m.P.xferSec(m.P.StateObjectBytes)
 	var coordEnd float64
 	var stepStages []flight.Stage
-	for pi, step := range orch.Steps {
+	for pi := 0; pi < orch.NumSteps(); pi++ {
+		step := orch.Step(pi)
 		// State object write.
 		now += stateXfer
 		coordExclusive += stateXfer
@@ -239,15 +241,16 @@ func (m *Exact) predict(cfg mapreduce.Config, bd *flight.Breakdown) (Prediction,
 		// The coordinator lambda holds one concurrency slot itself, so
 		// cap-1 slots serve the step under a binding limit.
 		stepStart := now
-		outSizes := make([]int64, step.Reducers())
-		redLaunch := make([]float64, step.Reducers())
-		redDur := make([]float64, step.Reducers())
+		outSizes := make([]int64, step.Count())
+		redLaunch := make([]float64, step.Count())
+		redDur := make([]float64, step.Count())
 		var inSizes []int64
 		if bd != nil {
-			inSizes = make([]int64, step.Reducers())
+			inSizes = make([]int64, step.Count())
 		}
 		off := 0
-		for r, load := range step.Loads {
+		for r := range redDur {
+			load := step.Load(r)
 			var in int64
 			for _, sz := range prevSizes[off : off+load] {
 				in += sz
@@ -265,20 +268,20 @@ func (m *Exact) predict(cfg mapreduce.Config, bd *flight.Breakdown) (Prediction,
 		// the FINAL step it exits right after the last dispatch, modeled
 		// as a phantom slot-holder from the step start until then.
 		var redStarts []float64
-		final := pi == len(orch.Steps)-1
+		final := pi == orch.NumSteps()-1
 		if final {
 			launch := append([]float64{stepStart}, redLaunch...)
-			dur := append([]float64{float64(step.Reducers()) * disp}, redDur...)
+			dur := append([]float64{float64(step.Count()) * disp}, redDur...)
 			redStarts = waveStarts(launch, dur, maxIntModel(cap, 1))[1:]
 		} else {
 			redStarts = waveStarts(redLaunch, redDur, maxIntModel(cap-1, 1))
 		}
 		stepEnd := stepStart
 		critR := 0
-		for r, load := range step.Loads {
+		for r := range redDur {
 			end := redStarts[r] + redDur[r]
 			events = append(events, stored{at: end, size: outSizes[r]})
-			gets += int64(load)
+			gets += int64(step.Load(r))
 			puts++
 			lambdaBill += m.billedSec(redDur[r]) * float64(l.PerSecond(cfg.ReducerMemMB))
 			if end > stepEnd {
@@ -287,7 +290,7 @@ func (m *Exact) predict(cfg mapreduce.Config, bd *flight.Breakdown) (Prediction,
 			}
 		}
 		if bd != nil {
-			load := step.Loads[critR]
+			load := step.Load(critR)
 			in := inSizes[critR]
 			io := float64(load+1)*lat + m.P.xferSec(in+outSizes[critR])
 			stepStages = append(stepStages, stageTerms(
@@ -295,10 +298,10 @@ func (m *Exact) predict(cfg mapreduce.Config, bd *flight.Breakdown) (Prediction,
 				redStarts[critR]-stepStart, m.P.computeSec(in, cfg.ReducerMemMB), io,
 				fmt.Sprintf("red-%d-%d", pi, critR)))
 		}
-		if pi == len(orch.Steps)-1 {
+		if final {
 			// The coordinator returns right after dispatching the final
 			// step's reducers; the driver awaits their completion.
-			coordEnd = stepStart + float64(step.Reducers())*disp
+			coordEnd = stepStart + float64(step.Count())*disp
 		}
 		pr.StepSec = append(pr.StepSec, stepEnd-stepStart)
 		pr.ReduceSec += stepEnd - stepStart
@@ -313,7 +316,7 @@ func (m *Exact) predict(cfg mapreduce.Config, bd *flight.Breakdown) (Prediction,
 		bd.Stages = append(bd.Stages, stageTerms(
 			"coordinator", cfg.CoordMemMB, coordExclusive,
 			disp, m.P.coordComputeSec(orch.Mappers(), cfg.CoordMemMB),
-			float64(len(orch.Steps))*stateXfer, "coordinator"))
+			float64(orch.NumSteps())*stateXfer, "coordinator"))
 		bd.Stages = append(bd.Stages, stepStages...)
 	}
 

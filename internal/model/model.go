@@ -107,13 +107,13 @@ func (p Params) Validate() error {
 }
 
 // latSec is the per-request latency in seconds.
-func (p Params) latSec() float64 { return p.RequestLatency.Seconds() }
+func (p *Params) latSec() float64 { return p.RequestLatency.Seconds() }
 
 // dispSec is the per-invocation dispatch latency in seconds.
-func (p Params) dispSec() float64 { return p.DispatchLatency.Seconds() }
+func (p *Params) dispSec() float64 { return p.DispatchLatency.Seconds() }
 
 // maxLambdas resolves the R constant.
-func (p Params) maxLambdas() int {
+func (p *Params) maxLambdas() int {
 	if p.MaxLambdas > 0 {
 		return p.MaxLambdas
 	}
@@ -121,7 +121,7 @@ func (p Params) maxLambdas() int {
 }
 
 // xferSec is the store transfer time for n bytes (size/B).
-func (p Params) xferSec(n int64) float64 {
+func (p *Params) xferSec(n int64) float64 {
 	if n <= 0 {
 		return 0
 	}
@@ -130,7 +130,7 @@ func (p Params) xferSec(n int64) float64 {
 
 // computeSec is the compute time for n bytes at the given memory tier:
 // bytes x u x speed factor (Eq. 3 with u_i realized by the speed model).
-func (p Params) computeSec(n int64, memMB int) float64 {
+func (p *Params) computeSec(n int64, memMB int) float64 {
 	if n <= 0 {
 		return 0
 	}
@@ -139,7 +139,7 @@ func (p Params) computeSec(n int64, memMB int) float64 {
 }
 
 // coordComputeSec is the coordinator's compute time for j objects.
-func (p Params) coordComputeSec(j, memMB int) float64 {
+func (p *Params) coordComputeSec(j, memMB int) float64 {
 	return p.Job.Profile.CoordSecPerObject * float64(j) * p.Speed.Factor(memMB)
 }
 
@@ -189,12 +189,6 @@ func Feasible(p Params, orch mapreduce.Orchestration) error {
 	if orch.Mappers() > r {
 		return fmt.Errorf("model: %d mappers exceed the lambda limit %d", orch.Mappers(), r)
 	}
-	for i, s := range orch.Steps {
-		if s.Reducers() > r {
-			return fmt.Errorf("model: step %d has %d reducers, exceeding the lambda limit %d",
-				i+1, s.Reducers(), r)
-		}
-	}
 	// Largest single object along the pipeline must respect the store's
 	// object limit (O = 5 TB): either a mapper's output, an input object,
 	// or the busiest reducer's output in some step.
@@ -203,15 +197,14 @@ func Feasible(p Params, orch mapreduce.Orchestration) error {
 		maxObj = in
 	}
 	q := float64(p.Job.TotalBytes()) * p.Job.Profile.MapOutputRatio
-	for _, s := range orch.Steps {
-		perObj := q / float64(s.Objects())
-		maxLoad := 0
-		for _, l := range s.Loads {
-			if l > maxLoad {
-				maxLoad = l
-			}
+	for i := 0; i < orch.NumSteps(); i++ {
+		s := orch.Step(i)
+		if s.Count() > r {
+			return fmt.Errorf("model: step %d has %d reducers, exceeding the lambda limit %d",
+				i+1, s.Count(), r)
 		}
-		out := perObj * float64(maxLoad) * p.Job.Profile.ReduceOutputRatio
+		perObj := q / float64(s.Objects())
+		out := perObj * float64(s.Max()) * p.Job.Profile.ReduceOutputRatio
 		if out > maxObj {
 			maxObj = out
 		}

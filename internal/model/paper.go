@@ -61,13 +61,31 @@ func (m *Paper) sHat() int {
 }
 
 // stepShape is the model's view of one reducing step: aggregate input and
-// output sizes (Table II's q recurrence) and the busiest reducer's share.
+// output sizes (Table II's q recurrence), the busiest reducer's share and
+// the step's split of objects over its reducers.
 type stepShape struct {
 	totalIn  float64 // q_{p-1}
 	totalOut float64 // q_p
 	busyIn   float64 // busiest reducer's input bytes
-	busyLoad int     // busiest reducer's object count
-	reducers int     // g_p
+	loads    mapreduce.Split
+}
+
+// addOver adds term(load) to total for every worker of a split, in worker
+// order. The Full equal loads share one term, computed once and added
+// Full times, then the tail's term is added: the same additions in the
+// same order as a loop over a per-worker slice of loads, so the sum is
+// bit for bit that loop's.
+func addOver(total float64, s mapreduce.Split, term func(load int) float64) float64 {
+	if s.Full > 0 {
+		t := term(s.K)
+		for i := 0; i < s.Full; i++ {
+			total += t
+		}
+	}
+	if s.Tail > 0 {
+		total += term(s.Tail)
+	}
+	return total
 }
 
 // reduceShape derives the per-step shapes for an orchestration: the
@@ -93,11 +111,11 @@ func qTotals(shapes []stepShape) (Q, R float64) {
 // its busiest reducer's request latencies, transfer and compute
 // (default), or the step's share of the Eq. 9 aggregate (Aggregate mode).
 func (m *Paper) stepTime(s stepShape, memMB int) float64 {
-	in, out, load := s.busyIn, s.busyIn*m.P.Job.Profile.ReduceOutputRatio, s.busyLoad
+	in, out, load := s.busyIn, s.busyIn*m.P.Job.Profile.ReduceOutputRatio, s.loads.Max()
 	if m.Aggregate {
-		in, out, load = s.totalIn, s.totalOut, s.busyLoad
+		in, out = s.totalIn, s.totalOut
 	}
-	return float64(s.reducers)*m.P.dispSec() +
+	return float64(s.loads.Count())*m.P.dispSec() +
 		float64(load+1)*m.P.latSec() +
 		(in+out)/m.P.BandwidthBps +
 		(in/(1<<20))*m.P.Job.Profile.USecPerMB*m.P.Speed.Factor(memMB)
@@ -115,11 +133,11 @@ func (m *Paper) stepCompute(s stepShape, memMB int) float64 {
 // stepTransfer is the non-compute part of a step's duration, including
 // the serialized reducer dispatches.
 func (m *Paper) stepTransfer(s stepShape) float64 {
-	in, out, load := s.busyIn, s.busyIn*m.P.Job.Profile.ReduceOutputRatio, s.busyLoad
+	in, out, load := s.busyIn, s.busyIn*m.P.Job.Profile.ReduceOutputRatio, s.loads.Max()
 	if m.Aggregate {
 		in, out = s.totalIn, s.totalOut
 	}
-	return float64(s.reducers)*m.P.dispSec() +
+	return float64(s.loads.Count())*m.P.dispSec() +
 		float64(load+1)*m.P.latSec() + (in+out)/m.P.BandwidthBps
 }
 
@@ -203,26 +221,24 @@ func (m *Paper) MapperCost(memMB, kM int) float64 {
 // the phase maximum (the greedy split leaves at most one short-tailed
 // mapper).
 func (m *Paper) mapperBillSec(orch mapreduce.Orchestration, memMB int) float64 {
-	total := 0.0
-	for _, load := range orch.MapperLoads {
-		total += m.mapperExecSec(memMB, load)
-	}
-	return total
+	return addOver(0, orch.MapperLoads, func(load int) float64 {
+		return m.mapperExecSec(memMB, load)
+	})
 }
 
 // reducerBillSec sums the reducing phase's billable seconds across every
 // reducer's own duration, using each step's average object size.
-func (m *Paper) reducerBillSec(orch mapreduce.Orchestration, shapes []stepShape, memMB int) float64 {
+func (m *Paper) reducerBillSec(shapes []stepShape, memMB int) float64 {
 	beta := m.P.Job.Profile.ReduceOutputRatio
 	total := 0.0
-	for p, step := range orch.Steps {
-		perObj := shapes[p].totalIn / float64(step.Objects())
-		for _, load := range step.Loads {
+	for _, s := range shapes {
+		perObj := s.totalIn / float64(s.loads.Objects())
+		total = addOver(total, s.loads, func(load int) float64 {
 			in := perObj * float64(load)
-			total += float64(load+1)*m.P.latSec() +
+			return float64(load+1)*m.P.latSec() +
 				(in+in*beta)/m.P.BandwidthBps +
 				(in/(1<<20))*m.P.Job.Profile.USecPerMB*m.P.Speed.Factor(memMB)
-		}
+		})
 	}
 	return total
 }
@@ -315,7 +331,7 @@ func (m *Paper) Predict(cfg mapreduce.Config) (Prediction, error) {
 	}
 	w1 := float64(l.PerSecond(cfg.MapperMemMB)) * m.mapperBillSec(orch, cfg.MapperMemMB)
 	w2 := float64(l.PerSecond(cfg.CoordMemMB)) * (t2 + waiting)
-	wp := float64(l.PerSecond(cfg.ReducerMemMB)) * m.reducerBillSec(orch, shapes, cfg.ReducerMemMB)
+	wp := float64(l.PerSecond(cfg.ReducerMemMB)) * m.reducerBillSec(shapes, cfg.ReducerMemMB)
 	inv := l.InvocationCost(j + 1 + g)
 	pr.LambdaCost = pricing.USD(w1+w2+wp) + inv
 	return pr, nil

@@ -7,10 +7,11 @@ import (
 // RowEval caches the per-orchestration state that one DAG column row
 // shares across every memory tier: the step shapes, their Q/R totals,
 // the storage-held byte totals, and the SHat-priced waiting time. The
-// DAG builder binds one RowEval per (kM, kR) or per kR and then asks it
-// for each tier's weight, so the orchestration and shape slices are
+// DAG builder binds a RowEval to each (kM, kR) or kR row and then asks it
+// for each tier's weight, so the orchestration and step shapes are
 // derived once per row instead of once per edge. A zero RowEval is
-// ready to bind; rebinding reuses the shape buffer.
+// ready to bind; rebinding reuses the shape buffer, so a builder that
+// keeps one RowEval per worker binds rows without allocating.
 //
 // Every method reproduces the corresponding Paper method's arithmetic
 // in the same order, so the hoisted weights are bit-identical to the
@@ -80,7 +81,10 @@ func (e *RowEval) GlueCost(kR int) float64 {
 	m := e.m
 	st := m.P.Sheet.Store
 	l := m.P.Sheet.Lambda
-	g := e.orch.Reducers()
+	g := 0 // e.orch.Reducers(), read off the bound steps' splits
+	for _, s := range e.shapes {
+		g += s.loads.Count()
+	}
 	u2 := float64(st.RequestCost(0, int64(e.orch.NumSteps())))
 	up := float64(st.RequestCost(int64(g)*int64(kR), int64(g)))
 	return u2 + up + float64(l.InvocationCost(1)) + float64(l.InvocationCost(g))
@@ -118,7 +122,7 @@ func (e *RowEval) ReduceCost(memMB int) float64 {
 	for _, s := range e.shapes {
 		tp += m.stepTime(s, memMB)
 	}
-	wp := m.reducerBillSec(e.orch, e.shapes, memMB) * float64(l.PerSecond(memMB))
+	wp := m.reducerBillSec(e.shapes, memMB) * float64(l.PerSecond(memMB))
 	vp := float64(st.StorageCost(tp * e.heldP))
 	return vp + wp
 }
@@ -143,20 +147,14 @@ func (m *Paper) MapperCostFor(orch mapreduce.Orchestration, memMB, kM int) float
 func (m *Paper) reduceShapeInto(dst []stepShape, orch mapreduce.Orchestration) []stepShape {
 	q := float64(m.P.Job.TotalBytes()) * m.P.Job.Profile.MapOutputRatio
 	beta := m.P.Job.Profile.ReduceOutputRatio
-	for _, step := range orch.Steps {
-		maxLoad := 0
-		for _, l := range step.Loads {
-			if l > maxLoad {
-				maxLoad = l
-			}
-		}
+	for p := 0; p < orch.NumSteps(); p++ {
+		step := orch.Step(p)
 		perObj := q / float64(step.Objects())
 		dst = append(dst, stepShape{
 			totalIn:  q,
 			totalOut: q * beta,
-			busyIn:   perObj * float64(maxLoad),
-			busyLoad: maxLoad,
-			reducers: step.Reducers(),
+			busyIn:   perObj * float64(step.Max()),
+			loads:    step,
 		})
 		q *= beta
 	}

@@ -36,6 +36,16 @@ func Workers(n int) int {
 // cancelled before all indices were claimed (already-claimed items still
 // finish).
 func ForEach(ctx context.Context, n, workers int, fn func(i int)) error {
+	return ForEachWith(ctx, n, workers, func() struct{} { return struct{}{} },
+		func(_ struct{}, i int) { fn(i) })
+}
+
+// ForEachWith is ForEach with per-worker state: every worker calls
+// newState once and hands the value to fn with each index it claims. No
+// two goroutines share a value, so fn may keep scratch in it from one
+// index to the next (a reused buffer); what it computes for index i still
+// goes into i's slot alone.
+func ForEachWith[S any](ctx context.Context, n, workers int, newState func() S, fn func(s S, i int)) error {
 	if n <= 0 {
 		return ctx.Err()
 	}
@@ -65,11 +75,12 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int)) error {
 	}
 	if effective == 1 {
 		// Serial fast path: no goroutines, identical iteration order.
+		s := newState()
 		for i := 0; i < n; i++ {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
-			fn(i)
+			fn(s, i)
 		}
 		return nil
 	}
@@ -83,6 +94,7 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int)) error {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			s := newState()
 			for {
 				select {
 				case <-done:
@@ -96,7 +108,7 @@ func ForEach(ctx context.Context, n, workers int, fn func(i int)) error {
 				if busyPeak != nil {
 					busyPeak.SetMax(busy.Add(1))
 				}
-				fn(i)
+				fn(s, i)
 				if busyPeak != nil {
 					busy.Add(-1)
 				}

@@ -37,6 +37,36 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
+// TestForEachWithStateIsPerWorker: every index runs once, no two
+// goroutines hold one state value at the same time, and a pool makes no
+// more states than it has workers.
+func TestForEachWithStateIsPerWorker(t *testing.T) {
+	type state struct{ busy atomic.Bool }
+	for _, workers := range []int{1, 2, 8} {
+		const n = 237
+		var counts [n]int64
+		var made atomic.Int64
+		newState := func() *state { made.Add(1); return new(state) }
+		if err := ForEachWith(context.Background(), n, workers, newState, func(s *state, i int) {
+			if !s.busy.CompareAndSwap(false, true) {
+				t.Errorf("workers=%d: index %d got a state another goroutine holds", workers, i)
+			}
+			atomic.AddInt64(&counts[i], 1)
+			s.busy.Store(false)
+		}); err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		for i, c := range counts {
+			if c != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
+			}
+		}
+		if m := made.Load(); m < 1 || m > int64(min(workers, runtime.GOMAXPROCS(0))) {
+			t.Fatalf("workers=%d: %d states made", workers, m)
+		}
+	}
+}
+
 func TestForEachEmpty(t *testing.T) {
 	if err := ForEach(context.Background(), 0, 4, func(int) {
 		t.Fatal("fn called for empty index space")

@@ -72,9 +72,9 @@ func outputOf(pf workload.Profile, in stageIO, cfg mapreduce.Config) (stageIO, e
 	if err != nil {
 		return stageIO{}, err
 	}
-	outObjects := orch.Steps[orch.NumSteps()-1].Reducers()
+	outObjects := orch.Step(orch.NumSteps() - 1).Count()
 	outBytes := float64(in.bytes) * pf.MapOutputRatio
-	for range orch.Steps {
+	for range orch.NumSteps() {
 		outBytes *= pf.ReduceOutputRatio
 	}
 	if outBytes < 1 {
