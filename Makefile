@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify bench bench-build bench-all race vet fmt-check procs layering books examples loadgen serve loadgen-remote
+.PHONY: build test verify bench bench-build bench-all race vet fmt-check procs books examples serve
 
 build:
 	$(GO) build ./...
@@ -43,14 +43,10 @@ race:
 # both locks), run on 1, 2 and 4 Ps.
 procs:
 	for p in 1 2 4; do \
-		GOMAXPROCS=$$p $(GO) test -count=3 ./internal/loadgen ./internal/server ./internal/obs \
-			./internal/optimizer ./internal/lru ./internal/model ./internal/telemetry \
+		GOMAXPROCS=$$p $(GO) test -count=3 ./internal/server ./internal/obs ./internal/optimizer \
+			./internal/lru ./internal/model ./internal/telemetry \
 			./internal/dag ./internal/mapreduce ./internal/graph ./internal/flight ./internal/qos || exit 1; \
 	done
-
-# The production service must not link the load driver.
-layering:
-	! $(GO) list -deps ./cmd/astra-server | grep -q astra/internal/loadgen
 
 # One set of books per plan: nothing reconciles a series towards a total
 # another writer also increments, and the planner never copies the
@@ -67,7 +63,7 @@ bench-build:
 	GOFLAGS=-mod=mod GOWORK=off $(GO) -C benchmark vet ./...
 	GOFLAGS=-mod=mod GOWORK=off $(GO) -C benchmark test ./...
 
-verify: vet fmt-check bench-build race procs layering books examples
+verify: vet fmt-check bench-build race procs books examples
 
 # The repo's benchmark (BENCHMARK.json, benchmark/README.md): six traffic
 # regimes through a loopback astra-server. Takes -aa N and -against
@@ -79,16 +75,6 @@ bench:
 bench-all:
 	$(GO) test -run xxx -bench 'PlanSort100GB|FrontierSort100GB|PlanQuery202' -benchmem .
 
-# Multi-tenant planning throughput smoke: 200 plans of the default shape
-# mix through the shared template/prediction caches, capacity report to
-# LOADGEN.json (plans/sec, latency quantiles, cache hit rates). Every 8th
-# planned request is also executed under a QoS monitor, so the report and
-# LOADGEN.prom carry per-shape deadline attainment (astra_qos_slo_*). CI
-# runs this and uploads the report as an artifact.
-loadgen:
-	$(GO) run ./cmd/astra-loadgen -plans 200 -concurrency 4 -seed 1 \
-		-run-every 8 -out LOADGEN.json -metrics-out LOADGEN.prom
-
 # The planning service: HTTP/JSON control plane on :8080 with per-tenant
 # admission (30 req/s sustained, burst 10) and the observability plane
 # (/metrics, /qos, /debug/pprof/*) on the same listener.
@@ -96,10 +82,3 @@ serve:
 	$(GO) run ./cmd/astra-server -addr :8080 -rate 30 -burst 10 \
 		-max-inflight 4 -queue 16
 
-# Drive a running `make serve` instance from the load driver's remote
-# client mode: 4 tenants, deterministic shape sequence, report with the
-# queue-wait/service-time split and server cache/429 accounting.
-loadgen-remote:
-	$(GO) run ./cmd/astra-loadgen -target http://localhost:8080 \
-		-tenants 4 -plans 150 -concurrency 4 -seed 1 \
-		-out SERVER_LOADGEN.json -metrics-out SERVER_LOADGEN.prom

@@ -2,10 +2,10 @@
 // planning service: the gRPC-shaped structs that internal/server's
 // Service interface speaks, together with their canonical JSON encoding,
 // strict decoding, validation, and request fingerprinting. Keeping the
-// schema in a leaf package lets the HTTP server and the load-driver
-// client share one definition (no drift between what the server parses
-// and what the client sends) and leaves room to bolt a proto surface
-// onto the same structs later.
+// schema in a leaf package lets the HTTP server and its Go callers (the
+// benchmark's per-layer walk among them) share one definition (no drift
+// between what the server parses and what a client sends) and leaves
+// room to bolt a proto surface onto the same structs later.
 //
 // The error taxonomy is part of the schema: a request that fails to
 // parse or validate maps to 400 (ErrInvalid, optimizer.ErrInvalidObjective),

@@ -286,12 +286,12 @@ func TestMapperFailurePropagates(t *testing.T) {
 	w := newJobWorld(lambda.Config{})
 	spec := smallWordCountSpec(t, w, 4, 1024)
 	// Sabotage one input object after seeding.
-	w.store.SetFault(func(op objectstore.Op, bucket, key string) error {
+	w.store.SetInjector(opFault(func(op objectstore.Op, bucket, key string) error {
 		if op == objectstore.OpGet && key == spec.InputKeys[2] {
 			return objectstore.ErrNoSuchKey
 		}
 		return nil
-	})
+	}))
 	cfg := Config{MapperMemMB: 1024, CoordMemMB: 1024, ReducerMemMB: 1024, ObjsPerMapper: 1, ObjsPerReducer: 2}
 	err := w.sched.Run(func(p *simtime.Proc) {
 		_, err := w.driver.Run(p, spec, cfg)

@@ -8,9 +8,14 @@ import (
 	"astra/internal/simtime"
 )
 
-// flakyOnce returns a fault hook that fails the first GET of each key in
-// keys, then heals — the transient-failure pattern retries exist for.
-func flakyOnce(keys ...string) objectstore.FaultFunc {
+// opFault adapts a function to objectstore.Injector.
+type opFault func(op objectstore.Op, bucket, key string) error
+
+func (f opFault) OpFault(op objectstore.Op, bucket, key string) error { return f(op, bucket, key) }
+
+// flakyOnce returns a fault injector that fails the first GET of each key
+// in keys, then heals — the transient-failure pattern retries exist for.
+func flakyOnce(keys ...string) opFault {
 	seen := map[string]bool{}
 	target := map[string]bool{}
 	for _, k := range keys {
@@ -29,7 +34,7 @@ func TestTaskRetryRecoversTransientMapperFault(t *testing.T) {
 	w := newJobWorld(lambda.Config{})
 	spec := smallWordCountSpec(t, w, 6, 1024)
 	spec.TaskRetries = 1
-	w.store.SetFault(flakyOnce(spec.InputKeys[3]))
+	w.store.SetInjector(flakyOnce(spec.InputKeys[3]))
 	cfg := Config{MapperMemMB: 1024, CoordMemMB: 256, ReducerMemMB: 1024, ObjsPerMapper: 1, ObjsPerReducer: 2}
 	rep := w.runJob(t, spec, cfg)
 
@@ -54,7 +59,7 @@ func TestTaskRetryRecoversReducerFaults(t *testing.T) {
 	spec.TaskRetries = 2
 	// Fail the first read of two mapper outputs (step-1 reducer inputs)
 	// and of a step-1 output (final-step reducer input).
-	w.store.SetFault(flakyOnce("map/part-00001", "map/part-00005", "red/00/part-00000"))
+	w.store.SetInjector(flakyOnce("map/part-00001", "map/part-00005", "red/00/part-00000"))
 	cfg := Config{MapperMemMB: 1024, CoordMemMB: 256, ReducerMemMB: 1024, ObjsPerMapper: 2, ObjsPerReducer: 2}
 	rep := w.runJob(t, spec, cfg)
 	if len(rep.OutputKeys) != 1 {
@@ -65,7 +70,7 @@ func TestTaskRetryRecoversReducerFaults(t *testing.T) {
 func TestZeroRetriesFailFast(t *testing.T) {
 	w := newJobWorld(lambda.Config{})
 	spec := smallWordCountSpec(t, w, 4, 1024)
-	w.store.SetFault(flakyOnce(spec.InputKeys[0]))
+	w.store.SetInjector(flakyOnce(spec.InputKeys[0]))
 	cfg := Config{MapperMemMB: 1024, CoordMemMB: 256, ReducerMemMB: 1024, ObjsPerMapper: 1, ObjsPerReducer: 2}
 	err := w.sched.Run(func(p *simtime.Proc) {
 		if _, err := w.driver.Run(p, spec, cfg); err == nil {
@@ -82,12 +87,12 @@ func TestRetriesExhaustedStillFails(t *testing.T) {
 	spec := smallWordCountSpec(t, w, 4, 1024)
 	spec.TaskRetries = 3
 	// Permanent fault: never heals.
-	w.store.SetFault(func(op objectstore.Op, bucket, key string) error {
+	w.store.SetInjector(opFault(func(op objectstore.Op, bucket, key string) error {
 		if op == objectstore.OpGet && key == spec.InputKeys[1] {
 			return objectstore.ErrNoSuchKey
 		}
 		return nil
-	})
+	}))
 	cfg := Config{MapperMemMB: 1024, CoordMemMB: 256, ReducerMemMB: 1024, ObjsPerMapper: 1, ObjsPerReducer: 2}
 	err := w.sched.Run(func(p *simtime.Proc) {
 		if _, err := w.driver.Run(p, spec, cfg); err == nil {
@@ -114,7 +119,7 @@ func TestRetryWorksUnderStepFunctions(t *testing.T) {
 	spec := smallWordCountSpec(t, w, 6, 1024)
 	spec.TaskRetries = 1
 	spec.Orchestrator = StepFunctions
-	w.store.SetFault(flakyOnce("map/part-00000"))
+	w.store.SetInjector(flakyOnce("map/part-00000"))
 	cfg := Config{MapperMemMB: 1024, CoordMemMB: 256, ReducerMemMB: 1024, ObjsPerMapper: 2, ObjsPerReducer: 2}
 	rep := w.runJob(t, spec, cfg)
 	if len(rep.OutputKeys) != 1 {

@@ -148,16 +148,6 @@ type Injector interface {
 	OpFault(op Op, bucket, key string) error
 }
 
-// FaultFunc lets tests inject request failures. A non-nil return aborts
-// the operation with that error before any state change or time charge.
-// It is the legacy hook; SetFault wraps it into the Injector interface.
-type FaultFunc func(op Op, bucket, key string) error
-
-// faultFuncInjector adapts the legacy FaultFunc hook to Injector.
-type faultFuncInjector struct{ f FaultFunc }
-
-func (i faultFuncInjector) OpFault(op Op, bucket, key string) error { return i.f(op, bucket, key) }
-
 // Config parameterizes a Store.
 type Config struct {
 	// Bandwidth is the per-connection transfer rate in bytes per second
@@ -200,16 +190,6 @@ func New(sched *simtime.Scheduler, cfg Config) *Store {
 		s.shared = sched.NewPSResource(cfg.SharedBandwidth)
 	}
 	return s
-}
-
-// SetFault installs (or clears, with nil) a fault-injection hook. It is a
-// compatibility shim over SetInjector.
-func (s *Store) SetFault(f FaultFunc) {
-	if f == nil {
-		s.SetInjector(nil)
-		return
-	}
-	s.SetInjector(faultFuncInjector{f})
 }
 
 // SetInjector attaches a fault injector consulted before every request

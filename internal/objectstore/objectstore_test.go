@@ -206,20 +206,25 @@ func TestBillMatchesPricing(t *testing.T) {
 	}
 }
 
+// opFault adapts a function to Injector.
+type opFault func(op Op, bucket, key string) error
+
+func (f opFault) OpFault(op Op, bucket, key string) error { return f(op, bucket, key) }
+
 func TestFaultInjection(t *testing.T) {
 	boom := errors.New("injected")
 	run(t, func(p *simtime.Proc, s *Store) {
 		s.Seed("b", "k", []byte("x"))
-		s.SetFault(func(op Op, bucket, key string) error {
+		s.SetInjector(opFault(func(op Op, bucket, key string) error {
 			if op == OpGet && key == "k" {
 				return boom
 			}
 			return nil
-		})
+		}))
 		if _, err := s.Get(p, "b", "k"); !errors.Is(err, boom) {
 			t.Fatalf("err = %v, want injected fault", err)
 		}
-		s.SetFault(nil)
+		s.SetInjector(nil)
 		if _, err := s.Get(p, "b", "k"); err != nil {
 			t.Fatalf("err = %v after clearing fault", err)
 		}
@@ -229,7 +234,7 @@ func TestFaultInjection(t *testing.T) {
 func TestFaultedRequestNotMeteredOrCharged(t *testing.T) {
 	elapsed, store := run(t, func(p *simtime.Proc, s *Store) {
 		s.Seed("b", "k", make([]byte, 1<<20))
-		s.SetFault(func(op Op, bucket, key string) error { return errors.New("x") })
+		s.SetInjector(opFault(func(op Op, bucket, key string) error { return errors.New("x") }))
 		_, _ = s.Get(p, "b", "k")
 	})
 	if elapsed != 0 {

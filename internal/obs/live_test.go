@@ -72,7 +72,7 @@ func TestScrapeUnderLoadMatchesFinalSnapshot(t *testing.T) {
 	// The events handler decrements the client gauge on its way out; wait
 	// for it so the final scrape sees a quiesced registry.
 	deadline := time.Now().Add(5 * time.Second)
-	for tel.Snapshot().Gauge(telemetry.MObsSSEClients) != 0 && time.Now().Before(deadline) {
+	for tel.Snapshot().Gauges[telemetry.MObsSSEClients] != 0 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 

@@ -57,23 +57,33 @@ func startReal(t *testing.T, cfg Config) *Server {
 
 func post(t *testing.T, url, tenant, body string) (*http.Response, string) {
 	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(body))
+	resp, b, err := tryPost(url, tenant, body)
 	if err != nil {
 		t.Fatal(err)
+	}
+	return resp, b
+}
+
+// tryPost is post for goroutines other than the test's own, which must
+// not call t.Fatal.
+func tryPost(url, tenant, body string) (*http.Response, string, error) {
+	req, err := http.NewRequest(http.MethodPost, url, strings.NewReader(body))
+	if err != nil {
+		return nil, "", err
 	}
 	if tenant != "" {
 		req.Header.Set(api.TenantHeader, tenant)
 	}
 	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
-		t.Fatalf("POST %s: %v", url, err)
+		return nil, "", fmt.Errorf("POST %s: %w", url, err)
 	}
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
-		t.Fatal(err)
+		return nil, "", fmt.Errorf("POST %s: %w", url, err)
 	}
-	return resp, string(b)
+	return resp, string(b), nil
 }
 
 // TestPlanEndToEnd: a valid plan request returns a config, predictions,
@@ -193,6 +203,97 @@ func TestRateLimit429Deterministic(t *testing.T) {
 	clk.advance(time.Second)
 	if resp, body := post(t, srv.URL()+"/v1/plan", "acme", planBody); resp.StatusCode != 200 {
 		t.Fatalf("post-refill: status %d (%s)", resp.StatusCode, body)
+	}
+}
+
+// TestTightQuotaRetriedToCompletion is the caller's side of a tight
+// quota: concurrent clients of two tenants replay two recurring shapes and
+// retry every 429 after its retry_after_ms, and every request ends 200.
+// Admission runs on a virtual clock that only a rejected client advances,
+// so each tenant's burst runs dry and 429s are certain. The response cache
+// runs the planner once per distinct fingerprint, and the X-Astra-Cache
+// verdicts the clients saw are the cache's own books.
+func TestTightQuotaRetriedToCompletion(t *testing.T) {
+	const workers, tenants, perWorker, burst, maxAttempts = 4, 2, 10, 3, 100
+	shapes := []string{
+		planBody,
+		`{"workload":"sort","num_objects":10,"object_bytes":1048576,"objective":{"goal":"min_cost","deadline":"10m"}}`,
+	}
+	clk := newVclock()
+	tel := telemetry.New()
+	srv := startReal(t, Config{
+		Telemetry: tel,
+		Quota:     TenantQuota{Rate: 10, Burst: burst, MaxInFlight: workers, MaxQueue: 16},
+		Now:       clk.now,
+		// Retries move the clock; no cached body may expire meanwhile.
+		CacheTTL: time.Hour,
+	})
+
+	var (
+		mu       sync.Mutex
+		verdicts = map[string]int64{}
+		absorbed atomic.Int64
+		wg       sync.WaitGroup
+	)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			tenant := fmt.Sprintf("tenant-%d", w%tenants)
+			for i := 0; i < perWorker; i++ {
+				body := shapes[(w+i)%len(shapes)]
+				for attempt := 1; ; attempt++ {
+					resp, got, err := tryPost(srv.URL()+"/v1/plan", tenant, body)
+					if err != nil {
+						t.Error(err)
+						return
+					}
+					if resp.StatusCode == http.StatusOK {
+						mu.Lock()
+						verdicts[resp.Header.Get(api.CacheHeader)]++
+						mu.Unlock()
+						break
+					}
+					var env api.ErrorResponse
+					if resp.StatusCode != http.StatusTooManyRequests || json.Unmarshal([]byte(got), &env) != nil || env.RetryAfterMS <= 0 {
+						t.Errorf("%s request %d: status %d (%s)", tenant, i, resp.StatusCode, got)
+						return
+					}
+					if attempt == maxAttempts {
+						t.Errorf("%s request %d: still rejected after %d attempts", tenant, i, attempt)
+						return
+					}
+					absorbed.Add(1)
+					clk.advance(time.Duration(env.RetryAfterMS) * time.Millisecond)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	const requests = workers * perWorker
+	t.Logf("%d requests, %d 429s absorbed, cache verdicts %v", requests, absorbed.Load(), verdicts)
+	if absorbed.Load() == 0 {
+		t.Fatalf("%d requests at burst %d per tenant absorbed no 429", requests, burst)
+	}
+	var rejects int64
+	for tn := 0; tn < tenants; tn++ {
+		rejects += tel.Counter(telemetry.LabelSeries(telemetry.MServerRejects, "tenant", fmt.Sprintf("tenant-%d", tn), "reason", "rate")).Value()
+	}
+	if rejects != absorbed.Load() {
+		t.Fatalf("server counted %d rate rejections, clients absorbed %d", rejects, absorbed.Load())
+	}
+	if got := tel.Counter(telemetry.MPlanSolves).Value(); got != int64(len(shapes)) {
+		t.Fatalf("planner solves = %d, want one per distinct fingerprint (%d)", got, len(shapes))
+	}
+	if verdicts["hit"]+verdicts["miss"] != requests {
+		t.Fatalf("cache verdicts = %v, want %d hits and misses", verdicts, requests)
+	}
+	if st := srv.RespCache().Stats(); st.Hits != verdicts["hit"] || st.Misses != verdicts["miss"] {
+		t.Fatalf("respcache stats = %+v, clients saw %v", st, verdicts)
 	}
 }
 

@@ -155,12 +155,4 @@ const (
 	MServerRespCacheExpired   = "astra_server_respcache_expired_total"
 	MServerRespCacheEvictions = "astra_server_respcache_evictions_total"
 	MServerRespCacheEntries   = "astra_server_respcache_entries"
-
-	// Load driver client-side accounting: queue wait vs service time as
-	// reported by the server's timing headers (nanosecond gauges hold the
-	// latest p95), plus remote-mode outcome counters.
-	MLoadgenQueueWait   = "astra_loadgen_queue_wait_ns"
-	MLoadgenServiceTime = "astra_loadgen_service_time_ns"
-	MLoadgenRateLimited = "astra_loadgen_rate_limited_total"
-	MLoadgenTransport   = "astra_loadgen_transport_errors_total"
 )

@@ -70,15 +70,6 @@ func (r *Registry) Snapshot() Snapshot {
 // Counter reads one counter from the snapshot (0 when absent).
 func (s Snapshot) Counter(name string) int64 { return s.Counters[name] }
 
-// Gauge reads one gauge from the snapshot (0 when absent).
-func (s Snapshot) Gauge(name string) int64 { return s.Gauges[name] }
-
-// CounterDelta reports how much a counter grew since an earlier
-// snapshot of the same registry.
-func (s Snapshot) CounterDelta(prev Snapshot, name string) int64 {
-	return s.Counters[name] - prev.Counters[name]
-}
-
 // SpansUnder returns the snapshot's spans whose path equals prefix or
 // lives beneath it, in completion order.
 func (s Snapshot) SpansUnder(prefix string) []SpanRecord {

@@ -202,7 +202,7 @@ func TestConcurrentHammer(t *testing.T) {
 	if got := snap.Counter("bytes"); got != goroutines*perG*8 {
 		t.Errorf("bytes = %d, want %d", got, goroutines*perG*8)
 	}
-	if got := snap.Gauge("depth"); got != goroutines*perG-1 {
+	if got := snap.Gauges["depth"]; got != goroutines*perG-1 {
 		t.Errorf("depth max = %d, want %d", got, goroutines*perG-1)
 	}
 	if got := snap.Histograms["lat"].Count; got != goroutines*perG {
@@ -304,20 +304,6 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 	}
 	if back.Histograms["h"].Count != 1 {
 		t.Errorf("histogram round-trip = %+v", back.Histograms["h"])
-	}
-}
-
-func TestCounterDelta(t *testing.T) {
-	reg := New()
-	reg.Counter("c").Add(5)
-	before := reg.Snapshot()
-	reg.Counter("c").Add(7)
-	after := reg.Snapshot()
-	if d := after.CounterDelta(before, "c"); d != 7 {
-		t.Errorf("delta = %d, want 7", d)
-	}
-	if d := after.CounterDelta(before, "absent"); d != 0 {
-		t.Errorf("absent delta = %d, want 0", d)
 	}
 }
 
