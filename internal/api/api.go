@@ -213,9 +213,15 @@ func DecodePlanRequest(rd io.Reader) (*PlanRequest, error) {
 	return &req, nil
 }
 
+// maxBatchRequests bounds the plans one batch body may ask for: the batch
+// is admitted as one request, so without a cap one admission ticket
+// could carry the ~10k cold plans a maxRequestBytes body holds.
+const maxBatchRequests = 256
+
 // PlanBatchRequest plans many jobs in one call; results are
 // index-aligned with Requests. Per-item Tenant fields are ignored — the
-// batch is admitted and accounted as one request from its caller.
+// batch is admitted and accounted as one request from its caller, and
+// may hold at most maxBatchRequests requests.
 type PlanBatchRequest struct {
 	Tenant   string        `json:"tenant,omitempty"`
 	Requests []PlanRequest `json:"requests"`
@@ -229,6 +235,9 @@ func DecodePlanBatchRequest(rd io.Reader) (*PlanBatchRequest, error) {
 	}
 	if len(req.Requests) == 0 {
 		return nil, fmt.Errorf("%w: batch has no requests", ErrInvalid)
+	}
+	if len(req.Requests) > maxBatchRequests {
+		return nil, fmt.Errorf("%w: batch has %d requests, at most %d are allowed", ErrInvalid, len(req.Requests), maxBatchRequests)
 	}
 	return &req, nil
 }

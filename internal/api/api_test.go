@@ -96,6 +96,24 @@ func TestDecodeStrict(t *testing.T) {
 	}
 }
 
+// batchBody is a batch of n copies of one small plan request.
+func batchBody(n int) string {
+	item := `{"workload":"wordcount","num_objects":10,"object_bytes":1048576,"objective":{"goal":"min_time","budget_usd":1}}`
+	return `{"requests":[` + strings.TrimSuffix(strings.Repeat(item+",", n), ",") + `]}`
+}
+
+// TestDecodeBatchCap: a batch of maxBatchRequests decodes, one more is
+// invalid.
+func TestDecodeBatchCap(t *testing.T) {
+	req, err := DecodePlanBatchRequest(strings.NewReader(batchBody(maxBatchRequests)))
+	if err != nil || len(req.Requests) != maxBatchRequests {
+		t.Fatalf("batch of %d: err = %v", maxBatchRequests, err)
+	}
+	if _, err := DecodePlanBatchRequest(strings.NewReader(batchBody(maxBatchRequests + 1))); !errors.Is(err, ErrInvalid) {
+		t.Fatalf("batch of %d: err = %v, want ErrInvalid", maxBatchRequests+1, err)
+	}
+}
+
 // TestFingerprintStability pins the cache-key contract: tenant never
 // participates, equivalent sizes collapse to one key, and any
 // plan-changing field separates keys.

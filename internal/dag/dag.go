@@ -45,8 +45,11 @@
 // are computed into per-index slots and the graph is assembled serially
 // in a fixed order, so the built DAG is bit-for-bit identical at every
 // parallelism degree. That order is source order: node ids ascend column
-// by column and each node's edges are added in one run, so the graph's
-// edge log already is its CSR and freezing it copies nothing.
+// by column, from the source (node 0) to the destination (the last node),
+// and each node's edges are added in one run, so the graph's edge log
+// already is its CSR and freezing it copies nothing. Ascending ids are
+// also a topological order, which is what lets the graph solve the DAG
+// with one sweep instead of a priority queue.
 package dag
 
 import (
@@ -204,9 +207,11 @@ func newLayout(m *model.Paper, opts Options) layout {
 		}
 		lay.jcOf[kM-1] = lay.nJC - 1
 	}
-	// Node ids: [src, dst, i x L, kM x maxKM, jc x nJC, kR x maxKR,
-	// (kR,a) x maxKR*L, join x maxKR, s x L]
-	lay.iBase = 2
+	// Node ids, column by column: [src, i x L, kM x maxKM, jc x nJC,
+	// kR x maxKR, (kR,a) x maxKR*L, join x maxKR, s x L, dst]. Every edge
+	// runs from one column to the next, so the ids are a topological
+	// order, which the graph requires.
+	lay.iBase = 1
 	lay.kmBase = lay.iBase + L
 	lay.jcBase = lay.kmBase + maxKM
 	lay.krBase = lay.jcBase + lay.nJC
@@ -217,9 +222,11 @@ func newLayout(m *model.Paper, opts Options) layout {
 }
 
 // newDAG is a DAG before its graph is built: the layout, and the source
-// and destination, which are the first two node ids of every layout.
+// and destination, which are the first and the last node id of every
+// layout.
 func newDAG(m *model.Paper, mode Mode, opts Options) *DAG {
-	return &DAG{Src: 0, Dst: 1, Mode: mode, layout: newLayout(m, opts)}
+	lay := newLayout(m, opts)
+	return &DAG{Src: 0, Dst: lay.sBase + lay.nTiers, Mode: mode, layout: lay}
 }
 
 // BuildContext constructs the DAG for the model under the given mode,
@@ -346,13 +353,13 @@ func (lay *layout) census(sc *buildScratch) int {
 }
 
 // assemble is phase 2 of a build: the graph, put together serially from
-// the evaluated slots in source order — node ids ascend column by column
-// and every node's edges are added in one run — so the graph's log is its
-// CSR and freezing it copies nothing.
+// the evaluated slots in source order — node ids ascend column by column,
+// destination last, and every node's edges are added in one run — so the
+// graph's log is its CSR and freezing it copies nothing.
 func (d *DAG) assemble(sc *buildScratch) *graph.Graph {
 	lay, mode := &d.layout, d.Mode
 	tiers, L, maxKM, maxKR := lay.tiers, lay.nTiers, lay.maxKM, lay.maxKR
-	g := graph.New(lay.sBase + L) // s is the last column
+	g := graph.New(d.Dst + 1) // dst is the last node
 	g.Reserve(lay.census(sc))
 
 	// tieEps breaks objective ties toward the cheaper side metric:

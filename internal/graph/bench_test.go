@@ -27,11 +27,11 @@ func optimizerShapedGraph() (*Graph, int, int) {
 		}
 		jcOf[k] = J - 1
 	}
-	// Columns: src, dst, i(L), kM(N), jc(J), kR(N), (kR,a)(N*L), join(N), s(L).
+	// Columns: src, i(L), kM(N), jc(J), kR(N), (kR,a)(N*L), join(N), s(L), dst.
 	n := 2 + L + N + J + N + N*L + N + L
 	g := New(n)
-	src, dst := 0, 1
-	iBase := 2
+	src, dst := 0, n-1
+	iBase := 1
 	kmBase := iBase + L
 	jcBase := kmBase + N
 	krBase := jcBase + J

@@ -22,83 +22,43 @@ type Bounds struct {
 	SideToGo []float64
 }
 
-// ToGoBounds computes Bounds for dst by running two Dijkstra sweeps over
-// the reverse graph, one per weight. The graph is not mutated, and the
-// reverse adjacency is built locally from the frozen CSR (live edges
-// only), so concurrent searches may keep using g. SideToGo[src] is the
+// ToGoBounds computes Bounds for dst with one backward pull over the
+// forward CSR (live edges only): node ids are a topological order, so
+// sweeping u down from dst-1, every edge u -> v reaches a node whose
+// bounds are already final, and u's are the minimum of bound[v] + weight
+// over its edges, for both weights at once. That is the sum a reverse
+// Dijkstra forms, in the same operand order, so the bounds are its bits.
+// Nodes above dst cannot reach it and stay +Inf. The graph is not
+// mutated, so concurrent searches may keep using g. SideToGo[src] is the
 // global minimum achievable Side of any src→dst path — the fastest
 // possible plan when Side carries time — which callers get for free.
 func (g *Graph) ToGoBounds(dst int) *Bounds {
 	g.freeze()
-	// Counted build of the reverse CSR, mirroring freeze.
-	rdeg := make([]int32, g.n)
-	for u := 0; u < g.n; u++ {
-		for ei := g.off[u]; ei < g.off[u+1]; ei++ {
-			if !g.removed.get(ei) {
-				rdeg[g.to[ei]]++
-			}
-		}
-	}
-	roff := make([]int32, g.n+1)
-	for v := 0; v < g.n; v++ {
-		roff[v+1] = roff[v] + rdeg[v]
-	}
-	total := roff[g.n]
-	rto := make([]int32, total)
-	rw := make([]float64, total)
-	rside := make([]float64, total)
-	pos := make([]int32, g.n)
-	copy(pos, roff[:g.n])
-	for u := 0; u < g.n; u++ {
-		for ei := g.off[u]; ei < g.off[u+1]; ei++ {
-			if g.removed.get(ei) {
-				continue
-			}
-			v := g.to[ei]
-			p := pos[v]
-			pos[v] = p + 1
-			rto[p] = int32(u)
-			rw[p] = g.w[ei]
-			rside[p] = g.side[ei]
-		}
-	}
-	b := &Bounds{}
+	b := &Bounds{WToGo: make([]float64, g.n), SideToGo: make([]float64, g.n)}
 	telemetry.DoPhase(context.Background(), telemetry.PhaseDijkstra, func(context.Context) {
-		b.WToGo = reverseDijkstra(g.n, dst, roff, rto, rw)
-		b.SideToGo = reverseDijkstra(g.n, dst, roff, rto, rside)
+		wToGo, sideToGo := b.WToGo, b.SideToGo
+		for v := dst + 1; v < g.n; v++ {
+			wToGo[v], sideToGo[v] = math.Inf(1), math.Inf(1)
+		}
+		off, to, ew, es, removed := g.off, g.to, g.w, g.side, g.removed
+		for u := dst - 1; u >= 0; u-- {
+			bw, bs := math.Inf(1), math.Inf(1)
+			for ei := off[u]; ei < off[u+1]; ei++ {
+				if removed.get(ei) {
+					continue
+				}
+				v := to[ei]
+				if d := wToGo[v] + ew[ei]; d < bw {
+					bw = d
+				}
+				if d := sideToGo[v] + es[ei]; d < bs {
+					bs = d
+				}
+			}
+			wToGo[u], sideToGo[u] = bw, bs
+		}
 	})
 	return b
-}
-
-// reverseDijkstra is a plain single-weight Dijkstra over a prebuilt
-// reverse adjacency, returning the distance array (Inf where dst is
-// unreachable). It keeps its own heap so it never contends with the
-// scratch pool used by the forward searches.
-func reverseDijkstra(n, src int, off, to []int32, w []float64) []float64 {
-	dist := make([]float64, n)
-	for i := range dist {
-		dist[i] = math.Inf(1)
-	}
-	done := make([]bool, n)
-	var h heap4
-	dist[src] = 0
-	h.push(int32(src), 0)
-	for h.len() > 0 {
-		u, _ := h.pop()
-		if done[u] {
-			continue
-		}
-		done[u] = true
-		du := dist[u]
-		for ei := off[u]; ei < off[u+1]; ei++ {
-			v := to[ei]
-			if nd := du + w[ei]; nd < dist[v] {
-				dist[v] = nd
-				h.push(v, nd)
-			}
-		}
-	}
-	return dist
 }
 
 // ConstrainedShortestPathBoundedCtx is ConstrainedShortestPathCtx with

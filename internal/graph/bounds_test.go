@@ -11,7 +11,7 @@ import (
 
 // minToGoRef computes the minimum accumulated pick(e) of any u→dst path
 // by value iteration over the reference adjacency — an independent check
-// on ToGoBounds' reverse Dijkstra that, unlike ShortestPath's assemble,
+// on ToGoBounds' backward pull that, unlike ShortestPath's assemble,
 // handles parallel edges exactly.
 func minToGoRef(r *refGraph, dst int, pick func(refEdge) float64) []float64 {
 	dist := make([]float64, r.n)
@@ -48,10 +48,7 @@ func TestToGoBoundsMatchReference(t *testing.T) {
 		wantW := minToGoRef(ref, dst, func(e refEdge) float64 { return e.w })
 		check := func(name string, got, want []float64) {
 			for v := 0; v < g.NumNodes(); v++ {
-				if math.IsInf(got[v], 1) && math.IsInf(want[v], 1) {
-					continue
-				}
-				if math.Abs(got[v]-want[v]) > 1e-9 {
+				if math.Float64bits(got[v]) != math.Float64bits(want[v]) {
 					t.Fatalf("seed %d: %s[%d] = %v, want %v", seed, name, v, got[v], want[v])
 				}
 			}

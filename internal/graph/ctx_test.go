@@ -10,15 +10,16 @@ import (
 	"astra/internal/telemetry"
 )
 
-// layered builds a random layered DAG shaped like the configuration DAG:
-// width nodes per layer, full bipartite edges between adjacent layers, with
-// deterministic pseudo-random weights.
+// layered builds a random layered DAG shaped and numbered like the
+// configuration DAG: the source, width nodes per layer, the destination,
+// full bipartite edges between adjacent layers, with deterministic
+// pseudo-random weights.
 func layered(layers, width int, seed int64) (*Graph, int, int) {
 	rng := rand.New(rand.NewSource(seed))
 	n := layers*width + 2
 	g := New(n)
-	src, dst := n-2, n-1
-	node := func(l, i int) int { return l*width + i }
+	src, dst := 0, n-1
+	node := func(l, i int) int { return 1 + l*width + i }
 	for i := 0; i < width; i++ {
 		g.AddEdge(src, node(0, i), rng.Float64()+0.1, rng.Float64()+0.1)
 		g.AddEdge(node(layers-1, i), dst, rng.Float64()+0.1, rng.Float64()+0.1)

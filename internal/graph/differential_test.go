@@ -17,8 +17,8 @@ import (
 // staleness checks), and the property tests assert that every solver
 // returns byte-identical paths on random layered DAGs. Random float
 // weights make exact W ties measure-zero, so tie-breaking differences
-// between the old binary heap and the new 4-ary heap cannot mask a
-// real divergence.
+// between the reference's binary heaps and the topological sweep or the
+// 4-ary label heap cannot mask a real divergence.
 
 type refEdge struct {
 	to      int
@@ -305,19 +305,19 @@ func (g *refGraph) yenKSP(src, dst, k int) []Path {
 }
 
 // randomPair builds the same random layered DAG as both a CSR Graph and
-// a reference graph: `layers` layers of `width` nodes, full bipartite
-// edges between adjacent layers with random weights, plus a few random
-// skip edges.
+// a reference graph: the source, `layers` layers of `width` nodes, then
+// the destination, with full bipartite edges between adjacent layers
+// with random weights, plus a few random skip edges.
 func randomPair(rng *rand.Rand, layers, width int) (*Graph, *refGraph, int, int) {
 	n := 2 + layers*width
-	src, dst := 0, 1
+	src, dst := 0, n-1
 	g := New(n)
 	r := newRefGraph(n)
 	add := func(u, v int, w, side float64) {
 		g.AddEdge(u, v, w, side)
 		r.addEdge(u, v, w, side)
 	}
-	node := func(l, i int) int { return 2 + l*width + i }
+	node := func(l, i int) int { return 1 + l*width + i }
 	for i := 0; i < width; i++ {
 		add(src, node(0, i), rng.Float64()*10, rng.Float64()*10)
 	}

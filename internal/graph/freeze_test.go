@@ -127,7 +127,9 @@ func TestFreezeInPlaceMatchesCountedPass(t *testing.T) {
 // TestAddEdgeAfterFreeze: extending a frozen graph (thaw) keeps its live
 // edges and appends the new ones whatever their order, and matches a
 // graph built from the final edge list in one go; removed edges stay
-// gone. Clones taken before the thaw keep the arrays they shared.
+// gone. Clones taken before the thaw keep the arrays they shared. A
+// searched, thawed graph thaws again for one more edge, and the next
+// search sweeps it.
 func TestAddEdgeAfterFreeze(t *testing.T) {
 	for seed := int64(1); seed <= 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -165,5 +167,10 @@ func TestAddEdgeAfterFreeze(t *testing.T) {
 		}
 		sameSearches(t, "thawed", g, buildLog(n, want, false))
 		sameSearches(t, "clone after thaw", c, frozen)
+
+		g.AddEdge(0, n-1, 0, 0)
+		if p, err := g.ShortestPath(0, n-1); err != nil || !eqNodes(p.Nodes, []int{0, n - 1}) {
+			t.Fatalf("seed %d: after a free shortcut 0 -> %d, the search returned %+v (%v)", seed, n-1, p, err)
+		}
 	}
 }

@@ -1,13 +1,21 @@
 // Package graph provides the shortest-path machinery behind Astra's
-// optimizer (Sec. IV of the paper): plain Dijkstra, Yen's k-shortest
-// simple paths, the paper's Algorithm 1 (Dijkstra with iterative removal
-// of constraint-violating edges), and an exact label-setting solver for
-// the weight-constrained shortest path problem.
+// optimizer (Sec. IV of the paper): a one-pass shortest-path sweep, Yen's
+// k-shortest simple paths, the paper's Algorithm 1 (shortest path with
+// iterative removal of constraint-violating edges), and an exact
+// label-setting solver for the weight-constrained shortest path problem.
 //
 // Every edge carries two values: W, the objective weight minimized by the
 // search, and Side, the constrained resource accumulated along the path.
 // For the paper's performance optimization (Eq. 16) W is phase time and
 // Side is phase cost; for cost minimization (Eq. 20) the roles swap.
+//
+// Node ids are a topological order: AddEdge accepts u -> v only when
+// u < v, as the configuration DAG numbers its columns left to right. So
+// the unconstrained searches need no priority queue: one sweep over the
+// nodes in id order relaxes every edge once, after all of its source's
+// in-edges, in O(V+E) with sequential memory access (dijkstra), and the
+// to-go bounds are one backward pull over the same arrays (ToGoBounds).
+// Only the label-setting search keeps a heap.
 //
 // Storage is compressed sparse row (CSR): AddEdge appends to a flat
 // arrival-order log, and the first search freezes the log into off/to/
@@ -93,11 +101,15 @@ func (g *Graph) NumNodes() int { return g.n }
 // NumEdges reports the live (non-removed) edge count.
 func (g *Graph) NumEdges() int { return g.m }
 
-// AddEdge inserts a directed edge. Negative objective weights are
-// rejected: every solver here assumes non-negativity.
+// AddEdge inserts a directed edge. An edge that does not ascend (v <= u)
+// and a negative objective weight are rejected: the sweeps rely on ids
+// being a topological order, and every solver on non-negativity.
 func (g *Graph) AddEdge(u, v int, w, side float64) {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range", u, v))
+	}
+	if v <= u {
+		panic(fmt.Sprintf("graph: edge (%d,%d) does not ascend; node ids must be a topological order", u, v))
 	}
 	if w < 0 || math.IsNaN(w) {
 		panic(fmt.Sprintf("graph: invalid weight %v on edge (%d,%d)", w, u, v))
@@ -304,19 +316,21 @@ func (g *Graph) removeEdge(u, v int) bool {
 
 // dijkstra computes shortest distances from src into the scratch's
 // dist/prev buffers, honoring banned nodes and banned edges (both may be
-// nil). It returns the number of successful edge relaxations — the
-// search engine's basic unit of work, surfaced through telemetry.
+// nil). Node ids are a topological order, so no heap is needed: sweeping
+// u upward from src, every in-edge of u has been relaxed by the time u is
+// reached, and dist[u] is final. The relaxation is Dijkstra's, strict <,
+// so dist is bit-identical to a heap search's; on an exact tie prev keeps
+// the lowest-id predecessor. It returns the number of successful edge
+// relaxations, the search engine's basic unit of work, surfaced through
+// telemetry; a sweep may improve a node more than once.
 func (g *Graph) dijkstra(sc *searchScratch, src int, bannedNode []bool, bannedEdge bitset) int64 {
 	g.freeze()
-	dist, prev, done := sc.dist, sc.prev, sc.done
+	dist, prev := sc.dist, sc.prev
 	for i := range dist {
 		dist[i] = math.Inf(1)
 	}
 	for i := range prev {
 		prev[i] = -1
-	}
-	for i := range done {
-		done[i] = false
 	}
 	if bannedNode != nil && bannedNode[src] {
 		return 0
@@ -324,16 +338,11 @@ func (g *Graph) dijkstra(sc *searchScratch, src int, bannedNode []bool, bannedEd
 	off, to, ew, removed := g.off, g.to, g.w, g.removed
 	var relaxed int64
 	dist[src] = 0
-	h := &sc.heap
-	h.reset()
-	h.push(int32(src), 0)
-	for h.len() > 0 {
-		u, _ := h.pop()
-		if done[u] {
+	for u := src; u < g.n; u++ {
+		du := dist[u]
+		if math.IsInf(du, 1) {
 			continue
 		}
-		done[u] = true
-		du := dist[u]
 		for ei := off[u]; ei < off[u+1]; ei++ {
 			if removed.get(ei) {
 				continue
@@ -347,9 +356,8 @@ func (g *Graph) dijkstra(sc *searchScratch, src int, bannedNode []bool, bannedEd
 			}
 			if nd := du + ew[ei]; nd < dist[v] {
 				dist[v] = nd
-				prev[v] = u
+				prev[v] = int32(u)
 				relaxed++
-				h.push(v, nd)
 			}
 		}
 	}

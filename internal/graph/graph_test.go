@@ -76,6 +76,26 @@ func TestAddEdgeValidation(t *testing.T) {
 	}
 }
 
+// TestAddEdgeRejectsDescending: node ids are a topological order, so an
+// edge back to a lower id and a self-loop are both refused.
+func TestAddEdgeRejectsDescending(t *testing.T) {
+	g := New(3)
+	g.AddEdge(0, 2, 1, 0)
+	for _, e := range [][2]int{{2, 1}, {1, 1}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddEdge(%d, %d) did not panic", e[0], e[1])
+				}
+			}()
+			g.AddEdge(e[0], e[1], 1, 0)
+		}()
+	}
+	if g.NumEdges() != 1 {
+		t.Fatalf("a refused edge was logged: %d edges", g.NumEdges())
+	}
+}
+
 func TestAlgorithm1PicksFeasibleRoute(t *testing.T) {
 	// Budget 5 rules out the fast route (side 20); Algorithm 1 must fall
 	// back to the slow, cheap one.
@@ -205,12 +225,13 @@ func TestYenUntil(t *testing.T) {
 	}
 }
 
-// randomDAG builds a layered random DAG resembling the optimizer's shape.
+// randomDAG builds a layered random DAG resembling the optimizer's shape,
+// numbered like it: the source first, the destination last.
 func randomDAG(rng *rand.Rand, layers, width int) (*Graph, int, int) {
 	n := layers*width + 2
 	g := New(n)
-	src, dst := n-2, n-1
-	node := func(l, i int) int { return l*width + i }
+	src, dst := 0, n-1
+	node := func(l, i int) int { return 1 + l*width + i }
 	for i := 0; i < width; i++ {
 		g.AddEdge(src, node(0, i), rng.Float64(), rng.Float64())
 	}

@@ -1,11 +1,11 @@
 package graph
 
 // heap4 is a non-interface 4-ary index min-heap: parallel arrays of
-// payload (a node id or a label-arena index) and float64 priority. It
-// replaces container/heap in the hot search loops — pushing through the
-// heap.Interface boxes every item into an interface value, one heap
-// allocation per relaxation, which dominated the planner's allocation
-// profile. The 4-ary shape halves the tree depth of a binary heap and
+// label-arena index and float64 priority, the label-setting search's
+// queue (the unconstrained searches are sweeps and need none). It
+// replaces container/heap there — pushing through the heap.Interface
+// boxes every item into an interface value, one heap allocation per
+// push, which dominated the planner's allocation profile. The 4-ary shape halves the tree depth of a binary heap and
 // keeps the child scan inside one cache line.
 type heap4 struct {
 	item []int32

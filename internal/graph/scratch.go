@@ -22,18 +22,16 @@ func (b bitset) clone() bitset {
 	return c
 }
 
-// searchScratch is the reusable working memory of one search: Dijkstra's
-// dist/prev/done arrays and frontier heap, Yen's spur-ban sets, and the
+// searchScratch is the reusable working memory of one search: the
+// shortest-path sweep's dist/prev arrays, Yen's spur-ban sets, and the
 // constrained solver's label arena, per-node Pareto fronts and label
 // heap. Scratches are pooled via sync.Pool and resized to the graph at
 // hand, so Algorithm 1's destructive rounds and Yen's concurrent spur
 // searches recycle buffers instead of reallocating per search.
 type searchScratch struct {
-	// Dijkstra state, indexed by node.
+	// Shortest-path sweep state, indexed by node.
 	dist []float64
 	prev []int32
-	done []bool
-	heap heap4
 
 	// Yen spur bans. bannedEdge is indexed by CSR edge index and kept
 	// all-zero between uses: putScratch unsets exactly the bits recorded
@@ -84,12 +82,10 @@ func (sc *searchScratch) ensure(n, m int) {
 	if cap(sc.dist) >= n {
 		sc.dist = sc.dist[:n]
 		sc.prev = sc.prev[:n]
-		sc.done = sc.done[:n]
 		sc.bannedNode = sc.bannedNode[:n]
 	} else {
 		sc.dist = make([]float64, n)
 		sc.prev = make([]int32, n)
-		sc.done = make([]bool, n)
 		sc.bannedNode = make([]bool, n)
 	}
 	if cap(sc.fronts) >= n {

@@ -61,7 +61,7 @@ func (g *Graph) Clone() *Graph {
 // run one round per edge in the worst case), and ctx.Err() is returned if
 // it fires. The receiver is still mutated by the rounds that did run.
 //
-// One pooled scratch carries the dist/prev/heap buffers across every
+// One pooled scratch carries the dist/prev buffers across every
 // destructive round, so the per-round cost is the search itself, not
 // allocation. When the context carries a telemetry registry, each
 // edge-removal round is recorded as a span and the round/removal/

@@ -391,6 +391,28 @@ func TestBatchMixedValidation(t *testing.T) {
 	}
 }
 
+// TestBatchCapRejectsBeforePlanning: a batch of 256 plans is served; one
+// of 257 is a 400 and plans nothing.
+func TestBatchCapRejectsBeforePlanning(t *testing.T) {
+	tel := telemetry.New()
+	srv := startReal(t, Config{Telemetry: tel})
+	batch := func(n int) string {
+		return `{"requests":[` + strings.TrimSuffix(strings.Repeat(planBody+",", n), ",") + `]}`
+	}
+	resp, got := post(t, srv.URL()+"/v1/plan/batch", "acme", batch(256))
+	if resp.StatusCode != 200 {
+		t.Fatalf("batch of 256: status %d: %s", resp.StatusCode, got)
+	}
+	solves := tel.Counter(telemetry.MPlanSolves).Value()
+	resp, got = post(t, srv.URL()+"/v1/plan/batch", "acme", batch(257))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("batch of 257: status %d: %s", resp.StatusCode, got)
+	}
+	if after := tel.Counter(telemetry.MPlanSolves).Value(); after != solves {
+		t.Fatalf("rejected batch planned: solves %d -> %d", solves, after)
+	}
+}
+
 // TestExecuteSettlesTenantSLO: execute=true runs the plan under a QoS
 // monitor and the outcome lands in the caller's SLO row.
 func TestExecuteSettlesTenantSLO(t *testing.T) {
