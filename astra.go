@@ -88,7 +88,9 @@ const (
 	SolverAuto = optimizer.Auto
 	// SolverAlgorithm1 is the paper's heuristic, as written.
 	SolverAlgorithm1 = optimizer.Algorithm1
-	// SolverCSP is exact label-setting on the configuration DAG.
+	// SolverCSP is exact label-setting on the configuration DAG over the
+	// template's memoized to-go bounds: SolverAuto without its opening
+	// Dijkstra.
 	SolverCSP = optimizer.CSP
 	// SolverBrute exhaustively enumerates small instances.
 	SolverBrute = optimizer.Brute

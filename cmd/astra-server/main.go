@@ -35,7 +35,6 @@ import (
 	"time"
 
 	"astra"
-	"astra/internal/api"
 	"astra/internal/obs"
 	"astra/internal/server"
 )
@@ -56,14 +55,8 @@ func run() error {
 	cacheTTL := flag.Duration("cache-ttl", time.Minute, "response-cache entry lifetime")
 	cacheEntries := flag.Int("cache-entries", 1024, "response-cache capacity")
 	parallelism := flag.Int("parallelism", 1, "per-request inner search parallelism")
-	solver := flag.String("solver", "auto", "default solver: auto, algorithm1, yen, rerank, brute, csp")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown bound for in-flight plans")
 	flag.Parse()
-
-	def, err := api.ParseSolver(*solver)
-	if err != nil {
-		return err
-	}
 
 	tel := astra.NewTelemetry()
 	ledger := astra.NewQoSLedger()
@@ -72,7 +65,6 @@ func run() error {
 	svc := server.NewService(server.ServiceConfig{
 		Tel:         tel,
 		Ledger:      ledger,
-		Solver:      def,
 		Parallelism: *parallelism,
 	})
 	srv := server.New(server.Config{

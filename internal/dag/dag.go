@@ -447,10 +447,10 @@ func (d *DAG) assemble(sc *buildScratch) *graph.Graph {
 	return g
 }
 
-// WithGraph returns a copy of the DAG whose searches run on g —
-// typically a Clone of the original graph, so destructive searches
-// (Algorithm 1) can reuse one memoized build. The copy starts without
-// to-go bounds: they describe d.G, not g.
+// WithGraph returns a copy of the DAG whose searches run on g, sharing
+// d's decoder. The copy starts without to-go bounds of its own. No
+// solver needs it — a frozen graph is never mutated, so every search runs
+// on d.G — but the benchmark's layer walk still times it.
 func (d *DAG) WithGraph(g *graph.Graph) *DAG {
 	return &DAG{G: g, Src: d.Src, Dst: d.Dst, Mode: d.Mode, layout: d.layout}
 }
@@ -463,8 +463,9 @@ func (d *DAG) WithGraph(g *graph.Graph) *DAG {
 // on a request the unconstrained optimum already answers — and they go
 // when the template is evicted. Concurrent first callers compute once;
 // the one that does records a plan/togo-bounds span on the context's
-// registry. G must not be mutated afterwards: destructive searches run on
-// WithGraph(G.Clone()), which carries no bounds.
+// registry. G is frozen and never changes, so the bounds hold for the
+// template's lifetime, Algorithm 1 included: its deletions are bans in
+// its own search scratch.
 func (d *DAG) ToGoBounds(ctx context.Context) *graph.Bounds {
 	d.boundsOnce.Do(func() {
 		sp := telemetry.FromContext(ctx).StartSpan("plan/togo-bounds")

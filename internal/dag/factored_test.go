@@ -290,9 +290,8 @@ func TestFactoredGraphStaysSmall(t *testing.T) {
 		if raceEnabled {
 			continue
 		}
-		// The frozen graph's own arrays: off, to, w, side and the removal
-		// bitset.
-		graphBytes := 4*(nodes+1) + (4+8+8)*edges + 8*((edges+63)/64)
+		// The frozen graph's own arrays: off, to, w and side.
+		graphBytes := 4*(nodes+1) + (4+8+8)*edges
 		const runs = 5
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -58,31 +58,34 @@ func TestToGoBoundsMatchReference(t *testing.T) {
 	}
 }
 
-// TestBoundedConstrainedMatchesUnbounded: with admissible bounds and any
-// valid upper limit, the bounded search must return exactly the path the
-// unbounded solver returns, for feasible and infeasible budgets alike.
-func TestBoundedConstrainedMatchesUnbounded(t *testing.T) {
+// TestBoundedConstrainedMatchesReference: with admissible bounds and any
+// valid upper limit, the label-setting search returns exactly the path
+// the independent reference solver returns (Pareto lists, no bounds),
+// for feasible and infeasible budgets alike, through both entry points.
+func TestBoundedConstrainedMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(1000 + seed))
 		layers := 2 + rng.Intn(3)
-		g, _, src, dst := randomPair(rng, layers, 2+rng.Intn(3))
+		g, ref, src, dst := randomPair(rng, layers, 2+rng.Intn(3))
 		b := g.ToGoBounds(dst)
 		for trial := 0; trial < 4; trial++ {
 			budget := rng.Float64() * float64(layers+1) * 10
-			want, werr := g.ConstrainedShortestPathCtx(ctx, src, dst, budget)
+			want, wantOK := ref.constrained(src, dst, budget)
 
-			got, gerr := g.ConstrainedShortestPathBoundedCtx(ctx, src, dst, budget, b, math.Inf(1))
-			samePath(t, "bounded(+Inf)", got, gerr == nil, want, werr == nil)
+			got, gerr := g.ConstrainedShortestPathCtx(ctx, src, dst, budget)
+			samePath(t, "unbounded entry", got, gerr == nil, want, wantOK)
+			got, gerr = g.ConstrainedShortestPathBoundedCtx(ctx, src, dst, budget, b, math.Inf(1))
+			samePath(t, "bounded(+Inf)", got, gerr == nil, want, wantOK)
 
-			if werr == nil {
+			if wantOK {
 				// The optimum's own W is the tightest valid upper limit —
 				// with the relative slack callers must add, because the
 				// reverse-summed WToGo can sit a few ULPs above the
 				// forward suffix sum of the same edges.
 				limit := want.W * (1 + 1e-9)
 				got, gerr = g.ConstrainedShortestPathBoundedCtx(ctx, src, dst, budget, b, limit)
-				samePath(t, "bounded(optW)", got, gerr == nil, want, werr == nil)
+				samePath(t, "bounded(optW)", got, gerr == nil, want, wantOK)
 			}
 		}
 	}
@@ -92,16 +95,16 @@ func TestBoundedConstrainedMatchesUnbounded(t *testing.T) {
 // and the cuts must surface on the context's telemetry registry.
 func TestBoundedConstrainedPrunes(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	g, _, src, dst := randomPair(rng, 4, 4)
+	g, ref, src, dst := randomPair(rng, 4, 4)
 	b := g.ToGoBounds(dst)
 	budget := b.SideToGo[src] * 1.05 // tight: most of the space is hopeless
 
 	reg := telemetry.New()
 	ctx := telemetry.NewContext(context.Background(), reg)
-	want, werr := g.ConstrainedShortestPathCtx(ctx, src, dst, budget)
+	want, wantOK := ref.constrained(src, dst, budget)
 	got, gerr := g.ConstrainedShortestPathBoundedCtx(ctx, src, dst, budget, b, math.Inf(1))
-	samePath(t, "tight budget", got, gerr == nil, want, werr == nil)
-	if werr != nil {
+	samePath(t, "tight budget", got, gerr == nil, want, wantOK)
+	if !wantOK {
 		t.Fatalf("budget %v should be feasible (min side %v)", budget, b.SideToGo[src])
 	}
 	if n := reg.Counter(telemetry.MCSPBoundPrunes).Value(); n == 0 {
@@ -143,7 +146,7 @@ func TestExactNeverWorseThanAlgorithm1(t *testing.T) {
 			if free.Side > budget {
 				exact, eerr = g.ConstrainedShortestPathBoundedCtx(ctx, src, dst, budget, b, math.Inf(1))
 			}
-			alg1, aerr := g.Clone().Algorithm1Ctx(ctx, src, dst, budget)
+			alg1, aerr := g.Algorithm1Ctx(ctx, src, dst, budget)
 			switch {
 			case aerr == nil && eerr != nil:
 				t.Fatalf("seed %d budget %v: Algorithm 1 found %+v, the exact search nothing (%v)", seed, budget, alg1, eerr)

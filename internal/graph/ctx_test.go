@@ -34,25 +34,29 @@ func layered(layers, width int, seed int64) (*Graph, int, int) {
 	return g, src, dst
 }
 
+// TestCloneIsIndependent: Algorithm 1 bans edges in its own scratch, so
+// running it on a Clone — or on the graph itself — leaves both handles
+// with every edge and the answers of a fresh build.
 func TestCloneIsIndependent(t *testing.T) {
 	g, src, dst := layered(4, 5, 1)
 	clone := g.Clone()
 	edgesBefore := g.NumEdges()
-
-	// Algorithm1 destructively removes edges from its receiver.
-	if _, err := clone.Algorithm1Ctx(context.Background(), src, dst, 2.0); err != nil && !errors.Is(err, ErrInfeasible) {
-		t.Fatal(err)
+	for _, h := range []*Graph{clone, g} {
+		if _, err := h.Algorithm1Ctx(context.Background(), src, dst, 2.0); err != nil && !errors.Is(err, ErrInfeasible) {
+			t.Fatal(err)
+		}
 	}
-	if g.NumEdges() != edgesBefore {
-		t.Fatalf("original lost edges through clone: %d -> %d", edgesBefore, g.NumEdges())
+	if g.NumEdges() != edgesBefore || clone.NumEdges() != edgesBefore {
+		t.Fatalf("Algorithm 1 changed the edge count: %d -> %d and %d", edgesBefore, g.NumEdges(), clone.NumEdges())
 	}
 
-	// The pristine original still solves identically to a fresh build.
 	fresh, _, _ := layered(4, 5, 1)
-	pg, errG := g.ShortestPath(src, dst)
 	pf, errF := fresh.ShortestPath(src, dst)
-	if (errG == nil) != (errF == nil) || (errG == nil && pg.W != pf.W) {
-		t.Fatalf("original diverged from fresh build: %+v/%v vs %+v/%v", pg, errG, pf, errF)
+	for name, h := range map[string]*Graph{"original": g, "clone": clone} {
+		ph, errH := h.ShortestPath(src, dst)
+		if (errH == nil) != (errF == nil) || (errH == nil && ph.W != pf.W) {
+			t.Fatalf("%s diverged from a fresh build: %+v/%v vs %+v/%v", name, ph, errH, pf, errF)
+		}
 	}
 }
 
@@ -83,7 +87,7 @@ func TestSearchCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := g.Clone().Algorithm1Ctx(ctx, src, dst, 2.0); !errors.Is(err, context.Canceled) {
+	if _, err := g.Algorithm1Ctx(ctx, src, dst, 2.0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("Algorithm1Ctx err = %v, want context.Canceled", err)
 	}
 	if _, err := g.ConstrainedShortestPathCtx(ctx, src, dst, 2.0); !errors.Is(err, context.Canceled) {

@@ -45,13 +45,16 @@ func (g *refGraph) clone() *refGraph {
 	return c
 }
 
+// edgeAt returns the live edge u->v a strict-< relaxation takes: the
+// lowest-w one, the first on ties.
 func (g *refGraph) edgeAt(u, v int) int {
-	for i := range g.adj[u] {
-		if !g.adj[u][i].removed && g.adj[u][i].to == v {
-			return i
+	best := -1
+	for i, e := range g.adj[u] {
+		if !e.removed && e.to == v && (best < 0 || e.w < g.adj[u][best].w) {
+			best = i
 		}
 	}
-	return -1
+	return best
 }
 
 type refPQItem struct {
@@ -369,7 +372,7 @@ func TestDifferentialAgainstReferenceSolvers(t *testing.T) {
 		rcp, rok := ref.constrained(src, dst, budget)
 		samePath(t, "csp", cp, err == nil, rcp, rok)
 
-		ap, err := g.Clone().Algorithm1Ctx(context.Background(), src, dst, budget)
+		ap, err := g.Algorithm1Ctx(context.Background(), src, dst, budget)
 		rap, rok := ref.clone().algorithm1(src, dst, budget)
 		samePath(t, "algorithm1", ap, err == nil, rap, rok)
 

@@ -1,7 +1,7 @@
 package graph
 
 // RefShortestPath runs the container/heap reference Dijkstra of
-// differential_test.go on a copy of g's live edges. It is exported for the
+// differential_test.go on a copy of g's edges. It is exported for the
 // external tests that search real configuration DAGs: internal/dag imports
 // this package, so those tests cannot live inside it.
 func RefShortestPath(g *Graph, src, dst int) (Path, bool) {

@@ -22,10 +22,11 @@
 // w/side arrays so every solver walks contiguous memory. A log added in
 // source order (the DAG assembler's order) already is the CSR: freeze
 // adopts its arrays in place and only builds off; any other order is
-// placed by one counted pass. Removal (Algorithm 1) flips a bit in a
-// per-graph bitset instead of mutating the arrays, which also makes Clone
-// O(m/64): clones share the frozen arrays and copy only the bitset. See
-// DESIGN.md, "Memory layout of the search core".
+// placed by one counted pass. A frozen graph never changes again: every
+// piece of per-search state — distances, predecessors, labels, and the
+// edges Algorithm 1 and Yen's spurs ban — lives in a pooled scratch, so
+// any number of searches share one graph. See DESIGN.md, "Memory layout
+// of the search core".
 package graph
 
 import (
@@ -54,16 +55,15 @@ type Edge struct {
 
 // Graph is a directed graph over nodes 0..N-1.
 //
-// Mutating methods (AddEdge, removeEdge, the destructive Algorithm 1)
-// require external synchronization; read-only searches may run
-// concurrently on one graph.
+// AddEdge and Reserve require external synchronization and must come
+// before the graph is frozen (by Freeze or the first search); a frozen
+// graph is immutable, and searches may run on it concurrently.
 type Graph struct {
 	n int
-	m int // live (non-removed) edge count
+	m int // edge count
 
 	// Builder log in arrival order; handed to (or placed into) the CSR
-	// arrays by freeze, reconstructed (live edges only) if AddEdge is
-	// called afterwards. While every edge has arrived in source order the
+	// arrays by freeze. While every edge has arrived in source order the
 	// log keeps no per-edge source — deg's runs imply it — and lu stays
 	// nil; the first edge out of order materializes lu from those runs.
 	lu, lv []int32
@@ -73,12 +73,10 @@ type Graph struct {
 
 	// Frozen CSR: node u's outgoing edges are indices off[u]..off[u+1]
 	// of the parallel to/w/side arrays, in per-node insertion order.
-	// The arrays are immutable once built and may be shared by clones;
-	// removed is the per-graph deletion bitset over edge indices.
+	// The arrays are immutable once built and may be shared by clones.
 	off     []int32
 	to      []int32
 	w, side []float64
-	removed bitset
 
 	frozen atomic.Bool
 	mu     sync.Mutex // serializes the lazy freeze among concurrent readers
@@ -98,12 +96,13 @@ func New(n int) *Graph {
 // NumNodes reports the node count.
 func (g *Graph) NumNodes() int { return g.n }
 
-// NumEdges reports the live (non-removed) edge count.
+// NumEdges reports the edge count.
 func (g *Graph) NumEdges() int { return g.m }
 
-// AddEdge inserts a directed edge. An edge that does not ascend (v <= u)
-// and a negative objective weight are rejected: the sweeps rely on ids
-// being a topological order, and every solver on non-negativity.
+// AddEdge inserts a directed edge. An edge that does not ascend (v <= u),
+// a negative objective weight and a frozen graph are rejected: the sweeps
+// rely on ids being a topological order, every solver on non-negativity,
+// and concurrent searches on a frozen graph never changing.
 func (g *Graph) AddEdge(u, v int, w, side float64) {
 	if u < 0 || u >= g.n || v < 0 || v >= g.n {
 		panic(fmt.Sprintf("graph: edge (%d,%d) out of range", u, v))
@@ -115,7 +114,7 @@ func (g *Graph) AddEdge(u, v int, w, side float64) {
 		panic(fmt.Sprintf("graph: invalid weight %v on edge (%d,%d)", w, u, v))
 	}
 	if g.frozen.Load() {
-		g.thaw()
+		panic("graph: AddEdge on a frozen graph")
 	}
 	if g.deg == nil {
 		g.deg = make([]int32, g.n+1)
@@ -228,39 +227,11 @@ func (g *Graph) freeze() {
 		}
 	}
 	g.off = off
-	g.removed = newBitset(int(total))
 	g.lu, g.lv, g.lw, g.ls, g.deg, g.last = nil, nil, nil, nil, nil, 0
 	g.frozen.Store(true)
 }
 
-// thaw reconstructs the builder log from the frozen CSR (live edges
-// only, in CSR order, which is source order) so AddEdge can extend a
-// graph that has already been searched. Removed edges are dropped for
-// good. The frozen arrays are copied, never appended to: clones may share
-// them. Callers must hold exclusive access (AddEdge is a mutating
-// method).
-func (g *Graph) thaw() {
-	g.lv = make([]int32, 0, g.m)
-	g.lw = make([]float64, 0, g.m)
-	g.ls = make([]float64, 0, g.m)
-	g.deg = make([]int32, g.n+1)
-	for u := 0; u < g.n; u++ {
-		for ei := g.off[u]; ei < g.off[u+1]; ei++ {
-			if g.removed.get(ei) {
-				continue
-			}
-			g.lv = append(g.lv, g.to[ei])
-			g.lw = append(g.lw, g.w[ei])
-			g.ls = append(g.ls, g.side[ei])
-			g.deg[u]++
-			g.last = int32(u)
-		}
-	}
-	g.off, g.to, g.w, g.side, g.removed = nil, nil, nil, nil, nil
-	g.frozen.Store(false)
-}
-
-// EdgesFrom returns a copy of u's live outgoing edges in insertion order.
+// EdgesFrom returns a copy of u's outgoing edges in insertion order.
 // It lets callers compare graphs structurally (e.g. a parallel build
 // against a serial one) without touching the adjacency storage.
 func (g *Graph) EdgesFrom(u int) []Edge {
@@ -268,20 +239,12 @@ func (g *Graph) EdgesFrom(u int) []Edge {
 		return nil
 	}
 	g.freeze()
-	live := 0
-	for ei := g.off[u]; ei < g.off[u+1]; ei++ {
-		if !g.removed.get(ei) {
-			live++
-		}
-	}
-	if live == 0 {
+	if g.off[u] == g.off[u+1] {
 		return nil
 	}
-	out := make([]Edge, 0, live)
+	out := make([]Edge, 0, g.off[u+1]-g.off[u])
 	for ei := g.off[u]; ei < g.off[u+1]; ei++ {
-		if !g.removed.get(ei) {
-			out = append(out, Edge{To: int(g.to[ei]), W: g.w[ei], Side: g.side[ei]})
-		}
+		out = append(out, Edge{To: int(g.to[ei]), W: g.w[ei], Side: g.side[ei]})
 	}
 	return out
 }
@@ -293,25 +256,17 @@ type Path struct {
 	Side  float64
 }
 
-// edgeAt returns the CSR index of the first live edge u->v, or -1.
-func (g *Graph) edgeAt(u, v int) int32 {
-	g.freeze()
+// edgeAt returns the CSR index of the edge u->v that a strict-< sweep
+// relaxes: the lowest-W one not in banned, the first on ties; -1 if
+// every u->v edge is banned or there is none.
+func (g *Graph) edgeAt(u, v int, banned bitset) int32 {
+	best := int32(-1)
 	for ei := g.off[u]; ei < g.off[u+1]; ei++ {
-		if !g.removed.get(ei) && g.to[ei] == int32(v) {
-			return ei
+		if g.to[ei] == int32(v) && !banned.get(ei) && (best < 0 || g.w[ei] < g.w[best]) {
+			best = ei
 		}
 	}
-	return -1
-}
-
-// removeEdge marks the edge u->v removed, reporting whether it existed.
-func (g *Graph) removeEdge(u, v int) bool {
-	if ei := g.edgeAt(u, v); ei >= 0 {
-		g.removed.set(ei)
-		g.m--
-		return true
-	}
-	return false
+	return best
 }
 
 // dijkstra computes shortest distances from src into the scratch's
@@ -335,7 +290,7 @@ func (g *Graph) dijkstra(sc *searchScratch, src int, bannedNode []bool, bannedEd
 	if bannedNode != nil && bannedNode[src] {
 		return 0
 	}
-	off, to, ew, removed := g.off, g.to, g.w, g.removed
+	off, to, ew := g.off, g.to, g.w
 	var relaxed int64
 	dist[src] = 0
 	for u := src; u < g.n; u++ {
@@ -344,9 +299,6 @@ func (g *Graph) dijkstra(sc *searchScratch, src int, bannedNode []bool, bannedEd
 			continue
 		}
 		for ei := off[u]; ei < off[u+1]; ei++ {
-			if removed.get(ei) {
-				continue
-			}
 			v := to[ei]
 			if bannedNode != nil && bannedNode[v] {
 				continue
@@ -364,10 +316,12 @@ func (g *Graph) dijkstra(sc *searchScratch, src int, bannedNode []bool, bannedEd
 	return relaxed
 }
 
-// assemble reconstructs the path to dst from a predecessor array,
-// accumulating both weights. The returned node slice is freshly
-// allocated (it outlives the scratch the prev array came from).
-func (g *Graph) assemble(src, dst int, prev []int32) (Path, bool) {
+// assemble reconstructs the path to dst from the scratch's predecessor
+// array, accumulating both weights of the edges the sweep relaxed around
+// the scratch's bans. The returned node slice is freshly allocated (it
+// outlives the scratch).
+func (g *Graph) assemble(sc *searchScratch, src, dst int) (Path, bool) {
+	prev := sc.prev
 	if src == dst {
 		return Path{Nodes: []int{src}}, true
 	}
@@ -389,7 +343,7 @@ func (g *Graph) assemble(src, dst int, prev []int32) (Path, bool) {
 	}
 	p := Path{Nodes: nodes}
 	for i := 0; i+1 < len(nodes); i++ {
-		ei := g.edgeAt(nodes[i], nodes[i+1])
+		ei := g.edgeAt(nodes[i], nodes[i+1], sc.bannedEdge)
 		p.W += g.w[ei]
 		p.Side += g.side[ei]
 	}
@@ -422,7 +376,7 @@ func (g *Graph) ShortestPathCtx(ctx context.Context, src, dst int) (Path, error)
 		tel.Counter(telemetry.MSearchDijkstraRuns).Inc()
 		tel.Counter(telemetry.MSearchEdgesRelaxed).Add(relaxed)
 		var ok bool
-		if p, ok = g.assemble(src, dst, sc.prev); !ok {
+		if p, ok = g.assemble(sc, src, dst); !ok {
 			err = ErrNoPath
 		}
 	})

@@ -7,6 +7,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"astra/internal/telemetry"
 )
 
 // diamond builds the classic two-route test graph:
@@ -319,22 +321,65 @@ func TestDijkstraMatchesYenFirstPathProperty(t *testing.T) {
 	}
 }
 
-func TestRemoveEdgeBookkeeping(t *testing.T) {
+// TestAlgorithm1BansInTheScratch: Algorithm 1's deletions are bans in
+// its own search scratch. The diamond's fast arm busts a budget of 15, so
+// one round bans an edge and the next takes the slow arm; the graph keeps
+// all four edges, its shortest path is still the fast arm, and a second
+// run starts from no bans and repeats the first exactly.
+func TestAlgorithm1BansInTheScratch(t *testing.T) {
 	g := diamond()
-	if g.NumEdges() != 4 {
-		t.Fatalf("edges = %d", g.NumEdges())
+	reg := telemetry.New()
+	ctx := telemetry.NewContext(context.Background(), reg)
+	for run := 1; run <= 2; run++ {
+		p, err := g.Algorithm1Ctx(ctx, 0, 3, 15)
+		if err != nil || !eqNodes(p.Nodes, []int{0, 2, 3}) || p.W != 10 || p.Side != 2 {
+			t.Fatalf("run %d: Algorithm 1 = %+v, %v; want 0-2-3 at W 10, side 2", run, p, err)
+		}
+		if n := reg.Counter(telemetry.MAlg1EdgesRemoved).Value(); n != int64(run) {
+			t.Fatalf("run %d: %d bans booked in total, want %d", run, n, run)
+		}
+		if g.NumEdges() != 4 {
+			t.Fatalf("run %d: the graph has %d edges, want 4", run, g.NumEdges())
+		}
+		if sp, err := g.ShortestPath(0, 3); err != nil || !eqNodes(sp.Nodes, []int{0, 1, 3}) {
+			t.Fatalf("run %d: shortest path after Algorithm 1 = %+v, %v", run, sp, err)
+		}
 	}
-	if !g.removeEdge(0, 1) {
-		t.Fatal("edge should exist")
+}
+
+// TestParallelEdgesWeighTheRelaxedEdge: with two edges 0 -> 1 the sweep
+// relaxes the lighter one, and every entry point reports that edge's
+// weights, not the first-added one's. Under a budget the lighter edge
+// busts, Algorithm 1 bans it and reports the heavier one it then takes.
+func TestParallelEdgesWeighTheRelaxedEdge(t *testing.T) {
+	g := New(3)
+	g.AddEdge(0, 1, 5, 1)
+	g.AddEdge(0, 1, 1, 3)
+	g.AddEdge(1, 2, 1, 1)
+	ctx := context.Background()
+	b := g.ToGoBounds(2)
+	check := func(name string, p Path, err error, wantW, wantSide float64) {
+		t.Helper()
+		if err != nil || !eqNodes(p.Nodes, []int{0, 1, 2}) || p.W != wantW || p.Side != wantSide {
+			t.Fatalf("%s = %+v, %v; want 0-1-2 at W %v, side %v", name, p, err, wantW, wantSide)
+		}
 	}
-	if g.removeEdge(0, 1) {
-		t.Fatal("edge already removed")
+	p, err := g.ShortestPathCtx(ctx, 0, 2)
+	check("ShortestPathCtx", p, err, 2, 4)
+	p, err = g.Algorithm1Ctx(ctx, 0, 2, 10)
+	check("Algorithm1Ctx", p, err, 2, 4)
+	p, err = g.ConstrainedShortestPathCtx(ctx, 0, 2, 10)
+	check("ConstrainedShortestPathCtx", p, err, 2, 4)
+	p, err = g.ConstrainedShortestPathBoundedCtx(ctx, 0, 2, 10, b, math.Inf(1))
+	check("ConstrainedShortestPathBoundedCtx", p, err, 2, 4)
+	ys, err := g.YenKSPCtx(ctx, 0, 2, 2, 1)
+	if len(ys) != 1 {
+		t.Fatalf("YenKSPCtx returned %d paths over one node sequence, want 1", len(ys))
 	}
-	if g.NumEdges() != 3 {
-		t.Fatalf("edges = %d", g.NumEdges())
-	}
-	p, err := g.ShortestPath(0, 3)
-	if err != nil || !eqNodes(p.Nodes, []int{0, 2, 3}) {
-		t.Fatalf("path after removal = %+v, %v", p, err)
-	}
+	check("YenKSPCtx", ys[0], err, 2, 4)
+
+	p, err = g.Algorithm1Ctx(ctx, 0, 2, 2.5)
+	check("Algorithm1Ctx under 2.5", p, err, 6, 2)
+	p, err = g.ConstrainedShortestPathCtx(ctx, 0, 2, 2.5)
+	check("ConstrainedShortestPathCtx under 2.5", p, err, 6, 2)
 }

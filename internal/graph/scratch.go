@@ -16,34 +16,27 @@ func (b bitset) set(i int32)      { b[i>>6] |= 1 << (uint32(i) & 63) }
 func (b bitset) unset(i int32)    { b[i>>6] &^= 1 << (uint32(i) & 63) }
 func (b bitset) get(i int32) bool { return b[i>>6]&(1<<(uint32(i)&63)) != 0 }
 
-func (b bitset) clone() bitset {
-	c := make(bitset, len(b))
-	copy(c, b)
-	return c
-}
-
-// searchScratch is the reusable working memory of one search: the
-// shortest-path sweep's dist/prev arrays, Yen's spur-ban sets, and the
-// constrained solver's label arena, per-node Pareto fronts and label
-// heap. Scratches are pooled via sync.Pool and resized to the graph at
-// hand, so Algorithm 1's destructive rounds and Yen's concurrent spur
+// searchScratch is all the state of one search; a frozen Graph holds
+// none. It carries the shortest-path sweep's dist/prev arrays, the edge
+// bans of Yen's spurs and Algorithm 1's rounds, and the label-setting
+// search's arena and heap. Scratches are pooled via sync.Pool and resized
+// to the graph at hand, so Algorithm 1's rounds and Yen's concurrent spur
 // searches recycle buffers instead of reallocating per search.
 type searchScratch struct {
-	// Shortest-path sweep state, indexed by node.
+	// Per-node search state. The sweep keeps each node's distance in
+	// dist; the label-setting search keeps the side it last settled there.
 	dist []float64
 	prev []int32
 
-	// Yen spur bans. bannedEdge is indexed by CSR edge index and kept
-	// all-zero between uses: putScratch unsets exactly the bits recorded
-	// in bannedIdx, so clearing costs O(bans), not O(edges).
+	// Bans. bannedEdge is indexed by CSR edge index and kept all-zero
+	// between uses: putScratch unsets exactly the bits recorded in
+	// bannedIdx, so clearing costs O(bans), not O(edges).
 	bannedNode []bool
 	bannedEdge bitset
 	bannedIdx  []int32
 
-	// Constrained-search state: the label slab arena and the per-node
-	// Pareto fronts (arena indices sorted by ascending w).
+	// Label-setting state: the label slab arena and its heap.
 	labels []csLabel
-	fronts [][]int32
 	lheap  heap4
 }
 
@@ -88,26 +81,25 @@ func (sc *searchScratch) ensure(n, m int) {
 		sc.prev = make([]int32, n)
 		sc.bannedNode = make([]bool, n)
 	}
-	if cap(sc.fronts) >= n {
-		sc.fronts = sc.fronts[:n]
-	} else {
-		old := sc.fronts
-		sc.fronts = make([][]int32, n)
-		copy(sc.fronts, old)
-	}
 	if len(sc.bannedEdge)<<6 < m {
 		sc.bannedEdge = newBitset(m)
 	}
 }
 
-// banEdges flags every live parallel edge u->v in the scratch's
-// banned-edge set, matching the (u,v)-keyed semantics of the map this
-// bitset replaced.
+// ban flags edge ei for the rest of the search.
+func (sc *searchScratch) ban(ei int32) {
+	if !sc.bannedEdge.get(ei) {
+		sc.bannedEdge.set(ei)
+		sc.bannedIdx = append(sc.bannedIdx, ei)
+	}
+}
+
+// banEdges bans every parallel edge u->v, matching the (u,v)-keyed
+// semantics of Yen's spur bans.
 func (sc *searchScratch) banEdges(g *Graph, u, v int) {
 	for ei := g.off[u]; ei < g.off[u+1]; ei++ {
-		if !g.removed.get(ei) && g.to[ei] == int32(v) && !sc.bannedEdge.get(ei) {
-			sc.bannedEdge.set(ei)
-			sc.bannedIdx = append(sc.bannedIdx, ei)
+		if g.to[ei] == int32(v) {
+			sc.ban(ei)
 		}
 	}
 }

@@ -12,24 +12,12 @@ import (
 // observed within microseconds, rare enough to stay off the profile.
 const ctxCheckEvery = 1024
 
-// Clone returns a copy of the graph that searches identically but may be
-// mutated independently. The frozen CSR arrays are immutable and shared;
-// only the removal bitset is copied, so cloning for Algorithm 1's
-// destructive rounds costs O(m/64) instead of duplicating every
-// adjacency list. It is how the planner reuses one memoized DAG build
-// across searches that mutate the graph without re-deriving every edge
-// weight.
+// Clone returns a second handle on g's frozen arrays. A frozen graph
+// never changes and every search keeps its state in a pooled scratch, so
+// the handle searches exactly as g does and costs one small struct.
 func (g *Graph) Clone() *Graph {
 	g.freeze()
-	c := &Graph{
-		n:       g.n,
-		m:       g.m,
-		off:     g.off,
-		to:      g.to,
-		w:       g.w,
-		side:    g.side,
-		removed: g.removed.clone(),
-	}
+	c := &Graph{n: g.n, m: g.m, off: g.off, to: g.to, w: g.w, side: g.side}
 	c.frozen.Store(true)
 	return c
 }
@@ -51,18 +39,16 @@ func (g *Graph) Clone() *Graph {
 // tier at once, and deleting jc(j) -> k_R bans that transfer for every
 // k_M with j mappers.
 //
-// The receiver is mutated (edges are removed); callers that need the
-// graph afterwards should rebuild or Clone it. Algorithm 1 is a
-// heuristic: it can return a suboptimal path or miss a feasible one (see
-// the solver ablation); ConstrainedShortestPathCtx is the exact
-// reference.
+// Algorithm 1 is a heuristic: it can return a suboptimal path or miss a
+// feasible one (see the solver ablation); ConstrainedShortestPathCtx is
+// the exact reference.
 //
 // The context is checked before every Dijkstra round (the heuristic can
 // run one round per edge in the worst case), and ctx.Err() is returned if
-// it fires. The receiver is still mutated by the rounds that did run.
+// it fires.
 //
-// One pooled scratch carries the dist/prev buffers across every
-// destructive round, so the per-round cost is the search itself, not
+// One pooled scratch carries the dist/prev buffers and the bans across
+// every round, so the per-round cost is the search itself, not
 // allocation. When the context carries a telemetry registry, each
 // edge-removal round is recorded as a span and the round/removal/
 // relaxation counts are accumulated; with no registry attached the loop
@@ -90,11 +76,11 @@ func (g *Graph) algorithm1Ctx(ctx context.Context, src, dst int, budget float64)
 			return Path{}, err
 		}
 		sp := tel.StartSpan("plan/solve/algorithm1/round")
-		relaxed := g.dijkstra(sc, src, nil, nil)
+		relaxed := g.dijkstra(sc, src, nil, sc.bannedEdge)
 		rounds.Inc()
 		runs.Inc()
 		relaxations.Add(relaxed)
-		p, ok := g.assemble(src, dst, sc.prev)
+		p, ok := g.assemble(sc, src, dst)
 		if !ok {
 			sp.End()
 			return Path{}, ErrInfeasible
@@ -102,11 +88,10 @@ func (g *Graph) algorithm1Ctx(ctx context.Context, src, dst int, budget float64)
 		side := 0.0
 		violated := false
 		for i := 0; i+1 < len(p.Nodes); i++ {
-			ei := g.edgeAt(p.Nodes[i], p.Nodes[i+1])
+			ei := g.edgeAt(p.Nodes[i], p.Nodes[i+1], sc.bannedEdge)
 			side += g.side[ei]
 			if side > budget {
-				g.removed.set(ei)
-				g.m--
+				sc.ban(ei)
 				removals.Inc()
 				violated = true
 				break
@@ -122,22 +107,14 @@ func (g *Graph) algorithm1Ctx(ctx context.Context, src, dst int, budget float64)
 
 // ConstrainedShortestPathCtx solves the weight-constrained shortest path
 // problem exactly: the minimum-W path from src to dst whose accumulated
-// Side does not exceed budget. It is a label-setting search with Pareto
-// dominance pruning; with non-negative weights the first label settled at
-// dst is optimal. The graph is not mutated, so concurrent searches may
-// share one graph. The label-setting loop checks the context every
-// ctxCheckEvery pops and returns ctx.Err() when it fires.
-//
-// Labels live in the scratch's slab arena and each node's Pareto front
-// is a w-sorted list of arena indices, so dominance tests are two O(1)
-// probes around a binary search and stale labels are skipped by an
-// evicted flag instead of an identity scan. The loop itself lives in
-// constrainedSearch (bounds.go), shared with the bound-aware variant.
+// Side does not exceed budget. It computes the graph's to-go bounds
+// toward dst and runs the label-setting search of
+// ConstrainedShortestPathBoundedCtx with no upper limit on W: labels pop
+// in w + WToGo order, and a partial path whose Side plus SideToGo
+// already exceeds budget is discarded. Callers that search one graph
+// repeatedly should memoize the bounds and call that entry point. The graph is not mutated, so concurrent
+// searches may share one graph. The label-setting loop checks the
+// context every ctxCheckEvery pops and returns ctx.Err() when it fires.
 func (g *Graph) ConstrainedShortestPathCtx(ctx context.Context, src, dst int, budget float64) (Path, error) {
-	var p Path
-	var err error
-	telemetry.DoPhase(ctx, telemetry.PhaseCSP, func(ctx context.Context) {
-		p, err = g.constrainedSearch(ctx, src, dst, budget, nil, math.Inf(1))
-	})
-	return p, err
+	return g.ConstrainedShortestPathBoundedCtx(ctx, src, dst, budget, g.ToGoBounds(dst), math.Inf(1))
 }

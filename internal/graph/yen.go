@@ -85,12 +85,12 @@ func (g *Graph) yenKSPCtx(ctx context.Context, src, dst, k, workers int) ([]Path
 			}
 
 			spurRelaxed[i] = g.dijkstra(sc, spurNode, banned, sc.bannedEdge)
-			spur, ok := g.assemble(spurNode, dst, sc.prev)
+			spur, ok := g.assemble(sc, spurNode, dst)
 			if !ok {
 				return
 			}
 			total := append(append([]int{}, rootNodes[:len(rootNodes)-1]...), spur.Nodes...)
-			if cand, ok := g.weigh(total); ok {
+			if cand, ok := g.weigh(total, sc.bannedEdge); ok {
 				spurs[i], spurOK[i] = cand, true
 			}
 		})
@@ -145,12 +145,13 @@ func (g *Graph) YenUntilCtx(ctx context.Context, src, dst int, budget float64, m
 	return Path{}, ErrInfeasible
 }
 
-// weigh computes a Path's weights from an explicit node sequence,
-// reporting false if any hop is missing.
-func (g *Graph) weigh(nodes []int) (Path, bool) {
+// weigh computes a Path's weights from an explicit node sequence over
+// the edges a sweep around banned relaxes, reporting false if any hop is
+// missing.
+func (g *Graph) weigh(nodes []int, banned bitset) (Path, bool) {
 	p := Path{Nodes: nodes}
 	for i := 0; i+1 < len(nodes); i++ {
-		ei := g.edgeAt(nodes[i], nodes[i+1])
+		ei := g.edgeAt(nodes[i], nodes[i+1], banned)
 		if ei < 0 {
 			return Path{}, false
 		}

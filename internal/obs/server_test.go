@@ -40,6 +40,9 @@ func startServer(t *testing.T, o obs.Options) *obs.Server {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
+		// Concurrent requests can leave the client a dialed-but-never-used
+		// connection, which http.Server.Shutdown waits 5 s on; drop it.
+		http.DefaultClient.CloseIdleConnections()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := s.Shutdown(ctx); err != nil {

@@ -277,9 +277,9 @@ var bindingFractions = [8][4]float64{
 // TestBindingCellsCounters pins what the default solver does on the
 // benchmark's binding_constraint cells, in counters that repeat exactly:
 // no Algorithm 1 round, one Dijkstra per plan however many calibration
-// rounds it takes, label-setting on every cell, and a plan whose
-// objective is the exact solver's on each of the 32 (geometric-mean
-// ratio exactly 1).
+// rounds it takes, label-setting on every cell, 377 labels popped per
+// plan, and a plan whose objective is the exact solver's on each of the
+// 32 (geometric-mean ratio exactly 1).
 func TestBindingCellsCounters(t *testing.T) {
 	tc := NewTemplateCache(0)
 	cache := model.NewPredictionCache()
@@ -322,7 +322,10 @@ func TestBindingCellsCounters(t *testing.T) {
 	if logRatio != 0 {
 		t.Errorf("geometric-mean objective ratio to CSP = %v, want exactly 1", math.Exp(logRatio/32))
 	}
-	t.Logf("%.0f labels popped per binding plan", float64(labels)/32)
+	// Labels popped repeat exactly: 377 per plan over the 32 cells.
+	if labels != 32*377 {
+		t.Errorf("%d labels popped over 32 binding plans (%.2f per plan), want %d (377 per plan)", labels, float64(labels)/32, 32*377)
+	}
 }
 
 // TestBoundsComputedOncePerTemplate: eight concurrent binding plans and a

@@ -37,9 +37,8 @@ type FrontierSpec struct {
 	DAG dag.Options
 	// Parallelism bounds the worker pool for every phase — the DAG
 	// build, the constrained searches and the exact re-evaluations
-	// (0 = all cores, 1 = serial). It is the single knob: when zero,
-	// a non-zero DAG.Parallelism is adopted sweep-wide, so the two can
-	// no longer disagree. The frontier is identical at every setting.
+	// (0 = all cores, 1 = serial); it overrides DAG.Parallelism. The
+	// frontier is identical at every setting.
 	Parallelism int
 	// Cache memoizes model predictions. Left nil, a private cache is
 	// created; set it to share one cache across sweeps and planners for
@@ -60,14 +59,6 @@ type FrontierSpec struct {
 	// observer slows the sweep, and cancelling the sweep's context from
 	// inside the observer aborts it promptly.
 	Observer func(FrontierUpdate)
-}
-
-// workers resolves the sweep-wide parallelism knob.
-func (spec FrontierSpec) workers() int {
-	if spec.Parallelism != 0 {
-		return spec.Parallelism
-	}
-	return spec.DAG.Parallelism
 }
 
 // FrontierUpdate is one anytime snapshot of the sweep.
@@ -179,7 +170,7 @@ func sweepFrontier(ctx context.Context, spec FrontierSpec) (*FrontierResult, err
 	if k <= 0 {
 		k = 24
 	}
-	workers := spec.workers()
+	workers := spec.Parallelism
 	dagOpts := spec.DAG
 	dagOpts.Parallelism = workers
 	tel := spec.Tel

@@ -168,29 +168,17 @@ func TestFrontierObserverCancelMidPhase(t *testing.T) {
 	}
 }
 
-// TestFrontierSpecWorkersKnob pins the unified parallelism knob: the
-// spec-level Parallelism wins, a DAG-level setting is adopted sweep-wide
-// when the spec is silent, and the deprecated FrontierContext no longer
-// lets its workers argument silently squash opts.Parallelism.
+// TestFrontierSpecWorkersKnob pins the single parallelism knob: the
+// spec-level Parallelism sizes the pool of every phase, whatever the DAG
+// options say.
 func TestFrontierSpecWorkersKnob(t *testing.T) {
-	if got := (FrontierSpec{Parallelism: 2, DAG: dag.Options{Parallelism: 3}}).workers(); got != 2 {
-		t.Fatalf("spec Parallelism should win: got %d", got)
-	}
-	if got := (FrontierSpec{DAG: dag.Options{Parallelism: 3}}).workers(); got != 3 {
-		t.Fatalf("DAG Parallelism should be adopted when spec is silent: got %d", got)
-	}
-	if got := (FrontierSpec{}).workers(); got != 0 {
-		t.Fatalf("zero spec should resolve to 0 (all cores): got %d", got)
-	}
-
-	// Behavioral: a DAG-level Parallelism=3 must actually size the pool
-	// used by the search phases (the historical bug ran them serial).
 	reg := telemetry.New()
 	if _, err := SweepFrontier(context.Background(), FrontierSpec{
-		Params: smallParams(),
-		Size:   8,
-		DAG:    dag.Options{Parallelism: 3},
-		Tel:    reg,
+		Params:      smallParams(),
+		Size:        8,
+		DAG:         dag.Options{Parallelism: 1},
+		Parallelism: 3,
+		Tel:         reg,
 	}); err != nil {
 		t.Fatal(err)
 	}

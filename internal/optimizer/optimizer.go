@@ -10,9 +10,9 @@
 // per DAG template. The named alternatives:
 //
 //   - Algorithm1: the paper's method — Dijkstra on the Fig. 5 DAG with
-//     iterative removal of constraint-violating edges.
-//   - CSP: exact label-setting with Pareto dominance pruning and no
-//     bounds; the reference Auto is property-tested against.
+//     iterative removal (a per-search ban) of constraint-violating edges.
+//   - CSP: the same bounded label-setting as Auto without the opening
+//     Dijkstra; the reference Auto is property-tested against.
 //   - Yen: k-shortest paths on the same DAG until one satisfies the
 //     constraint; exact on the DAG, the reference for Algorithm 1's gap.
 //   - Rerank: top-K DAG paths re-evaluated with the exact engine model,
@@ -25,10 +25,10 @@
 // shard across a bounded worker pool (Planner.Parallelism), model
 // predictions memoize through a sharded cache keyed by (Config, params
 // fingerprint), and built DAGs are frozen templates shared read-only
-// across plans and calibration rounds (only Algorithm 1, which removes
-// edges, works on a clone). Every search accepts a context (PlanContext)
-// for cancellation and deadlines. Results are deterministic: a Planner
-// returns the identical Plan at every parallelism degree.
+// across plans and calibration rounds by every solver. Every search
+// accepts a context (PlanContext) for cancellation and deadlines. Results
+// are deterministic: a Planner returns the identical Plan at every
+// parallelism degree.
 package optimizer
 
 import (
@@ -121,7 +121,8 @@ const (
 	// plan; a request whose constraint does not bind costs one Dijkstra.
 	Auto
 	// CSP solves the weight-constrained shortest path on the DAG exactly
-	// with label-setting and Pareto dominance pruning.
+	// with label-setting over the template's memoized to-go bounds, even
+	// when the constraint does not bind.
 	CSP
 )
 
@@ -210,11 +211,11 @@ type Planner struct {
 	// across planners for the same parameterization family.
 	Cache *model.PredictionCache
 	// Templates memoizes frozen DAG builds: a template hit skips
-	// BuildContext entirely and hands the solvers the shared CSR graph
-	// (only Algorithm 1 mutates, and it runs on a Clone). Left nil, a
-	// private cache is created on first use, so a planner reused across
-	// objectives or calibration rounds builds each DAG once; set it to
-	// share builds across planner instances.
+	// BuildContext entirely and hands the solvers the shared CSR graph,
+	// which no solver mutates. Left nil, a private cache is created on
+	// first use, so a planner reused across objectives or calibration
+	// rounds builds each DAG once; set it to share builds across planner
+	// instances.
 	Templates *TemplateCache
 	// BruteWorkLimit bounds brute-force enumeration (default 2e6 configs).
 	BruteWorkLimit int
@@ -308,9 +309,8 @@ func (pl *Planner) templates() *TemplateCache {
 }
 
 // buildDAG returns the memoized DAG for a mode, building it on first use.
-// The returned DAG is pristine and shared: read-only searches use it
-// directly; Algorithm 1, which removes edges, must run on a clone (see
-// WithGraph).
+// The returned DAG is frozen and shared; every solver searches it in
+// place.
 func (pl *Planner) buildDAG(ctx context.Context, mode dag.Mode) (*dag.DAG, error) {
 	opts := pl.dagOpts()
 	return pl.templates().Get(ctx, TemplateKey{
@@ -478,9 +478,8 @@ func searchErr(ctx context.Context, err error) error {
 }
 
 // dagSolve runs the planner's DAG solver on the Fig. 5 DAG. The build is
-// memoized and searched in place; only Algorithm 1, which removes edges,
-// runs on a clone. free carries Auto's Dijkstra across one plan's
-// calibration rounds (see autoSolve).
+// memoized and every solver searches it in place. free carries Auto's
+// Dijkstra across one plan's calibration rounds (see autoSolve).
 func (pl *Planner) dagSolve(ctx context.Context, obj Objective, st *SearchStats, free *graph.Path) (mapreduce.Config, error) {
 	d, err := pl.buildDAG(ctx, obj.mode())
 	if err != nil {
@@ -496,14 +495,13 @@ func (pl *Planner) dagSolve(ctx context.Context, obj Objective, st *SearchStats,
 		sp.End()
 	case CSP:
 		sp := tel.StartSpan("plan/solve/csp")
-		path, err = d.G.ConstrainedShortestPathCtx(ctx, d.Src, d.Dst, obj.sideBudget())
+		path, err = d.G.ConstrainedShortestPathBoundedCtx(ctx, d.Src, d.Dst, obj.sideBudget(), d.ToGoBounds(ctx), math.Inf(1))
 		sp.End()
 	case Auto:
 		path, err = autoSolve(ctx, d, obj.sideBudget(), free)
 	default:
-		work := d.WithGraph(d.G.Clone())
 		sp := tel.StartSpan("plan/solve/algorithm1")
-		path, err = work.G.Algorithm1Ctx(ctx, work.Src, work.Dst, obj.sideBudget())
+		path, err = d.G.Algorithm1Ctx(ctx, d.Src, d.Dst, obj.sideBudget())
 		sp.End()
 	}
 	if err != nil {

@@ -16,11 +16,11 @@ import (
 // expensive part of a cold plan; keying the finished CSR graph by a
 // fingerprint of (model params, DAG mode, dag.Options, model flavor)
 // lets every subsequent plan for that shape skip dag.BuildContext
-// entirely. Every solver but one searches the shared template directly,
-// and the to-go bounds the default solver and the frontier sweep prune
-// with are memoized on it (dag.DAG.ToGoBounds), so they too are computed
-// once per shape and evicted with it. Algorithm 1, which removes edges,
-// runs on a Clone — O(m/64): copy the removal bitset, share the arrays.
+// entirely. Every solver searches the shared template directly — a frozen
+// graph never changes, and Algorithm 1's deletions are bans in its own
+// search scratch — and the to-go bounds the label-setting solvers and the
+// frontier sweep prune with are memoized on it (dag.DAG.ToGoBounds), so
+// they too are computed once per shape and evicted with it.
 //
 // The bound, the least-recently-used eviction and the single-flight
 // builds — a thundering herd of identical jobs performs one build while
@@ -113,7 +113,7 @@ func (tc *TemplateCache) Stats() TemplateStats {
 // (or their own ctx). A failed build is not cached: waiters retry — a
 // caller whose own build fails gets that error, and one builder's
 // cancellation never poisons the key for others. The returned DAG is
-// shared and frozen: search it read-only, Clone before mutating.
+// shared and frozen: every search runs on it in place.
 //
 // Get is the only writer of astra_plan_template_*: each call counts what
 // it did into the caller's registry (telemetry.FromContext), so a

@@ -101,6 +101,9 @@ func TestPlanEndToEnd(t *testing.T) {
 	if pr.Config.MapperMemMB <= 0 || pr.PredictedJCTSeconds <= 0 || pr.Explain == "" {
 		t.Fatalf("incomplete plan response: %+v", pr)
 	}
+	if pr.Solver != "dijkstra+csp" {
+		t.Fatalf("a request naming no solver planned with %q, want the Auto solver (dijkstra+csp)", pr.Solver)
+	}
 	if resp.Header.Get(api.CacheHeader) != "miss" {
 		t.Fatalf("first request cache header = %q, want miss", resp.Header.Get(api.CacheHeader))
 	}
@@ -388,6 +391,40 @@ func TestBatchMixedValidation(t *testing.T) {
 	}
 	if br.Results[2].Plan == nil {
 		t.Fatalf("slot 2: %+v", br.Results[2])
+	}
+}
+
+// TestBatchRejectsPlanOnlyFields: every batch slot plans with the Auto
+// solver and none is executed, so a slot that names a solver, sets
+// execute or sets slo_factor gets a 400 in its own result, while its
+// neighbours plan.
+func TestBatchRejectsPlanOnlyFields(t *testing.T) {
+	srv := startReal(t, Config{})
+	const job = `"workload":"wordcount","num_objects":10,"object_bytes":1048576,"objective":{"goal":"min_time","budget_usd":1}`
+	body := `{"requests":[
+		{` + job + `},
+		{` + job + `,"solver":"brute"},
+		{` + job + `,"execute":true},
+		{` + job + `,"slo_factor":2}
+	]}`
+	resp, got := post(t, srv.URL()+"/v1/plan/batch", "acme", body)
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d: %s", resp.StatusCode, got)
+	}
+	var br api.PlanBatchResponse
+	if err := json.Unmarshal([]byte(got), &br); err != nil {
+		t.Fatal(err)
+	}
+	if len(br.Results) != 4 {
+		t.Fatalf("results = %d, want 4", len(br.Results))
+	}
+	if r := br.Results[0]; r.Plan == nil || r.Plan.Solver != "dijkstra+csp" {
+		t.Fatalf("slot 0: %+v", r)
+	}
+	for i, r := range br.Results[1:] {
+		if r.Plan != nil || r.Code != 400 || r.Error == "" {
+			t.Fatalf("slot %d: %+v, want a 400 item error", i+1, r)
+		}
 	}
 }
 

@@ -22,6 +22,7 @@ package server
 
 import (
 	"context"
+	"fmt"
 	"time"
 
 	"astra"
@@ -45,16 +46,14 @@ type Service interface {
 
 // ServiceConfig wires a planning service. Zero-valued fields default to
 // the process-wide shared caches, a fresh telemetry registry, a fresh
-// SLO ledger, the Auto solver, and serial per-request searches (the
-// server's concurrency comes from concurrent requests, not from fanning
-// one request across every core).
+// SLO ledger and serial per-request searches (the server's concurrency
+// comes from concurrent requests, not from fanning one request across
+// every core). A request that names no solver gets Auto.
 type ServiceConfig struct {
 	Templates *optimizer.TemplateCache
 	Cache     *model.PredictionCache
 	Tel       *telemetry.Registry
 	Ledger    *qos.Ledger
-	// Solver is the default search strategy for requests that name none.
-	Solver optimizer.Solver
 	// Parallelism bounds each request's inner search pool (0 is forced
 	// to 1; a shared service must not let one tenant's plan occupy every
 	// core).
@@ -113,20 +112,11 @@ func (s *service) planOpts(solver optimizer.Solver) []astra.PlanOption {
 	}
 }
 
-// solverOr applies the service default when the request named none.
-func (s *service) solverOr(reqSolver optimizer.Solver, named string) optimizer.Solver {
-	if named == "" {
-		return s.cfg.Solver
-	}
-	return reqSolver
-}
-
 func (s *service) Plan(ctx context.Context, req *api.PlanRequest) (*api.PlanResponse, error) {
 	job, obj, solver, err := req.Resolve()
 	if err != nil {
 		return nil, err
 	}
-	solver = s.solverOr(solver, req.Solver)
 	plan, err := astra.PlanContext(ctx, job, obj, s.planOpts(solver)...)
 	if err != nil {
 		return nil, err
@@ -173,14 +163,15 @@ func (s *service) execute(req *api.PlanRequest, job astra.Job, plan *astra.Execu
 // PlanBatch maps the wire batch onto astra.PlanBatch: slots that fail
 // validation get their taxonomy code in place, valid slots plan through
 // the shared concurrent batch front end, and indexes stay aligned
-// throughout. The batch plans with the service's default solver —
-// per-slot solver choice is a Plan-endpoint affordance.
+// throughout. Every slot plans with the Auto solver and none is executed,
+// so a slot that sets solver, execute or slo_factor is invalid — those
+// are Plan-endpoint affordances.
 func (s *service) PlanBatch(ctx context.Context, req *api.PlanBatchRequest) (*api.PlanBatchResponse, error) {
 	out := &api.PlanBatchResponse{Results: make([]api.BatchResult, len(req.Requests))}
 	var valid []astra.BatchRequest
 	var slots []int
 	for i := range req.Requests {
-		job, obj, _, err := req.Requests[i].Resolve()
+		job, obj, err := resolveBatchItem(&req.Requests[i])
 		if err != nil {
 			out.Results[i] = api.BatchResult{Error: err.Error(), Code: api.ErrorCode(err)}
 			continue
@@ -190,7 +181,6 @@ func (s *service) PlanBatch(ctx context.Context, req *api.PlanBatchRequest) (*ap
 	}
 	if len(valid) > 0 {
 		results, err := astra.PlanBatch(ctx, valid,
-			astra.WithSolver(s.cfg.Solver),
 			astra.WithTemplateCache(s.tc),
 			astra.WithPlanCache(s.pc),
 			astra.WithTelemetry(s.tel))
@@ -207,6 +197,21 @@ func (s *service) PlanBatch(ctx context.Context, req *api.PlanBatchRequest) (*ap
 		}
 	}
 	return out, nil
+}
+
+// resolveBatchItem resolves one batch slot, rejecting the per-request
+// fields a batch does not honour.
+func resolveBatchItem(r *api.PlanRequest) (astra.Job, astra.Objective, error) {
+	switch {
+	case r.Solver != "":
+		return astra.Job{}, astra.Objective{}, fmt.Errorf("%w: a batch item cannot name a solver", api.ErrInvalid)
+	case r.Execute:
+		return astra.Job{}, astra.Objective{}, fmt.Errorf("%w: a batch item cannot set execute", api.ErrInvalid)
+	case r.SLOFactor != 0:
+		return astra.Job{}, astra.Objective{}, fmt.Errorf("%w: a batch item cannot set slo_factor", api.ErrInvalid)
+	}
+	job, obj, _, err := r.Resolve()
+	return job, obj, err
 }
 
 func (s *service) Frontier(ctx context.Context, req *api.FrontierRequest, observe func(api.FrontierUpdate)) (*api.FrontierResponse, error) {
