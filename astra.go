@@ -92,7 +92,9 @@ const (
 	// template's memoized to-go bounds: SolverAuto without its opening
 	// Dijkstra.
 	SolverCSP = optimizer.CSP
-	// SolverBrute exhaustively enumerates small instances.
+	// SolverBrute exhaustively enumerates small instances with the exact
+	// model. It is Go API only: no flag, spec file or wire request can
+	// name it, since one enumeration costs seconds of CPU.
 	SolverBrute = optimizer.Brute
 )
 

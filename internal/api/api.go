@@ -60,7 +60,7 @@ type PlanRequest struct {
 	// Objective is the planning goal and its constraint.
 	Objective ObjectiveSpec `json:"objective"`
 	// Solver optionally selects the search strategy: auto (default),
-	// algorithm1, yen, rerank, brute, or csp.
+	// algorithm1 or csp. Brute force is Go API only; its name is a 400.
 	Solver string `json:"solver,omitempty"`
 	// Execute additionally runs the chosen plan on a fresh simulated
 	// platform under a streaming QoS monitor; the response gains a Run

@@ -34,7 +34,7 @@
 // components, with or without the joins.
 //
 // Every edge carries both the objective weight and the other metric as a
-// side weight, so the constrained searches (Algorithm 1, Yen, exact
+// side weight, so the constrained searches (Algorithm 1, exact
 // label-setting) can enforce the budget or deadline along the path.
 //
 // Edge-weight evaluation — thousands of analytic model calls over L

@@ -15,6 +15,25 @@ import (
 	"astra/internal/workload"
 )
 
+// allPaths enumerates every Src -> Dst path of d, each with both weights
+// summed along it, by a depth-first walk over d.G.EdgesFrom.
+func allPaths(d *DAG) []graph.Path {
+	var out []graph.Path
+	var walk func(u int, nodes []int, w, side float64)
+	walk = func(u int, nodes []int, w, side float64) {
+		nodes = append(nodes, u)
+		if u == d.Dst {
+			out = append(out, graph.Path{Nodes: append([]int(nil), nodes...), W: w, Side: side})
+			return
+		}
+		for _, e := range d.G.EdgesFrom(u) {
+			walk(e.To, nodes, w+e.W, side+e.Side)
+		}
+	}
+	walk(d.Src, nil, 0, 0)
+	return out
+}
+
 func testModel() *model.Paper {
 	return model.NewPaper(model.DefaultParams(workload.Job{
 		Profile:    workload.WordCount,
@@ -81,7 +100,7 @@ func TestShortestPathDecodesToValidConfig(t *testing.T) {
 
 // TestPathWeightMatchesModelComponents: any full path's weight must equal
 // the sum of the model's four edge components for the decoded config —
-// for the ten cheapest paths of a small shape, and for seeded random
+// for every path of a small shape, and for seeded random
 // feasible configurations whose greedy splits leave short tails, on
 // graphs built by a worker pool that rebinds each worker's RowEval from
 // row to row. Those must weigh bit for bit what the components, each
@@ -92,7 +111,7 @@ func TestPathWeightMatchesModelComponents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, _ := d.G.YenKSPCtx(context.Background(), d.Src, d.Dst, 10, 1)
+	paths := allPaths(d)
 	if len(paths) < 5 {
 		t.Fatalf("only %d paths", len(paths))
 	}
@@ -242,8 +261,7 @@ func TestLambdaLimitPrunesParallelism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, _ := d.G.YenKSPCtx(context.Background(), d.Src, d.Dst, 20, 1)
-	for _, path := range paths {
+	for _, path := range allPaths(d) {
 		cfg, err := d.Decode(path)
 		if err != nil {
 			t.Fatal(err)

@@ -64,8 +64,7 @@ func TestMaxKMAndKRCaps(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	paths, _ := d.G.YenKSPCtx(context.Background(), d.Src, d.Dst, 10, 1)
-	for _, p := range paths {
+	for _, p := range allPaths(d) {
 		cfg, err := d.Decode(p)
 		if err != nil {
 			t.Fatal(err)

@@ -42,8 +42,7 @@ func AblationSolvers() (string, error) {
 
 	t := &table{header: []string{"solver", "plan JCT", "plan cost", "within budget", "planning time"}}
 	for _, s := range []optimizer.Solver{
-		optimizer.Algorithm1, optimizer.Yen, optimizer.CSP, optimizer.Auto,
-		optimizer.Rerank, optimizer.Brute,
+		optimizer.Algorithm1, optimizer.CSP, optimizer.Auto, optimizer.Brute,
 	} {
 		p := optimizer.New(params)
 		p.Solver = s

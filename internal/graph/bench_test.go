@@ -101,13 +101,3 @@ func BenchmarkAlgorithm1PaperScale(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkYenK20PaperScale(b *testing.B) {
-	g, src, dst := optimizerShapedGraph()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if paths, _ := g.YenKSPCtx(context.Background(), src, dst, 20, 1); len(paths) == 0 {
-			b.Fatal("no paths")
-		}
-	}
-}

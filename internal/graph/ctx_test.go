@@ -60,28 +60,6 @@ func TestCloneIsIndependent(t *testing.T) {
 	}
 }
 
-func TestParallelYenMatchesSerial(t *testing.T) {
-	for seed := int64(1); seed <= 5; seed++ {
-		g, src, dst := layered(5, 6, seed)
-		serial, _ := g.YenKSPCtx(context.Background(), src, dst, 12, 1)
-		for _, workers := range []int{2, 4, 8} {
-			par, err := g.YenKSPCtx(context.Background(), src, dst, 12, workers)
-			if err != nil {
-				t.Fatalf("seed %d workers %d: %v", seed, workers, err)
-			}
-			if len(par) != len(serial) {
-				t.Fatalf("seed %d workers %d: %d paths, want %d", seed, workers, len(par), len(serial))
-			}
-			for i := range serial {
-				if serial[i].W != par[i].W || !eqNodes(serial[i].Nodes, par[i].Nodes) {
-					t.Fatalf("seed %d workers %d: path %d = %+v, want %+v",
-						seed, workers, i, par[i], serial[i])
-				}
-			}
-		}
-	}
-}
-
 func TestSearchCancellation(t *testing.T) {
 	g, src, dst := layered(6, 8, 42)
 	ctx, cancel := context.WithCancel(context.Background())
@@ -92,12 +70,6 @@ func TestSearchCancellation(t *testing.T) {
 	}
 	if _, err := g.ConstrainedShortestPathCtx(ctx, src, dst, 2.0); !errors.Is(err, context.Canceled) {
 		t.Fatalf("ConstrainedShortestPathCtx err = %v, want context.Canceled", err)
-	}
-	if _, err := g.YenKSPCtx(ctx, src, dst, 10, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("YenKSPCtx err = %v, want context.Canceled", err)
-	}
-	if _, err := g.YenUntilCtx(ctx, src, dst, 2.0, 50, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("YenUntilCtx err = %v, want context.Canceled", err)
 	}
 }
 

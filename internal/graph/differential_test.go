@@ -6,7 +6,6 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
-	"sort"
 	"sync"
 	"testing"
 )
@@ -76,16 +75,13 @@ func (q *refPQ) Pop() any {
 	return it
 }
 
-func (g *refGraph) dijkstra(src int, bannedNode []bool, bannedEdge map[[2]int]bool) []int {
+func (g *refGraph) dijkstra(src int) []int {
 	dist := make([]float64, g.n)
 	prev := make([]int, g.n)
 	done := make([]bool, g.n)
 	for i := range dist {
 		dist[i] = math.Inf(1)
 		prev[i] = -1
-	}
-	if bannedNode != nil && bannedNode[src] {
-		return prev
 	}
 	dist[src] = 0
 	q := &refPQ{{node: src}}
@@ -96,8 +92,7 @@ func (g *refGraph) dijkstra(src int, bannedNode []bool, bannedEdge map[[2]int]bo
 		}
 		done[u] = true
 		for _, e := range g.adj[u] {
-			if e.removed || (bannedNode != nil && bannedNode[e.to]) ||
-				(bannedEdge != nil && bannedEdge[[2]int{u, e.to}]) {
+			if e.removed {
 				continue
 			}
 			if nd := dist[u] + e.w; nd < dist[e.to] {
@@ -138,7 +133,7 @@ func (g *refGraph) assemble(src, dst int, prev []int) (Path, bool) {
 }
 
 func (g *refGraph) shortestPath(src, dst int) (Path, bool) {
-	return g.assemble(src, dst, g.dijkstra(src, nil, nil))
+	return g.assemble(src, dst, g.dijkstra(src))
 }
 
 func (g *refGraph) algorithm1(src, dst int, budget float64) (Path, bool) {
@@ -147,7 +142,7 @@ func (g *refGraph) algorithm1(src, dst int, budget float64) (Path, bool) {
 		m += len(edges)
 	}
 	for iter := 0; iter <= m; iter++ {
-		p, ok := g.assemble(src, dst, g.dijkstra(src, nil, nil))
+		p, ok := g.assemble(src, dst, g.dijkstra(src))
 		if !ok {
 			return Path{}, false
 		}
@@ -253,60 +248,6 @@ func (g *refGraph) constrained(src, dst int, budget float64) (Path, bool) {
 	return Path{}, false
 }
 
-func (g *refGraph) yenKSP(src, dst, k int) []Path {
-	first, ok := g.shortestPath(src, dst)
-	if !ok {
-		return nil
-	}
-	paths := []Path{first}
-	var candidates []Path
-	for len(paths) < k {
-		prevPath := paths[len(paths)-1].Nodes
-		for i := 0; i+1 < len(prevPath); i++ {
-			spurNode := prevPath[i]
-			rootNodes := prevPath[:i+1]
-			bannedEdge := make(map[[2]int]bool)
-			for _, p := range paths {
-				if len(p.Nodes) > i && equalPrefix(p.Nodes, rootNodes) {
-					bannedEdge[[2]int{p.Nodes[i], p.Nodes[i+1]}] = true
-				}
-			}
-			bannedNode := make([]bool, g.n)
-			for _, n := range rootNodes[:len(rootNodes)-1] {
-				bannedNode[n] = true
-			}
-			prev := g.dijkstra(spurNode, bannedNode, bannedEdge)
-			spur, ok := g.assemble(spurNode, dst, prev)
-			if !ok {
-				continue
-			}
-			total := append(append([]int{}, rootNodes[:len(rootNodes)-1]...), spur.Nodes...)
-			cand := Path{Nodes: total}
-			miss := false
-			for j := 0; j+1 < len(total); j++ {
-				ei := g.edgeAt(total[j], total[j+1])
-				if ei < 0 {
-					miss = true
-					break
-				}
-				cand.W += g.adj[total[j]][ei].w
-				cand.Side += g.adj[total[j]][ei].side
-			}
-			if miss || containsPath(paths, cand) || containsPath(candidates, cand) {
-				continue
-			}
-			candidates = append(candidates, cand)
-		}
-		if len(candidates) == 0 {
-			break
-		}
-		sort.Slice(candidates, func(a, b int) bool { return candidates[a].W < candidates[b].W })
-		paths = append(paths, candidates[0])
-		candidates = candidates[1:]
-	}
-	return paths
-}
-
 // randomPair builds the same random layered DAG as both a CSR Graph and
 // a reference graph: the source, `layers` layers of `width` nodes, then
 // the destination, with full bipartite edges between adjacent layers
@@ -375,16 +316,6 @@ func TestDifferentialAgainstReferenceSolvers(t *testing.T) {
 		ap, err := g.Algorithm1Ctx(context.Background(), src, dst, budget)
 		rap, rok := ref.clone().algorithm1(src, dst, budget)
 		samePath(t, "algorithm1", ap, err == nil, rap, rok)
-
-		k := 1 + rng.Intn(6)
-		ys, _ := g.YenKSPCtx(context.Background(), src, dst, k, 1)
-		rys := ref.yenKSP(src, dst, k)
-		if len(ys) != len(rys) {
-			t.Fatalf("yen: got %d paths, reference %d", len(ys), len(rys))
-		}
-		for i := range ys {
-			samePath(t, "yen", ys[i], true, rys[i], true)
-		}
 	}
 }
 

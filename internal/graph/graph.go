@@ -1,8 +1,9 @@
 // Package graph provides the shortest-path machinery behind Astra's
-// optimizer (Sec. IV of the paper): a one-pass shortest-path sweep, Yen's
-// k-shortest simple paths, the paper's Algorithm 1 (shortest path with
-// iterative removal of constraint-violating edges), and an exact
-// label-setting solver for the weight-constrained shortest path problem.
+// optimizer (Sec. IV of the paper): a one-pass shortest-path sweep, the
+// paper's Algorithm 1 (shortest path with iterative removal of
+// constraint-violating edges), and an exact label-setting solver for the
+// weight-constrained shortest path problem. Every search runs on the
+// calling goroutine; callers own all concurrency.
 //
 // Every edge carries two values: W, the objective weight minimized by the
 // search, and Side, the constrained resource accumulated along the path.
@@ -24,7 +25,7 @@
 // adopts its arrays in place and only builds off; any other order is
 // placed by one counted pass. A frozen graph never changes again: every
 // piece of per-search state — distances, predecessors, labels, and the
-// edges Algorithm 1 and Yen's spurs ban — lives in a pooled scratch, so
+// edges Algorithm 1 bans — lives in a pooled scratch, so
 // any number of searches share one graph. See DESIGN.md, "Memory layout
 // of the search core".
 package graph
@@ -270,15 +271,15 @@ func (g *Graph) edgeAt(u, v int, banned bitset) int32 {
 }
 
 // dijkstra computes shortest distances from src into the scratch's
-// dist/prev buffers, honoring banned nodes and banned edges (both may be
-// nil). Node ids are a topological order, so no heap is needed: sweeping
-// u upward from src, every in-edge of u has been relaxed by the time u is
+// dist/prev buffers, skipping banned edges (bannedEdge may be nil). Node
+// ids are a topological order, so no heap is needed: sweeping u upward
+// from src, every in-edge of u has been relaxed by the time u is
 // reached, and dist[u] is final. The relaxation is Dijkstra's, strict <,
 // so dist is bit-identical to a heap search's; on an exact tie prev keeps
 // the lowest-id predecessor. It returns the number of successful edge
 // relaxations, the search engine's basic unit of work, surfaced through
 // telemetry; a sweep may improve a node more than once.
-func (g *Graph) dijkstra(sc *searchScratch, src int, bannedNode []bool, bannedEdge bitset) int64 {
+func (g *Graph) dijkstra(sc *searchScratch, src int, bannedEdge bitset) int64 {
 	g.freeze()
 	dist, prev := sc.dist, sc.prev
 	for i := range dist {
@@ -286,9 +287,6 @@ func (g *Graph) dijkstra(sc *searchScratch, src int, bannedNode []bool, bannedEd
 	}
 	for i := range prev {
 		prev[i] = -1
-	}
-	if bannedNode != nil && bannedNode[src] {
-		return 0
 	}
 	off, to, ew := g.off, g.to, g.w
 	var relaxed int64
@@ -300,9 +298,6 @@ func (g *Graph) dijkstra(sc *searchScratch, src int, bannedNode []bool, bannedEd
 		}
 		for ei := off[u]; ei < off[u+1]; ei++ {
 			v := to[ei]
-			if bannedNode != nil && bannedNode[v] {
-				continue
-			}
 			if bannedEdge != nil && bannedEdge.get(ei) {
 				continue
 			}
@@ -372,7 +367,7 @@ func (g *Graph) ShortestPathCtx(ctx context.Context, src, dst int) (Path, error)
 		tel := telemetry.FromContext(ctx)
 		sc := g.getScratch(tel)
 		defer putScratch(sc)
-		relaxed := g.dijkstra(sc, src, nil, nil)
+		relaxed := g.dijkstra(sc, src, nil)
 		tel.Counter(telemetry.MSearchDijkstraRuns).Inc()
 		tel.Counter(telemetry.MSearchEdgesRelaxed).Add(relaxed)
 		var ok bool

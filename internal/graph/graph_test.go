@@ -175,58 +175,6 @@ func TestConstrainedBeatsAlgorithm1WhenGreedyFails(t *testing.T) {
 	}
 }
 
-func TestYenKSPOrderAndSimplicity(t *testing.T) {
-	// Grid-ish graph with multiple routes.
-	g := New(5)
-	g.AddEdge(0, 1, 1, 0)
-	g.AddEdge(0, 2, 2, 0)
-	g.AddEdge(1, 2, 1, 0)
-	g.AddEdge(1, 3, 4, 0)
-	g.AddEdge(2, 3, 1, 0)
-	g.AddEdge(2, 4, 5, 0)
-	g.AddEdge(3, 4, 1, 0)
-	paths, _ := g.YenKSPCtx(context.Background(), 0, 4, 5, 1)
-	if len(paths) < 3 {
-		t.Fatalf("got %d paths", len(paths))
-	}
-	for i := 1; i < len(paths); i++ {
-		if paths[i].W < paths[i-1].W {
-			t.Fatalf("paths out of order: %v", paths)
-		}
-	}
-	// Best: 0-1-2-3-4 = 1+1+1+1 = 4.
-	if paths[0].W != 4 {
-		t.Fatalf("best = %+v", paths[0])
-	}
-	for _, p := range paths {
-		seen := map[int]bool{}
-		for _, n := range p.Nodes {
-			if seen[n] {
-				t.Fatalf("non-simple path %v", p.Nodes)
-			}
-			seen[n] = true
-		}
-	}
-}
-
-func TestYenUntil(t *testing.T) {
-	g := diamond()
-	p, err := g.YenUntilCtx(context.Background(), 0, 3, 5, 10, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Side > 5 {
-		t.Fatalf("budget violated: %+v", p)
-	}
-	if _, err := g.YenUntilCtx(context.Background(), 0, 3, 0.1, 10, 1); !errors.Is(err, ErrInfeasible) {
-		t.Fatalf("err = %v", err)
-	}
-	empty := New(2)
-	if _, err := empty.YenUntilCtx(context.Background(), 0, 1, 1, 5, 1); !errors.Is(err, ErrNoPath) {
-		t.Fatalf("err = %v", err)
-	}
-}
-
 // randomDAG builds a layered random DAG resembling the optimizer's shape,
 // numbered like it: the source first, the destination last.
 func randomDAG(rng *rand.Rand, layers, width int) (*Graph, int, int) {
@@ -305,22 +253,6 @@ func TestAlgorithm1NeverViolatesBudgetProperty(t *testing.T) {
 	}
 }
 
-func TestDijkstraMatchesYenFirstPathProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		g, src, dst := randomDAG(rng, 4, 3)
-		sp, err := g.ShortestPath(src, dst)
-		if err != nil {
-			return false
-		}
-		yen, _ := g.YenKSPCtx(context.Background(), src, dst, 1, 1)
-		return len(yen) == 1 && math.Abs(yen[0].W-sp.W) < 1e-9
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestAlgorithm1BansInTheScratch: Algorithm 1's deletions are bans in
 // its own search scratch. The diamond's fast arm busts a budget of 15, so
 // one round bans an edge and the next takes the slow arm; the graph keeps
@@ -372,11 +304,6 @@ func TestParallelEdgesWeighTheRelaxedEdge(t *testing.T) {
 	check("ConstrainedShortestPathCtx", p, err, 2, 4)
 	p, err = g.ConstrainedShortestPathBoundedCtx(ctx, 0, 2, 10, b, math.Inf(1))
 	check("ConstrainedShortestPathBoundedCtx", p, err, 2, 4)
-	ys, err := g.YenKSPCtx(ctx, 0, 2, 2, 1)
-	if len(ys) != 1 {
-		t.Fatalf("YenKSPCtx returned %d paths over one node sequence, want 1", len(ys))
-	}
-	check("YenKSPCtx", ys[0], err, 2, 4)
 
 	p, err = g.Algorithm1Ctx(ctx, 0, 2, 2.5)
 	check("Algorithm1Ctx under 2.5", p, err, 6, 2)

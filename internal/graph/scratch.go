@@ -17,11 +17,11 @@ func (b bitset) unset(i int32)    { b[i>>6] &^= 1 << (uint32(i) & 63) }
 func (b bitset) get(i int32) bool { return b[i>>6]&(1<<(uint32(i)&63)) != 0 }
 
 // searchScratch is all the state of one search; a frozen Graph holds
-// none. It carries the shortest-path sweep's dist/prev arrays, the edge
-// bans of Yen's spurs and Algorithm 1's rounds, and the label-setting
-// search's arena and heap. Scratches are pooled via sync.Pool and resized
-// to the graph at hand, so Algorithm 1's rounds and Yen's concurrent spur
-// searches recycle buffers instead of reallocating per search.
+// none. It carries the shortest-path sweep's dist/prev arrays, the edges
+// Algorithm 1's rounds ban, and the label-setting search's arena and
+// heap. Scratches are pooled via sync.Pool and resized to the graph at
+// hand, so Algorithm 1's rounds and concurrent searches on one template
+// recycle buffers instead of reallocating per search.
 type searchScratch struct {
 	// Per-node search state. The sweep keeps each node's distance in
 	// dist; the label-setting search keeps the side it last settled there.
@@ -31,7 +31,6 @@ type searchScratch struct {
 	// Bans. bannedEdge is indexed by CSR edge index and kept all-zero
 	// between uses: putScratch unsets exactly the bits recorded in
 	// bannedIdx, so clearing costs O(bans), not O(edges).
-	bannedNode []bool
 	bannedEdge bitset
 	bannedIdx  []int32
 
@@ -75,11 +74,9 @@ func (sc *searchScratch) ensure(n, m int) {
 	if cap(sc.dist) >= n {
 		sc.dist = sc.dist[:n]
 		sc.prev = sc.prev[:n]
-		sc.bannedNode = sc.bannedNode[:n]
 	} else {
 		sc.dist = make([]float64, n)
 		sc.prev = make([]int32, n)
-		sc.bannedNode = make([]bool, n)
 	}
 	if len(sc.bannedEdge)<<6 < m {
 		sc.bannedEdge = newBitset(m)
@@ -91,15 +88,5 @@ func (sc *searchScratch) ban(ei int32) {
 	if !sc.bannedEdge.get(ei) {
 		sc.bannedEdge.set(ei)
 		sc.bannedIdx = append(sc.bannedIdx, ei)
-	}
-}
-
-// banEdges bans every parallel edge u->v, matching the (u,v)-keyed
-// semantics of Yen's spur bans.
-func (sc *searchScratch) banEdges(g *Graph, u, v int) {
-	for ei := g.off[u]; ei < g.off[u+1]; ei++ {
-		if g.to[ei] == int32(v) {
-			sc.ban(ei)
-		}
 	}
 }

@@ -76,7 +76,7 @@ func (g *Graph) algorithm1Ctx(ctx context.Context, src, dst int, budget float64)
 			return Path{}, err
 		}
 		sp := tel.StartSpan("plan/solve/algorithm1/round")
-		relaxed := g.dijkstra(sc, src, nil, sc.bannedEdge)
+		relaxed := g.dijkstra(sc, src, sc.bannedEdge)
 		rounds.Inc()
 		runs.Inc()
 		relaxations.Add(relaxed)

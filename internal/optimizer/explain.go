@@ -47,8 +47,6 @@ type SearchStats struct {
 	EdgesRelaxed     int64
 	Alg1Rounds       int64
 	Alg1EdgesDropped int64
-	YenRounds        int64
-	YenSpurSearches  int64
 	CSPLabelsPopped  int64
 
 	// Search-memory recycling: pooled scratch reuses (vs fresh
@@ -72,8 +70,6 @@ func (st *SearchStats) fillCounters(booked func(name string) int64) {
 	st.EdgesRelaxed = booked(telemetry.MSearchEdgesRelaxed)
 	st.Alg1Rounds = booked(telemetry.MAlg1Rounds)
 	st.Alg1EdgesDropped = booked(telemetry.MAlg1EdgesRemoved)
-	st.YenRounds = booked(telemetry.MYenRounds)
-	st.YenSpurSearches = booked(telemetry.MYenSpurSearches)
 	st.CSPLabelsPopped = booked(telemetry.MCSPLabelsPopped)
 	st.ScratchReuse = booked(telemetry.MSearchScratchReuse)
 	st.CSPLabelsAllocated = booked(telemetry.MCSPLabelsAllocated)
@@ -131,9 +127,6 @@ func (p Plan) Explain() string {
 	line("  dijkstra:           %d run(s), %d edges relaxed", st.DijkstraRuns, st.EdgesRelaxed)
 	if st.Alg1Rounds > 0 {
 		line("  algorithm1:         %d round(s), %d edge(s) removed", st.Alg1Rounds, st.Alg1EdgesDropped)
-	}
-	if st.YenRounds > 0 {
-		line("  yen:                %d round(s), %d spur search(es)", st.YenRounds, st.YenSpurSearches)
 	}
 	if st.CSPLabelsPopped > 0 {
 		line("  csp:                %d label(s) popped, %d allocated from arena", st.CSPLabelsPopped, st.CSPLabelsAllocated)

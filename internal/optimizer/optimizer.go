@@ -13,13 +13,11 @@
 //     iterative removal (a per-search ban) of constraint-violating edges.
 //   - CSP: the same bounded label-setting as Auto without the opening
 //     Dijkstra; the reference Auto is property-tested against.
-//   - Yen: k-shortest paths on the same DAG until one satisfies the
-//     constraint; exact on the DAG, the reference for Algorithm 1's gap.
-//   - Rerank: top-K DAG paths re-evaluated with the exact engine model,
-//     best feasible wins; repairs the DAG's separability approximations.
 //   - Brute: exhaustive enumeration with the exact model; exponential in
 //     nothing but simply large, so it is guarded by a work limit and used
-//     to validate the others on small instances.
+//     to validate the others on small instances. It is reachable from Go
+//     only (Planner.Solver): ParseSolver, and so every flag, spec file
+//     and wire request, does not name it.
 //
 // The engine is concurrent: DAG construction and candidate evaluation
 // shard across a bounded worker pool (Planner.Parallelism), model
@@ -109,11 +107,7 @@ type Solver int
 const (
 	// Algorithm1 is the paper's solver.
 	Algorithm1 Solver = iota
-	// Yen runs k-shortest paths until the constraint holds.
-	Yen
-	// Rerank re-evaluates the top DAG paths with the exact model.
-	Rerank
-	// Brute exhaustively enumerates with the exact model.
+	// Brute exhaustively enumerates with the exact model (Go API only).
 	Brute
 	// Auto is the exact default: one Dijkstra on the shared template, and
 	// when that path breaks the constraint, label-setting CSP ordered and
@@ -129,10 +123,6 @@ const (
 // String names the solver.
 func (s Solver) String() string {
 	switch s {
-	case Yen:
-		return "yen-ksp"
-	case Rerank:
-		return "rerank"
 	case Brute:
 		return "brute-force"
 	case Auto:
@@ -146,19 +136,14 @@ func (s Solver) String() string {
 
 // ParseSolver maps a solver name, as flags, spec files and the wire
 // schema spell it, to the constant. Names are case-insensitive; ""
-// selects Auto.
+// selects Auto. Brute has no name: one exhaustive enumeration costs
+// seconds of CPU, so only Go callers may select it.
 func ParseSolver(name string) (Solver, error) {
 	switch strings.ToLower(name) {
 	case "", "auto":
 		return Auto, nil
 	case "algorithm1", "alg1":
 		return Algorithm1, nil
-	case "yen":
-		return Yen, nil
-	case "rerank":
-		return Rerank, nil
-	case "brute":
-		return Brute, nil
 	case "csp":
 		return CSP, nil
 	default:
@@ -238,13 +223,6 @@ type Planner struct {
 	fp   uint64
 	fpOK bool
 }
-
-// yenMaxPaths bounds the Yen scan; rerankPaths is the K of the rerank
-// solver.
-const (
-	yenMaxPaths = 200
-	rerankPaths = 50
-)
 
 // paperModel builds the DAG's edge-weight model per the planner's flags.
 func (pl *Planner) paperModel() *model.Paper {
@@ -368,15 +346,13 @@ func (pl *Planner) PlanContext(ctx context.Context, obj Objective) (*Plan, error
 		switch pl.Solver {
 		case Brute:
 			return pl.bruteSolve(ctx, o, exact)
-		case Rerank:
-			return pl.rerankSolve(ctx, o, exact, &st)
 		default:
 			return pl.dagSolve(ctx, o, &st, &free)
 		}
 	}
-	// Brute and Rerank already enforce the constraint under the exact
-	// model; no calibration needed.
-	needCalibration := pl.Solver != Brute && pl.Solver != Rerank
+	// Brute already enforces the constraint under the exact model; no
+	// calibration needed.
+	needCalibration := pl.Solver != Brute
 
 	// attach stamps the plan with this search's statistics: the cache
 	// and calibration fields come from the tally and the loop, the search
@@ -489,10 +465,6 @@ func (pl *Planner) dagSolve(ctx context.Context, obj Objective, st *SearchStats,
 	tel := telemetry.FromContext(ctx)
 	var path graph.Path
 	switch pl.Solver {
-	case Yen:
-		sp := tel.StartSpan("plan/solve/yen")
-		path, err = d.G.YenUntilCtx(ctx, d.Src, d.Dst, obj.sideBudget(), yenMaxPaths, pl.Parallelism)
-		sp.End()
 	case CSP:
 		sp := tel.StartSpan("plan/solve/csp")
 		path, err = d.G.ConstrainedShortestPathBoundedCtx(ctx, d.Src, d.Dst, obj.sideBudget(), d.ToGoBounds(ctx), math.Inf(1))
@@ -535,64 +507,6 @@ func autoSolve(ctx context.Context, d *dag.DAG, budget float64, free *graph.Path
 	sp := tel.StartSpan("plan/solve/csp")
 	defer sp.End()
 	return d.G.ConstrainedShortestPathBoundedCtx(ctx, d.Src, d.Dst, budget, d.ToGoBounds(ctx), math.Inf(1))
-}
-
-// rerankSolve takes the top-K DAG paths, re-evaluates each with the exact
-// model in parallel, and returns the best configuration that satisfies
-// the constraint under the exact model. The scan order is fixed, so the
-// result does not depend on the pool size.
-func (pl *Planner) rerankSolve(ctx context.Context, obj Objective, exact model.Predictor, st *SearchStats) (mapreduce.Config, error) {
-	d, err := pl.buildDAG(ctx, obj.mode())
-	if err != nil {
-		return mapreduce.Config{}, err
-	}
-	st.DAGNodes, st.DAGEdges = int64(d.G.NumNodes()), int64(d.G.NumEdges())
-	sp := telemetry.FromContext(ctx).StartSpan("plan/solve/rerank")
-	defer sp.End()
-	paths, err := d.G.YenKSPCtx(ctx, d.Src, d.Dst, rerankPaths, pl.Parallelism)
-	if err != nil {
-		return mapreduce.Config{}, err
-	}
-	if len(paths) == 0 {
-		return mapreduce.Config{}, ErrNoFeasiblePlan
-	}
-	type scored struct {
-		cfg  mapreduce.Config
-		pred model.Prediction
-		ok   bool
-	}
-	cands := make([]scored, len(paths))
-	if err := parallel.ForEach(ctx, len(paths), pl.Parallelism, func(i int) {
-		cfg, err := d.Decode(paths[i])
-		if err != nil {
-			return
-		}
-		pred, err := exact.Predict(cfg)
-		if err != nil {
-			return
-		}
-		cands[i] = scored{cfg: cfg, pred: pred, ok: true}
-	}); err != nil {
-		return mapreduce.Config{}, err
-	}
-	var best mapreduce.Config
-	bestObjVal := 0.0
-	found := false
-	for _, c := range cands {
-		if !c.ok {
-			continue
-		}
-		objVal, constraint := splitObjective(obj, c.pred)
-		if constraint {
-			if !found || objVal < bestObjVal {
-				best, bestObjVal, found = c.cfg, objVal, true
-			}
-		}
-	}
-	if !found {
-		return mapreduce.Config{}, ErrNoFeasiblePlan
-	}
-	return best, nil
 }
 
 // splitObjective evaluates a prediction against an objective, returning

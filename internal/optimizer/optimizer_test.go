@@ -39,7 +39,7 @@ func unconstrainedCost() Objective {
 }
 
 func TestAllSolversProduceValidPlans(t *testing.T) {
-	for _, s := range []Solver{Algorithm1, Yen, Rerank, Brute} {
+	for _, s := range []Solver{Algorithm1, CSP, Auto, Brute} {
 		pl := planner(s)
 		plan, err := pl.Plan(unconstrainedTime())
 		if err != nil {
@@ -119,7 +119,7 @@ func TestDeadlineBindsPlanTime(t *testing.T) {
 }
 
 func TestInfeasibleObjectives(t *testing.T) {
-	for _, s := range []Solver{Algorithm1, Yen, Rerank, Brute} {
+	for _, s := range []Solver{Algorithm1, CSP, Auto, Brute} {
 		pl := planner(s)
 		if _, err := pl.Plan(Objective{Goal: MinTimeUnderBudget, Budget: 1e-12}); !errors.Is(err, ErrNoFeasiblePlan) {
 			t.Errorf("%v: err = %v, want ErrNoFeasiblePlan", s, err)
@@ -130,13 +130,13 @@ func TestInfeasibleObjectives(t *testing.T) {
 	}
 }
 
-// TestYenMatchesBruteUnconstrained: without a binding constraint the DAG
+// TestSolverOptimalityOrdering: without a binding constraint the DAG
 // shortest path is the DAG-model optimum; the exact-model optimum (Brute)
-// must be at least as good under the exact model, and Yen's plan must be
+// must be at least as good under the exact model, and CSP's plan must be
 // DAG-optimal.
 func TestSolverOptimalityOrdering(t *testing.T) {
 	obj := unconstrainedTime()
-	yen, err := planner(Yen).Plan(obj)
+	csp, err := planner(CSP).Plan(obj)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,47 +148,17 @@ func TestSolverOptimalityOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Unconstrained, Algorithm 1 and Yen both return the plain shortest
+	// Unconstrained, Algorithm 1 and CSP both return the plain shortest
 	// path, so they agree on the paper-model objective.
-	if math.Abs(yen.Paper.TotalSec()-alg1.Paper.TotalSec()) > 1e-9 {
-		t.Errorf("Yen %v and Algorithm1 %v disagree unconstrained",
-			yen.Paper.TotalSec(), alg1.Paper.TotalSec())
+	if math.Abs(csp.Paper.TotalSec()-alg1.Paper.TotalSec()) > 1e-9 {
+		t.Errorf("CSP %v and Algorithm1 %v disagree unconstrained",
+			csp.Paper.TotalSec(), alg1.Paper.TotalSec())
 	}
 	// Brute optimizes the exact model, so under the exact model it is the
 	// best of the three.
-	if brute.Exact.TotalSec() > yen.Exact.TotalSec()+1e-9 {
-		t.Errorf("brute %v slower than yen %v under the exact model",
-			brute.Exact.TotalSec(), yen.Exact.TotalSec())
-	}
-}
-
-func TestRerankRespectsConstraintUnderExactModel(t *testing.T) {
-	free, err := planner(Rerank).Plan(unconstrainedTime())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Rerank only explores the top-K DAG paths, so it may declare a tight
-	// budget infeasible; but any plan it does return must respect the
-	// budget under the exact model.
-	for _, frac := range []float64{1.0, 0.75, 0.5} {
-		budget := free.Exact.TotalCost() * pricing.USD(frac)
-		plan, err := planner(Rerank).Plan(Objective{Goal: MinTimeUnderBudget, Budget: budget})
-		if errors.Is(err, ErrNoFeasiblePlan) {
-			continue
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		if plan.Exact.TotalCost() > budget {
-			t.Fatalf("rerank plan cost %v exceeds budget %v", plan.Exact.TotalCost(), budget)
-		}
-	}
-	// At the unconstrained plan's own cost, a feasible plan exists within
-	// the scanned paths by construction.
-	if _, err := planner(Rerank).Plan(Objective{
-		Goal: MinTimeUnderBudget, Budget: free.Exact.TotalCost(),
-	}); err != nil {
-		t.Fatalf("rerank must find a plan at its own unconstrained cost: %v", err)
+	if brute.Exact.TotalSec() > csp.Exact.TotalSec()+1e-9 {
+		t.Errorf("brute %v slower than csp %v under the exact model",
+			brute.Exact.TotalSec(), csp.Exact.TotalSec())
 	}
 }
 
@@ -278,7 +248,7 @@ func TestGoalAndSolverStrings(t *testing.T) {
 	if MinTimeUnderBudget.String() == "" || MinCostUnderDeadline.String() == "" {
 		t.Fatal("goal names empty")
 	}
-	for _, s := range []Solver{Algorithm1, Yen, Rerank, Brute} {
+	for _, s := range []Solver{Algorithm1, Brute, Auto, CSP} {
 		if s.String() == "" {
 			t.Fatal("solver name empty")
 		}
@@ -286,11 +256,12 @@ func TestGoalAndSolverStrings(t *testing.T) {
 }
 
 // TestParseSolver pins the one name table flags, spec files and the
-// wire schema all parse through.
+// wire schema all parse through. Brute has no name there, and neither
+// "yen" nor "rerank" names a solver.
 func TestParseSolver(t *testing.T) {
 	cases := map[string]Solver{
 		"": Auto, "auto": Auto, "algorithm1": Algorithm1, "alg1": Algorithm1,
-		"yen": Yen, "csp": CSP, "rerank": Rerank, "brute": Brute, "CSP": CSP,
+		"csp": CSP, "CSP": CSP,
 	}
 	for name, want := range cases {
 		got, err := ParseSolver(name)
@@ -298,8 +269,10 @@ func TestParseSolver(t *testing.T) {
 			t.Errorf("ParseSolver(%q) = %v, %v", name, got, err)
 		}
 	}
-	if _, err := ParseSolver("nope"); err == nil {
-		t.Fatal("unknown solver should fail")
+	for _, name := range []string{"nope", "brute", "Brute", "yen", "rerank"} {
+		if _, err := ParseSolver(name); err == nil {
+			t.Errorf("ParseSolver(%q) should fail", name)
+		}
 	}
 }
 

@@ -21,7 +21,7 @@ func TestTelemetryDoesNotPerturbPlans(t *testing.T) {
 		{Goal: MinTimeUnderBudget, Budget: 0.002},
 		{Goal: MinCostUnderDeadline, Deadline: 2 * time.Minute},
 	}
-	for _, s := range []Solver{Algorithm1, Yen, CSP, Rerank, Brute, Auto} {
+	for _, s := range []Solver{Algorithm1, CSP, Brute, Auto} {
 		for oi, obj := range objectives {
 			bare := planner(s)
 			bare.Parallelism = 1

@@ -123,7 +123,6 @@ func TestTemplateHitPlanIdentical(t *testing.T) {
 		solver Solver
 	}{
 		{"Algorithm1", Algorithm1},
-		{"Yen", Yen},
 		{"CSP", CSP},
 		{"Auto", Auto},
 	} {

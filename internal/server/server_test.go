@@ -172,6 +172,29 @@ func TestErrorTaxonomy(t *testing.T) {
 	}
 }
 
+// TestWireCannotNameBruteForce: brute force is Go API only, and "yen"
+// and "rerank" name no solver, so a plan request naming any of them is a
+// 400 that books no solve. The shape is one brute force would take
+// seconds of CPU on.
+func TestWireCannotNameBruteForce(t *testing.T) {
+	tel := telemetry.New()
+	srv := startReal(t, Config{Telemetry: tel})
+	for _, name := range []string{"brute", "yen", "rerank"} {
+		body := `{"workload":"sort","num_objects":2,"object_bytes":1048576,"objective":{"goal":"min_time","budget_usd":1},"solver":"` + name + `"}`
+		resp, got := post(t, srv.URL()+"/v1/plan", "acme", body)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("solver %q: status %d, want 400 (%s)", name, resp.StatusCode, got)
+		}
+		var env api.ErrorResponse
+		if err := json.Unmarshal([]byte(got), &env); err != nil || env.Error == "" {
+			t.Errorf("solver %q: bad error envelope %q", name, got)
+		}
+	}
+	if n := tel.Counter(telemetry.MPlanSolves).Value(); n != 0 {
+		t.Fatalf("rejected requests booked %d solves, want 0", n)
+	}
+}
+
 // TestRateLimit429Deterministic drives the full HTTP stack on a virtual
 // clock: the third request must be the deterministic 429, with both the
 // rounded Retry-After header and the precise retry_after_ms.
@@ -403,7 +426,7 @@ func TestBatchRejectsPlanOnlyFields(t *testing.T) {
 	const job = `"workload":"wordcount","num_objects":10,"object_bytes":1048576,"objective":{"goal":"min_time","budget_usd":1}`
 	body := `{"requests":[
 		{` + job + `},
-		{` + job + `,"solver":"brute"},
+		{` + job + `,"solver":"csp"},
 		{` + job + `,"execute":true},
 		{` + job + `,"slo_factor":2}
 	]}`

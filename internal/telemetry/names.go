@@ -14,8 +14,6 @@ const (
 	MSearchEdgesRelaxed  = "astra_search_edges_relaxed_total"
 	MAlg1Rounds          = "astra_algorithm1_rounds_total"
 	MAlg1EdgesRemoved    = "astra_algorithm1_edges_removed_total"
-	MYenRounds           = "astra_yen_rounds_total"
-	MYenSpurSearches     = "astra_yen_spur_searches_total"
 	MCSPLabelsPopped     = "astra_csp_labels_popped_total"
 	MCSPLabelsAllocated  = "astra_csp_labels_allocated_total"
 	MCSPBoundPrunes      = "astra_csp_bound_prunes_total"

@@ -14,7 +14,6 @@ import (
 const (
 	PhaseDijkstra      = "dijkstra"
 	PhaseAlgorithm1    = "algorithm1"
-	PhaseYen           = "yen"
 	PhaseCSP           = "csp"
 	PhaseFrontierSweep = "frontier_sweep"
 	PhaseSimulate      = "simulate"

@@ -99,7 +99,7 @@ func TestCounterGaugeHistogram(t *testing.T) {
 func TestSpanPathsAndVirtualTime(t *testing.T) {
 	reg := New()
 	root := reg.StartSpan("plan")
-	child := root.Child("solve").Child("yen")
+	child := root.Child("solve").Child("csp")
 	child.End()
 	root.End()
 	reg.RecordVirtual("run/map", 2*time.Second, 5*time.Second)
@@ -108,8 +108,8 @@ func TestSpanPathsAndVirtualTime(t *testing.T) {
 	if n := len(snap.Spans); n != 3 {
 		t.Fatalf("span count = %d, want 3", n)
 	}
-	if snap.Spans[0].Path != "plan/solve/yen" {
-		t.Errorf("first completed span = %q, want plan/solve/yen", snap.Spans[0].Path)
+	if snap.Spans[0].Path != "plan/solve/csp" {
+		t.Errorf("first completed span = %q, want plan/solve/csp", snap.Spans[0].Path)
 	}
 	under := snap.SpansUnder("plan")
 	if len(under) != 2 {
