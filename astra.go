@@ -474,9 +474,6 @@ type (
 	ChaosEngine = chaos.Engine
 	// ChaosStats summarizes what an engine injected during a run.
 	ChaosStats = chaos.Stats
-	// SpeculationPolicy configures driver-side straggler mitigation
-	// (speculative backups, first-finisher-wins).
-	SpeculationPolicy = mapreduce.SpeculationPolicy
 	// Resilience is the Report section attributing a run's fault and
 	// recovery costs.
 	Resilience = mapreduce.Resilience
@@ -526,16 +523,6 @@ func WithSpeculation(multiplier float64) RunOption {
 // chaos profile with failure effects.
 func WithTaskRetries(n int) RunOption {
 	return func(s *mapreduce.JobSpec) { s.TaskRetries = n }
-}
-
-// WithSpeculationPolicy is WithSpeculation with the full policy exposed:
-// explicit backup budget and per-phase predicted durations. Zero-valued
-// predictions are filled from the model.
-func WithSpeculationPolicy(p SpeculationPolicy) RunOption {
-	return func(s *mapreduce.JobSpec) {
-		pol := p
-		s.Speculation = &pol
-	}
 }
 
 // WithRunTelemetry attaches a registry to the execution: lambda
@@ -673,9 +660,6 @@ func simulate(ctx context.Context, world *simworld.World, cfg Config, opts []Run
 			spec.Recorder = flight.New()
 		}
 		pol := spec.Speculation
-		if pol != nil && (pol.MapTask != 0 || len(pol.StepTasks) != 0) {
-			pol = nil // the caller supplied the predicted task durations
-		}
 		recorded = spec.Recorder != nil
 		if !recorded && pol == nil {
 			return

@@ -67,6 +67,7 @@ type options struct {
 	seedSet    bool
 	speculate  float64
 	retries    int
+	retriesSet bool
 	explain    bool
 	doRun      bool
 	baselines  bool
@@ -126,7 +127,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.Float64Var(&o.speculate, "speculate", 0,
 		"launch speculative backups for tasks running past this multiple of their predicted duration (0 = off, implies -run)")
 	fs.IntVar(&o.retries, "retries", 2,
-		"re-invoke a failed mapper/reducer task up to this many times (failed attempts stay billed)")
+		"re-invoke a failed mapper/reducer task up to this many times (failed attempts stay billed; overrides a -spec file's task_retries)")
 	fs.IntVar(&o.frontier, "frontier", 0,
 		"sweep a k-point time/cost Pareto frontier instead of planning one configuration (0 = off)")
 	fs.StringVar(&o.frontierOut, "frontier-out", "",
@@ -150,8 +151,11 @@ func parseFlags(args []string) (*options, error) {
 		return nil, err
 	}
 	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "seed" {
+		switch f.Name {
+		case "seed":
 			o.seedSet = true
+		case "retries":
+			o.retriesSet = true
 		}
 	})
 	if o.speculate < 0 {
@@ -461,7 +465,9 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	if o.speculate > 0 {
 		runOpts = append(runOpts, astra.WithSpeculation(o.speculate))
 	}
-	if o.retries > 0 {
+	// An explicit -retries overrides a spec file's task_retries; the
+	// flag's default does not.
+	if o.specPath == "" || o.retriesSet {
 		runOpts = append(runOpts, astra.WithTaskRetries(o.retries))
 	}
 

@@ -100,6 +100,39 @@ func TestRunFromSpecFile(t *testing.T) {
 	}
 }
 
+// TestSpecTaskRetriesHonoured: a spec file's task_retries applies unless
+// -retries is given explicitly, and an explicit -retries overrides it.
+func TestSpecTaskRetriesHonoured(t *testing.T) {
+	dir := t.TempDir()
+	specPath := filepath.Join(dir, "job.json")
+	doc := `{
+	  "workload": "wordcount", "size_gb": 0.05, "objects": 8,
+	  "objective": "time", "budget_usd": 0.01, "task_retries": 0
+	}`
+	chaosPath := filepath.Join(dir, "kill-mappers.json")
+	profile := `{"seed": 7, "rules": [{"target": "lambda", "effect": "fail_before_start",
+	  "phase": "map", "probability": 0.5}]}`
+	if err := os.WriteFile(specPath, []byte(doc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(chaosPath, []byte(profile), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		retries []string
+		fail    bool
+	}{{nil, true}, {[]string{"-retries", "0"}, true}, {[]string{"-retries", "2"}, false}} {
+		args := append([]string{"-spec", specPath, "-chaos", chaosPath}, tc.retries...)
+		err := run(context.Background(), args, io.Discard)
+		if tc.fail && (err == nil || !strings.Contains(err.Error(), "injected fault")) {
+			t.Errorf("%v: err = %v, want an injected mapper fault (task_retries 0)", tc.retries, err)
+		}
+		if !tc.fail && err != nil {
+			t.Errorf("%v: explicit -retries must override the spec: %v", tc.retries, err)
+		}
+	}
+}
+
 func TestRunFromBadSpec(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "bad.json")

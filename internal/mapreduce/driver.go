@@ -221,12 +221,9 @@ type Driver struct {
 // NewDriver creates a driver for the platform.
 func NewDriver(pl *lambda.Platform) *Driver { return &Driver{pl: pl} }
 
-type mapperPayload struct {
-	Keys []string `json:"keys"`
-	Out  string   `json:"out"`
-}
-
-type reducerPayload struct {
+// taskPayload is a mapper's or reducer's input: the objects to read and
+// the key its one output object is written under.
+type taskPayload struct {
 	Keys []string `json:"keys"`
 	Out  string   `json:"out"`
 }
@@ -242,15 +239,12 @@ type jobRun struct {
 	interBucket string
 	app         App
 
-	mapOutKeys    []string
-	taskRetries   int
-	stepSpans     []span
-	finalInvs     []*lambda.Invocation
-	finalKeys     []string
-	finalLabels   []string
-	finalPayloads [][]byte
-	finalInKeys   [][]string
-	finalStart    simtime.Time
+	mapOutKeys  []string
+	taskRetries int
+	stepSpans   []span
+	// final is the last reducing step: launched by the coordinator and
+	// awaited by the driver, or the last Step Functions step.
+	final *wave
 
 	// policy is the normalized speculation policy (nil = disabled).
 	policy *SpeculationPolicy
@@ -300,11 +294,11 @@ func (d *Driver) Run(p *simtime.Proc, spec JobSpec, cfg Config) (*Report, error)
 	mapperFn := fmt.Sprintf("job%04d-mapper", jobID)
 	coordFn := fmt.Sprintf("job%04d-coordinator", jobID)
 	reducerFn := fmt.Sprintf("job%04d-reducer", jobID)
-	if _, err := d.pl.Register(mapperFn, cfg.MapperMemMB, d.mapperHandler(run)); err != nil {
+	if _, err := d.pl.Register(mapperFn, cfg.MapperMemMB, taskHandler(run, spec.Bucket, false)); err != nil {
 		return nil, fmt.Errorf("mapreduce: mapper: %w", err)
 	}
 	if spec.Orchestrator == CoordinatorLambda {
-		coord, err := d.pl.Register(coordFn, cfg.CoordMemMB, d.coordHandler(run, reducerFn))
+		coord, err := d.pl.Register(coordFn, cfg.CoordMemMB, coordHandler(run, reducerFn))
 		if err != nil {
 			return nil, fmt.Errorf("mapreduce: coordinator: %w", err)
 		}
@@ -314,7 +308,7 @@ func (d *Driver) Run(p *simtime.Proc, spec JobSpec, cfg Config) (*Report, error)
 		// is still billed for the full span, per Eq. 14.
 		coord.Timeout = 10000 * time.Hour
 	}
-	if _, err := d.pl.Register(reducerFn, cfg.ReducerMemMB, d.reducerHandler(run)); err != nil {
+	if _, err := d.pl.Register(reducerFn, cfg.ReducerMemMB, taskHandler(run, run.interBucket, true)); err != nil {
 		return nil, fmt.Errorf("mapreduce: reducer: %w", err)
 	}
 
@@ -346,56 +340,16 @@ func (d *Driver) Run(p *simtime.Proc, spec JobSpec, cfg Config) (*Report, error)
 
 	// --- Mapping phase: mappers dispatched in a loop (each dispatch
 	// costs the invoke-API latency), then awaited together. ---
-	run.mapOutKeys = make([]string, orch.Mappers())
-	{
-		off := 0
-		invs := make([]*lambda.Invocation, orch.Mappers())
-		payloads := make([][]byte, orch.Mappers())
-		inKeys := make([][]string, orch.Mappers())
-		for m := range invs {
-			load := orch.MapperLoads.Load(m)
-			run.mapOutKeys[m] = fmt.Sprintf("map/part-%05d", m)
-			out := run.mapOutKeys[m]
-			if run.policy != nil {
-				out = attemptKey(out, 0)
-			}
-			body, err := json.Marshal(mapperPayload{
-				Keys: spec.InputKeys[off : off+load],
-				Out:  out,
-			})
-			if err != nil {
-				return nil, err
-			}
-			inKeys[m] = spec.InputKeys[off : off+load]
-			off += load
-			payloads[m] = body
-			invs[m] = d.pl.InvokeAsync(p, mapperFn, fmt.Sprintf("map-%d", m), body)
-		}
-		if run.policy != nil {
-			deadline := run.policy.deadlineFor(t0, run.policy.MapTask)
-			for m, iv := range invs {
-				m := m
-				err := d.awaitSpeculative(procRunner{d, p}, run, specTask{
-					fn: mapperFn, label: fmt.Sprintf("map-%d", m),
-					bucket: run.interBucket, finalKey: run.mapOutKeys[m],
-					payloadFor: func(outKey string) ([]byte, error) {
-						return json.Marshal(mapperPayload{Keys: inKeys[m], Out: outKey})
-					},
-					deadline: deadline, pred: run.policy.MapTask,
-				}, iv)
-				if err != nil {
-					return nil, fmt.Errorf("mapreduce: mapper %d: %w", m, err)
-				}
-			}
-		} else {
-			for m, iv := range invs {
-				if err := d.awaitWithRetry(p, run, iv, mapperFn,
-					fmt.Sprintf("map-%d", m), payloads[m]); err != nil {
-					return nil, fmt.Errorf("mapreduce: mapper %d: %w", m, err)
-				}
-			}
-		}
+	rn := procRunner{d, p}
+	maps, err := launch(rn, run, mapperFn, "mapreduce: mapper", orch.MapperLoads, spec.InputKeys,
+		"map-%d", "map/part-%05d")
+	if err != nil {
+		return nil, err
 	}
+	if err := await(rn, run, maps, run.policy.mapTask()); err != nil {
+		return nil, err
+	}
+	run.mapOutKeys = maps.outKeys
 	mapEnd := p.Now()
 	if spec.QoS != nil {
 		spec.QoS.Poll(mapEnd)
@@ -423,35 +377,10 @@ func (d *Driver) Run(p *simtime.Proc, spec JobSpec, cfg Config) (*Report, error)
 
 		// Wait for the last step's reducers, launched asynchronously by
 		// the coordinator.
-		if run.policy != nil {
-			finalPred := run.policy.stepTask(run.orch.NumSteps() - 1)
-			deadline := run.policy.deadlineFor(run.finalStart, finalPred)
-			for i, iv := range run.finalInvs {
-				i := i
-				err := d.awaitSpeculative(procRunner{d, p}, run, specTask{
-					fn: reducerFn, label: run.finalLabels[i],
-					bucket: run.interBucket, finalKey: run.finalKeys[i],
-					payloadFor: func(outKey string) ([]byte, error) {
-						return json.Marshal(reducerPayload{Keys: run.finalInKeys[i], Out: outKey})
-					},
-					deadline: deadline, pred: finalPred,
-				}, iv)
-				if err != nil {
-					return nil, fmt.Errorf("mapreduce: final-step reducer %d: %w", i, err)
-				}
-			}
-		} else {
-			for i, iv := range run.finalInvs {
-				if err := d.awaitWithRetry(p, run, iv, reducerFn,
-					run.finalLabels[i], run.finalPayloads[i]); err != nil {
-					return nil, fmt.Errorf("mapreduce: final-step reducer %d: %w", i, err)
-				}
-			}
+		if err := await(rn, run, run.final, run.policy.stepTask(orch.NumSteps()-1)); err != nil {
+			return nil, err
 		}
-		run.stepSpans = append(run.stepSpans, span{run.finalStart, p.Now()})
-		if spec.QoS != nil {
-			spec.QoS.Poll(p.Now())
-		}
+		run.stepDone(run.final.start, p.Now())
 
 		// Coordinator-exclusive time: its wall span minus the steps it
 		// sat waiting on (all but the async-launched last one) and minus
@@ -461,7 +390,7 @@ func (d *Driver) Run(p *simtime.Proc, spec JobSpec, cfg Config) (*Report, error)
 		for _, s := range run.stepSpans[:len(run.stepSpans)-1] {
 			waited += s.end - s.start
 		}
-		finalOverlap := coordEnd - run.finalStart
+		finalOverlap := coordEnd - run.final.start
 		coordExclusive = (coordEnd - coordStart) - waited - finalOverlap
 		coordSpan = span{coordStart, coordEnd}
 	}
@@ -481,7 +410,7 @@ func (d *Driver) Run(p *simtime.Proc, spec JobSpec, cfg Config) (*Report, error)
 		Config:        cfg,
 		Orchestration: orch,
 		JCT:           end - t0,
-		OutputKeys:    run.finalKeys,
+		OutputKeys:    run.final.outKeys,
 		InterBucket:   run.interBucket,
 	}
 	rep.Phases.Map = mapEnd - t0
@@ -599,18 +528,82 @@ func (d *Driver) Run(p *simtime.Proc, spec JobSpec, cfg Config) (*Report, error)
 	return rep, nil
 }
 
-// awaitWithRetry waits for an async task invocation and, on failure,
-// re-invokes it synchronously up to the job's retry budget. Each retry
-// pays a fresh dispatch round trip and each failed attempt remains
-// billed.
-func (d *Driver) awaitWithRetry(p *simtime.Proc, run *jobRun, iv *lambda.Invocation,
-	fn, label string, payload []byte) error {
-	_, err := iv.Wait(p)
-	for attempt := 0; err != nil && attempt < run.spec.TaskRetries; attempt++ {
-		run.taskRetries++
-		_, err = d.pl.InvokeLabeled(p, fn, label, payload)
+// wave is one dispatched set of tasks of one function: the mapping phase
+// or one reducing step. Task i reads inKeys[i] and writes outKeys[i]
+// (through attempt keys under a speculation policy).
+type wave struct {
+	fn string
+	// noun prefixes a failed task's error: "<noun> <task>: <cause>".
+	noun string
+	// start is when the first task was dispatched: the step span and the
+	// speculation deadline run from it.
+	start   simtime.Time
+	labels  []string
+	inKeys  [][]string
+	outKeys []string
+	bodies  [][]byte
+	invs    []*lambda.Invocation
+}
+
+// launch dispatches one fn task per worker of split, in order: task i
+// reads the next split.Load(i) keys of in, and label and outKey are the
+// printf formats of its label and output key, applied to i.
+func launch(rn runner, run *jobRun, fn, noun string, split Split, in []string, label, outKey string) (*wave, error) {
+	n := split.Count()
+	w := &wave{fn: fn, noun: noun, start: rn.now(), labels: make([]string, n),
+		inKeys: make([][]string, n), outKeys: make([]string, n),
+		bodies: make([][]byte, n), invs: make([]*lambda.Invocation, n)}
+	off := 0
+	for i := range w.invs {
+		load := split.Load(i)
+		w.inKeys[i] = in[off : off+load]
+		off += load
+		w.outKeys[i] = fmt.Sprintf(outKey, i)
+		w.labels[i] = fmt.Sprintf(label, i)
+		out := w.outKeys[i]
+		if run.policy != nil {
+			out = attemptKey(out, 0)
+		}
+		body, err := json.Marshal(taskPayload{Keys: w.inKeys[i], Out: out})
+		if err != nil {
+			return nil, err
+		}
+		w.bodies[i] = body
+		w.invs[i] = rn.invoke(fn, w.labels[i], body)
 	}
-	return err
+	return w, nil
+}
+
+// await resolves w's tasks in order. Under a speculation policy each task
+// races backups (awaitSpeculative) against pred, the predicted task
+// duration; otherwise a failed task is re-run through rn.call up to the
+// job's retry budget, each failed attempt staying billed.
+func await(rn runner, run *jobRun, w *wave, pred time.Duration) error {
+	for i, iv := range w.invs {
+		var err error
+		if run.policy != nil {
+			err = awaitSpeculative(rn, run, w, i, pred)
+		} else {
+			_, err = rn.wait(iv)
+			for attempt := 0; err != nil && attempt < run.spec.TaskRetries; attempt++ {
+				run.taskRetries++
+				err = rn.call(w.fn, w.labels[i], w.bodies[i])
+			}
+		}
+		if err != nil {
+			return fmt.Errorf("%s %d: %w", w.noun, i, err)
+		}
+	}
+	return nil
+}
+
+// stepDone closes a reducing step that started at start and lets the QoS
+// monitor fold it.
+func (run *jobRun) stepDone(start, now simtime.Time) {
+	run.stepSpans = append(run.stepSpans, span{start, now})
+	if run.spec.QoS != nil {
+		run.spec.QoS.Poll(now)
+	}
 }
 
 // reduceViaStepFunctions drives the reducing cascade as a managed
@@ -622,118 +615,45 @@ func (d *Driver) awaitWithRetry(p *simtime.Proc, run *jobRun, iv *lambda.Invocat
 // fee.
 func (d *Driver) reduceViaStepFunctions(p *simtime.Proc, run *jobRun, reducerFn string) (time.Duration, pricing.USD, error) {
 	sf := d.pl.Sheet().StepFunctions
+	rn := procRunner{d, p}
 	orchTime := time.Duration(0)
 	prevKeys := run.mapOutKeys
 	for pi := 0; pi < run.orch.NumSteps(); pi++ {
-		step := run.orch.Step(pi)
 		p.Sleep(sf.TransitionLatency)
 		orchTime += sf.TransitionLatency
-		stepStart := p.Now()
-		outKeys := make([]string, step.Count())
-		invs := make([]*lambda.Invocation, step.Count())
-		bodies := make([][]byte, step.Count())
-		inKeys := make([][]string, step.Count())
-		off := 0
-		for r := range invs {
-			load := step.Load(r)
-			outKeys[r] = fmt.Sprintf("red/%02d/part-%05d", pi, r)
-			out := outKeys[r]
-			if run.policy != nil {
-				out = attemptKey(out, 0)
-			}
-			body, err := json.Marshal(reducerPayload{
-				Keys: prevKeys[off : off+load],
-				Out:  out,
-			})
-			if err != nil {
-				return 0, 0, err
-			}
-			inKeys[r] = prevKeys[off : off+load]
-			off += load
-			bodies[r] = body
-			invs[r] = d.pl.InvokeAsync(p, reducerFn, fmt.Sprintf("red-%d-%d", pi, r), body)
+		w, err := launch(rn, run, reducerFn, fmt.Sprintf("mapreduce: step %d reducer", pi),
+			run.orch.Step(pi), prevKeys, fmt.Sprintf("red-%d-%%d", pi), fmt.Sprintf("red/%02d/part-%%05d", pi))
+		if err != nil {
+			return 0, 0, err
 		}
-		if run.policy != nil {
-			stepPred := run.policy.stepTask(pi)
-			deadline := run.policy.deadlineFor(stepStart, stepPred)
-			for r, iv := range invs {
-				r := r
-				err := d.awaitSpeculative(procRunner{d, p}, run, specTask{
-					fn: reducerFn, label: fmt.Sprintf("red-%d-%d", pi, r),
-					bucket: run.interBucket, finalKey: outKeys[r],
-					payloadFor: func(outKey string) ([]byte, error) {
-						return json.Marshal(reducerPayload{Keys: inKeys[r], Out: outKey})
-					},
-					deadline: deadline, pred: stepPred,
-				}, iv)
-				if err != nil {
-					return 0, 0, fmt.Errorf("mapreduce: step %d reducer %d: %w", pi, r, err)
-				}
-			}
-		} else {
-			for r, iv := range invs {
-				if err := d.awaitWithRetry(p, run, iv, reducerFn,
-					fmt.Sprintf("red-%d-%d", pi, r), bodies[r]); err != nil {
-					return 0, 0, fmt.Errorf("mapreduce: step %d reducer %d: %w", pi, r, err)
-				}
-			}
+		if err := await(rn, run, w, run.policy.stepTask(pi)); err != nil {
+			return 0, 0, err
 		}
-		run.stepSpans = append(run.stepSpans, span{stepStart, p.Now()})
-		if run.spec.QoS != nil {
-			run.spec.QoS.Poll(p.Now())
-		}
-		prevKeys = outKeys
-		run.finalKeys = outKeys
+		run.stepDone(w.start, p.Now())
+		prevKeys = w.outKeys
+		run.final = w
 	}
 	transitions := 2 + run.orch.Mappers() + run.orch.NumSteps() + run.orch.Reducers()
 	return orchTime, sf.TransitionCost(transitions), nil
 }
 
-// mapperHandler builds the mapper lambda: fetch assigned inputs, compute,
-// emit one intermediate object.
-func (d *Driver) mapperHandler(run *jobRun) lambda.Handler {
-	return func(ctx *lambda.Ctx) ([]byte, error) {
-		var pay mapperPayload
-		if err := json.Unmarshal(ctx.Payload(), &pay); err != nil {
-			return nil, err
-		}
-		var totalIn int64
-		var bodies [][]byte
-		for _, key := range pay.Keys {
-			obj, err := ctx.Get(run.spec.Bucket, key)
-			if err != nil {
-				return nil, err
-			}
-			totalIn += obj.Size
-			if run.spec.Mode == Concrete {
-				bodies = append(bodies, obj.Data)
-			}
-		}
-		ctx.WorkBytes(totalIn, run.spec.Workload.Profile.USecPerMB)
-		if run.spec.Mode == Concrete {
-			out, err := run.app.Map(bodies)
-			if err != nil {
-				return nil, err
-			}
-			return nil, ctx.Put(run.interBucket, pay.Out, out)
-		}
-		outSize := int64(float64(totalIn) * run.spec.Workload.Profile.MapOutputRatio)
-		return nil, ctx.PutProfiled(run.interBucket, pay.Out, outSize)
+// taskHandler builds the mapper (reduce false) or reducer lambda: fetch
+// the assigned objects from bucket, compute, emit one intermediate object.
+func taskHandler(run *jobRun, bucket string, reduce bool) lambda.Handler {
+	pf := run.spec.Workload.Profile
+	ratio := pf.MapOutputRatio
+	if reduce {
+		ratio = pf.ReduceOutputRatio
 	}
-}
-
-// reducerHandler builds the reducer lambda: fetch assigned intermediate
-// objects, compute, emit one merged object.
-func (d *Driver) reducerHandler(run *jobRun) lambda.Handler {
 	return func(ctx *lambda.Ctx) ([]byte, error) {
-		var pay reducerPayload
+		var pay taskPayload
 		if err := json.Unmarshal(ctx.Payload(), &pay); err != nil {
 			return nil, err
 		}
 		var totalIn int64
 		var bodies [][]byte
 		for _, key := range pay.Keys {
-			obj, err := ctx.Get(run.interBucket, key)
+			obj, err := ctx.Get(bucket, key)
 			if err != nil {
 				return nil, err
 			}
@@ -742,16 +662,19 @@ func (d *Driver) reducerHandler(run *jobRun) lambda.Handler {
 				bodies = append(bodies, obj.Data)
 			}
 		}
-		ctx.WorkBytes(totalIn, run.spec.Workload.Profile.USecPerMB)
+		ctx.WorkBytes(totalIn, pf.USecPerMB)
 		if run.spec.Mode == Concrete {
-			out, err := run.app.Reduce(bodies)
+			compute := run.app.Map
+			if reduce {
+				compute = run.app.Reduce
+			}
+			out, err := compute(bodies)
 			if err != nil {
 				return nil, err
 			}
 			return nil, ctx.Put(run.interBucket, pay.Out, out)
 		}
-		outSize := int64(float64(totalIn) * run.spec.Workload.Profile.ReduceOutputRatio)
-		return nil, ctx.PutProfiled(run.interBucket, pay.Out, outSize)
+		return nil, ctx.PutProfiled(run.interBucket, pay.Out, int64(float64(totalIn)*ratio))
 	}
 }
 
@@ -759,89 +682,35 @@ func (d *Driver) reducerHandler(run *jobRun) lambda.Handler {
 // plan (Table II), writes a state object before each step, drives steps
 // 1..P-1 synchronously and launches step P asynchronously, so its billed
 // lifetime spans the first P-1 steps exactly as Eq. 14 charges it.
-func (d *Driver) coordHandler(run *jobRun, reducerFn string) lambda.Handler {
+func coordHandler(run *jobRun, reducerFn string) lambda.Handler {
 	return func(ctx *lambda.Ctx) ([]byte, error) {
 		ctx.Work(run.spec.Workload.Profile.CoordSecPerObject * float64(run.orch.Mappers()))
 
+		rn := ctxRunner{ctx}
 		prevKeys := run.mapOutKeys
 		for pi := 0; pi < run.orch.NumSteps(); pi++ {
-			step := run.orch.Step(pi)
-			stateKey := fmt.Sprintf("state/step-%02d", pi)
-			if err := ctx.PutProfiled(run.interBucket, stateKey, StateObjectBytes); err != nil {
+			if err := ctx.PutProfiled(run.interBucket, fmt.Sprintf("state/step-%02d", pi), StateObjectBytes); err != nil {
 				return nil, err
 			}
-			outKeys := make([]string, step.Count())
-			invs := make([]*lambda.Invocation, step.Count())
-			labels := make([]string, step.Count())
-			bodies := make([][]byte, step.Count())
-			inKeys := make([][]string, step.Count())
-			stepStart := ctx.Now()
-			off := 0
-			for r := range invs {
-				load := step.Load(r)
-				outKeys[r] = fmt.Sprintf("red/%02d/part-%05d", pi, r)
-				out := outKeys[r]
-				if run.policy != nil {
-					out = attemptKey(out, 0)
-				}
-				body, err := json.Marshal(reducerPayload{
-					Keys: prevKeys[off : off+load],
-					Out:  out,
-				})
-				if err != nil {
-					return nil, err
-				}
-				inKeys[r] = prevKeys[off : off+load]
-				off += load
-				labels[r] = fmt.Sprintf("red-%d-%d", pi, r)
-				bodies[r] = body
-				invs[r] = ctx.InvokeAsync(reducerFn, labels[r], body)
+			last := pi == run.orch.NumSteps()-1
+			noun := fmt.Sprintf("step %d reducer", pi)
+			if last {
+				noun = "mapreduce: final-step reducer"
 			}
-			if pi < run.orch.NumSteps()-1 {
-				if run.policy != nil {
-					stepPred := run.policy.stepTask(pi)
-					deadline := run.policy.deadlineFor(stepStart, stepPred)
-					for r, iv := range invs {
-						r := r
-						err := d.awaitSpeculative(ctxRunner{ctx}, run, specTask{
-							fn: reducerFn, label: labels[r],
-							bucket: run.interBucket, finalKey: outKeys[r],
-							payloadFor: func(outKey string) ([]byte, error) {
-								return json.Marshal(reducerPayload{Keys: inKeys[r], Out: outKey})
-							},
-							deadline: deadline, pred: stepPred,
-						}, iv)
-						if err != nil {
-							return nil, fmt.Errorf("step %d reducer %d: %w", pi, r, err)
-						}
-					}
-				} else {
-					for r, iv := range invs {
-						_, err := ctx.Wait(iv)
-						// Failed reducers are re-invoked by the coordinator,
-						// up to the job's retry budget.
-						for attempt := 0; err != nil && attempt < run.spec.TaskRetries; attempt++ {
-							run.taskRetries++
-							_, err = ctx.Wait(ctx.InvokeAsync(reducerFn, labels[r], bodies[r]))
-						}
-						if err != nil {
-							return nil, fmt.Errorf("step %d reducer %d: %w", pi, r, err)
-						}
-					}
-				}
-				run.stepSpans = append(run.stepSpans, span{stepStart, ctx.Now()})
-				if run.spec.QoS != nil {
-					run.spec.QoS.Poll(ctx.Now())
-				}
-			} else {
-				run.finalInvs = invs
-				run.finalKeys = outKeys
-				run.finalLabels = labels
-				run.finalPayloads = bodies
-				run.finalInKeys = inKeys
-				run.finalStart = stepStart
+			w, err := launch(rn, run, reducerFn, noun, run.orch.Step(pi), prevKeys,
+				fmt.Sprintf("red-%d-%%d", pi), fmt.Sprintf("red/%02d/part-%%05d", pi))
+			if err != nil {
+				return nil, err
 			}
-			prevKeys = outKeys
+			if last {
+				run.final = w
+				break
+			}
+			if err := await(rn, run, w, run.policy.stepTask(pi)); err != nil {
+				return nil, err
+			}
+			run.stepDone(w.start, ctx.Now())
+			prevKeys = w.outKeys
 		}
 		return nil, nil
 	}

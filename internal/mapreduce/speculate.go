@@ -1,6 +1,7 @@
 package mapreduce
 
 import (
+	"encoding/json"
 	"fmt"
 	"time"
 
@@ -68,10 +69,18 @@ func (p *SpeculationPolicy) FromBreakdown(bd *flight.Breakdown) {
 	}
 }
 
-// stepTask returns the predicted duration for reducing step pi (0 when
-// unknown, which disables speculation for that step).
-func (p SpeculationPolicy) stepTask(pi int) time.Duration {
-	if pi < 0 || pi >= len(p.StepTasks) {
+// mapTask returns the predicted map task duration (0 without a policy).
+func (p *SpeculationPolicy) mapTask() time.Duration {
+	if p == nil {
+		return 0
+	}
+	return p.MapTask
+}
+
+// stepTask returns the predicted duration for reducing step pi (0 without
+// a policy or when unknown, which disables speculation for that step).
+func (p *SpeculationPolicy) stepTask(pi int) time.Duration {
+	if p == nil || pi < 0 || pi >= len(p.StepTasks) {
 		return 0
 	}
 	return p.StepTasks[pi]
@@ -137,9 +146,11 @@ func attemptKey(key string, attempt int) string {
 // runner abstracts who is awaiting a task: the driver process (mappers,
 // final-step reducers, Step Functions steps) or the coordinator lambda
 // (inner reducing steps). Both expose the same invoke/race/commit
-// primitives, so speculation logic is written once.
+// primitives, so a wave is launched and awaited by one piece of code.
 type runner interface {
 	invoke(fn, label string, payload []byte) *lambda.Invocation
+	// call re-invokes a failed task and waits for it: a retry.
+	call(fn, label string, payload []byte) error
 	waitAny(invs []*lambda.Invocation, timeout time.Duration) int
 	wait(iv *lambda.Invocation) ([]byte, error)
 	copyObj(bucket, src, dst string) error
@@ -155,6 +166,12 @@ type procRunner struct {
 
 func (r procRunner) invoke(fn, label string, payload []byte) *lambda.Invocation {
 	return r.d.pl.InvokeAsync(r.p, fn, label, payload)
+}
+
+// call retries synchronously on the driver's process.
+func (r procRunner) call(fn, label string, payload []byte) error {
+	_, err := r.d.pl.InvokeLabeled(r.p, fn, label, payload)
+	return err
 }
 
 func (r procRunner) waitAny(invs []*lambda.Invocation, timeout time.Duration) int {
@@ -178,6 +195,12 @@ func (r ctxRunner) invoke(fn, label string, payload []byte) *lambda.Invocation {
 	return r.ctx.InvokeAsync(fn, label, payload)
 }
 
+// call retries from inside the coordinator: an async invoke it waits on.
+func (r ctxRunner) call(fn, label string, payload []byte) error {
+	_, err := r.ctx.Wait(r.ctx.InvokeAsync(fn, label, payload))
+	return err
+}
+
 func (r ctxRunner) waitAny(invs []*lambda.Invocation, timeout time.Duration) int {
 	return r.ctx.WaitAny(invs, timeout)
 }
@@ -190,47 +213,32 @@ func (r ctxRunner) cancel(iv *lambda.Invocation) { r.ctx.Cancel(iv) }
 
 func (r ctxRunner) now() simtime.Time { return r.ctx.Now() }
 
-// specTask describes one task awaited under the speculation policy.
-type specTask struct {
-	fn, label string
-	// bucket/finalKey locate the committed output; attempts write
-	// attemptKey(finalKey, n).
-	bucket   string
-	finalKey string
-	// payloadFor builds the task payload writing to the given output key.
-	payloadFor func(outKey string) ([]byte, error)
-	// deadline is the absolute backup-launch instant (0 = no speculation;
-	// the task still commits its winning attempt).
-	deadline simtime.Time
-	// pred is the predicted task duration; after a backup launches, the
-	// next backup's deadline advances by Multiplier*pred so additional
-	// duplicates fire only if the backup itself straggles.
-	pred time.Duration
-}
-
-// awaitSpeculative resolves one task first-finisher-wins: it waits on the
-// already-dispatched first attempt, launches a speculative backup if the
-// deadline passes, relaunches (spending the job's retry budget) when every
-// in-flight attempt has failed, cancels the losers once a winner
-// completes, and commits the winner's output under the task's final key.
-func (d *Driver) awaitSpeculative(rn runner, run *jobRun, t specTask, first *lambda.Invocation) error {
+// awaitSpeculative resolves w's task i first-finisher-wins: it waits on
+// the already-dispatched first attempt, launches a speculative backup once
+// the task runs Multiplier x pred past the wave's start, relaunches
+// (spending the job's retry budget) when every in-flight attempt has
+// failed, cancels the losers once a winner completes, and commits the
+// winner's output under the task's final key. A zero pred launches no
+// backups; the task still commits its winning attempt.
+func awaitSpeculative(rn runner, run *jobRun, w *wave, i int, pred time.Duration) error {
 	pol := run.policy
 	tel := run.spec.Telemetry
-	active := []*lambda.Invocation{first}
-	keys := []string{attemptKey(t.finalKey, 0)}
+	fn, label, finalKey := w.fn, w.labels[i], w.outKeys[i]
+	active := []*lambda.Invocation{w.invs[i]}
+	keys := []string{attemptKey(finalKey, 0)}
 	isBackup := []bool{false}
 	next := 1
 	backups := 0
 	retries := 0
-	deadline := t.deadline
+	deadline := pol.deadlineFor(w.start, pred)
 
-	launch := func(backup bool) error {
-		key := attemptKey(t.finalKey, next)
-		body, err := t.payloadFor(key)
+	relaunch := func(backup bool) error {
+		key := attemptKey(finalKey, next)
+		body, err := json.Marshal(taskPayload{Keys: w.inKeys[i], Out: key})
 		if err != nil {
 			return err
 		}
-		iv := rn.invoke(t.fn, t.label, body)
+		iv := rn.invoke(fn, label, body)
 		active = append(active, iv)
 		keys = append(keys, key)
 		isBackup = append(isBackup, backup)
@@ -239,12 +247,12 @@ func (d *Driver) awaitSpeculative(rn runner, run *jobRun, t specTask, first *lam
 			backups++
 			// The next duplicate should fire only if this one straggles
 			// too: restart the straggler clock from its launch.
-			deadline = rn.now() + time.Duration(pol.Multiplier*float64(t.pred))
+			deadline = rn.now() + time.Duration(pol.Multiplier*float64(pred))
 			run.res.Speculation.BackupsLaunched++
 			tel.Counter(telemetry.MSpecLaunched).Inc()
 			if rec := run.spec.Recorder; rec != nil {
 				rec.Emit(flight.Event{Kind: flight.KindSpecLaunch, Time: rn.now(),
-					Function: t.fn, Label: t.label, Name: key})
+					Function: fn, Label: label, Name: key})
 			}
 		}
 		return nil
@@ -259,7 +267,7 @@ func (d *Driver) awaitSpeculative(rn runner, run *jobRun, t specTask, first *lam
 			}
 			retries++
 			run.taskRetries++
-			if err := launch(false); err != nil {
+			if err := relaunch(false); err != nil {
 				return err
 			}
 		}
@@ -270,7 +278,7 @@ func (d *Driver) awaitSpeculative(rn runner, run *jobRun, t specTask, first *lam
 			if rem := deadline - rn.now(); rem > 0 {
 				timeout = rem
 			} else {
-				if err := launch(true); err != nil {
+				if err := relaunch(true); err != nil {
 					return err
 				}
 				continue
@@ -280,7 +288,7 @@ func (d *Driver) awaitSpeculative(rn runner, run *jobRun, t specTask, first *lam
 		if idx < 0 {
 			// Deadline reached with every attempt still running: the task
 			// is straggling — duplicate it.
-			if err := launch(true); err != nil {
+			if err := relaunch(true); err != nil {
 				return err
 			}
 			continue
@@ -315,11 +323,11 @@ func (d *Driver) awaitSpeculative(rn runner, run *jobRun, t specTask, first *lam
 		if backups > 0 {
 			if rec := run.spec.Recorder; rec != nil {
 				rec.Emit(flight.Event{Kind: flight.KindSpecWin, Time: rn.now(),
-					Function: t.fn, Label: t.label, Name: keys[idx]})
+					Function: fn, Label: label, Name: keys[idx]})
 			}
 		}
-		if err := rn.copyObj(t.bucket, keys[idx], t.finalKey); err != nil {
-			return fmt.Errorf("commit %s: %w", t.finalKey, err)
+		if err := rn.copyObj(run.interBucket, keys[idx], finalKey); err != nil {
+			return fmt.Errorf("commit %s: %w", finalKey, err)
 		}
 		run.res.Speculation.Commits++
 		tel.Counter(telemetry.MSpecCommits).Inc()
