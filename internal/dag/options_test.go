@@ -2,6 +2,7 @@ package dag
 
 import (
 	"context"
+	"fmt"
 	"testing"
 
 	"astra/internal/model"
@@ -55,6 +56,37 @@ func TestFloorAppendedWhenMissing(t *testing.T) {
 	}
 	if cfg.MapperMemMB != 1792 {
 		t.Fatalf("fastest plan uses %d MB, want the appended 1792 floor", cfg.MapperMemMB)
+	}
+}
+
+// TestTiersIsTheLayoutRule: Tiers returns the tier list the built graph
+// searches — dominated tiers dropped and the floor appended — so a solver
+// outside the DAG (the optimizer's brute force) can search the same space.
+func TestTiersIsTheLayoutRule(t *testing.T) {
+	m := testModel() // speed floor at 1792
+	for _, tc := range []struct {
+		opts Options
+		want []int
+	}{
+		{Options{Tiers: []int{128, 512, 1024, 1536, 3008}}, []int{128, 512, 1024, 1536, 1792}},
+		{Options{Tiers: []int{128, 512}}, []int{128, 512, 1792}},
+		{Options{Tiers: []int{128, 1792, 3008}}, []int{128, 1792}},
+		{Options{Tiers: []int{128, 3008}, KeepDominatedTiers: true}, []int{128, 3008}},
+	} {
+		got := Tiers(m.P, tc.opts)
+		if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+			t.Errorf("Tiers(%+v) = %v, want %v", tc.opts, got, tc.want)
+		}
+		d, err := BuildContext(context.Background(), m, MinimizeTime, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(d.tiers) != fmt.Sprint(got) {
+			t.Errorf("%+v: the graph searches %v, Tiers says %v", tc.opts, d.tiers, got)
+		}
+	}
+	if got := Tiers(m.P, Options{}); len(got) != 27 || got[len(got)-1] != 1792 {
+		t.Errorf("Tiers over the price sheet = %d tiers ending at %d, want 27 ending at 1792", len(got), got[len(got)-1])
 	}
 }
 
