@@ -82,16 +82,13 @@ var (
 
 // Solvers.
 const (
-	// SolverAuto is exact on the configuration DAG: one Dijkstra, then
-	// bounded label-setting only when the constraint binds; the
-	// recommended default.
+	// SolverAuto is exact on the configuration DAG: one label-setting
+	// search over the template's memoized to-go bounds, which pops only
+	// the optimal path's labels when the constraint does not bind; the
+	// recommended default. Its wire names are "auto" and "csp".
 	SolverAuto = optimizer.Auto
 	// SolverAlgorithm1 is the paper's heuristic, as written.
 	SolverAlgorithm1 = optimizer.Algorithm1
-	// SolverCSP is exact label-setting on the configuration DAG over the
-	// template's memoized to-go bounds: SolverAuto without its opening
-	// Dijkstra.
-	SolverCSP = optimizer.CSP
 	// SolverBrute exhaustively enumerates small instances with the exact
 	// model. It is Go API only: no flag, spec file or wire request can
 	// name it, since one enumeration costs seconds of CPU.
@@ -305,7 +302,7 @@ func WithTelemetry(reg *Telemetry) PlanOption {
 // the Auto solver, and a worker pool spanning every available core:
 //
 //	plan, err := astra.Plan(job, astra.MinTime(0.01),
-//	        astra.WithSolver(astra.SolverCSP), astra.WithParallelism(4))
+//	        astra.WithSolver(astra.SolverAlgorithm1), astra.WithParallelism(4))
 //
 // Plan is PlanContext with context.Background(); use PlanContext to bound
 // or cancel the search.

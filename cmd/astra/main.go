@@ -102,7 +102,7 @@ func parseFlags(args []string) (*options, error) {
 	fs.Float64Var(&o.budget, "budget", 0, "budget in USD for -objective time (0 = unconstrained)")
 	fs.DurationVar(&o.deadline, "deadline", 0, "QoS completion-time threshold for -objective cost (0 = unconstrained)")
 	fs.StringVar(&o.solver, "solver", "auto",
-		"solver: auto, algorithm1 or csp (brute force is Go API only)")
+		"solver: auto (exact label-setting; csp is another name for it) or algorithm1 (the paper's heuristic); brute force is Go API only")
 	fs.StringVar(&o.specPath, "spec", "",
 		"path to a JSON job spec (overrides workload/size/objective flags)")
 	fs.BoolVar(&o.doRun, "run", false, "execute the plan on the simulated platform")

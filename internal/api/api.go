@@ -59,8 +59,9 @@ type PlanRequest struct {
 	ObjectBytes int64 `json:"object_bytes,omitempty"`
 	// Objective is the planning goal and its constraint.
 	Objective ObjectiveSpec `json:"objective"`
-	// Solver optionally selects the search strategy: auto (default),
-	// algorithm1 or csp. Brute force is Go API only; its name is a 400.
+	// Solver optionally selects the search strategy: auto (default; csp
+	// names it too) or algorithm1. Brute force is Go API only; its name
+	// is a 400.
 	Solver string `json:"solver,omitempty"`
 	// Execute additionally runs the chosen plan on a fresh simulated
 	// platform under a streaming QoS monitor; the response gains a Run

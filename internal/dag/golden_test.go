@@ -77,7 +77,7 @@ func TestPlansMatchGolden(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				best, err := d.G.ShortestPathCtx(ctx, d.Src, d.Dst)
+				best, err := d.G.ShortestPath(d.Src, d.Dst)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -19,7 +19,7 @@ func ablationJob() workload.Job {
 
 var ablationTiers = []int{128, 256, 512, 1024, 1536, 1792, 2048, 3008}
 
-// AblationSolvers compares the four solvers on the same constrained
+// AblationSolvers compares the three solvers on the same constrained
 // objective: plan quality (exact-model JCT and cost) and planning time.
 func AblationSolvers() (string, error) {
 	params := model.DefaultParams(ablationJob())
@@ -42,7 +42,7 @@ func AblationSolvers() (string, error) {
 
 	t := &table{header: []string{"solver", "plan JCT", "plan cost", "within budget", "planning time"}}
 	for _, s := range []optimizer.Solver{
-		optimizer.Algorithm1, optimizer.CSP, optimizer.Auto, optimizer.Brute,
+		optimizer.Algorithm1, optimizer.Auto, optimizer.Brute,
 	} {
 		p := optimizer.New(params)
 		p.Solver = s

@@ -3,6 +3,7 @@ package graph
 import (
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -73,34 +74,30 @@ func TestSearchCancellation(t *testing.T) {
 	}
 }
 
-// TestShortestPathCtxIsOnTheBooks: the counted Dijkstra returns what
-// ShortestPath returns, books exactly one run and its relaxations on the
-// context's registry, and observes a context that is already done.
-func TestShortestPathCtxIsOnTheBooks(t *testing.T) {
-	g, src, dst := layered(4, 5, 3)
-	want, err := g.ShortestPath(src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := telemetry.New()
-	ctx := telemetry.NewContext(context.Background(), reg)
-	got, err := g.ShortestPathCtx(ctx, src, dst)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.W != want.W || got.Side != want.Side || !reflect.DeepEqual(got.Nodes, want.Nodes) {
-		t.Fatalf("ShortestPathCtx = %+v, ShortestPath = %+v", got, want)
-	}
-	if runs, relaxed := reg.Counter(telemetry.MSearchDijkstraRuns).Value(), reg.Counter(telemetry.MSearchEdgesRelaxed).Value(); runs != 1 || relaxed < int64(len(got.Nodes)-1) {
-		t.Fatalf("booked %d runs and %d relaxations for a %d-hop path, want 1 run", runs, relaxed, len(got.Nodes)-1)
-	}
-
-	cctx, cancel := context.WithCancel(ctx)
-	cancel()
-	if _, err := g.ShortestPathCtx(cctx, src, dst); err != context.Canceled {
-		t.Fatalf("cancelled context: err = %v", err)
-	}
-	if _, err := g.ShortestPathCtx(ctx, dst, src); !errors.Is(err, ErrNoPath) {
-		t.Fatalf("dst -> src: err = %v, want ErrNoPath", err)
+// TestUnconstrainedLabelSettingIsTheShortestPath: the bounded search at
+// an infinite budget over the graph's to-go bounds — how the optimizer
+// plans a request whose constraint does not bind — returns the sweep's
+// shortest path bit for bit (nodes, W and Side), pops one label per node
+// of it, and books no Dijkstra run.
+func TestUnconstrainedLabelSettingIsTheShortestPath(t *testing.T) {
+	for seed := int64(0); seed < 40; seed++ {
+		g, src, dst := layered(2+int(seed)%5, 2+int(seed)%7, seed)
+		want, err := g.ShortestPath(src, dst)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := telemetry.New()
+		ctx := telemetry.NewContext(context.Background(), reg)
+		got, err := g.ConstrainedShortestPathBoundedCtx(ctx, src, dst, math.Inf(1), g.ToGoBounds(dst), math.Inf(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got.Nodes, want.Nodes) ||
+			math.Float64bits(got.W) != math.Float64bits(want.W) || math.Float64bits(got.Side) != math.Float64bits(want.Side) {
+			t.Fatalf("seed %d: label-setting %+v, shortest path %+v", seed, got, want)
+		}
+		if pops, runs := reg.Counter(telemetry.MCSPLabelsPopped).Value(), reg.Counter(telemetry.MSearchDijkstraRuns).Value(); pops != int64(len(want.Nodes)) || runs != 0 {
+			t.Fatalf("seed %d: %d labels popped and %d Dijkstra runs for a %d-node path, want %d and 0", seed, pops, runs, len(want.Nodes), len(want.Nodes))
+		}
 	}
 }

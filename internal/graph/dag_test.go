@@ -30,27 +30,35 @@ func configurationDAG(t testing.TB, pf workload.Profile, n int, mode dag.Mode) *
 // heap-ordered reference Dijkstra returns, node for node and bit for bit.
 // The two compute the same minimum over the same left-to-right sums, so
 // they can only differ in prev on an exact tie between two predecessors;
-// this pins that no such tie reaches an optimum.
+// this pins that no such tie reaches an optimum. The label-setting search
+// at an infinite budget over the memoized to-go bounds, which is how the
+// planner answers an unconstrained request, returns the same path too.
 func TestSweepMatchesHeapDijkstraOnConfigurationDAGs(t *testing.T) {
 	ctx := context.Background()
 	for _, pf := range []workload.Profile{workload.Sort, workload.Query, workload.WordCount, workload.Grep} {
 		for _, n := range []int{16, 64, 136, 207} {
 			for _, mode := range []dag.Mode{dag.MinimizeTime, dag.MinimizeCost} {
 				d := configurationDAG(t, pf, n, mode)
-				got, err := d.G.ShortestPathCtx(ctx, d.Src, d.Dst)
-				if err != nil {
-					t.Fatalf("%s %d %v: %v", pf.Name, n, mode, err)
-				}
 				want, ok := graph.RefShortestPath(d.G, d.Src, d.Dst)
 				if !ok {
 					t.Fatalf("%s %d %v: the reference found no path", pf.Name, n, mode)
 				}
-				if !reflect.DeepEqual(got.Nodes, want.Nodes) ||
-					math.Float64bits(got.W) != math.Float64bits(want.W) ||
-					math.Float64bits(got.Side) != math.Float64bits(want.Side) {
-					t.Fatalf("%s %d %v: sweep %v W=%x Side=%x, heap reference %v W=%x Side=%x", pf.Name, n, mode,
-						got.Nodes, math.Float64bits(got.W), math.Float64bits(got.Side),
-						want.Nodes, math.Float64bits(want.W), math.Float64bits(want.Side))
+				sweep, err := d.G.ShortestPath(d.Src, d.Dst)
+				if err != nil {
+					t.Fatalf("%s %d %v: %v", pf.Name, n, mode, err)
+				}
+				labels, err := d.G.ConstrainedShortestPathBoundedCtx(ctx, d.Src, d.Dst, math.Inf(1), d.ToGoBounds(ctx), math.Inf(1))
+				if err != nil {
+					t.Fatalf("%s %d %v: %v", pf.Name, n, mode, err)
+				}
+				for name, got := range map[string]graph.Path{"sweep": sweep, "label-setting": labels} {
+					if !reflect.DeepEqual(got.Nodes, want.Nodes) ||
+						math.Float64bits(got.W) != math.Float64bits(want.W) ||
+						math.Float64bits(got.Side) != math.Float64bits(want.Side) {
+						t.Fatalf("%s %d %v: %s %v W=%x Side=%x, heap reference %v W=%x Side=%x", pf.Name, n, mode, name,
+							got.Nodes, math.Float64bits(got.W), math.Float64bits(got.Side),
+							want.Nodes, math.Float64bits(want.W), math.Float64bits(want.Side))
+					}
 				}
 			}
 		}
@@ -66,14 +74,13 @@ func TestShortestPathAllocatesLittle(t *testing.T) {
 		t.Skip("allocations per search measure the pool under -race")
 	}
 	d := configurationDAG(t, workload.Query, 207, dag.MinimizeTime)
-	ctx := context.Background()
 	allocs := testing.AllocsPerRun(50, func() {
-		if _, err := d.G.ShortestPathCtx(ctx, d.Src, d.Dst); err != nil {
+		if _, err := d.G.ShortestPath(d.Src, d.Dst); err != nil {
 			t.Fatal(err)
 		}
 	})
 	if allocs > 4 {
-		t.Fatalf("ShortestPathCtx allocated %v times per search, want at most 4", allocs)
+		t.Fatalf("ShortestPath allocated %v times per search, want at most 4", allocs)
 	}
 }
 
@@ -82,7 +89,7 @@ func TestShortestPathAllocatesLittle(t *testing.T) {
 // side any path achieves.
 func goldenLimit(t testing.TB, d *dag.DAG) float64 {
 	t.Helper()
-	best, err := d.G.ShortestPathCtx(context.Background(), d.Src, d.Dst)
+	best, err := d.G.ShortestPath(d.Src, d.Dst)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,21 +147,25 @@ func BenchmarkConstrainedSPQuery207(b *testing.B) {
 	b.ReportMetric(float64(reg.Counter(telemetry.MCSPLabelsAllocated).Value())/float64(b.N), "labels/op")
 }
 
-// BenchmarkShortestPathQuery207 is the one search a template-hit plan
-// makes, on a frozen paper-scale template; relaxed/op is what it books to
-// astra_search_edges_relaxed_total.
-func BenchmarkShortestPathQuery207(b *testing.B) {
+// BenchmarkUnconstrainedSPQuery207 is the one search a template-hit plan
+// whose constraint does not bind makes: label-setting at an infinite
+// budget on a frozen paper-scale template, with the template's bounds
+// already memoized. relaxed/op and labels/op are what it books to
+// astra_search_edges_relaxed_total and astra_csp_labels_popped_total.
+func BenchmarkUnconstrainedSPQuery207(b *testing.B) {
 	d := configurationDAG(b, workload.Query, 207, dag.MinimizeTime)
 	reg := telemetry.New()
 	ctx := telemetry.NewContext(context.Background(), reg)
+	bounds := d.ToGoBounds(ctx)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := d.G.ShortestPathCtx(ctx, d.Src, d.Dst); err != nil {
+		if _, err := d.G.ConstrainedShortestPathBoundedCtx(ctx, d.Src, d.Dst, math.Inf(1), bounds, math.Inf(1)); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportMetric(float64(reg.Counter(telemetry.MSearchEdgesRelaxed).Value())/float64(b.N), "relaxed/op")
+	b.ReportMetric(float64(reg.Counter(telemetry.MCSPLabelsPopped).Value())/float64(b.N), "labels/op")
 }
 
 // BenchmarkToGoBoundsQuery207 is what a template's first binding plan or

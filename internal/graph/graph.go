@@ -31,14 +31,11 @@
 package graph
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
 	"sync"
 	"sync/atomic"
-
-	"astra/internal/telemetry"
 )
 
 // Errors returned by the solvers.
@@ -345,35 +342,18 @@ func (g *Graph) assemble(sc *searchScratch, src, dst int) (Path, bool) {
 	return p, true
 }
 
-// ShortestPath returns the minimum-W path from src to dst.
+// ShortestPath returns the minimum-W path from src to dst: the one-pass
+// sweep Algorithm 1 runs each round, with no bans. No solver calls it —
+// the optimizer's unconstrained plans come from the label-setting search
+// at an infinite budget — so it books nothing to telemetry; it is the
+// reference the other searches are tested against.
 func (g *Graph) ShortestPath(src, dst int) (Path, error) {
-	return g.ShortestPathCtx(context.Background(), src, dst)
-}
-
-// ShortestPathCtx is ShortestPath on the caller's books: the one counted
-// Dijkstra entry point. The run and its relaxations go to the context's
-// telemetry registry (astra_search_dijkstra_runs_total,
-// astra_search_edges_relaxed_total), so a planner that opens with a
-// single unconstrained search reports it like every other solver pass.
-// The graph is not mutated. A single Dijkstra is short enough that the
-// context is only checked on entry.
-func (g *Graph) ShortestPathCtx(ctx context.Context, src, dst int) (Path, error) {
-	if err := ctx.Err(); err != nil {
-		return Path{}, err
+	sc := g.getScratch(nil)
+	defer putScratch(sc)
+	g.dijkstra(sc, src, nil)
+	p, ok := g.assemble(sc, src, dst)
+	if !ok {
+		return Path{}, ErrNoPath
 	}
-	var p Path
-	var err error
-	telemetry.DoPhase(ctx, telemetry.PhaseDijkstra, func(ctx context.Context) {
-		tel := telemetry.FromContext(ctx)
-		sc := g.getScratch(tel)
-		defer putScratch(sc)
-		relaxed := g.dijkstra(sc, src, nil)
-		tel.Counter(telemetry.MSearchDijkstraRuns).Inc()
-		tel.Counter(telemetry.MSearchEdgesRelaxed).Add(relaxed)
-		var ok bool
-		if p, ok = g.assemble(sc, src, dst); !ok {
-			err = ErrNoPath
-		}
-	})
-	return p, err
+	return p, nil
 }

@@ -296,8 +296,8 @@ func TestParallelEdgesWeighTheRelaxedEdge(t *testing.T) {
 			t.Fatalf("%s = %+v, %v; want 0-1-2 at W %v, side %v", name, p, err, wantW, wantSide)
 		}
 	}
-	p, err := g.ShortestPathCtx(ctx, 0, 2)
-	check("ShortestPathCtx", p, err, 2, 4)
+	p, err := g.ShortestPath(0, 2)
+	check("ShortestPath", p, err, 2, 4)
 	p, err = g.Algorithm1Ctx(ctx, 0, 2, 10)
 	check("Algorithm1Ctx", p, err, 2, 4)
 	p, err = g.ConstrainedShortestPathCtx(ctx, 0, 2, 10)

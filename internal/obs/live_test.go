@@ -158,7 +158,7 @@ func TestCPUProfileCarriesPhaseLabels(t *testing.T) {
 			t.Fatalf("decompress profile: %v", err)
 		}
 		if bytes.Contains(prof, []byte("phase")) &&
-			(bytes.Contains(prof, []byte("algorithm1")) || bytes.Contains(prof, []byte("dijkstra"))) {
+			(bytes.Contains(prof, []byte("csp")) || bytes.Contains(prof, []byte("algorithm1")) || bytes.Contains(prof, []byte("dijkstra"))) {
 			return
 		}
 	}

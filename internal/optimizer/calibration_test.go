@@ -40,7 +40,7 @@ func TestCalibrationEnforcesDeadlineUnderExactModel(t *testing.T) {
 	// Sweep deadlines across the feasible range; every returned plan must
 	// honor its deadline under the exact model.
 	lo, hi := fastest.Exact.JCT(), cheapest.Exact.JCT()
-	for _, s := range []Solver{Auto, CSP, Algorithm1} {
+	for _, s := range []Solver{Auto, Algorithm1} {
 		for frac := 0.1; frac < 1.0; frac += 0.2 {
 			deadline := lo + time.Duration(float64(hi-lo)*frac)
 			p := New(params)
@@ -74,20 +74,17 @@ func TestCalibrationEnforcesBudgetUnderExactModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	lo, hi := float64(cheapest.Exact.TotalCost()), float64(fastest.Exact.TotalCost())
-	for _, s := range []Solver{Auto, CSP} {
-		for frac := 0.1; frac < 1.0; frac += 0.2 {
-			budget := pricing.USD(lo + (hi-lo)*frac)
-			p := New(params)
-			p.Solver = s
-			p.DAGOptions = dag.Options{Tiers: smallTiers}
-			plan, err := p.Plan(Objective{Goal: MinTimeUnderBudget, Budget: budget})
-			if err != nil {
-				continue
-			}
-			if plan.Exact.TotalCost() > budget {
-				t.Errorf("%v at budget %v: exact cost %v violates it",
-					s, budget, plan.Exact.TotalCost())
-			}
+	for frac := 0.1; frac < 1.0; frac += 0.2 {
+		budget := pricing.USD(lo + (hi-lo)*frac)
+		p := New(params)
+		p.Solver = Auto
+		p.DAGOptions = dag.Options{Tiers: smallTiers}
+		plan, err := p.Plan(Objective{Goal: MinTimeUnderBudget, Budget: budget})
+		if err != nil {
+			continue
+		}
+		if plan.Exact.TotalCost() > budget {
+			t.Errorf("budget %v: exact cost %v violates it", budget, plan.Exact.TotalCost())
 		}
 	}
 }

@@ -218,7 +218,7 @@ func TestFrontierQualityVsUniformReference(t *testing.T) {
 	}
 
 	pl := New(params)
-	pl.Solver = CSP
+	pl.Solver = Auto
 	fastest, err := pl.Plan(Objective{Goal: MinTimeUnderBudget, Budget: 1e9})
 	if err != nil {
 		t.Fatal(err)

@@ -33,7 +33,7 @@ func TestFrontierCoversConstrainedPlans(t *testing.T) {
 	}
 	// The fast end must match the unconstrained fastest DAG plan; the
 	// cheap end must match the unconstrained cheapest.
-	pl := planner(CSP)
+	pl := planner(Auto)
 	fastest, err := pl.Plan(Objective{Goal: MinTimeUnderBudget, Budget: 1e9})
 	if err != nil {
 		t.Fatal(err)

@@ -55,7 +55,7 @@ func TestParallelPlansMatchSerial(t *testing.T) {
 		{Goal: MinTimeUnderBudget, Budget: 0.002},
 		{Goal: MinCostUnderDeadline, Deadline: 2 * time.Minute},
 	}
-	solvers := []Solver{Algorithm1, CSP, Brute, Auto}
+	solvers := []Solver{Algorithm1, Brute, Auto}
 	for _, s := range solvers {
 		for oi, obj := range objectives {
 			serial := planner(s)
@@ -88,7 +88,7 @@ func TestParallelPlansMatchSerial(t *testing.T) {
 func TestPlanContextCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, s := range []Solver{Algorithm1, CSP, Brute, Auto} {
+	for _, s := range []Solver{Algorithm1, Brute, Auto} {
 		pl := planner(s)
 		if _, err := pl.PlanContext(ctx, unconstrainedTime()); !errors.Is(err, context.Canceled) {
 			t.Fatalf("solver %v: err = %v, want context.Canceled", s, err)
@@ -154,7 +154,7 @@ func TestSharedCacheAcrossPlanners(t *testing.T) {
 func TestPlanContextDeadlinePropagates(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	pl := planner(CSP)
+	pl := planner(Auto)
 	if _, err := pl.PlanContext(ctx, unconstrainedCost()); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
 	}

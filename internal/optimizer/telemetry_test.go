@@ -21,7 +21,7 @@ func TestTelemetryDoesNotPerturbPlans(t *testing.T) {
 		{Goal: MinTimeUnderBudget, Budget: 0.002},
 		{Goal: MinCostUnderDeadline, Deadline: 2 * time.Minute},
 	}
-	for _, s := range []Solver{Algorithm1, CSP, Brute, Auto} {
+	for _, s := range []Solver{Algorithm1, Brute, Auto} {
 		for oi, obj := range objectives {
 			bare := planner(s)
 			bare.Parallelism = 1
@@ -73,7 +73,7 @@ func TestSearchStatsWithRegistry(t *testing.T) {
 	if st.DAGBuilds < 1 || st.DAGNodes == 0 || st.DAGEdges == 0 {
 		t.Fatalf("DAG stats empty: %+v", st)
 	}
-	if st.DijkstraRuns == 0 || st.EdgesRelaxed == 0 {
+	if st.CSPLabelsPopped == 0 || st.EdgesRelaxed == 0 {
 		t.Fatalf("no shortest-path work recorded: %+v", st)
 	}
 	if st.CacheMisses == 0 {
@@ -107,7 +107,7 @@ func TestSearchStatsWithoutRegistry(t *testing.T) {
 	if st.Wall <= 0 || st.CacheMisses == 0 {
 		t.Fatalf("always-available stats missing: %+v", st)
 	}
-	if st.DAGBuilds != 0 || st.DijkstraRuns != 0 {
+	if st.DAGBuilds != 0 || st.CSPLabelsPopped != 0 {
 		t.Fatalf("counter fields populated without a registry: %+v", st)
 	}
 }

@@ -123,7 +123,6 @@ func TestTemplateHitPlanIdentical(t *testing.T) {
 		solver Solver
 	}{
 		{"Algorithm1", Algorithm1},
-		{"CSP", CSP},
 		{"Auto", Auto},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -248,7 +247,7 @@ func TestTemplateRaceHammer(t *testing.T) {
 		workload.Query25GB(),
 		workload.Sort100GB(),
 	}
-	solvers := []Solver{Algorithm1, Auto, CSP}
+	solvers := []Solver{Algorithm1, Auto}
 	obj := Objective{Goal: MinTimeUnderBudget, Budget: 1}
 
 	// Serial references, one per (shape, solver), no sharing anywhere.

@@ -101,8 +101,8 @@ func TestPlanEndToEnd(t *testing.T) {
 	if pr.Config.MapperMemMB <= 0 || pr.PredictedJCTSeconds <= 0 || pr.Explain == "" {
 		t.Fatalf("incomplete plan response: %+v", pr)
 	}
-	if pr.Solver != "dijkstra+csp" {
-		t.Fatalf("a request naming no solver planned with %q, want the Auto solver (dijkstra+csp)", pr.Solver)
+	if pr.Solver != "label-setting-csp" {
+		t.Fatalf("a request naming no solver planned with %q, want the Auto solver (label-setting-csp)", pr.Solver)
 	}
 	if resp.Header.Get(api.CacheHeader) != "miss" {
 		t.Fatalf("first request cache header = %q, want miss", resp.Header.Get(api.CacheHeader))
@@ -441,7 +441,7 @@ func TestBatchRejectsPlanOnlyFields(t *testing.T) {
 	if len(br.Results) != 4 {
 		t.Fatalf("results = %d, want 4", len(br.Results))
 	}
-	if r := br.Results[0]; r.Plan == nil || r.Plan.Solver != "dijkstra+csp" {
+	if r := br.Results[0]; r.Plan == nil || r.Plan.Solver != "label-setting-csp" {
 		t.Fatalf("slot 0: %+v", r)
 	}
 	for i, r := range br.Results[1:] {

@@ -46,8 +46,8 @@ type File struct {
 	// Deadline constrains the cost objective (Go duration syntax); empty
 	// means unconstrained.
 	Deadline string `json:"deadline,omitempty"`
-	// Solver is auto (default), algorithm1 or csp; brute force is Go API
-	// only.
+	// Solver is auto (default; csp names it too) or algorithm1; brute
+	// force is Go API only.
 	Solver string `json:"solver,omitempty"`
 	// Orchestrator is coordinator (default) or step-functions.
 	Orchestrator string `json:"orchestrator,omitempty"`

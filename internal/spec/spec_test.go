@@ -46,7 +46,7 @@ func TestParseValid(t *testing.T) {
 		t.Fatalf("objective = %+v", obj)
 	}
 	s, err := f.SolverValue()
-	if err != nil || s != optimizer.CSP {
+	if err != nil || s != optimizer.Auto {
 		t.Fatalf("solver = %v, %v", s, err)
 	}
 	var js mapreduce.JobSpec
