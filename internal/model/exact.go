@@ -34,8 +34,9 @@ func waveStarts(launch, dur []float64, cap int) []float64 {
 	if cap <= 0 {
 		cap = 1
 	}
-	// Min-heap of running tasks' end times.
-	ends := make([]float64, 0, cap)
+	// Min-heap of running tasks' end times: never more than cap of them,
+	// nor more than the wave has tasks.
+	ends := make([]float64, 0, min(cap, len(launch)))
 	push := func(v float64) {
 		ends = append(ends, v)
 		for i := len(ends) - 1; i > 0; {
