@@ -4,6 +4,17 @@ import (
 	"context"
 	"net"
 	"net/http"
+	"time"
+)
+
+// A client gets readHeaderTimeout to send a request's headers and may
+// hold an idle keep-alive connection for idleTimeout; past either the
+// connection is closed, so a slow or silent client cannot pin one open.
+// There is no write timeout: an SSE stream stays open for as long as
+// its client follows it. Variables so a test can shorten them.
+var (
+	readHeaderTimeout = 10 * time.Second
+	idleTimeout       = 2 * time.Minute
 )
 
 // Listener is the listen/serve/drain lifecycle of one HTTP plane. The
@@ -28,7 +39,7 @@ func (l *Listener) Start(addr string) error {
 		return err
 	}
 	l.ln = ln
-	l.srv = &http.Server{Handler: l.handler}
+	l.srv = &http.Server{Handler: l.handler, ReadHeaderTimeout: readHeaderTimeout, IdleTimeout: idleTimeout}
 	l.done = make(chan struct{})
 	go func() {
 		defer close(l.done)
