@@ -9,7 +9,8 @@ import (
 // sleeping through b.N events.
 func BenchmarkSleepEvents(b *testing.B) {
 	b.ReportAllocs()
-	_, err := Elapsed(func(p *Proc) {
+	s := NewScheduler()
+	err := s.Run(func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Sleep(time.Microsecond)
 		}
@@ -17,6 +18,12 @@ func BenchmarkSleepEvents(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	reportHandoffs(b, s)
+}
+
+// reportHandoffs adds the run's goroutine handoffs per iteration.
+func reportHandoffs(b *testing.B, s *Scheduler) {
+	b.ReportMetric(float64(s.Handoffs())/float64(b.N), "handoffs/op")
 }
 
 // BenchmarkSpawnJoin measures process creation/teardown cost.
@@ -37,7 +44,8 @@ func BenchmarkSpawnJoin(b *testing.B) {
 // pattern).
 func BenchmarkForkJoin100(b *testing.B) {
 	b.ReportAllocs()
-	_, err := Elapsed(func(p *Proc) {
+	s := NewScheduler()
+	err := s.Run(func(p *Proc) {
 		for i := 0; i < b.N; i++ {
 			p.Parallel(100, "w", func(q *Proc, j int) {
 				q.Sleep(time.Millisecond)
@@ -47,6 +55,7 @@ func BenchmarkForkJoin100(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	reportHandoffs(b, s)
 }
 
 // BenchmarkSemaphoreContention measures FIFO semaphore throughput under

@@ -26,10 +26,18 @@ func (p *Proc) Now() Time { return p.s.Now() }
 // Scheduler returns the scheduler this process runs on.
 func (p *Proc) Scheduler() *Scheduler { return p.s }
 
-// park hands control back to the scheduler and waits to be resumed. If the
-// simulation is being torn down, park unwinds the goroutine.
+// park gives up the baton and waits to be resumed: the process runs the
+// event loop itself until the next process event, and returns at once if
+// that event is its own resume. If the simulation is being torn down,
+// park unwinds the goroutine.
 func (p *Proc) park() {
-	p.s.parked <- struct{}{}
+	over, resumeSelf := p.s.dispatch(p)
+	if resumeSelf {
+		return
+	}
+	if over {
+		p.s.done <- struct{}{}
+	}
 	select {
 	case <-p.resume:
 	case <-p.abort:

@@ -4,10 +4,13 @@
 // The scheduler owns a virtual clock. User code runs inside processes
 // (Proc), which advance the clock only through blocking operations such as
 // Sleep, Latch.Wait or Semaphore.Acquire. At most one process executes at
-// any instant; control is handed between the scheduler and the running
-// process over unbuffered channels, so no other locking is required and
-// every run with the same inputs produces the same event order and the
-// same final clock reading.
+// any instant. Control is a baton: whichever goroutine holds it pops the
+// next event, runs non-blocking callbacks inline, and passes the baton to
+// the next process over that process's unbuffered resume channel (or
+// starts its goroutine). A process that parks runs the loop itself, so a
+// process whose own resume is next just keeps running, with no handoff.
+// No other locking is required, and every run with the same inputs
+// produces the same event order and the same final clock reading.
 //
 // This package is the substrate for the simulated AWS Lambda platform and
 // object store: a 100 GB analytics job "runs" in milliseconds of wall time
@@ -86,10 +89,18 @@ func (h *eventHeap) Pop() interface{} {
 // Scheduler is a discrete-event simulation kernel. The zero value is not
 // usable; construct with NewScheduler.
 type Scheduler struct {
-	now    Time
-	seq    uint64
-	queue  eventHeap
-	parked chan struct{} // handoff: running process -> scheduler
+	now   Time
+	seq   uint64
+	queue eventHeap
+	// done is sent once, by the baton holder that ends the run (queue
+	// drained, s.err set or ctx fired), to the goroutine in RunContext.
+	done chan struct{}
+	// parked acks teardown: each aborted process sends once as it unwinds.
+	parked chan struct{}
+
+	ctx        context.Context
+	dispatched int // events popped, for the ctx check cadence
+	handoffs   int // baton passes to another goroutine, for tests
 
 	live    map[*Proc]struct{} // started, not yet finished
 	blocked map[*Proc]string   // parked with no scheduled resume -> reason
@@ -101,6 +112,7 @@ type Scheduler struct {
 // NewScheduler returns a scheduler with the clock at zero.
 func NewScheduler() *Scheduler {
 	return &Scheduler{
+		done:    make(chan struct{}),
 		parked:  make(chan struct{}),
 		live:    make(map[*Proc]struct{}),
 		blocked: make(map[*Proc]string),
@@ -119,7 +131,8 @@ func (s *Scheduler) push(e *Event) *Event {
 }
 
 // At schedules fn to run inline at virtual time t (which must not be in the
-// past). fn must not block; it runs in scheduler context.
+// past). fn must not block; it runs on whichever goroutine holds the event
+// loop when t comes due (a parking or finishing process, or RunContext's).
 func (s *Scheduler) At(t Time, fn func()) *Event {
 	if t < s.now {
 		t = s.now
@@ -164,10 +177,9 @@ func (s *Scheduler) Run(root func(*Proc)) error {
 	return s.RunContext(context.Background(), root)
 }
 
-// ctxCheckEvents is how many dispatched events RunContext processes
-// between context checks: a large simulation dispatches millions of
-// events per wall-clock second, so cancellation is still observed within
-// microseconds.
+// ctxCheckEvents is how many events the loop pops between context checks:
+// a large simulation dispatches millions of events per wall-clock second,
+// so cancellation is still observed within microseconds.
 const ctxCheckEvents = 256
 
 // RunContext is Run with cancellation: the event loop checks ctx between
@@ -175,6 +187,10 @@ const ctxCheckEvents = 256
 // live process goroutine) and returns ctx.Err(). Virtual time is
 // unrelated to wall time, so a ctx deadline bounds the wall-clock cost of
 // the simulation, not the simulated clock.
+//
+// The calling goroutine only starts the loop and waits for its end: the
+// loop runs on whichever goroutine holds the baton (see dispatch), so
+// evCall callbacks run on a parking or finishing process's goroutine.
 func (s *Scheduler) RunContext(ctx context.Context, root func(*Proc)) error {
 	if s.finished {
 		return errors.New("simtime: scheduler already ran")
@@ -183,14 +199,39 @@ func (s *Scheduler) RunContext(ctx context.Context, root func(*Proc)) error {
 		s.finished = true
 		return err
 	}
+	s.ctx = ctx
 	s.spawnAt(0, "root", root)
-	dispatched := 0
-	for s.queue.Len() > 0 {
-		if dispatched++; dispatched%ctxCheckEvents == 0 {
-			if err := ctx.Err(); err != nil {
-				s.abortAll()
-				s.finished = true
-				return err
+	if over, _ := s.dispatch(nil); !over {
+		<-s.done
+	}
+	s.finished = true
+	if s.err != nil {
+		s.abortAll()
+		return s.err
+	}
+	if len(s.blocked) > 0 {
+		err := fmt.Errorf("%w: %d process(es) blocked: %s",
+			ErrDeadlock, len(s.blocked), s.blockedSummary())
+		s.abortAll()
+		return err
+	}
+	return nil
+}
+
+// dispatch runs the event loop on the calling goroutine, which holds the
+// baton, until the baton leaves it. self is the process parking on this
+// goroutine (nil for RunContext's goroutine and for a finishing process).
+// It returns resumeSelf when the next process event is self's own resume:
+// self keeps running and nothing is handed off. It returns over when the
+// run has ended (queue drained, s.err set or ctx fired): the caller must
+// then send once on s.done. Otherwise it has passed the baton to another
+// process and touched no scheduler state since.
+func (s *Scheduler) dispatch(self *Proc) (over, resumeSelf bool) {
+	for s.err == nil && s.queue.Len() > 0 {
+		if s.dispatched++; s.dispatched%ctxCheckEvents == 0 {
+			if err := s.ctx.Err(); err != nil {
+				s.err = err
+				return true, false
 			}
 		}
 		e := heap.Pop(&s.queue).(*Event)
@@ -204,25 +245,18 @@ func (s *Scheduler) RunContext(ctx context.Context, root func(*Proc)) error {
 			continue
 		case evStart:
 			s.live[e.proc] = struct{}{}
+			s.handoffs++
 			go s.runProc(e.proc)
 		case evResume:
+			if e.proc == self {
+				return false, true
+			}
+			s.handoffs++
 			e.proc.resume <- struct{}{}
 		}
-		<-s.parked
-		if s.err != nil {
-			s.abortAll()
-			s.finished = true
-			return s.err
-		}
+		return false, false
 	}
-	s.finished = true
-	if len(s.blocked) > 0 {
-		err := fmt.Errorf("%w: %d process(es) blocked: %s",
-			ErrDeadlock, len(s.blocked), s.blockedSummary())
-		s.abortAll()
-		return err
-	}
-	return nil
+	return true, false
 }
 
 func (s *Scheduler) blockedSummary() string {
@@ -241,9 +275,9 @@ func (s *Scheduler) blockedSummary() string {
 	return out
 }
 
-// abortAll unwinds every live process goroutine. Called from scheduler
-// context when tearing the simulation down; after it returns, no process
-// goroutines remain.
+// abortAll unwinds every live process goroutine. Called from RunContext's
+// goroutine once the run is over, so no process holds the baton; after it
+// returns, no process goroutines remain.
 func (s *Scheduler) abortAll() {
 	n := 0
 	for p := range s.live {
@@ -257,32 +291,45 @@ func (s *Scheduler) abortAll() {
 	s.blocked = map[*Proc]string{}
 }
 
-// runProc executes a process body in its own goroutine and manages the
-// control handoff back to the scheduler on completion or panic.
+// runProc executes a process body in its own goroutine. On completion or
+// panic the finishing process still holds the baton, so it runs the event
+// loop on until the baton leaves it, before the goroutine exits.
 func (s *Scheduler) runProc(p *Proc) {
 	defer func() {
 		r := recover()
-		aborted := false
-		if r != nil {
-			if err, ok := r.(error); ok && errors.Is(err, errAborted) {
-				aborted = true
-			} else if s.err == nil {
-				s.err = fmt.Errorf("simtime: process %q panicked: %v", p.name, r)
-			}
+		if err, ok := r.(error); ok && errors.Is(err, errAborted) {
+			s.parked <- struct{}{}
+			return
 		}
-		if !aborted {
-			// Safe to touch scheduler state: the scheduler is blocked
-			// receiving from s.parked until we signal below.
-			p.finished = true
-			delete(s.live, p)
-			for _, w := range p.joinWaiters {
-				s.wake(w)
-			}
-			p.joinWaiters = nil
+		if r != nil && s.err == nil {
+			s.err = fmt.Errorf("simtime: process %q panicked: %v", p.name, r)
 		}
-		s.parked <- struct{}{}
+		p.finished = true
+		delete(s.live, p)
+		for _, w := range p.joinWaiters {
+			s.wake(w)
+		}
+		p.joinWaiters = nil
+		s.handOn()
 	}()
 	p.body(p)
+}
+
+// handOn runs the event loop for a finished process until the baton
+// leaves its goroutine. A panicking callback ends the run with an error:
+// no process frame is left to unwind it into.
+func (s *Scheduler) handOn() {
+	defer func() {
+		if r := recover(); r != nil {
+			if s.err == nil {
+				s.err = fmt.Errorf("simtime: callback panicked: %v", r)
+			}
+			s.done <- struct{}{}
+		}
+	}()
+	if over, _ := s.dispatch(nil); over {
+		s.done <- struct{}{}
+	}
 }
 
 // Elapsed runs a single-process simulation and reports the virtual time
