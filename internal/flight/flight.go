@@ -151,10 +151,14 @@ const DefaultCapacity = 1 << 16
 // under the simulator's cooperative scheduling at most one process runs at
 // a time, but the race detector sees the handoffs, so access is locked.
 type Recorder struct {
-	mu      sync.Mutex
-	cap     int
-	buf     []Event
-	head    int // index of the oldest event once the ring wrapped
+	mu   sync.Mutex
+	cap  int
+	buf  []Event
+	head int // index of the oldest event once the ring wrapped
+	// shared is set while EventsSince has handed out a view of buf: the
+	// first wrap then moves the ring to a fresh array, so a view is never
+	// written again.
+	shared  bool
 	seq     int64
 	invSeq  int64
 	dropped int64
@@ -191,9 +195,32 @@ func (r *Recorder) emitLocked(ev Event) {
 		r.buf = append(r.buf, ev)
 		return
 	}
+	if r.shared {
+		r.buf = append([]Event(nil), r.buf...)
+		r.shared = false
+	}
 	r.buf[r.head] = ev
 	r.head = (r.head + 1) % r.cap
 	r.dropped++
+}
+
+// Reserve makes room for n more events in one allocation, so a run whose
+// event count the caller can bound records without growing the ring by
+// append. It never sizes the ring past its capacity; events beyond n
+// still record, growing the ring as usual.
+func (r *Recorder) Reserve(n int) {
+	if r == nil {
+		return
+	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	want := min(len(r.buf)+n, r.cap)
+	if want <= cap(r.buf) {
+		return
+	}
+	buf := make([]Event, len(r.buf), want)
+	copy(buf, r.buf)
+	r.buf, r.shared = buf, false
 }
 
 // NextInvocation allocates the next invocation identity (1-based,
@@ -331,7 +358,9 @@ func (r *Recorder) sinceLocked(after int64) (older, newer []Event) {
 }
 
 // EventsSince returns the retained events with Seq > after, in emission
-// order.
+// order. Until the ring first wraps the result is a view of the recording
+// rather than a copy: the recorder never writes it again, and the caller
+// must not write it either.
 func (r *Recorder) EventsSince(after int64) []Event {
 	if r == nil {
 		return nil
@@ -341,6 +370,10 @@ func (r *Recorder) EventsSince(after int64) []Event {
 	older, newer := r.sinceLocked(after)
 	if len(older)+len(newer) == 0 {
 		return nil
+	}
+	if r.dropped == 0 {
+		r.shared = true
+		return older[:len(older):len(older)]
 	}
 	out := make([]Event, 0, len(older)+len(newer))
 	return append(append(out, older...), newer...)

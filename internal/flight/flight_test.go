@@ -70,6 +70,55 @@ func TestEventsSince(t *testing.T) {
 	}
 }
 
+// TestEventsSinceViewIsNeverWritten: before the ring wraps EventsSince
+// hands out a view of the recording, not a copy. Later emits, including
+// the wrap that overwrites the view's slots, change neither the view nor
+// what the caller appended to it, and the append changes no recorded event.
+func TestEventsSinceViewIsNeverWritten(t *testing.T) {
+	r := NewWithCapacity(8)
+	r.Reserve(8) // one array for the ring's whole life: the wrap reuses it
+	for i := 0; i < 3; i++ {
+		r.Emit(Event{Kind: KindCompute})
+	}
+	view := r.EventsSince(1)
+	grown := append(view, Event{Kind: KindPhase})
+	for i := 0; i < 10; i++ {
+		r.Emit(Event{Kind: KindCompute})
+	}
+	if len(view) != 2 || view[0].Seq != 2 || view[1].Seq != 3 {
+		t.Fatalf("view changed under later emits: %+v", view)
+	}
+	if grown[2].Kind != KindPhase {
+		t.Fatalf("an event appended to the view was overwritten by %s", grown[2].Kind)
+	}
+	for i, ev := range r.Events() {
+		if want := int64(6 + i); ev.Seq != want || ev.Kind != KindCompute {
+			t.Fatalf("event %d = seq %d %s, want seq %d compute", i, ev.Seq, ev.Kind, want)
+		}
+	}
+}
+
+// TestReserveSizesTheRingOnce: after Reserve(n), n emits never grow the
+// ring, and Reserve never sizes it past its capacity.
+func TestReserveSizesTheRingOnce(t *testing.T) {
+	r := NewWithCapacity(64)
+	r.Emit(Event{Kind: KindCompute})
+	r.Reserve(20)
+	before := cap(r.buf)
+	for i := 0; i < 20; i++ {
+		r.Emit(Event{Kind: KindCompute})
+	}
+	if before != 21 || cap(r.buf) != before {
+		t.Fatalf("ring capacity %d after Reserve, %d after 20 emits, want 21 both", before, cap(r.buf))
+	}
+	r.Reserve(1000)
+	if cap(r.buf) != 64 {
+		t.Fatalf("Reserve(1000) sized the ring to %d, want its capacity 64", cap(r.buf))
+	}
+	var nilRec *Recorder
+	nilRec.Reserve(10)
+}
+
 // TestSinceOnAWrappedRing: for every cut point — below the retained
 // window, inside either run of the ring, at and past the newest event —
 // EventsSince and VisitSince hand back exactly the retained events with

@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"time"
@@ -189,7 +188,9 @@ type Report struct {
 	// invariant).
 	Records []lambda.Record
 	// Events is the flight recorder's event stream for this run (nil when
-	// no Recorder was attached to the JobSpec).
+	// no Recorder was attached to the JobSpec). It may be a view of the
+	// recorder's ring (see flight.Recorder.EventsSince): read it, never
+	// write it.
 	Events []flight.Event
 	// Predicted, when set, is the model's per-term stage breakdown for
 	// Config — the astra layer attaches it to recorded runs so Audit can
@@ -220,13 +221,6 @@ type Driver struct {
 
 // NewDriver creates a driver for the platform.
 func NewDriver(pl *lambda.Platform) *Driver { return &Driver{pl: pl} }
-
-// taskPayload is a mapper's or reducer's input: the objects to read and
-// the key its one output object is written under.
-type taskPayload struct {
-	Keys []string `json:"keys"`
-	Out  string   `json:"out"`
-}
 
 type span struct{ start, end simtime.Time }
 
@@ -328,6 +322,7 @@ func (d *Driver) Run(p *simtime.Proc, spec JobSpec, cfg Config) (*Report, error)
 	chaos0 := d.pl.ChaosCounters()
 	storeInj0 := store.InjectedFaults()
 	evBase := spec.Recorder.Seq()
+	spec.Recorder.Reserve(runEvents(orch, spec.Orchestrator))
 	recBase := len(d.pl.Records())
 	bill0 := store.Bill()
 	store0 := store.Metrics()
@@ -341,11 +336,8 @@ func (d *Driver) Run(p *simtime.Proc, spec JobSpec, cfg Config) (*Report, error)
 	// --- Mapping phase: mappers dispatched in a loop (each dispatch
 	// costs the invoke-API latency), then awaited together. ---
 	rn := procRunner{d, p}
-	maps, err := launch(rn, run, mapperFn, "mapreduce: mapper", orch.MapperLoads, spec.InputKeys,
+	maps := launch(rn, run, mapperFn, "mapreduce: mapper", orch.MapperLoads, spec.InputKeys,
 		"map-%d", "map/part-%05d")
-	if err != nil {
-		return nil, err
-	}
 	if err := await(rn, run, maps, run.policy.mapTask()); err != nil {
 		return nil, err
 	}
@@ -528,6 +520,26 @@ func (d *Driver) Run(p *simtime.Proc, spec JobSpec, cfg Config) (*Report, error)
 	return rep, nil
 }
 
+// runEvents bounds the flight events a fault-free run of o records: at
+// most six lifecycle events per invocation (scheduled, queued, cold
+// start, running, compute, done), a GET per task input, a PUT per task,
+// and a phase marker per phase; under the coordinator also its state
+// PUTs and its waits on the reducers of every step but the last.
+func runEvents(o Orchestration, orch Orchestrator) int {
+	tasks := o.Mappers() + o.Reducers()
+	n := 7*tasks + o.MapperLoads.Objects() + 2 + o.NumSteps()
+	for p := 0; p < o.NumSteps(); p++ {
+		n += o.Step(p).Objects()
+	}
+	if orch == CoordinatorLambda {
+		n += 7 + o.NumSteps()
+		for p := 0; p < o.NumSteps()-1; p++ {
+			n += o.Step(p).Count()
+		}
+	}
+	return n
+}
+
 // wave is one dispatched set of tasks of one function: the mapping phase
 // or one reducing step. Task i reads inKeys[i] and writes outKeys[i]
 // (through attempt keys under a speculation policy).
@@ -548,7 +560,7 @@ type wave struct {
 // launch dispatches one fn task per worker of split, in order: task i
 // reads the next split.Load(i) keys of in, and label and outKey are the
 // printf formats of its label and output key, applied to i.
-func launch(rn runner, run *jobRun, fn, noun string, split Split, in []string, label, outKey string) (*wave, error) {
+func launch(rn runner, run *jobRun, fn, noun string, split Split, in []string, label, outKey string) *wave {
 	n := split.Count()
 	w := &wave{fn: fn, noun: noun, start: rn.now(), labels: make([]string, n),
 		inKeys: make([][]string, n), outKeys: make([]string, n),
@@ -564,14 +576,10 @@ func launch(rn runner, run *jobRun, fn, noun string, split Split, in []string, l
 		if run.policy != nil {
 			out = attemptKey(out, 0)
 		}
-		body, err := json.Marshal(taskPayload{Keys: w.inKeys[i], Out: out})
-		if err != nil {
-			return nil, err
-		}
-		w.bodies[i] = body
-		w.invs[i] = rn.invoke(fn, w.labels[i], body)
+		w.bodies[i] = taskPayload{Keys: w.inKeys[i], Out: out}.encode()
+		w.invs[i] = rn.invoke(fn, w.labels[i], w.bodies[i])
 	}
-	return w, nil
+	return w
 }
 
 // await resolves w's tasks in order. Under a speculation policy each task
@@ -621,11 +629,8 @@ func (d *Driver) reduceViaStepFunctions(p *simtime.Proc, run *jobRun, reducerFn 
 	for pi := 0; pi < run.orch.NumSteps(); pi++ {
 		p.Sleep(sf.TransitionLatency)
 		orchTime += sf.TransitionLatency
-		w, err := launch(rn, run, reducerFn, fmt.Sprintf("mapreduce: step %d reducer", pi),
+		w := launch(rn, run, reducerFn, fmt.Sprintf("mapreduce: step %d reducer", pi),
 			run.orch.Step(pi), prevKeys, fmt.Sprintf("red-%d-%%d", pi), fmt.Sprintf("red/%02d/part-%%05d", pi))
-		if err != nil {
-			return 0, 0, err
-		}
 		if err := await(rn, run, w, run.policy.stepTask(pi)); err != nil {
 			return 0, 0, err
 		}
@@ -646,8 +651,8 @@ func taskHandler(run *jobRun, bucket string, reduce bool) lambda.Handler {
 		ratio = pf.ReduceOutputRatio
 	}
 	return func(ctx *lambda.Ctx) ([]byte, error) {
-		var pay taskPayload
-		if err := json.Unmarshal(ctx.Payload(), &pay); err != nil {
+		pay, err := decodeTaskPayload(ctx.Payload())
+		if err != nil {
 			return nil, err
 		}
 		var totalIn int64
@@ -697,11 +702,8 @@ func coordHandler(run *jobRun, reducerFn string) lambda.Handler {
 			if last {
 				noun = "mapreduce: final-step reducer"
 			}
-			w, err := launch(rn, run, reducerFn, noun, run.orch.Step(pi), prevKeys,
+			w := launch(rn, run, reducerFn, noun, run.orch.Step(pi), prevKeys,
 				fmt.Sprintf("red-%d-%%d", pi), fmt.Sprintf("red/%02d/part-%%05d", pi))
-			if err != nil {
-				return nil, err
-			}
 			if last {
 				run.final = w
 				break

@@ -2,6 +2,7 @@ package mapreduce
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
@@ -103,6 +104,53 @@ func FuzzQueryMapNeverPanics(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if _, err := (QueryApp{}).Map([][]byte{data}); err != nil {
 			t.Fatalf("query map errored on junk: %v", err)
+		}
+	})
+}
+
+// FuzzTaskPayload: encoding then decoding a task payload is the identity
+// for any output key and key list, and decoding never panics. keyBlob
+// spells the key list as length-byte-prefixed keys (a zero byte is an
+// empty key, an empty blob an empty list); every cut of an encoding that
+// falls inside a field must fail to decode, and garbage either fails or
+// decodes to a payload that round-trips. The seeds under
+// testdata/fuzz/FuzzTaskPayload cover empty keys, an empty key list,
+// newlines, quotes and non-UTF-8 bytes.
+func FuzzTaskPayload(f *testing.F) {
+	f.Add("map/part-00000", []byte("\x03a/b\x03c/d"), []byte{})
+	f.Fuzz(func(t *testing.T, out string, keyBlob, garbage []byte) {
+		var keys []string
+		for len(keyBlob) > 0 {
+			n := min(int(keyBlob[0]), len(keyBlob)-1)
+			keys = append(keys, string(keyBlob[1:1+n]))
+			keyBlob = keyBlob[1+n:]
+		}
+		enc := taskPayload{Keys: keys, Out: out}.encode()
+		got, err := decodeTaskPayload(enc)
+		if err != nil {
+			t.Fatalf("decode(encode(%q, %q)): %v", out, keys, err)
+		}
+		if got.Out != out || !slices.Equal(got.Keys, keys) {
+			t.Fatalf("round trip: got (%q, %q), want (%q, %q)", got.Out, got.Keys, out, keys)
+		}
+
+		boundary := map[int]bool{}
+		for i := 0; i <= len(keys); i++ {
+			boundary[len(taskPayload{Keys: keys[:i], Out: out}.encode())] = true
+		}
+		for cut := 0; cut < len(enc); cut++ {
+			if _, err := decodeTaskPayload(enc[:cut]); err == nil && !boundary[cut] {
+				t.Fatalf("decode of %d of %d bytes of (%q, %q) succeeded", cut, len(enc), out, keys)
+			}
+		}
+
+		g, err := decodeTaskPayload(garbage)
+		if err != nil {
+			return
+		}
+		again, err := decodeTaskPayload(g.encode())
+		if err != nil || again.Out != g.Out || !slices.Equal(again.Keys, g.Keys) {
+			t.Fatalf("garbage %q decoded to (%q, %q), which does not round-trip", garbage, g.Out, g.Keys)
 		}
 	})
 }

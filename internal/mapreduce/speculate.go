@@ -1,7 +1,6 @@
 package mapreduce
 
 import (
-	"encoding/json"
 	"fmt"
 	"time"
 
@@ -232,13 +231,9 @@ func awaitSpeculative(rn runner, run *jobRun, w *wave, i int, pred time.Duration
 	retries := 0
 	deadline := pol.deadlineFor(w.start, pred)
 
-	relaunch := func(backup bool) error {
+	relaunch := func(backup bool) {
 		key := attemptKey(finalKey, next)
-		body, err := json.Marshal(taskPayload{Keys: w.inKeys[i], Out: key})
-		if err != nil {
-			return err
-		}
-		iv := rn.invoke(fn, label, body)
+		iv := rn.invoke(fn, label, taskPayload{Keys: w.inKeys[i], Out: key}.encode())
 		active = append(active, iv)
 		keys = append(keys, key)
 		isBackup = append(isBackup, backup)
@@ -255,7 +250,6 @@ func awaitSpeculative(rn runner, run *jobRun, w *wave, i int, pred time.Duration
 					Function: fn, Label: label, Name: key})
 			}
 		}
-		return nil
 	}
 
 	var lastErr error
@@ -267,9 +261,7 @@ func awaitSpeculative(rn runner, run *jobRun, w *wave, i int, pred time.Duration
 			}
 			retries++
 			run.taskRetries++
-			if err := relaunch(false); err != nil {
-				return err
-			}
+			relaunch(false)
 		}
 		// Bound the wait by the backup-launch deadline while speculation
 		// budget remains; otherwise wait for the next completion.
@@ -278,9 +270,7 @@ func awaitSpeculative(rn runner, run *jobRun, w *wave, i int, pred time.Duration
 			if rem := deadline - rn.now(); rem > 0 {
 				timeout = rem
 			} else {
-				if err := relaunch(true); err != nil {
-					return err
-				}
+				relaunch(true)
 				continue
 			}
 		}
@@ -288,9 +278,7 @@ func awaitSpeculative(rn runner, run *jobRun, w *wave, i int, pred time.Duration
 		if idx < 0 {
 			// Deadline reached with every attempt still running: the task
 			// is straggling — duplicate it.
-			if err := relaunch(true); err != nil {
-				return err
-			}
+			relaunch(true)
 			continue
 		}
 		if _, err := rn.wait(active[idx]); err != nil {
