@@ -37,9 +37,11 @@ import (
 // can map the whole class to one status code with errors.Is.
 var ErrInvalid = errors.New("api: invalid request")
 
-// maxRequestBytes bounds a decoded request body; a planning request is
-// a few hundred bytes, so anything near the cap is abuse, not load.
-const maxRequestBytes = 1 << 20
+// MaxRequestBytes bounds a request body. A planning request is a few
+// hundred bytes, so the cap is a full batch (maxBatchRequests of them)
+// at 1 KiB each; a body past it is abuse, not load, and the server
+// answers it 413.
+const MaxRequestBytes = maxBatchRequests << 10
 
 // PlanRequest asks for one optimal configuration.
 type PlanRequest struct {
@@ -193,11 +195,13 @@ func (r *PlanRequest) Fingerprint() string {
 
 // decodeStrict decodes one JSON document, rejecting unknown fields (so a
 // typo'd option is a 400, not a silent default) and trailing garbage.
+// The reader bounds the body (the server's is an http.MaxBytesReader of
+// MaxRequestBytes); its error stays in the chain for ErrorCode to read.
 func decodeStrict(rd io.Reader, v any) error {
-	dec := json.NewDecoder(io.LimitReader(rd, maxRequestBytes))
+	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
-		return fmt.Errorf("%w: %v", ErrInvalid, err)
+		return fmt.Errorf("%w: %w", ErrInvalid, err)
 	}
 	if dec.More() {
 		return fmt.Errorf("%w: trailing data after request body", ErrInvalid)
@@ -216,7 +220,7 @@ func DecodePlanRequest(rd io.Reader) (*PlanRequest, error) {
 
 // maxBatchRequests bounds the plans one batch body may ask for: the batch
 // is admitted as one request, so without a cap one admission ticket
-// could carry the ~10k cold plans a maxRequestBytes body holds.
+// could carry the ~1k cold plans a MaxRequestBytes body holds.
 const maxBatchRequests = 256
 
 // PlanBatchRequest plans many jobs in one call; results are
@@ -446,11 +450,15 @@ type ErrorResponse struct {
 	RetryAfterMS int64 `json:"retry_after_ms,omitempty"`
 }
 
-// ErrorCode maps a service error onto the taxonomy: 400 for requests
-// that are malformed or carry an invalid objective, 422 for objectives
-// no configuration satisfies, 500 otherwise.
+// ErrorCode maps a service error onto the taxonomy: 413 for a body past
+// MaxRequestBytes, 400 for requests that are malformed or carry an
+// invalid objective, 422 for objectives no configuration satisfies, 500
+// otherwise.
 func ErrorCode(err error) int {
+	var tooLarge *http.MaxBytesError
 	switch {
+	case errors.As(err, &tooLarge):
+		return http.StatusRequestEntityTooLarge
 	case errors.Is(err, ErrInvalid), errors.Is(err, optimizer.ErrInvalidObjective):
 		return http.StatusBadRequest
 	case errors.Is(err, optimizer.ErrNoFeasiblePlan):

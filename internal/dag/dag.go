@@ -50,6 +50,14 @@
 // already is its CSR and freezing it copies nothing. Ascending ids are
 // also a topological order, which is what lets the graph solve the DAG
 // with one sweep instead of a priority queue.
+//
+// A built DAG is a template every plan and frontier sweep on its shape
+// shares, and it memoizes what those searches learn about its frozen
+// graph: the to-go bounds toward the destination (ToGoBounds), and every
+// constrained optimum a search through ConstrainedPath certified as the
+// unique answer on a budget interval. The constrained optimum is a step
+// function of the budget, so once a shape's hot budgets have been
+// searched, a repeat plan answers them without a search.
 package dag
 
 import (
@@ -144,6 +152,10 @@ type DAG struct {
 	// call and shared by every later one (see ToGoBounds).
 	boundsOnce sync.Once
 	bounds     *graph.Bounds
+
+	// The constrained optima searches on G have certified, each with the
+	// budget interval it holds on (see ConstrainedPath).
+	optima optima
 }
 
 // layout is what assembly and Decode share: the tier list, the fan-in

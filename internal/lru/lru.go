@@ -14,6 +14,7 @@ package lru
 import (
 	"container/list"
 	"context"
+	"errors"
 	"sync"
 	"time"
 )
@@ -163,20 +164,36 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, fill func(context.Context) 
 		c.stats.Fills++
 		c.mu.Unlock()
 
-		e.val, e.err = fill(ctx)
+		res.Evicted = c.fill(ctx, e, fill)
+		return e.val, res, e.err
+	}
+}
+
+// errFillPanicked is what the waiters of a fill that panicked see: like
+// any failed fill, it sends them round to retry.
+var errFillPanicked = errors.New("lru: fill panicked")
+
+// fill runs fill for the in-flight entry e and settles it: published on
+// success, dropped on failure, its waiters released either way. A fill
+// that panics settles as a failure before the panic goes on up, so the
+// key is not left in flight for every later caller to wait on.
+func (c *Cache[K, V]) fill(ctx context.Context, e *entry[K, V], fill func(context.Context) (V, error)) (evicted int) {
+	defer func() {
 		c.mu.Lock()
 		// A Put may have taken the key over meanwhile; it stays.
-		if c.items[key] == e {
+		if c.items[e.key] == e {
 			if e.err != nil {
-				delete(c.items, key)
+				delete(c.items, e.key)
 			} else {
-				res.Evicted = c.publishLocked(e)
+				evicted = c.publishLocked(e)
 			}
 		}
 		c.mu.Unlock()
 		close(e.done)
-		return e.val, res, e.err
-	}
+	}()
+	e.err = errFillPanicked // what the settle sees if fill never returns
+	e.val, e.err = fill(ctx)
+	return 0 // the settle sets evicted
 }
 
 // lookupLocked resolves key to its resident entry (a hit, moved to the

@@ -201,6 +201,44 @@ func TestFailedFillPromotesAWaiter(t *testing.T) {
 	}
 }
 
+// TestPanickedFillPromotesAWaiter: a fill that panics passes the panic
+// to its own caller and settles like a failed one, so a caller waiting
+// on it refills the key instead of waiting on it for good.
+func TestPanickedFillPromotesAWaiter(t *testing.T) {
+	c := New[string, string](4, 0, nil)
+	release := make(chan struct{})
+	panicked := make(chan any)
+	go func() {
+		defer func() { panicked <- recover() }()
+		c.Do(context.Background(), "k", func(context.Context) (string, error) {
+			<-release
+			panic("boom")
+		}, nil)
+	}()
+	for c.Stats().Fills < 1 {
+		time.Sleep(time.Millisecond)
+	}
+	got := make(chan string)
+	go func() {
+		v, _, err := c.Do(context.Background(), "k", value("ok"), nil)
+		if err != nil {
+			t.Errorf("waiter inherited %v", err)
+		}
+		got <- v
+	}()
+	waitFor(c, 1)
+	close(release)
+	if p := <-panicked; p != "boom" {
+		t.Fatalf("the filler recovered %v, want its own panic", p)
+	}
+	if v := <-got; v != "ok" {
+		t.Fatalf("waiter got %q", v)
+	}
+	if st := c.Stats(); st.Fills != 2 || st.Entries != 1 {
+		t.Fatalf("stats = %+v, want 2 fills / 1 entry", st)
+	}
+}
+
 // TestHammer mixes Get, Put and Do over a small keyspace with the TTL on
 // and the clock moving; under -race it is the memory-safety gate, and
 // the bound and the value-belongs-to-key invariant must hold throughout.

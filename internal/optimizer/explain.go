@@ -48,6 +48,9 @@ type SearchStats struct {
 	Alg1Rounds       int64
 	Alg1EdgesDropped int64
 	CSPLabelsPopped  int64
+	// CSPMemoHits counts constrained searches answered from the
+	// template's certified optima without popping a label.
+	CSPMemoHits int64
 
 	// Search-memory recycling: pooled scratch reuses (vs fresh
 	// allocations) and constrained-search labels drawn from the arena.
@@ -71,6 +74,7 @@ func (st *SearchStats) fillCounters(booked func(name string) int64) {
 	st.Alg1Rounds = booked(telemetry.MAlg1Rounds)
 	st.Alg1EdgesDropped = booked(telemetry.MAlg1EdgesRemoved)
 	st.CSPLabelsPopped = booked(telemetry.MCSPLabelsPopped)
+	st.CSPMemoHits = booked(telemetry.MCSPMemoHits)
 	st.ScratchReuse = booked(telemetry.MSearchScratchReuse)
 	st.CSPLabelsAllocated = booked(telemetry.MCSPLabelsAllocated)
 	st.PoolBatches = booked(telemetry.MPoolBatches)
@@ -130,6 +134,9 @@ func (p Plan) Explain() string {
 	}
 	if st.CSPLabelsPopped > 0 {
 		line("  csp:                %d label(s) popped, %d allocated from arena", st.CSPLabelsPopped, st.CSPLabelsAllocated)
+	}
+	if st.CSPMemoHits > 0 {
+		line("  csp memo:           %d search(es) answered by a certified optimum", st.CSPMemoHits)
 	}
 	line("  scratch reuse:      %d pooled search buffer(s) recycled", st.ScratchReuse)
 	line("  pool:               %d batch(es), %d task(s), peak %d worker(s)",

@@ -143,7 +143,10 @@ const deadlineSlack = 1e-9
 // probe algebra over completed searches skips whole deadlines whose
 // optimum is already determined (monotonicity of the constrained
 // optimum in the deadline). Skips surface as Stats.Pruned and
-// astra_frontier_pruned_total.
+// astra_frontier_pruned_total. The searches that remain run on the
+// template itself, not through its certified optima
+// (dag.DAG.ConstrainedPath), which only plans use; DESIGN.md §12 says
+// why.
 //
 // Every phase fans its searches and evaluations over the spec's worker
 // pool in fixed slot order, so the frontier — and every observer

@@ -17,6 +17,7 @@ const (
 	MCSPLabelsPopped     = "astra_csp_labels_popped_total"
 	MCSPLabelsAllocated  = "astra_csp_labels_allocated_total"
 	MCSPBoundPrunes      = "astra_csp_bound_prunes_total"
+	MCSPMemoHits         = "astra_csp_memo_hits_total"
 	MFrontierPhases      = "astra_frontier_phases_total"
 	MFrontierSearches    = "astra_frontier_searches_total"
 	MFrontierPruned      = "astra_frontier_pruned_total"
@@ -153,4 +154,7 @@ const (
 	MServerRespCacheExpired   = "astra_server_respcache_expired_total"
 	MServerRespCacheEvictions = "astra_server_respcache_evictions_total"
 	MServerRespCacheEntries   = "astra_server_respcache_entries"
+	// MServerPanics counts /v1 handlers that panicked and were answered
+	// 500 instead of dropping the connection.
+	MServerPanics = "astra_server_panics_total"
 )

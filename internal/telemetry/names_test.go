@@ -54,12 +54,14 @@ func TestChaosAndSpeculationNamesRoundTrip(t *testing.T) {
 	}
 }
 
-// TestFrontierAndBoundNamesRoundTrip: the frontier sweep's counters and
-// the bounded search's prune counter must be valid astra_*_total series
-// that survive the Prometheus round-trip.
+// TestFrontierAndBoundNamesRoundTrip: the frontier sweep's counters, the
+// bounded search's prune and memo-hit counters and the server's panic
+// counter must be valid astra_*_total series that survive the Prometheus
+// round-trip.
 func TestFrontierAndBoundNamesRoundTrip(t *testing.T) {
 	names := []string{
 		MFrontierPhases, MFrontierSearches, MFrontierPruned, MCSPBoundPrunes,
+		MCSPMemoHits, MServerPanics,
 	}
 	reg := New()
 	for i, n := range names {
