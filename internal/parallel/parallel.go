@@ -5,6 +5,10 @@
 // between work items so a cancelled search returns promptly without
 // leaking goroutines.
 //
+// A panic in a work item on a worker goroutine is raised again on the
+// caller's goroutine, after every worker has stopped, so a caller's
+// recover sees it as it would a panic in a serial loop.
+//
 // When the context carries a telemetry registry, each ForEach batch
 // reports its size, worker count and peak in-flight workers; with no
 // registry attached the pool is byte-for-byte the uninstrumented loop.
@@ -12,7 +16,9 @@ package parallel
 
 import (
 	"context"
+	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 
@@ -28,13 +34,27 @@ func Workers(n int) int {
 	return n
 }
 
+// WorkerPanic is what ForEach panics with on its caller's goroutine when
+// fn panicked on a worker goroutine: the value fn panicked with, and the
+// worker's stack, which the caller's own stack no longer shows.
+type WorkerPanic struct {
+	Value any
+	Stack []byte
+}
+
+func (p *WorkerPanic) Error() string {
+	return fmt.Sprintf("%v (on a parallel worker)\n\n%s", p.Value, p.Stack)
+}
+
 // ForEach runs fn(i) for every i in [0, n), distributing indices over at
 // most workers goroutines (resolved via Workers). fn must write its result
 // into a caller-owned slot for index i; it must not touch other indices'
 // state. ForEach blocks until every started invocation has returned, so no
 // goroutines outlive the call, and returns ctx.Err() if the context was
 // cancelled before all indices were claimed (already-claimed items still
-// finish).
+// finish). If fn panics, no further index is claimed and ForEach panics
+// on the caller's goroutine: with fn's own value on the serial path, with
+// a *WorkerPanic holding the first one otherwise.
 func ForEach(ctx context.Context, n, workers int, fn func(i int)) error {
 	return ForEachWith(ctx, n, workers, func() struct{} { return struct{}{} },
 		func(_ struct{}, i int) { fn(i) })
@@ -88,12 +108,19 @@ func ForEachWith[S any](ctx context.Context, n, workers int, newState func() S, 
 	busyPeak := telemetry.FromContext(ctx).Gauge(telemetry.MPoolBusyWorkersPeak)
 	var busy atomic.Int64
 	var next int64
+	var panicked atomic.Pointer[WorkerPanic]
 	var wg sync.WaitGroup
 	done := ctx.Done()
 	wg.Add(workers)
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
+			defer func() {
+				if p := recover(); p != nil {
+					panicked.CompareAndSwap(nil, &WorkerPanic{Value: p, Stack: debug.Stack()})
+					atomic.StoreInt64(&next, int64(n)) // claim nothing more
+				}
+			}()
 			s := newState()
 			for {
 				select {
@@ -116,5 +143,8 @@ func ForEachWith[S any](ctx context.Context, n, workers int, newState func() S, 
 		}()
 	}
 	wg.Wait()
+	if p := panicked.Load(); p != nil {
+		panic(p)
+	}
 	return ctx.Err()
 }

@@ -3,6 +3,7 @@ package parallel
 import (
 	"context"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -121,5 +122,40 @@ func TestForEachNoGoroutineLeak(t *testing.T) {
 	}
 	if after := runtime.NumGoroutine(); after > before {
 		t.Fatalf("goroutines: %d before, %d after", before, after)
+	}
+}
+
+// TestForEachPanicReachesCaller: a work item's panic on a worker
+// goroutine is raised again on the caller's, as a *WorkerPanic holding
+// the value and the worker's stack, after every worker has stopped; on
+// the serial path it is fn's own panic.
+func TestForEachPanicReachesCaller(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, workers := range []int{1, 4} {
+		var running atomic.Int64
+		got := func() (p any) {
+			defer func() { p = recover() }()
+			ForEach(context.Background(), 64, workers, func(i int) {
+				running.Add(1)
+				defer running.Add(-1)
+				if i == 5 {
+					panic("item 5")
+				}
+			})
+			return nil
+		}()
+		if workers == 1 {
+			if got != "item 5" {
+				t.Fatalf("serial: recovered %v, want fn's own panic", got)
+			}
+			continue
+		}
+		wp, ok := got.(*WorkerPanic)
+		if !ok || wp.Value != "item 5" || !strings.Contains(string(wp.Stack), "TestForEachPanicReachesCaller") {
+			t.Fatalf("workers=%d: recovered %#v, want a *WorkerPanic of item 5 with the worker's stack", workers, got)
+		}
+		if n := running.Load(); n != 0 {
+			t.Fatalf("workers=%d: %d items still running when the panic reached the caller", workers, n)
+		}
 	}
 }
