@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify bench bench-build bench-all race vet fmt-check procs books examples serve
+.PHONY: build test verify bench bench-build race vet fmt-check procs books examples serve
 
 build:
 	$(GO) build ./...
@@ -70,10 +70,6 @@ verify: vet fmt-check bench-build race procs books examples
 # results.json, and refuses cross-nproc comparisons.
 bench:
 	bash benchmark/run.sh
-
-# Kernel-level `go test -bench` sweep of the planning engine.
-bench-all:
-	$(GO) test -run xxx -bench 'PlanSort100GB|FrontierSort100GB|PlanQuery202' -benchmem .
 
 # The planning service: HTTP/JSON control plane on :8080 with per-tenant
 # admission (30 req/s sustained, burst 10) and the observability plane

@@ -14,10 +14,10 @@ import (
 	"os"
 	"time"
 
+	"astra/internal/api"
 	"astra/internal/mapreduce"
 	"astra/internal/model"
 	"astra/internal/obs"
-	"astra/internal/workload"
 )
 
 func main() {
@@ -114,18 +114,14 @@ func run(args []string, out io.Writer) error {
 		}()
 		fmt.Fprintf(os.Stderr, "astra-explore: observability at http://%s\n", srv.Addr())
 	}
-	pf, err := workload.ByName(o.workload)
+	// The job resolves as the planning service resolves a request's job.
+	job, err := (&api.FrontierRequest{
+		Workload:   o.workload,
+		NumObjects: o.objects,
+		TotalBytes: int64(o.sizeGB * float64(int64(1)<<30)),
+	}).Resolve()
 	if err != nil {
 		return err
-	}
-	if o.sizeGB <= 0 || o.objects <= 0 {
-		return fmt.Errorf("size and object count must be positive")
-	}
-	totalBytes := int64(o.sizeGB * float64(int64(1)<<30))
-	job := workload.Job{
-		Profile:    pf,
-		NumObjects: o.objects,
-		ObjectSize: totalBytes / int64(o.objects),
 	}
 	params := model.DefaultParams(job)
 	vals, err := sweepValues(o, params)

@@ -35,8 +35,6 @@ import (
 	"astra/internal/model"
 	"astra/internal/obs"
 	"astra/internal/optimizer"
-	"astra/internal/pricing"
-	"astra/internal/spec"
 	"astra/internal/trace"
 	"astra/internal/workload"
 )
@@ -51,13 +49,9 @@ func main() {
 }
 
 type options struct {
-	workload   string
-	sizeGB     float64
-	objects    int
-	objective  string
-	budget     float64
-	deadline   time.Duration
-	solver     string
+	// job is what the job flags describe, or the -spec file when one is
+	// given.
+	job        jobSpec
 	specPath   string
 	traceOut   string
 	metricsOut string
@@ -66,7 +60,6 @@ type options struct {
 	seed       int64
 	seedSet    bool
 	speculate  float64
-	retries    int
 	retriesSet bool
 	explain    bool
 	doRun      bool
@@ -93,18 +86,18 @@ type options struct {
 func parseFlags(args []string) (*options, error) {
 	fs := flag.NewFlagSet("astra", flag.ContinueOnError)
 	o := &options{}
-	fs.StringVar(&o.workload, "workload", "wordcount",
+	fs.StringVar(&o.job.Workload, "workload", "wordcount",
 		"workload profile: wordcount, sort, query, grep, spark-wordcount, spark-sql")
-	fs.Float64Var(&o.sizeGB, "size-gb", 1.0, "total input size in GB")
-	fs.IntVar(&o.objects, "objects", 20, "number of input objects")
-	fs.StringVar(&o.objective, "objective", "time",
+	fs.Float64Var(&o.job.SizeGB, "size-gb", 1.0, "total input size in GB")
+	fs.IntVar(&o.job.Objects, "objects", 20, "number of input objects")
+	fs.StringVar(&o.job.Objective, "objective", "time",
 		"optimization goal: time (minimize JCT under -budget) or cost (minimize cost under -deadline)")
-	fs.Float64Var(&o.budget, "budget", 0, "budget in USD for -objective time (0 = unconstrained)")
-	fs.DurationVar(&o.deadline, "deadline", 0, "QoS completion-time threshold for -objective cost (0 = unconstrained)")
-	fs.StringVar(&o.solver, "solver", "auto",
+	fs.Float64Var(&o.job.BudgetUSD, "budget", 0, "budget in USD for -objective time (0 = unconstrained)")
+	fs.StringVar(&o.job.Deadline, "deadline", "", "QoS completion-time threshold for -objective cost, a Go `duration` (0 = unconstrained)")
+	fs.StringVar(&o.job.Solver, "solver", "auto",
 		"solver: auto (exact label-setting; csp is another name for it) or algorithm1 (the paper's heuristic); brute force is Go API only")
 	fs.StringVar(&o.specPath, "spec", "",
-		"path to a JSON job spec (overrides workload/size/objective flags)")
+		"path to a JSON job spec, which replaces -workload, -size-gb, -objects, -objective, -budget, -deadline and -solver (an explicit -retries overrides its task_retries)")
 	fs.BoolVar(&o.doRun, "run", false, "execute the plan on the simulated platform")
 	fs.BoolVar(&o.baselines, "baselines", false, "also execute the paper's three baselines")
 	fs.BoolVar(&o.timeline, "timeline", false, "print the execution timeline (implies -run)")
@@ -126,7 +119,7 @@ func parseFlags(args []string) (*options, error) {
 		"override the chaos profile's seed (same profile + same seed = same faults)")
 	fs.Float64Var(&o.speculate, "speculate", 0,
 		"launch speculative backups for tasks running past this multiple of their predicted duration (0 = off, implies -run)")
-	fs.IntVar(&o.retries, "retries", 2,
+	fs.IntVar(&o.job.TaskRetries, "retries", 2,
 		"re-invoke a failed mapper/reducer task up to this many times (failed attempts stay billed; overrides a -spec file's task_retries)")
 	fs.IntVar(&o.frontier, "frontier", 0,
 		"sweep a k-point time/cost Pareto frontier instead of planning one configuration (0 = off)")
@@ -160,9 +153,6 @@ func parseFlags(args []string) (*options, error) {
 	})
 	if o.speculate < 0 {
 		return nil, fmt.Errorf("-speculate must be >= 0, got %v", o.speculate)
-	}
-	if o.retries < 0 {
-		return nil, fmt.Errorf("-retries must be >= 0, got %v", o.retries)
 	}
 	if o.seedSet && o.chaosPath == "" {
 		return nil, fmt.Errorf("-seed requires -chaos")
@@ -331,66 +321,25 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 		return append(append([]astra.RunOption{}, opts...), astra.WithChaos(eng)), nil
 	}
 
-	var job workload.Job
-	var obj optimizer.Objective
-	var solver optimizer.Solver
-	var runOpts []astra.RunOption
-
 	if o.specPath != "" {
-		// Declarative mode: the spec document supplies everything.
-		sf, err := spec.Load(o.specPath)
+		// A spec file replaces the job flags; an explicit -retries still
+		// overrides its task_retries.
+		spec, err := loadSpec(o.specPath)
 		if err != nil {
 			return err
 		}
-		o.workload, o.sizeGB, o.objects = sf.Workload, sf.SizeGB, sf.Objects
-		if job, err = sf.Job(); err != nil {
-			return err
+		if o.retriesSet {
+			spec.TaskRetries = o.job.TaskRetries
 		}
-		if obj, err = sf.ObjectiveValue(); err != nil {
-			return err
-		}
-		if solver, err = sf.SolverValue(); err != nil {
-			return err
-		}
-		runOpts = append(runOpts, sf.ApplyExecution)
-	} else {
-		pf, err := workload.ByName(o.workload)
-		if err != nil {
-			return err
-		}
-		if o.sizeGB <= 0 || o.objects <= 0 {
-			return fmt.Errorf("size and object count must be positive")
-		}
-		totalBytes := int64(o.sizeGB * float64(int64(1)<<30))
-		job = workload.Job{
-			Profile:    pf,
-			NumObjects: o.objects,
-			ObjectSize: totalBytes / int64(o.objects),
-		}
-		switch o.objective {
-		case "time":
-			if o.budget < 0 {
-				return fmt.Errorf("budget must be >= 0 (0 = unconstrained), got %v", o.budget)
-			}
-			obj = optimizer.Objective{Goal: optimizer.MinTimeUnderBudget, Budget: pricing.USD(o.budget)}
-			if o.budget == 0 {
-				obj.Budget = 1e9 // unconstrained
-			}
-		case "cost":
-			if o.deadline < 0 {
-				return fmt.Errorf("deadline must be >= 0 (0 = unconstrained), got %v", o.deadline)
-			}
-			obj = optimizer.Objective{Goal: optimizer.MinCostUnderDeadline, Deadline: o.deadline}
-			if o.deadline == 0 {
-				obj.Deadline = 1e6 * time.Hour // unconstrained
-			}
-		default:
-			return fmt.Errorf("unknown objective %q (want time or cost)", o.objective)
-		}
-		if solver, err = optimizer.ParseSolver(o.solver); err != nil {
-			return err
-		}
+		o.job = spec
 	}
+	job, obj, solver, runOpts, err := o.job.resolve()
+	if err != nil {
+		return err
+	}
+	// An explicit deadline is the QoS threshold, and a run reports
+	// whether it met it.
+	deadlineSet := obj.Goal == optimizer.MinCostUnderDeadline && obj.Deadline != unconstrainedDeadline
 
 	planCtx := ctx
 	if o.planTimeout > 0 {
@@ -465,14 +414,9 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	if o.speculate > 0 {
 		runOpts = append(runOpts, astra.WithSpeculation(o.speculate))
 	}
-	// An explicit -retries overrides a spec file's task_retries; the
-	// flag's default does not.
-	if o.specPath == "" || o.retriesSet {
-		runOpts = append(runOpts, astra.WithTaskRetries(o.retries))
-	}
 
 	res := result{
-		Workload:  o.workload,
+		Workload:  o.job.Workload,
 		Objective: obj.Goal.String(),
 		Config:    plan.Config,
 		Predicted: predictionJSON{
@@ -482,7 +426,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 	}
 
 	if !o.jsonOut {
-		fmt.Fprintf(out, "workload:  %s, %d objects, %.2f GB\n", o.workload, o.objects, o.sizeGB)
+		fmt.Fprintf(out, "workload:  %s, %d objects, %.2f GB\n", o.job.Workload, o.job.Objects, o.job.SizeGB)
 		fmt.Fprintf(out, "objective: %s\n", describeObjective(obj))
 		fmt.Fprintf(out, "solver:    %s\n", solver)
 		fmt.Fprintf(out, "plan:      %s\n", plan.Config)
@@ -513,9 +457,9 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 			// The monitor follows the main run only (like the recorder);
 			// an explicit -deadline is the QoS threshold, otherwise the
 			// default (1.5x predicted JCT) is filled in at Run time.
-			qopts := astra.QoSOptions{Tenant: "cli", Job: o.workload,
+			qopts := astra.QoSOptions{Tenant: "cli", Job: o.job.Workload,
 				Ledger: astra.NewQoSLedger(), Telemetry: tel}
-			if obj.Goal == optimizer.MinCostUnderDeadline && o.deadline > 0 {
+			if deadlineSet {
 				qopts.Deadline = obj.Deadline
 			}
 			qosMon = astra.NewQoSMonitor(qopts)
@@ -536,7 +480,7 @@ func run(ctx context.Context, args []string, out io.Writer) (err error) {
 			JCTSeconds: runReport.JCT.Seconds(),
 			CostUSD:    float64(runReport.Cost.Total()),
 		}
-		if obj.Goal == optimizer.MinCostUnderDeadline && o.deadline > 0 {
+		if deadlineSet {
 			met := runReport.DeadlineMet(obj.Deadline)
 			res.Measured.DeadlineMet = &met
 		}
@@ -731,7 +675,7 @@ func runFrontier(ctx context.Context, out io.Writer, o *options, job workload.Jo
 	}
 	if o.jsonOut {
 		doc := frontierJSON{
-			Workload: o.workload,
+			Workload: o.job.Workload,
 			Stats: frontierSweepStatsJS{
 				Phases:       front.Stats.Phases,
 				Searches:     front.Stats.Searches,
@@ -752,7 +696,7 @@ func runFrontier(ctx context.Context, out io.Writer, o *options, job workload.Jo
 		enc.SetIndent("", "  ")
 		return enc.Encode(doc)
 	}
-	fmt.Fprintf(out, "workload:  %s, %d objects, %.2f GB\n", o.workload, o.objects, o.sizeGB)
+	fmt.Fprintf(out, "workload:  %s, %d objects, %.2f GB\n", o.job.Workload, o.job.Objects, o.job.SizeGB)
 	fmt.Fprintf(out, "frontier:  %d point(s), %d searches, %d pruned, %d exact evaluations\n",
 		len(front.Points), front.Stats.Searches, front.Stats.Pruned, front.Stats.Evaluations)
 	for _, pt := range front.Points {

@@ -4,7 +4,11 @@ import (
 	"runtime"
 	"testing"
 
+	"astra/internal/experiments"
+	"astra/internal/mapreduce"
 	"astra/internal/model"
+	"astra/internal/optimizer"
+	"astra/internal/workload"
 )
 
 // TestExecutedRunBytesAreBounded bounds the heap bytes one executed run
@@ -39,6 +43,35 @@ func TestExecutedRunBytesAreBounded(t *testing.T) {
 		runtime.ReadMemStats(&after)
 		if per := (after.TotalAlloc - before.TotalAlloc) / runs; per > bound {
 			t.Errorf("%s: %d B per executed run, want <= %d", pf.Name, per, bound)
+		}
+	}
+}
+
+// BenchmarkSimulateWordCount20GB measures one full simulated execution of
+// a 40-object job (hundreds of lambdas on the virtual clock).
+func BenchmarkSimulateWordCount20GB(b *testing.B) {
+	job := workload.WordCount20GB()
+	params := model.DefaultParams(job)
+	cfg := optimizer.Baseline1(job.NumObjects)
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.Execute(params, cfg); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkSimulateSort100GB measures the biggest engine run: 200 objects,
+// 100 GB, 301 lambdas.
+func BenchmarkSimulateSort100GB(b *testing.B) {
+	job := workload.Sort100GB()
+	params := model.DefaultParams(job)
+	cfg := mapreduce.Config{
+		MapperMemMB: 1792, CoordMemMB: 1792, ReducerMemMB: 1792,
+		ObjsPerMapper: 2, ObjsPerReducer: 1,
+	}
+	for i := 0; i < b.N; i++ {
+		if _, err := experiments.Execute(params, cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -175,15 +175,11 @@ func (r *PlanRequest) Resolve() (workload.Job, optimizer.Objective, optimizer.So
 // entirely, but Execute still participates so a stale key can never
 // alias the two forms.
 func (r *PlanRequest) Fingerprint() string {
-	objBytes := r.ObjectBytes
-	if r.TotalBytes > 0 && r.NumObjects > 0 {
-		objBytes = r.TotalBytes / int64(r.NumObjects)
-	}
 	return strings.Join([]string{
 		"plan",
 		strings.ToLower(r.Workload),
 		strconv.Itoa(r.NumObjects),
-		strconv.FormatInt(objBytes, 10),
+		sizeKey(r.NumObjects, r.TotalBytes, r.ObjectBytes),
 		strings.ToLower(r.Objective.Goal),
 		strconv.FormatFloat(r.Objective.BudgetUSD, 'g', -1, 64),
 		r.Objective.Deadline,
@@ -193,11 +189,26 @@ func (r *PlanRequest) Fingerprint() string {
 	}, "|")
 }
 
-// decodeStrict decodes one JSON document, rejecting unknown fields (so a
+// sizeKey renders a request's per-object size for its cache key, the way
+// resolveJob reads the two size fields. A request that sets both is
+// invalid, and its key keeps both, so it never aliases the valid request
+// that sets one of them and never gets that request's cached answer.
+func sizeKey(numObjects int, totalBytes, objectBytes int64) string {
+	switch {
+	case totalBytes > 0 && objectBytes > 0:
+		return strconv.FormatInt(totalBytes, 10) + "+" + strconv.FormatInt(objectBytes, 10)
+	case totalBytes > 0 && numObjects > 0:
+		return strconv.FormatInt(totalBytes/int64(numObjects), 10)
+	}
+	return strconv.FormatInt(objectBytes, 10)
+}
+
+// DecodeStrict decodes one JSON document, rejecting unknown fields (so a
 // typo'd option is a 400, not a silent default) and trailing garbage.
 // The reader bounds the body (the server's is an http.MaxBytesReader of
 // MaxRequestBytes); its error stays in the chain for ErrorCode to read.
-func decodeStrict(rd io.Reader, v any) error {
+// The astra CLI reads its -spec job files with it too.
+func DecodeStrict(rd io.Reader, v any) error {
 	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
@@ -212,7 +223,7 @@ func decodeStrict(rd io.Reader, v any) error {
 // DecodePlanRequest strictly parses one PlanRequest body.
 func DecodePlanRequest(rd io.Reader) (*PlanRequest, error) {
 	var req PlanRequest
-	if err := decodeStrict(rd, &req); err != nil {
+	if err := DecodeStrict(rd, &req); err != nil {
 		return nil, err
 	}
 	return &req, nil
@@ -235,7 +246,7 @@ type PlanBatchRequest struct {
 // DecodePlanBatchRequest strictly parses one batch body.
 func DecodePlanBatchRequest(rd io.Reader) (*PlanBatchRequest, error) {
 	var req PlanBatchRequest
-	if err := decodeStrict(rd, &req); err != nil {
+	if err := DecodeStrict(rd, &req); err != nil {
 		return nil, err
 	}
 	if len(req.Requests) == 0 {
@@ -266,15 +277,11 @@ func (r *FrontierRequest) Resolve() (workload.Job, error) {
 
 // Fingerprint is the canonical cache key for a non-streaming frontier.
 func (r *FrontierRequest) Fingerprint() string {
-	objBytes := r.ObjectBytes
-	if r.TotalBytes > 0 && r.NumObjects > 0 {
-		objBytes = r.TotalBytes / int64(r.NumObjects)
-	}
 	return strings.Join([]string{
 		"frontier",
 		strings.ToLower(r.Workload),
 		strconv.Itoa(r.NumObjects),
-		strconv.FormatInt(objBytes, 10),
+		sizeKey(r.NumObjects, r.TotalBytes, r.ObjectBytes),
 		strconv.Itoa(r.Size),
 	}, "|")
 }
@@ -282,7 +289,7 @@ func (r *FrontierRequest) Fingerprint() string {
 // DecodeFrontierRequest strictly parses one frontier body.
 func DecodeFrontierRequest(rd io.Reader) (*FrontierRequest, error) {
 	var req FrontierRequest
-	if err := decodeStrict(rd, &req); err != nil {
+	if err := DecodeStrict(rd, &req); err != nil {
 		return nil, err
 	}
 	return &req, nil

@@ -103,9 +103,6 @@ type Options struct {
 	MaxKM int
 	// MaxKR caps objects-per-reducer candidates (default: N).
 	MaxKR int
-	// KeepDominatedTiers disables the pruning of memory tiers above the
-	// speed floor (used by ablations that want the paper's full L = 46).
-	KeepDominatedTiers bool
 	// Parallelism bounds the worker pool used for edge-weight evaluation:
 	// 0 means every available core, 1 forces the serial path. The built
 	// graph is identical at every setting.
@@ -113,8 +110,7 @@ type Options struct {
 }
 
 // Fingerprint returns a stable hash of everything in the options that
-// shapes the built graph: the tier list, the kM/kR caps, and the
-// dominated-tier switch. Parallelism is deliberately excluded — the
+// shapes the built graph: the tier list and the kM/kR caps. Parallelism is deliberately excluded — the
 // built DAG is bit-identical at every pool size — so a template cached
 // under one parallelism degree serves callers at any other.
 func (o Options) Fingerprint() uint64 {
@@ -132,11 +128,6 @@ func (o Options) Fingerprint() uint64 {
 	}
 	u64(uint64(int64(o.MaxKM)))
 	u64(uint64(int64(o.MaxKR)))
-	if o.KeepDominatedTiers {
-		u64(1)
-	} else {
-		u64(0)
-	}
 	return h.Sum64()
 }
 
@@ -182,14 +173,13 @@ type layout struct {
 // would stop short of it. Tiers above the floor are dominated: the speed
 // model gives them no extra compute speed while the GB-second price keeps
 // rising, so no optimum — for either objective — ever uses one.
-// KeepDominatedTiers keeps the list as given.
 func Tiers(p model.Params, opts Options) []int {
 	tiers := opts.Tiers
 	if len(tiers) == 0 {
 		tiers = p.Sheet.Lambda.MemoryTiers()
 	}
 	floor := p.Speed.FloorMemMB
-	if floor <= 0 || opts.KeepDominatedTiers {
+	if floor <= 0 {
 		return tiers
 	}
 	kept := tiers[:0:0]

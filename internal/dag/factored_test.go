@@ -223,7 +223,7 @@ func TestReserveCensusIsExact(t *testing.T) {
 		{testModel().P, Options{Tiers: testTiers}},
 		{goldenModel(workload.Sort, 97).P, Options{}},
 		{limited, Options{}},
-		{goldenModel(workload.WordCount, 64).P, Options{MaxKM: 9, MaxKR: 5, KeepDominatedTiers: true}},
+		{goldenModel(workload.WordCount, 64).P, Options{MaxKM: 9, MaxKR: 5}},
 	}
 	for i, c := range cases {
 		m := model.NewPaper(c.params)

@@ -24,20 +24,6 @@ func TestDominatedTierPruning(t *testing.T) {
 	}
 }
 
-func TestKeepDominatedTiers(t *testing.T) {
-	m := testModel()
-	full := m.P.Sheet.Lambda.MemoryTiers()
-	d, err := BuildContext(context.Background(), m, MinimizeTime, Options{Tiers: full, KeepDominatedTiers: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantL := len(full) // all 46
-	n := m.P.Job.NumObjects
-	if want := wantNodes(wantL, n, d.nJC, n); d.G.NumNodes() != want {
-		t.Fatalf("nodes = %d, want %d (L = 46 kept)", d.G.NumNodes(), want)
-	}
-}
-
 func TestFloorAppendedWhenMissing(t *testing.T) {
 	// A tier list ending below the floor gets the floor appended so the
 	// fastest speed remains reachable.
@@ -71,7 +57,6 @@ func TestTiersIsTheLayoutRule(t *testing.T) {
 		{Options{Tiers: []int{128, 512, 1024, 1536, 3008}}, []int{128, 512, 1024, 1536, 1792}},
 		{Options{Tiers: []int{128, 512}}, []int{128, 512, 1792}},
 		{Options{Tiers: []int{128, 1792, 3008}}, []int{128, 1792}},
-		{Options{Tiers: []int{128, 3008}, KeepDominatedTiers: true}, []int{128, 3008}},
 	} {
 		got := Tiers(m.P, tc.opts)
 		if fmt.Sprint(got) != fmt.Sprint(tc.want) {

@@ -17,8 +17,8 @@ import (
 )
 
 // TestTemplateKeyNoCollisions is the cache-key safety property: any
-// difference in model parameters, tier list, kM/kR caps, dominated-tier
-// switch, DAG mode or model flavor must produce a distinct template key —
+// difference in model parameters, tier list, kM/kR caps, DAG mode or
+// model flavor must produce a distinct template key —
 // a collision would silently serve one tenant another tenant's graph.
 func TestTemplateKeyNoCollisions(t *testing.T) {
 	base := model.DefaultParams(workload.Sort100GB())
@@ -66,7 +66,6 @@ func TestTemplateKeyNoCollisions(t *testing.T) {
 		{MaxKM: 5},
 		{MaxKR: 2},
 		{MaxKM: 5, MaxKR: 2},
-		{KeepDominatedTiers: true},
 	}
 
 	seen := make(map[TemplateKey]string)

@@ -146,6 +146,33 @@ func TestResponseCacheServesWithoutSearch(t *testing.T) {
 	}
 }
 
+// TestInvalidTwinNotServedFromCache: a body that sets both total_bytes
+// and object_bytes is a 400 even after its valid twin (total_bytes only,
+// the same per-object size) has been planned and cached; the invalid body
+// must not share the twin's cache key. The same holds for a
+// non-streaming frontier, which is cached too.
+func TestInvalidTwinNotServedFromCache(t *testing.T) {
+	srv := startReal(t, Config{})
+	const valid = `{"workload":"wordcount","num_objects":10,"total_bytes":10485760`
+	for _, tc := range []struct{ path, valid, invalid string }{
+		{"/v1/plan",
+			valid + `,"objective":{"goal":"min_time","budget_usd":1}}`,
+			valid + `,"object_bytes":1048576,"objective":{"goal":"min_time","budget_usd":1}}`},
+		{"/v1/frontier?stream=0",
+			valid + `,"size":4}`,
+			valid + `,"object_bytes":1048576,"size":4}`},
+	} {
+		if resp, body := post(t, srv.URL()+tc.path, "acme", tc.valid); resp.StatusCode != 200 {
+			t.Fatalf("%s valid twin: status %d: %s", tc.path, resp.StatusCode, body)
+		}
+		resp, body := post(t, srv.URL()+tc.path, "acme", tc.invalid)
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("%s both sizes after the valid twin: status %d (cache %q), want 400: %s",
+				tc.path, resp.StatusCode, resp.Header.Get(api.CacheHeader), body)
+		}
+	}
+}
+
 // TestErrorTaxonomy pins the status mapping: 400 for malformed requests,
 // 422 for infeasible objectives, one JSON envelope everywhere.
 func TestErrorTaxonomy(t *testing.T) {
