@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test verify bench bench-build race vet fmt-check procs books examples serve
+.PHONY: build test verify bench bench-build race vet fmt-check procs books examples serve loc
 
 build:
 	$(GO) build ./...
@@ -78,3 +78,12 @@ serve:
 	$(GO) run ./cmd/astra-server -addr :8080 -rate 30 -burst 10 \
 		-max-inflight 4 -queue 16
 
+
+# The three line counts a change that deletes code quotes: non-test Go
+# outside benchmark/, the Go tests outside it, and benchmark/'s Go (its
+# tests included). Build caches and the git directory are not counted.
+LOC_FIND = find . \( -path ./benchmark -o -path ./.git -o -path ./.bench_build \) -prune -o -name '*.go'
+loc:
+	@echo "non-test Go outside benchmark/: $$($(LOC_FIND) ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "tests outside benchmark/:       $$($(LOC_FIND) -name '*_test.go' -print | xargs cat | wc -l)"
+	@echo "benchmark/:                     $$(find benchmark -name '*.go' -print | xargs cat | wc -l)"

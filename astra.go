@@ -244,6 +244,22 @@ func (ps *planSettings) resolveCaches() (*TemplateCache, *PlanCache) {
 	return tc, pc
 }
 
+// planner builds the optimizer.Planner a planning call or frontier sweep
+// runs on for job: the job's default parameters unless WithParams gave
+// some, and the caches resolveCaches picks.
+func (ps *planSettings) planner(job Job) *optimizer.Planner {
+	params := ps.params
+	if !ps.hasParams {
+		params = model.DefaultParams(job)
+	}
+	pl := optimizer.New(params)
+	pl.Solver = ps.solver
+	pl.Parallelism = ps.parallelism
+	pl.Templates, pl.Cache = ps.resolveCaches()
+	pl.Tel = ps.tel
+	return pl
+}
+
 // PlanOption customizes a planning search (see Plan).
 type PlanOption func(*planSettings)
 
@@ -318,16 +334,7 @@ func PlanContext(ctx context.Context, job Job, obj Objective, opts ...PlanOption
 	for _, opt := range opts {
 		opt(&ps)
 	}
-	params := ps.params
-	if !ps.hasParams {
-		params = model.DefaultParams(job)
-	}
-	pl := optimizer.New(params)
-	pl.Solver = ps.solver
-	pl.Parallelism = ps.parallelism
-	pl.Templates, pl.Cache = ps.resolveCaches()
-	pl.Tel = ps.tel
-	return pl.PlanContext(ctx, obj)
+	return ps.planner(job).PlanContext(ctx, obj)
 }
 
 // BatchRequest is one planning request in a PlanBatch call.
@@ -366,12 +373,13 @@ func PlanBatch(ctx context.Context, reqs []BatchRequest, opts ...PlanOption) ([]
 	for _, opt := range opts {
 		opt(&ps)
 	}
-	tc, pc := ps.resolveCaches()
-	if tc == nil {
-		tc = NewTemplateCache(0)
+	// One pair of caches for the whole batch, private ones included.
+	ps.templates, ps.cache = ps.resolveCaches()
+	if ps.templates == nil {
+		ps.templates = NewTemplateCache(0)
 	}
-	if pc == nil {
-		pc = NewPlanCache()
+	if ps.cache == nil {
+		ps.cache = NewPlanCache()
 	}
 	results := make([]BatchResult, len(reqs))
 	if ps.tel != nil {
@@ -379,17 +387,11 @@ func PlanBatch(ctx context.Context, reqs []BatchRequest, opts ...PlanOption) ([]
 	}
 	err := parallel.ForEach(ctx, len(reqs), ps.parallelism, func(i int) {
 		req := reqs[i]
-		params := ps.params
+		pl := ps.planner(req.Job)
 		if ps.hasParams {
-			params.Job = req.Job
-		} else {
-			params = model.DefaultParams(req.Job)
+			pl.Params.Job = req.Job
 		}
-		pl := optimizer.New(params)
-		pl.Solver = ps.solver
 		pl.Parallelism = 1
-		pl.Templates, pl.Cache = tc, pc
-		pl.Tel = ps.tel
 		plan, perr := pl.PlanContext(ctx, req.Objective)
 		results[i] = BatchResult{Plan: plan, Err: perr}
 	})
@@ -842,20 +844,7 @@ func FrontierContext(ctx context.Context, job Job, opts ...FrontierOption) (*Fro
 	for _, opt := range opts {
 		opt.applyFrontier(&fs)
 	}
-	params := fs.params
-	if !fs.hasParams {
-		params = model.DefaultParams(job)
-	}
-	tc, pc := fs.resolveCaches()
-	return optimizer.SweepFrontier(ctx, optimizer.FrontierSpec{
-		Params:      params,
-		Size:        fs.size,
-		Parallelism: fs.parallelism,
-		Cache:       pc,
-		Templates:   tc,
-		Tel:         fs.tel,
-		Observer:    fs.observer,
-	})
+	return fs.planner(job).Frontier(ctx, fs.size, fs.observer)
 }
 
 // CalibrateProfile measures a workload's real data ratios (mapper output

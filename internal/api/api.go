@@ -168,39 +168,37 @@ func (r *PlanRequest) Resolve() (workload.Job, optimizer.Objective, optimizer.So
 	return job, obj, solver, nil
 }
 
-// Fingerprint is the canonical response-cache key: a stable rendering of
-// every field that changes the plan. Tenant is deliberately excluded —
-// planning is tenant-independent, so identical requests from different
-// tenants share one cached response. Executed requests bypass the cache
-// entirely, but Execute still participates so a stale key can never
-// alias the two forms.
+// Fingerprint is the canonical response-cache key. It renders what
+// Resolve returns — the job, the objective and the solver — not how the
+// request spelled them, so "min_cost" with "90s" and "cost" with "1m30s"
+// share one cached response. Execute and SLOFactor take part as given.
+// Tenant is deliberately excluded: planning is tenant-independent, so
+// identical requests from different tenants share one cached response.
+// Executed requests bypass the cache entirely, but Execute still
+// participates so a stale key can never alias the two forms. A request
+// that does not resolve has no key (""): it bypasses the cache, so it
+// can never be served a valid request's answer.
 func (r *PlanRequest) Fingerprint() string {
+	job, obj, solver, err := r.Resolve()
+	if err != nil {
+		return ""
+	}
 	return strings.Join([]string{
 		"plan",
-		strings.ToLower(r.Workload),
-		strconv.Itoa(r.NumObjects),
-		sizeKey(r.NumObjects, r.TotalBytes, r.ObjectBytes),
-		strings.ToLower(r.Objective.Goal),
-		strconv.FormatFloat(r.Objective.BudgetUSD, 'g', -1, 64),
-		r.Objective.Deadline,
-		strings.ToLower(r.Solver),
+		jobKey(job),
+		strconv.Itoa(int(obj.Goal)),
+		strconv.FormatFloat(float64(obj.Budget), 'g', -1, 64),
+		strconv.FormatInt(int64(obj.Deadline), 10),
+		strconv.Itoa(int(solver)),
 		strconv.FormatBool(r.Execute),
 		strconv.FormatFloat(r.SLOFactor, 'g', -1, 64),
 	}, "|")
 }
 
-// sizeKey renders a request's per-object size for its cache key, the way
-// resolveJob reads the two size fields. A request that sets both is
-// invalid, and its key keeps both, so it never aliases the valid request
-// that sets one of them and never gets that request's cached answer.
-func sizeKey(numObjects int, totalBytes, objectBytes int64) string {
-	switch {
-	case totalBytes > 0 && objectBytes > 0:
-		return strconv.FormatInt(totalBytes, 10) + "+" + strconv.FormatInt(objectBytes, 10)
-	case totalBytes > 0 && numObjects > 0:
-		return strconv.FormatInt(totalBytes/int64(numObjects), 10)
-	}
-	return strconv.FormatInt(objectBytes, 10)
+// jobKey renders a resolved job for a cache key: the profile's canonical
+// name, the object count and the per-object size.
+func jobKey(job workload.Job) string {
+	return job.Profile.Name + "|" + strconv.Itoa(job.NumObjects) + "|" + strconv.FormatInt(job.ObjectSize, 10)
 }
 
 // DecodeStrict decodes one JSON document, rejecting unknown fields (so a
@@ -266,7 +264,7 @@ type FrontierRequest struct {
 	TotalBytes  int64  `json:"total_bytes,omitempty"`
 	ObjectBytes int64  `json:"object_bytes,omitempty"`
 	// Size is the target number of frontier points (<= 0: the sweep
-	// default, 24).
+	// default, optimizer.DefaultFrontierSize).
 	Size int `json:"size,omitempty"`
 }
 
@@ -275,15 +273,20 @@ func (r *FrontierRequest) Resolve() (workload.Job, error) {
 	return resolveJob(r.Workload, r.NumObjects, r.TotalBytes, r.ObjectBytes)
 }
 
-// Fingerprint is the canonical cache key for a non-streaming frontier.
+// Fingerprint is the canonical cache key for a non-streaming frontier:
+// the resolved job and the point count the sweep targets, so size 0 and
+// size 24 share one key. Like PlanRequest.Fingerprint, a request that
+// does not resolve has no key ("") and bypasses the cache.
 func (r *FrontierRequest) Fingerprint() string {
-	return strings.Join([]string{
-		"frontier",
-		strings.ToLower(r.Workload),
-		strconv.Itoa(r.NumObjects),
-		sizeKey(r.NumObjects, r.TotalBytes, r.ObjectBytes),
-		strconv.Itoa(r.Size),
-	}, "|")
+	job, err := r.Resolve()
+	if err != nil {
+		return ""
+	}
+	size := r.Size
+	if size <= 0 {
+		size = optimizer.DefaultFrontierSize
+	}
+	return "frontier|" + jobKey(job) + "|" + strconv.Itoa(size)
 }
 
 // DecodeFrontierRequest strictly parses one frontier body.

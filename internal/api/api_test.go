@@ -136,7 +136,7 @@ func TestFingerprintStability(t *testing.T) {
 		"size":      func(r *PlanRequest) { r.ObjectBytes = 2 << 20 },
 		"goal":      func(r *PlanRequest) { r.Objective = ObjectiveSpec{Goal: "min_cost", Deadline: "60s"} },
 		"budget":    func(r *PlanRequest) { r.Objective.BudgetUSD = 2 },
-		"solver":    func(r *PlanRequest) { r.Solver = "csp" },
+		"solver":    func(r *PlanRequest) { r.Solver = "algorithm1" },
 		"execute":   func(r *PlanRequest) { r.Execute = true },
 		"slofactor": func(r *PlanRequest) { r.Execute = true; r.SLOFactor = 1.5 },
 	} {

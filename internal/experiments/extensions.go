@@ -26,11 +26,7 @@ import (
 func Frontier() (string, error) {
 	params := model.DefaultParams(workload.Sort100GB())
 	snapshots := 0
-	res, err := optimizer.SweepFrontier(context.Background(), optimizer.FrontierSpec{
-		Params:   params,
-		Size:     24,
-		Observer: func(optimizer.FrontierUpdate) { snapshots++ },
-	})
+	res, err := optimizer.New(params).Frontier(context.Background(), 24, func(optimizer.FrontierUpdate) { snapshots++ })
 	if err != nil {
 		return "", err
 	}

@@ -3,12 +3,11 @@ package obs
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
-	"time"
 
 	"astra/internal/flight"
 	"astra/internal/qos"
-	"astra/internal/telemetry"
 )
 
 // PublishQoS mounts (or swaps) the streaming QoS monitor served on /qos.
@@ -53,37 +52,17 @@ func (s *Server) handleQoS(w http.ResponseWriter, r *http.Request) {
 		_ = enc.Encode(mon.Snapshot())
 		return
 	}
-	since, follow := sseParams(r)
-	flusher := SSEHeaders(w)
-	clients := s.reg.Gauge(telemetry.MObsSSEClients)
-	clients.Add(1)
-	defer clients.Add(-1)
-
-	last := int(since)
-	for {
-		txs := mon.TransitionsSince(last)
-		for _, tr := range txs {
+	s.serveSSE(w, r, func(w io.Writer, last int64) (int64, <-chan struct{}, bool) {
+		for _, tr := range mon.TransitionsSince(int(last)) {
 			b, err := json.Marshal(tr)
 			if err != nil {
 				continue
 			}
 			WriteSSE(w, int64(tr.Seq), b)
-			last = tr.Seq
+			last = int64(tr.Seq)
 		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		if !follow {
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-s.closing:
-			return
-		case <-time.After(s.pollEvery):
-		}
-	}
+		return last, nil, false
+	})
 }
 
 // handleAudit serves the last published model-accuracy audit: the text

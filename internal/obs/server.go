@@ -30,6 +30,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	httppprof "net/http/pprof"
 	"strconv"
@@ -211,17 +212,51 @@ func (s *Server) handleExplain(w http.ResponseWriter, _ *http.Request) {
 	fmt.Fprint(w, report)
 }
 
-// sseParams reads the shared SSE query knobs: since (resume point) and
-// follow (live-tail; default true — follow=0 replays and closes, which
-// is what scripted clients diffing two runs want).
-func sseParams(r *http.Request) (since int64, follow bool) {
+// sseFetch writes one endpoint's frames past the cursor to w and
+// returns the cursor to resume from. wake is the channel to wait on
+// before the next fetch (nil: poll at the server's cadence) and done
+// reports that the source will produce no more frames.
+type sseFetch func(w io.Writer, cursor int64) (next int64, wake <-chan struct{}, done bool)
+
+// serveSSE is the one follow loop behind every SSE endpoint. It reads
+// the shared query knobs — since (the resume cursor) and follow
+// (live-tail; default true — follow=0 replays and closes, which is what
+// scripted clients diffing two runs want) — counts the client, then
+// fetches, flushes and, when following, waits for more until the client
+// disconnects, the server shuts down or the source is done.
+func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, fetch sseFetch) {
 	q := r.URL.Query()
-	since, _ = strconv.ParseInt(q.Get("since"), 10, 64)
-	follow = true
+	cursor, _ := strconv.ParseInt(q.Get("since"), 10, 64)
+	follow := true
 	if v := q.Get("follow"); v == "0" || v == "false" {
 		follow = false
 	}
-	return since, follow
+	flusher := SSEHeaders(w)
+	clients := s.reg.Gauge(telemetry.MObsSSEClients)
+	clients.Add(1)
+	defer clients.Add(-1)
+	for {
+		next, wake, done := fetch(w, cursor)
+		cursor = next
+		if flusher != nil {
+			flusher.Flush()
+		}
+		if !follow || done {
+			return
+		}
+		var poll <-chan time.Time
+		if wake == nil {
+			poll = time.After(s.pollEvery)
+		}
+		select {
+		case <-r.Context().Done():
+			return
+		case <-s.closing:
+			return
+		case <-wake:
+		case <-poll:
+		}
+	}
 }
 
 // handleEvents streams the flight recorder as SSE frames (id = event
@@ -235,65 +270,34 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "no flight recorder mounted", http.StatusNotFound)
 		return
 	}
-	since, follow := sseParams(r)
-	flusher := SSEHeaders(w)
-	clients := s.reg.Gauge(telemetry.MObsSSEClients)
-	clients.Add(1)
-	defer clients.Add(-1)
 	dropped := s.reg.Counter(telemetry.MObsSSEDropped)
-
-	last := since
-	for {
+	s.serveSSE(w, r, func(w io.Writer, last int64) (int64, <-chan struct{}, bool) {
 		evs := s.rec.EventsSince(last)
-		if len(evs) > 0 {
-			if want := last + 1; evs[0].Seq > want && last > 0 {
-				gap := evs[0].Seq - want
-				dropped.Add(gap)
-				fmt.Fprintf(w, ": gap %d event(s) overwritten\n\n", gap)
+		if len(evs) > 0 && evs[0].Seq > last+1 && last > 0 {
+			gap := evs[0].Seq - (last + 1)
+			dropped.Add(gap)
+			fmt.Fprintf(w, ": gap %d event(s) overwritten\n\n", gap)
+		}
+		for _, ev := range evs {
+			b, err := json.Marshal(ev)
+			if err != nil {
+				continue
 			}
-			for _, ev := range evs {
-				b, err := json.Marshal(ev)
-				if err != nil {
-					continue
-				}
-				WriteSSE(w, ev.Seq, b)
-				last = ev.Seq
-			}
-			if flusher != nil {
-				flusher.Flush()
-			}
+			WriteSSE(w, ev.Seq, b)
+			last = ev.Seq
 		}
-		if !follow {
-			return
-		}
-		if flusher != nil {
-			flusher.Flush()
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-s.closing:
-			return
-		case <-time.After(s.pollEvery):
-		}
-	}
+		return last, nil, false
+	})
 }
 
 // handleFrontier streams the bounded FrontierUpdate log as SSE frames
 // (id = 1-based update index). follow=0 replays the log and closes;
-// otherwise the handler waits for appends until the client disconnects
-// or the server shuts down.
+// otherwise the handler waits for appends until the client disconnects,
+// the server shuts down or the log is closed.
 func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
-	since, follow := sseParams(r)
-	flusher := SSEHeaders(w)
-	clients := s.reg.Gauge(telemetry.MObsSSEClients)
-	clients.Add(1)
-	defer clients.Add(-1)
-
-	next := since
-	for {
+	s.serveSSE(w, r, func(w io.Writer, next int64) (int64, <-chan struct{}, bool) {
 		// Capture the wake channel before reading, so an append racing
-		// the read still closes the channel we block on below.
+		// the read still closes the channel the loop blocks on.
 		wake, closed := s.frontier.wait()
 		frames, from, n := s.frontier.since(next)
 		if from > next {
@@ -302,25 +306,6 @@ func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 		for i, b := range frames {
 			WriteSSE(w, from+int64(i)+1, b)
 		}
-		next = n
-		if flusher != nil {
-			flusher.Flush()
-		}
-		if !follow {
-			return
-		}
-		if len(frames) > 0 {
-			continue
-		}
-		if closed {
-			return
-		}
-		select {
-		case <-r.Context().Done():
-			return
-		case <-s.closing:
-			return
-		case <-wake:
-		}
-	}
+		return n, wake, closed
+	})
 }

@@ -355,9 +355,8 @@ func TestBoundsComputedOncePerTemplate(t *testing.T) {
 				defer wg.Done()
 				<-start
 				if i == 0 {
-					if _, err := SweepFrontier(context.Background(), FrontierSpec{
-						Params: params, DAG: opts, Size: 8, Parallelism: 1, Cache: cache, Templates: tc, Tel: reg,
-					}); err != nil {
+					pl := &Planner{Params: params, DAGOptions: opts, Parallelism: 1, Cache: cache, Templates: tc, Tel: reg}
+					if _, err := pl.Frontier(context.Background(), 8, nil); err != nil {
 						t.Errorf("sweep: %v", err)
 					}
 					return

@@ -24,42 +24,9 @@ type FrontierPoint struct {
 	Pred   model.Prediction
 }
 
-// FrontierSpec configures one SweepFrontier call. The zero value plus
-// Params is a valid spec: default size, private cache, no observer.
-type FrontierSpec struct {
-	// Params parameterizes the models and the configuration space.
-	Params model.Params
-	// Size is the target number of frontier points (default 24). It
-	// steers how long gap refinement runs; the sweep may return more
-	// points when dominance pruning keeps extras for free.
-	Size int
-	// DAG tunes the configuration graph (tier subset, caps).
-	DAG dag.Options
-	// Parallelism bounds the worker pool for every phase — the DAG
-	// build, the constrained searches and the exact re-evaluations
-	// (0 = all cores, 1 = serial); it overrides DAG.Parallelism. The
-	// frontier is identical at every setting.
-	Parallelism int
-	// Cache memoizes model predictions. Left nil, a private cache is
-	// created; set it to share one cache across sweeps and planners for
-	// the same parameterization.
-	Cache *model.PredictionCache
-	// Templates resolves the sweep's frozen cost-mode DAG: through a
-	// shared cache, repeated sweeps (and pipeline stage sweeps) over the
-	// same job shape skip the build entirely. Left nil, a private cache
-	// is created. The sweep only ever searches the DAG read-only, so the
-	// shared graph is used as-is.
-	Templates *TemplateCache
-	// Tel, when non-nil, receives phase/search/prune counters and the
-	// usual search-engine instrumentation. Observe-only.
-	Tel *telemetry.Registry
-	// Observer, when non-nil, is called after every phase with the
-	// frontier refined so far, and once more with the final result
-	// (Final true). Calls are sequential and synchronous: a slow
-	// observer slows the sweep, and cancelling the sweep's context from
-	// inside the observer aborts it promptly.
-	Observer func(FrontierUpdate)
-}
+// DefaultFrontierSize is the number of frontier points a sweep targets
+// when its caller names none.
+const DefaultFrontierSize = 24
 
 // FrontierUpdate is one anytime snapshot of the sweep.
 type FrontierUpdate struct {
@@ -120,12 +87,13 @@ type FrontierResult struct {
 // optimum by a few ULPs.
 const deadlineSlack = 1e-9
 
-// SweepFrontier computes the time/cost Pareto frontier of a job's
-// configuration space as an anytime, incremental search. One cost-mode
-// DAG is built and frozen up front and every phase searches it
-// read-only; one prediction cache carries exact-model evaluations
-// across phases (and, via FrontierSpec.Cache, across sweeps). The
-// schedule is:
+// Frontier computes the time/cost Pareto frontier of the planner's job
+// as an anytime, incremental search, aiming for size points
+// (DefaultFrontierSize when size <= 0; the sweep may return more when
+// dominance pruning keeps extras for free). A sweep is a schedule of
+// MinCostUnderDeadline solves, so it runs on what a min-cost plan runs
+// on: the planner's cost-mode template (buildDAG, searched read-only by
+// every phase), its prediction cache and its registry. The schedule is:
 //
 //  1. endpoints — the min-cost path (one search with no deadline) and
 //     the cheapest plan at the minimum achievable completion time (one
@@ -133,7 +101,7 @@ const deadlineSlack = 1e-9
 //  2. coarse midpoints — constrained searches at evenly interpolated
 //     deadlines between the brackets;
 //  3. bisection — repeated rounds that split the largest normalized
-//     gaps of the frontier-so-far until Size points are on hand,
+//     gaps of the frontier-so-far until size points are on hand,
 //     refinement stops making progress, or the round cap is hit.
 //
 // Every search reads the template's per-node to-go bounds from the
@@ -148,13 +116,19 @@ const deadlineSlack = 1e-9
 // (dag.DAG.ConstrainedPath), which only plans use; DESIGN.md §12 says
 // why.
 //
-// Every phase fans its searches and evaluations over the spec's worker
-// pool in fixed slot order, so the frontier — and every observer
-// snapshot — is identical at every parallelism degree. Cancelling ctx
-// aborts the sweep and returns ctx.Err(). When no configuration is
-// feasible the error wraps ErrNoFeasiblePlan.
-func SweepFrontier(ctx context.Context, spec FrontierSpec) (*FrontierResult, error) {
-	if err := spec.Params.Validate(); err != nil {
+// observe, when non-nil, is called after every phase with the frontier
+// refined so far, and once more with the final result (Final true).
+// Calls are sequential and synchronous: a slow observer slows the sweep,
+// and cancelling ctx from inside it aborts the sweep promptly.
+//
+// Every phase fans its searches and evaluations over the planner's
+// worker pool (the DAG build's, dagOpts) in fixed slot order, so the
+// frontier — and every observer snapshot — is identical at every
+// parallelism degree. Cancelling ctx aborts the sweep and returns
+// ctx.Err(). When no configuration is feasible the error wraps
+// ErrNoFeasiblePlan.
+func (pl *Planner) Frontier(ctx context.Context, size int, observe func(FrontierUpdate)) (*FrontierResult, error) {
+	if err := pl.Params.Validate(); err != nil {
 		return nil, err
 	}
 	// The whole sweep carries the frontier_sweep pprof phase label; the
@@ -163,34 +137,25 @@ func SweepFrontier(ctx context.Context, spec FrontierSpec) (*FrontierResult, err
 	var res *FrontierResult
 	var err error
 	telemetry.DoPhase(ctx, telemetry.PhaseFrontierSweep, func(ctx context.Context) {
-		res, err = sweepFrontier(ctx, spec)
+		res, err = pl.sweepFrontier(ctx, size, observe)
 	})
 	return res, err
 }
 
-func sweepFrontier(ctx context.Context, spec FrontierSpec) (*FrontierResult, error) {
-	k := spec.Size
+func (pl *Planner) sweepFrontier(ctx context.Context, k int, observe func(FrontierUpdate)) (*FrontierResult, error) {
 	if k <= 0 {
-		k = 24
+		k = DefaultFrontierSize
 	}
-	workers := spec.Parallelism
-	dagOpts := spec.DAG
-	dagOpts.Parallelism = workers
-	tel := spec.Tel
-	ctx = telemetry.NewContext(ctx, tel)
-	cache := spec.Cache
-	if cache == nil {
-		cache = model.NewPredictionCache()
-	}
-	tally := cache.Tally()
-	defer flushPredictionTally(tel, tally)
+	ctx = telemetry.NewContext(ctx, pl.Tel)
+	tally := pl.cache().Tally()
+	defer flushPredictionTally(pl.Tel, tally)
 	s := &sweep{
 		k:       k,
-		workers: workers,
-		tel:     tel,
+		workers: pl.dagOpts().Parallelism,
+		tel:     pl.Tel,
 		tally:   tally,
-		exact:   tally.Wrap(model.NewExact(spec.Params), spec.Params.Fingerprint(), "exact"),
-		observe: spec.Observer,
+		exact:   tally.Wrap(model.NewExact(pl.Params), pl.fingerprint(), "exact"),
+		observe: observe,
 		sides:   make(map[mapreduce.Config]float64),
 		start:   time.Now(),
 	}
@@ -198,14 +163,7 @@ func sweepFrontier(ctx context.Context, spec FrontierSpec) (*FrontierResult, err
 	// One frozen cost-mode DAG serves the whole sweep: W carries cost
 	// (with a time tiebreak), Side carries time, so a deadline-budgeted
 	// constrained search returns the cheapest plan at that deadline.
-	tc := spec.Templates
-	if tc == nil {
-		tc = NewTemplateCache(1)
-	}
-	d, err := tc.Get(ctx, KeyFor(spec.Params, dag.MinimizeCost, dagOpts, false),
-		func(ctx context.Context) (*dag.DAG, error) {
-			return dag.BuildContext(ctx, model.NewPaper(spec.Params), dag.MinimizeCost, dagOpts)
-		})
+	d, err := pl.buildDAG(ctx, dag.MinimizeCost)
 	if err != nil {
 		return nil, err
 	}
@@ -297,7 +255,7 @@ type probe struct {
 	wLimit   float64
 }
 
-// sweep is the mutable state of one SweepFrontier call.
+// sweep is the mutable state of one Planner.Frontier call.
 type sweep struct {
 	k       int
 	workers int

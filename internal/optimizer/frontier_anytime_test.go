@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"astra/internal/dag"
 	"astra/internal/mapreduce"
 	"astra/internal/model"
 	"astra/internal/telemetry"
@@ -77,12 +76,8 @@ func TestFrontierAnytimeMonotonicity(t *testing.T) {
 		var reference []FrontierPoint
 		for _, workers := range []int{1, 4, 0} {
 			var updates []FrontierUpdate
-			res, err := SweepFrontier(context.Background(), FrontierSpec{
-				Params:      tc.params,
-				Size:        12,
-				Parallelism: workers,
-				Observer:    func(u FrontierUpdate) { updates = append(updates, u) },
-			})
+			pl := &Planner{Params: tc.params, Parallelism: workers}
+			res, err := pl.Frontier(context.Background(), 12, func(u FrontierUpdate) { updates = append(updates, u) })
 			if err != nil {
 				t.Fatalf("%s workers=%d: %v", tc.name, workers, err)
 			}
@@ -147,13 +142,9 @@ func TestFrontierObserverCancelMidPhase(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	var updates []FrontierUpdate
-	_, err := SweepFrontier(ctx, FrontierSpec{
-		Params: smallParams(),
-		Size:   16,
-		Observer: func(u FrontierUpdate) {
-			updates = append(updates, u)
-			cancel()
-		},
+	_, err := New(smallParams()).Frontier(ctx, 16, func(u FrontierUpdate) {
+		updates = append(updates, u)
+		cancel()
 	})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
@@ -168,24 +159,36 @@ func TestFrontierObserverCancelMidPhase(t *testing.T) {
 	}
 }
 
-// TestFrontierSpecWorkersKnob pins the single parallelism knob: the
-// spec-level Parallelism sizes the pool of every phase, whatever the DAG
-// options say.
-func TestFrontierSpecWorkersKnob(t *testing.T) {
+// TestFrontierWorkersKnob pins the sweep's pool size to the planner's
+// own rule (dagOpts): with DAG options that name none, Planner.Parallelism
+// sizes the pool of every phase, as it sizes a plan's DAG build.
+func TestFrontierWorkersKnob(t *testing.T) {
 	reg := telemetry.New()
-	if _, err := SweepFrontier(context.Background(), FrontierSpec{
-		Params:      smallParams(),
-		Size:        8,
-		DAG:         dag.Options{Parallelism: 1},
-		Parallelism: 3,
-		Tel:         reg,
-	}); err != nil {
+	pl := &Planner{Params: smallParams(), Parallelism: 3, Tel: reg}
+	if _, err := pl.Frontier(context.Background(), 8, nil); err != nil {
 		t.Fatal(err)
 	}
-	if peak := reg.Gauge(telemetry.MPoolWorkersPeak).Value(); peak != 3 {
-		t.Fatalf("pool workers peak = %d, want 3", peak)
+	if peak := reg.Gauge(telemetry.MPoolWorkersPeak).Value(); peak != int64(pl.Parallelism) {
+		t.Fatalf("pool workers peak = %d, want Planner.Parallelism = %d", peak, pl.Parallelism)
 	}
+}
 
+// TestPlanAndSweepShareOneBuild: a sweep is a schedule of min-cost
+// solves, so a min_cost plan followed by a sweep through one Planner
+// builds the cost-mode DAG once and the sweep hits the plan's template.
+func TestPlanAndSweepShareOneBuild(t *testing.T) {
+	tc := NewTemplateCache(0)
+	pl := New(sortParams())
+	pl.Solver, pl.Templates = Auto, tc
+	if _, err := pl.Plan(unconstrainedCost()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := pl.Frontier(context.Background(), 8, nil); err != nil {
+		t.Fatal(err)
+	}
+	if st := tc.Stats(); st.Builds != 1 || st.Hits != 1 {
+		t.Fatalf("template stats %+v, want one build and the sweep's hit", st)
+	}
 }
 
 // hypervolume is the area dominated by a frontier (sorted fastest first)
@@ -212,7 +215,7 @@ func hypervolume(pts []FrontierPoint, refT, refC float64) float64 {
 func TestFrontierQualityVsUniformReference(t *testing.T) {
 	params := sortParams()
 	const k = 12
-	res, err := SweepFrontier(context.Background(), FrontierSpec{Params: params, Size: k})
+	res, err := New(params).Frontier(context.Background(), k, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

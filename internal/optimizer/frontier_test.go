@@ -16,7 +16,7 @@ import (
 
 // sweepPoints runs a background-context sweep of size k and returns its points.
 func sweepPoints(params model.Params, k int, opts dag.Options) ([]FrontierPoint, error) {
-	res, err := SweepFrontier(context.Background(), FrontierSpec{Params: params, Size: k, DAG: opts})
+	res, err := (&Planner{Params: params, DAGOptions: opts}).Frontier(context.Background(), k, nil)
 	if err != nil {
 		return nil, err
 	}

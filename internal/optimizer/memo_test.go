@@ -38,9 +38,8 @@ func TestPlansShareCertifiedOptima(t *testing.T) {
 		return p
 	}
 	sweep := func(tc *TemplateCache, reg *telemetry.Registry) *FrontierResult {
-		res, err := SweepFrontier(context.Background(), FrontierSpec{
-			Params: params, DAG: opts, Size: 8, Parallelism: 2, Templates: tc, Tel: reg,
-		})
+		pl := &Planner{Params: params, DAGOptions: opts, Parallelism: 2, Templates: tc, Tel: reg}
+		res, err := pl.Frontier(context.Background(), 8, nil)
 		if err != nil {
 			t.Error(err)
 			return nil

@@ -167,10 +167,12 @@ func (p Plan) Summary() string {
 		p.Config, p.Exact.JCT().Round(time.Millisecond), p.Exact.TotalCost())
 }
 
-// Planner searches plans for one job. A Planner memoizes its model
-// evaluations and DAG builds, so reusing one Planner across objectives
-// (or calibration rounds) is much cheaper than constructing fresh ones;
-// it is safe for concurrent use as long as its exported fields are not
+// Planner searches plans (PlanContext) and time/cost frontiers
+// (Frontier) for one job. A Planner memoizes its model evaluations and
+// DAG builds, so reusing one Planner across objectives, calibration
+// rounds and sweeps is much cheaper than constructing fresh ones — a
+// sweep runs on the same cost-mode template as a min-cost plan; it is
+// safe for concurrent use as long as its exported fields are not
 // mutated mid-flight.
 type Planner struct {
 	Params model.Params
@@ -178,8 +180,10 @@ type Planner struct {
 	// DAGOptions tunes the configuration graph (tier subset, caps).
 	DAGOptions dag.Options
 	// Parallelism bounds the engine's worker pool: 0 uses every available
-	// core, 1 forces the serial path. The chosen plan is identical at
-	// every setting.
+	// core, 1 forces the serial path. A nonzero DAGOptions.Parallelism
+	// takes precedence for the DAG build and a sweep's phases (dagOpts).
+	// The chosen plan and the swept frontier are identical at every
+	// setting.
 	Parallelism int
 	// Cache memoizes model predictions across solver passes. Left nil, a
 	// private cache is created on first use; set it to share one cache

@@ -173,6 +173,39 @@ func TestInvalidTwinNotServedFromCache(t *testing.T) {
 	}
 }
 
+// TestRespellingServedFromCache: two spellings of one request — goal and
+// deadline aliases plus the default solver's second name, or a frontier
+// size of 0 against the default it stands for — resolve to one job,
+// objective and solver, so the second is a cache hit with the first's
+// bytes.
+func TestRespellingServedFromCache(t *testing.T) {
+	srv := startReal(t, Config{})
+	const job = `{"workload":"wordcount","num_objects":10,"object_bytes":1048576`
+	for _, tc := range []struct{ path, first, second string }{
+		{"/v1/plan",
+			job + `,"objective":{"goal":"min_cost","deadline":"90s"}}`,
+			job + `,"objective":{"goal":"cost","deadline":"1m30s"},"solver":"csp"}`},
+		{"/v1/frontier?stream=0",
+			job + `}`,
+			job + `,"size":24}`},
+	} {
+		resp1, body1 := post(t, srv.URL()+tc.path, "acme", tc.first)
+		if resp1.StatusCode != 200 {
+			t.Fatalf("%s first spelling: status %d: %s", tc.path, resp1.StatusCode, body1)
+		}
+		resp2, body2 := post(t, srv.URL()+tc.path, "globex", tc.second)
+		if resp2.StatusCode != 200 {
+			t.Fatalf("%s second spelling: status %d: %s", tc.path, resp2.StatusCode, body2)
+		}
+		if got := resp2.Header.Get(api.CacheHeader); got != "hit" {
+			t.Errorf("%s second spelling: cache %q, want hit", tc.path, got)
+		}
+		if body2 != body1 {
+			t.Errorf("%s second spelling's body differs:\nfirst  %s\nsecond %s", tc.path, body1, body2)
+		}
+	}
+}
+
 // TestErrorTaxonomy pins the status mapping: 400 for malformed requests,
 // 422 for infeasible objectives, one JSON envelope everywhere.
 func TestErrorTaxonomy(t *testing.T) {

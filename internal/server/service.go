@@ -45,10 +45,11 @@ type Service interface {
 }
 
 // ServiceConfig wires a planning service. Zero-valued fields default to
-// the process-wide shared caches, a fresh telemetry registry, a fresh
-// SLO ledger and serial per-request searches (the server's concurrency
-// comes from concurrent requests, not from fanning one request across
-// every core). A request that names no solver gets Auto.
+// the process-wide shared caches (a nil cache is passed to astra, whose
+// nil means the shared one), a fresh telemetry registry, a fresh SLO
+// ledger and serial per-request searches (the server's concurrency comes
+// from concurrent requests, not from fanning one request across every
+// core). A request that names no solver gets Auto.
 type ServiceConfig struct {
 	Templates *optimizer.TemplateCache
 	Cache     *model.PredictionCache
@@ -65,25 +66,12 @@ type ServiceConfig struct {
 
 type service struct {
 	cfg ServiceConfig
-	tc  *optimizer.TemplateCache
-	pc  *model.PredictionCache
 	tel *telemetry.Registry
 	led *qos.Ledger
 }
 
 // NewService builds the production Service over the astra public API.
 func NewService(cfg ServiceConfig) Service {
-	tc, pc := cfg.Templates, cfg.Cache
-	if tc == nil && pc == nil {
-		tc, pc = astra.SharedCaches()
-	} else {
-		if tc == nil {
-			tc = optimizer.NewTemplateCache(0)
-		}
-		if pc == nil {
-			pc = model.NewPredictionCache()
-		}
-	}
 	tel := cfg.Tel
 	if tel == nil {
 		tel = telemetry.New()
@@ -98,7 +86,7 @@ func NewService(cfg ServiceConfig) Service {
 	if cfg.SLOFactor <= 0 {
 		cfg.SLOFactor = 1.05
 	}
-	return &service{cfg: cfg, tc: tc, pc: pc, tel: tel, led: led}
+	return &service{cfg: cfg, tel: tel, led: led}
 }
 
 // planOpts is the option set every planning call shares.
@@ -106,8 +94,8 @@ func (s *service) planOpts(solver optimizer.Solver) []astra.PlanOption {
 	return []astra.PlanOption{
 		astra.WithSolver(solver),
 		astra.WithParallelism(s.cfg.Parallelism),
-		astra.WithTemplateCache(s.tc),
-		astra.WithPlanCache(s.pc),
+		astra.WithTemplateCache(s.cfg.Templates),
+		astra.WithPlanCache(s.cfg.Cache),
 		astra.WithTelemetry(s.tel),
 	}
 }
@@ -181,8 +169,8 @@ func (s *service) PlanBatch(ctx context.Context, req *api.PlanBatchRequest) (*ap
 	}
 	if len(valid) > 0 {
 		results, err := astra.PlanBatch(ctx, valid,
-			astra.WithTemplateCache(s.tc),
-			astra.WithPlanCache(s.pc),
+			astra.WithTemplateCache(s.cfg.Templates),
+			astra.WithPlanCache(s.cfg.Cache),
 			astra.WithTelemetry(s.tel))
 		if err != nil {
 			return nil, err
@@ -220,11 +208,12 @@ func (s *service) Frontier(ctx context.Context, req *api.FrontierRequest, observ
 		return nil, err
 	}
 	var last api.FrontierUpdate
-	fopts := []astra.FrontierOption{
+	if _, err := astra.FrontierContext(ctx, job,
 		astra.WithParallelism(s.cfg.Parallelism),
-		astra.WithTemplateCache(s.tc),
-		astra.WithPlanCache(s.pc),
+		astra.WithTemplateCache(s.cfg.Templates),
+		astra.WithPlanCache(s.cfg.Cache),
 		astra.WithTelemetry(s.tel),
+		astra.WithFrontierSize(req.Size),
 		astra.WithFrontierObserver(func(u astra.FrontierUpdate) {
 			wire := api.FrontierUpdateOf(u)
 			last = wire
@@ -232,11 +221,7 @@ func (s *service) Frontier(ctx context.Context, req *api.FrontierRequest, observ
 				observe(wire)
 			}
 		}),
-	}
-	if req.Size > 0 {
-		fopts = append(fopts, astra.WithFrontierSize(req.Size))
-	}
-	if _, err := astra.FrontierContext(ctx, job, fopts...); err != nil {
+	); err != nil {
 		return nil, err
 	}
 	return &api.FrontierResponse{Final: last}, nil
