@@ -96,6 +96,30 @@ func TestPlanUnconstrainedAndExecute(t *testing.T) {
 	}
 }
 
+// TestStageSweepsShareOneTemplateCache: with no Templates set, the
+// planner makes one template cache on first use and every stage sweep
+// goes through it, so planning the same pipeline again builds no DAG.
+func TestStageSweepsShareOneTemplateCache(t *testing.T) {
+	pl := NewPlanner(templParams())
+	obj := optimizer.Objective{Goal: optimizer.MinTimeUnderBudget, Budget: 1e9}
+	if _, err := pl.Plan(logAnalytics(), obj); err != nil {
+		t.Fatal(err)
+	}
+	if pl.Templates == nil {
+		t.Fatal("stage sweeps left the planner without a template cache")
+	}
+	first := pl.Templates.Stats()
+	if first.Builds == 0 {
+		t.Fatalf("no stage DAG built: %+v", first)
+	}
+	if _, err := pl.Plan(logAnalytics(), obj); err != nil {
+		t.Fatal(err)
+	}
+	if again := pl.Templates.Stats(); again.Builds != first.Builds || again.Hits <= first.Hits {
+		t.Fatalf("replanning rebuilt stage DAGs: first %+v, again %+v", first, again)
+	}
+}
+
 func TestBudgetAllocatedAcrossStages(t *testing.T) {
 	p := logAnalytics()
 	pl := NewPlanner(templParams())
