@@ -39,13 +39,16 @@ race:
 # builder (its worker pool is capped at GOMAXPROCS, so the parallel build
 # is only compared with the serial one where there are Ps to run it on)
 # with the orchestration its workers rebind and the graph it freezes in
-# place, and the recorder/monitor pair (the monitor folds events under
-# both locks), run on 1, 2 and 4 Ps.
+# place, the recorder/monitor pair (the monitor folds events under
+# both locks), and the simulated platform whose processes pass the event
+# loop's baton between goroutines (simtime, lambda, objectstore, chaos),
+# run on 1, 2 and 4 Ps.
 procs:
 	for p in 1 2 4; do \
 		GOMAXPROCS=$$p $(GO) test -count=3 ./internal/server ./internal/obs ./internal/optimizer \
 			./internal/lru ./internal/model ./internal/telemetry \
-			./internal/dag ./internal/mapreduce ./internal/graph ./internal/flight ./internal/qos || exit 1; \
+			./internal/dag ./internal/mapreduce ./internal/graph ./internal/flight ./internal/qos \
+			./internal/lambda ./internal/objectstore ./internal/simtime ./internal/chaos || exit 1; \
 	done
 
 # One set of books per plan: nothing reconciles a series towards a total

@@ -65,9 +65,6 @@ func NewEngine(p *Plan) (*Engine, error) {
 	}, nil
 }
 
-// Plan returns the engine's validated plan.
-func (e *Engine) Plan() *Plan { return e.plan }
-
 // Stats snapshots the engine's injection counts.
 func (e *Engine) Stats() Stats {
 	e.mu.Lock()
@@ -310,7 +307,7 @@ func (e *Engine) OpFault(op objectstore.Op, bucket, key string) error {
 
 func opListed(ops []string, op objectstore.Op) bool {
 	for _, o := range ops {
-		if o == string(op) {
+		if o == op.String() {
 			return true
 		}
 	}

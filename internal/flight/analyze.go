@@ -52,10 +52,6 @@ type Stage struct {
 	Critical string `json:"critical,omitempty"`
 }
 
-// Slack is the stage's waiting term: time not attributable to startup,
-// compute or I/O of the blocking task.
-func (s Stage) Slack() time.Duration { return s.Terms.Waiting }
-
 // CriticalPath is the analyzer's output: the recorded run re-expressed as
 // the chain of stage barriers that determined the job completion time.
 type CriticalPath struct {
@@ -109,10 +105,12 @@ func Analyze(events []Event) (*CriticalPath, error) {
 		case KindInvokeDone, KindInvokeTimeout, KindInvokeError:
 			pi := invFor(invs, ev.Inv)
 			pi.done = ev
-		case KindStoreGet, KindStorePut, KindStoreHead, KindStoreList, KindStoreDelete, KindStoreCopy:
-			invFor(invs, ev.Inv).io += ev.Time - ev.Start
 		case KindCompute:
 			invFor(invs, ev.Inv).compute += ev.Time - ev.Start
+		default:
+			if ev.Kind.IsStore() {
+				invFor(invs, ev.Inv).io += ev.Time - ev.Start
+			}
 		}
 	}
 	run, ok := phases["run"]

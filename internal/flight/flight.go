@@ -22,7 +22,6 @@ package flight
 
 import (
 	"sync"
-	"time"
 
 	"astra/internal/simtime"
 )
@@ -41,7 +40,8 @@ const (
 	// KindInvokeQueued covers time spent waiting for a concurrency slot
 	// (emitted only when the wait was non-zero).
 	KindInvokeQueued Kind = "invoke.queued"
-	// KindInvokeThrottled marks a 429 rejection at the concurrency cap.
+	// KindInvokeThrottled marks a 429 rejection by an injected throttle
+	// window (the concurrency cap itself queues).
 	KindInvokeThrottled Kind = "invoke.throttled"
 	// KindInvokeRetry marks an automatic retry after a throttle.
 	KindInvokeRetry Kind = "invoke.retry"
@@ -91,6 +91,15 @@ const (
 	KindPhase Kind = "phase"
 )
 
+// IsStore reports whether k is an object-store request.
+func (k Kind) IsStore() bool {
+	switch k {
+	case KindStoreGet, KindStorePut, KindStoreHead, KindStoreList, KindStoreDelete, KindStoreCopy:
+		return true
+	}
+	return false
+}
+
 // Event is one recorded observation. All timestamps are virtual. Fields
 // are pointered by kind: lifecycle events carry the invocation identity,
 // store events the request detail, phase markers a Name. The JSON field
@@ -130,14 +139,6 @@ type Event struct {
 	Err string `json:"err,omitempty"`
 	// Rule names the chaos rule behind an injected fault (chaos events).
 	Rule string `json:"rule,omitempty"`
-}
-
-// Dur reports the event's interval length (zero for instants).
-func (e Event) Dur() time.Duration {
-	if e.Start == 0 && e.Kind != KindPhase {
-		return 0
-	}
-	return e.Time - e.Start
 }
 
 // DefaultCapacity is the default ring size: generous enough that the

@@ -29,10 +29,12 @@ type Ctx struct {
 	calls      int         // platform API calls made so far
 }
 
-// apiCall counts one platform API call and applies cooperative kills: a
-// pending cancellation or the injected mid-flight fault fires here, the
-// way a real sandbox dies the next time it would make progress.
+// apiCall opens one platform API call: it checks the deadline, counts the
+// call and applies cooperative kills. A pending cancellation or the
+// injected mid-flight fault fires here, the way a real sandbox dies the
+// next time it would make progress.
 func (c *Ctx) apiCall() {
+	c.checkDeadline()
 	c.calls++
 	if c.failAtCall > 0 && c.calls >= c.failAtCall {
 		c.failAtCall = 0 // fire once
@@ -60,9 +62,6 @@ func (c *Ctx) stretch(t0 simtime.Time) {
 // Payload returns the invocation payload.
 func (c *Ctx) Payload() []byte { return c.payload }
 
-// MemoryMB reports the function's memory allocation.
-func (c *Ctx) MemoryMB() int { return c.fn.MemoryMB }
-
 // Now reports the current virtual time.
 func (c *Ctx) Now() simtime.Time { return c.proc.Now() }
 
@@ -86,7 +85,6 @@ func (c *Ctx) checkDeadline() {
 // declare CPU work: d * u_i in the paper's Eq. (3), with u_i realized by
 // the speed model.
 func (c *Ctx) Work(refSeconds float64) {
-	c.checkDeadline()
 	c.apiCall()
 	if refSeconds <= 0 {
 		return
@@ -109,37 +107,40 @@ func (c *Ctx) WorkBytes(n int64, refSecPerMB float64) {
 	c.Work(float64(n) / (1 << 20) * refSecPerMB)
 }
 
-// Get reads an object through the store, charging transfer time.
-func (c *Ctx) Get(bucket, key string) (*objectstore.Object, error) {
-	c.checkDeadline()
+// store runs one store request as a platform API call: the call opens
+// (deadline, count, kills), the request runs on the handler's process, its
+// elapsed time is stretched by any straggle, and the deadline is checked
+// again once it returns.
+func (c *Ctx) store(req func(p *simtime.Proc, s *objectstore.Store) error) error {
 	c.apiCall()
 	t0 := c.proc.Now()
-	obj, err := c.platform.store.Get(c.proc, bucket, key)
+	err := req(c.proc, c.platform.store)
 	c.stretch(t0)
 	c.checkDeadline()
+	return err
+}
+
+// Get reads an object through the store, charging transfer time.
+func (c *Ctx) Get(bucket, key string) (obj *objectstore.Object, err error) {
+	err = c.store(func(p *simtime.Proc, s *objectstore.Store) error {
+		obj, err = s.Get(p, bucket, key)
+		return err
+	})
 	return obj, err
 }
 
 // Put writes concrete bytes through the store.
 func (c *Ctx) Put(bucket, key string, data []byte) error {
-	c.checkDeadline()
-	c.apiCall()
-	t0 := c.proc.Now()
-	err := c.platform.store.Put(c.proc, bucket, key, data)
-	c.stretch(t0)
-	c.checkDeadline()
-	return err
+	return c.store(func(p *simtime.Proc, s *objectstore.Store) error {
+		return s.Put(p, bucket, key, data)
+	})
 }
 
 // PutProfiled writes a size-only object through the store.
 func (c *Ctx) PutProfiled(bucket, key string, size int64) error {
-	c.checkDeadline()
-	c.apiCall()
-	t0 := c.proc.Now()
-	err := c.platform.store.PutProfiled(c.proc, bucket, key, size)
-	c.stretch(t0)
-	c.checkDeadline()
-	return err
+	return c.store(func(p *simtime.Proc, s *objectstore.Store) error {
+		return s.PutProfiled(p, bucket, key, size)
+	})
 }
 
 // Copy duplicates an object server-side through the store (no transfer
@@ -147,49 +148,21 @@ func (c *Ctx) PutProfiled(bucket, key string, size int64) error {
 // it as the commit step publishing a winner's attempt-suffixed output
 // under its final key.
 func (c *Ctx) Copy(bucket, src, dst string) error {
-	c.checkDeadline()
-	c.apiCall()
-	t0 := c.proc.Now()
-	err := c.platform.store.Copy(c.proc, bucket, src, dst)
-	c.stretch(t0)
-	c.checkDeadline()
-	return err
-}
-
-// List lists keys with a prefix through the store.
-func (c *Ctx) List(bucket, prefix string) ([]string, error) {
-	c.checkDeadline()
-	c.apiCall()
-	t0 := c.proc.Now()
-	keys, err := c.platform.store.List(c.proc, bucket, prefix)
-	c.stretch(t0)
-	c.checkDeadline()
-	return keys, err
-}
-
-// Delete removes an object through the store.
-func (c *Ctx) Delete(bucket, key string) error {
-	c.checkDeadline()
-	c.apiCall()
-	t0 := c.proc.Now()
-	err := c.platform.store.Delete(c.proc, bucket, key)
-	c.stretch(t0)
-	c.checkDeadline()
-	return err
+	return c.store(func(p *simtime.Proc, s *objectstore.Store) error {
+		return s.Copy(p, bucket, src, dst)
+	})
 }
 
 // InvokeAsync lets a handler launch another function (the coordinator
 // lambda invoking reducers). The child invocation runs concurrently; the
 // caller's clock does not advance.
 func (c *Ctx) InvokeAsync(name, label string, payload []byte) *Invocation {
-	c.checkDeadline()
 	c.apiCall()
 	return c.platform.InvokeAsync(c.proc, name, label, payload)
 }
 
 // Wait blocks the handler until an async invocation completes.
 func (c *Ctx) Wait(iv *Invocation) ([]byte, error) {
-	c.checkDeadline()
 	c.apiCall()
 	t0 := c.proc.Now()
 	resp, err := iv.Wait(c.proc)
@@ -207,7 +180,6 @@ func (c *Ctx) Wait(iv *Invocation) ([]byte, error) {
 // (negative timeout = wait indefinitely). This is the racing primitive for
 // speculative backups launched by a coordinator.
 func (c *Ctx) WaitAny(invs []*Invocation, timeout time.Duration) int {
-	c.checkDeadline()
 	c.apiCall()
 	t0 := c.proc.Now()
 	idx := c.platform.WaitAny(c.proc, invs, timeout)

@@ -6,8 +6,8 @@
 //     flattening point (real Lambda stops adding single-thread speed around
 //     1792 MB when the second vCPU arrives — this is what makes memory
 //     tiers above ~1.5 GB unattractive in the paper's Fig. 6).
-//   - An account-level concurrency limit (1000) enforced FIFO, or
-//     optionally as 429-style throttle errors with retries.
+//   - An account-level concurrency limit (1000) that queues invocations
+//     FIFO, the way the exact model's waves assume.
 //   - Cold starts against a per-function warm-container pool with a
 //     keep-alive TTL.
 //   - A hard execution timeout (900 s) enforced at every platform API
@@ -71,18 +71,6 @@ func (m SpeedModel) Factor(memMB int) float64 {
 	return float64(ref) / float64(eff)
 }
 
-// ThrottleMode selects the behavior when the concurrency limit is hit.
-type ThrottleMode int
-
-const (
-	// ThrottleBlock queues invocations FIFO until capacity frees (the
-	// behavior of synchronous invokes driven by a patient client).
-	ThrottleBlock ThrottleMode = iota
-	// ThrottleError fails invocations with ErrThrottled, subject to the
-	// retry policy — AWS's 429 behavior.
-	ThrottleError
-)
-
 // Config parameterizes the platform.
 type Config struct {
 	Sheet *pricing.Sheet
@@ -98,14 +86,13 @@ type Config struct {
 	DispatchLatency time.Duration
 	// KeepAlive is how long an idle container stays warm.
 	KeepAlive time.Duration
-	// Throttle selects queueing vs 429 errors at the concurrency limit.
-	Throttle ThrottleMode
 	// DisableTimeout lifts the per-function execution deadline. The
 	// paper's optimization model (Sec. IV) carries no per-lambda duration
 	// constraint, so the large profiled experiments run with this set;
 	// realistic deployments keep enforcement on.
 	DisableTimeout bool
-	// MaxRetries bounds automatic retries for ThrottleError mode.
+	// MaxRetries bounds automatic retries of an invocation rejected by an
+	// injected 429 window (Injector.ThrottleInjected).
 	MaxRetries int
 	// RetryBackoff is the (deterministic, linear) backoff between retries.
 	RetryBackoff time.Duration
@@ -159,9 +146,6 @@ type Record struct {
 	Err      error
 }
 
-// Duration reports the billed-relevant execution duration.
-func (r Record) Duration() time.Duration { return r.End - r.Start }
-
 // Platform is the simulated FaaS control plane.
 type Platform struct {
 	sched *simtime.Scheduler
@@ -173,7 +157,6 @@ type Platform struct {
 	records     []Record
 	recSeq      int64
 	throttles   int
-	retries     int
 	tel         *telemetry.Registry
 	rec         *flight.Recorder
 
@@ -197,9 +180,6 @@ func New(sched *simtime.Scheduler, store *objectstore.Store, cfg Config) *Platfo
 
 // Sheet exposes the price sheet the platform bills against.
 func (pl *Platform) Sheet() *pricing.Sheet { return pl.cfg.Sheet }
-
-// Speed exposes the compute speed model.
-func (pl *Platform) Speed() SpeedModel { return pl.cfg.Speed }
 
 // Store exposes the object store functions read and write through.
 func (pl *Platform) Store() *objectstore.Store { return pl.store }
@@ -232,11 +212,9 @@ func (pl *Platform) MustRegister(name string, memMB int, handler Handler) *Funct
 // Records returns all invocation records so far, in completion order.
 func (pl *Platform) Records() []Record { return pl.records }
 
-// Throttles reports how many 429 rejections occurred (ThrottleError mode).
+// Throttles reports how many invocation attempts injected 429 windows
+// rejected.
 func (pl *Platform) Throttles() int { return pl.throttles }
-
-// Retries reports how many throttled invocations were retried.
-func (pl *Platform) Retries() int { return pl.retries }
 
 // SetTelemetry attaches a registry that receives per-invocation counters
 // and latency histograms (see telemetry.MLambda*). Telemetry is
@@ -318,9 +296,9 @@ func (pl *Platform) chaosEvent(inv int64, fn, label, effect, rule string) {
 
 // invokeDispatched runs an invocation whose dispatch latency has already
 // been paid by the caller; inv is its flight-recorder identity (0 without
-// a recorder) and h the async handle carrying the cancel cell (nil for
+// a recorder) and cancel the async handle's cancel cell (nil for
 // synchronous invokes).
-func (pl *Platform) invokeDispatched(p *simtime.Proc, name, label string, payload []byte, inv int64, h *Invocation) ([]byte, error) {
+func (pl *Platform) invokeDispatched(p *simtime.Proc, name, label string, payload []byte, inv int64, cancel *cancelCell) ([]byte, error) {
 	f, ok := pl.funcs[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownFunction, name)
@@ -348,30 +326,13 @@ func (pl *Platform) invokeDispatched(p *simtime.Proc, name, label string, payloa
 		pl.chaosEvent(inv, f.Name, label, "fail_before_start", flt.Rule)
 		err := flt.errFor("failed before start")
 		now := pl.sched.Now()
-		pl.recSeq++
-		record := Record{
-			Seq: pl.recSeq, Function: f.Name, Label: label, MemoryMB: f.MemoryMB,
-			Start: now, End: now, Cost: pl.cfg.Sheet.Lambda.InvocationCost(1), Err: err,
-		}
-		pl.records = append(pl.records, record)
-		if h != nil {
-			h.record = record
-		}
-		if rec := pl.rec; rec != nil {
-			rec.Emit(flight.Event{Kind: flight.KindInvokeError, Time: now, Start: now,
-				Inv: inv, Rec: record.Seq, Function: f.Name, Label: label,
-				MemoryMB: f.MemoryMB, Err: err.Error()})
-		}
-		if tel := pl.tel; tel != nil {
-			tel.Counter(telemetry.MLambdaInvocations).Inc()
-			tel.Counter(telemetry.MLambdaErrors).Inc()
-		}
+		pl.settle(inv, Record{Function: f.Name, Label: label, MemoryMB: f.MemoryMB,
+			Start: now, End: now, Err: err})
 		return nil, err
 	}
 
 	// Injected throttle windows reject 429-style regardless of the real
-	// concurrency level, subject to the same retry policy as capacity
-	// throttles.
+	// concurrency level, subject to the retry policy.
 	if pl.inj != nil {
 		for ta := 0; pl.inj.ThrottleInjected(ref, pl.sched.Now()); ta++ {
 			pl.throttles++
@@ -386,7 +347,6 @@ func (pl *Platform) invokeDispatched(p *simtime.Proc, name, label string, payloa
 			if ta >= pl.cfg.MaxRetries {
 				return nil, ErrThrottled
 			}
-			pl.retries++
 			pl.tel.Counter(telemetry.MLambdaRetries).Inc()
 			if rec := pl.rec; rec != nil {
 				rec.Emit(flight.Event{Kind: flight.KindInvokeRetry, Time: pl.sched.Now(),
@@ -396,36 +356,9 @@ func (pl *Platform) invokeDispatched(p *simtime.Proc, name, label string, payloa
 		}
 	}
 
+	// The cap queues FIFO, as the exact model's waves assume.
 	enqueue := pl.sched.Now()
-	if pl.cfg.Throttle == ThrottleBlock {
-		pl.concurrency.Acquire(p, 1)
-	} else {
-		acquired := false
-		for attempt := 0; attempt <= pl.cfg.MaxRetries; attempt++ {
-			if pl.concurrency.TryAcquire(1) {
-				acquired = true
-				break
-			}
-			pl.throttles++
-			pl.tel.Counter(telemetry.MLambdaThrottles).Inc()
-			if rec := pl.rec; rec != nil {
-				rec.Emit(flight.Event{Kind: flight.KindInvokeThrottled, Time: pl.sched.Now(),
-					Inv: inv, Function: f.Name, Label: label})
-			}
-			if attempt < pl.cfg.MaxRetries {
-				pl.retries++
-				pl.tel.Counter(telemetry.MLambdaRetries).Inc()
-				if rec := pl.rec; rec != nil {
-					rec.Emit(flight.Event{Kind: flight.KindInvokeRetry, Time: pl.sched.Now(),
-						Inv: inv, Function: f.Name, Label: label})
-				}
-				p.Sleep(time.Duration(attempt+1) * pl.cfg.RetryBackoff)
-			}
-		}
-		if !acquired {
-			return nil, ErrThrottled
-		}
-	}
+	pl.concurrency.Acquire(p, 1)
 	defer pl.concurrency.Release(1)
 	queued := pl.sched.Now() - enqueue
 	if queued > 0 {
@@ -462,9 +395,7 @@ func (pl *Platform) invokeDispatched(p *simtime.Proc, name, label string, payloa
 		proc:     p,
 		payload:  payload,
 		deadline: start + f.Timeout,
-	}
-	if h != nil {
-		ctx.cancel = h.cancel
+		cancel:   cancel,
 	}
 	if flt.Straggle > 1 {
 		ctx.straggle = flt.Straggle
@@ -510,60 +441,9 @@ func (pl *Platform) invokeDispatched(p *simtime.Proc, name, label string, payloa
 		end = ctx.deadline
 	}
 
-	l := pl.cfg.Sheet.Lambda
-	billed := l.BilledDuration(end - start)
-	pl.recSeq++
-	record := Record{
-		Seq:      pl.recSeq,
-		Function: f.Name,
-		Label:    label,
-		MemoryMB: f.MemoryMB,
-		Cold:     cold,
-		Queued:   queued,
-		Start:    start,
-		End:      end,
-		Billed:   billed,
-		Cost:     l.DurationCost(f.MemoryMB, end-start) + l.InvocationCost(1),
-		Err:      err,
-	}
-	pl.records = append(pl.records, record)
-	if h != nil {
-		h.record = record
-	}
-
-	if rec := pl.rec; rec != nil {
-		kind := flight.KindInvokeDone
-		errMsg := ""
-		switch {
-		case errors.Is(err, ErrTimeout):
-			kind = flight.KindInvokeTimeout
-			errMsg = err.Error()
-		case errors.Is(err, ErrCanceled):
-			kind = flight.KindInvokeCanceled
-			errMsg = err.Error()
-		case err != nil:
-			kind = flight.KindInvokeError
-			errMsg = err.Error()
-		}
-		rec.Emit(flight.Event{Kind: kind, Time: end, Start: start,
-			Inv: inv, Rec: record.Seq, Function: f.Name, Label: label,
-			MemoryMB: f.MemoryMB, Cold: cold, Err: errMsg})
-	}
-
+	pl.settle(inv, Record{Function: f.Name, Label: label, MemoryMB: f.MemoryMB,
+		Cold: cold, Queued: queued, Start: start, End: end, Err: err})
 	if tel := pl.tel; tel != nil {
-		tel.Counter(telemetry.MLambdaInvocations).Inc()
-		if cold {
-			tel.Counter(telemetry.MLambdaColdStarts).Inc()
-		}
-		switch {
-		case errors.Is(err, ErrTimeout):
-			tel.Counter(telemetry.MLambdaTimeouts).Inc()
-		case errors.Is(err, ErrCanceled):
-			// Intentional kills (speculative losers) are not failures;
-			// the driver counts them under astra_speculation_*.
-		case err != nil:
-			tel.Counter(telemetry.MLambdaErrors).Inc()
-		}
 		tel.Histogram(telemetry.MLambdaDurationSeconds, telemetry.DurationBuckets).Observe((end - start).Seconds())
 		tel.Histogram(telemetry.MLambdaQueuedSeconds, telemetry.DurationBuckets).Observe(queued.Seconds())
 		tel.Gauge(telemetry.MLambdaConcurrencyPeak).SetMax(int64(pl.concurrency.PeakInUse()))
@@ -575,6 +455,49 @@ func (pl *Platform) invokeDispatched(p *simtime.Proc, name, label string, payloa
 		f.warm = append(f.warm, pl.sched.Now()+pl.cfg.KeepAlive)
 	}
 	return resp, err
+}
+
+// settle closes one invocation, whether it ran or failed before start:
+// it bills r's [Start, End] (zero duration bills only the invocation fee),
+// appends it to the records under the next Seq, and books its terminal
+// flight event and its telemetry counters.
+func (pl *Platform) settle(inv int64, r Record) {
+	l := pl.cfg.Sheet.Lambda
+	pl.recSeq++
+	r.Seq = pl.recSeq
+	r.Billed = l.BilledDuration(r.End - r.Start)
+	r.Cost = l.DurationCost(r.MemoryMB, r.End-r.Start) + l.InvocationCost(1)
+	pl.records = append(pl.records, r)
+
+	kind, counter := flight.KindInvokeDone, ""
+	switch {
+	case errors.Is(r.Err, ErrTimeout):
+		kind, counter = flight.KindInvokeTimeout, telemetry.MLambdaTimeouts
+	case errors.Is(r.Err, ErrCanceled):
+		// Intentional kills (speculative losers) are not failures; the
+		// driver counts them under astra_speculation_*.
+		kind = flight.KindInvokeCanceled
+	case r.Err != nil:
+		kind, counter = flight.KindInvokeError, telemetry.MLambdaErrors
+	}
+	if rec := pl.rec; rec != nil {
+		errMsg := ""
+		if r.Err != nil {
+			errMsg = r.Err.Error()
+		}
+		rec.Emit(flight.Event{Kind: kind, Time: r.End, Start: r.Start,
+			Inv: inv, Rec: r.Seq, Function: r.Function, Label: r.Label,
+			MemoryMB: r.MemoryMB, Cold: r.Cold, Err: errMsg})
+	}
+	if tel := pl.tel; tel != nil {
+		tel.Counter(telemetry.MLambdaInvocations).Inc()
+		if r.Cold {
+			tel.Counter(telemetry.MLambdaColdStarts).Inc()
+		}
+		if counter != "" {
+			tel.Counter(counter).Inc()
+		}
+	}
 }
 
 // runHandler executes the user handler, converting panics into errors so a
@@ -606,9 +529,7 @@ type Invocation struct {
 	done   *simtime.Latch
 	resp   []byte
 	err    error
-	label  string
 	cancel *cancelCell
-	record Record
 }
 
 // Wait blocks until the invocation completes and returns its result.
@@ -616,10 +537,6 @@ func (iv *Invocation) Wait(p *simtime.Proc) ([]byte, error) {
 	iv.done.Wait(p)
 	return iv.resp, iv.err
 }
-
-// Record returns the invocation's billing record (zero until completion).
-// Speculative-execution accounting uses it to price losing attempts.
-func (iv *Invocation) Record() Record { return iv.record }
 
 // InvokeAsync launches the function in a child process and returns a
 // handle. The caller pays the dispatch latency (so loops of InvokeAsync
@@ -631,9 +548,9 @@ func (pl *Platform) InvokeAsync(p *simtime.Proc, name, label string, payload []b
 		p.Sleep(pl.cfg.DispatchLatency)
 	}
 	inv := pl.recordScheduled(p, name, label, dispStart)
-	iv := &Invocation{done: pl.sched.NewLatch(), label: label, cancel: &cancelCell{}}
+	iv := &Invocation{done: pl.sched.NewLatch(), cancel: &cancelCell{}}
 	p.Spawn("invoke:"+name, func(q *simtime.Proc) {
-		iv.resp, iv.err = pl.invokeDispatched(q, name, label, payload, inv, iv)
+		iv.resp, iv.err = pl.invokeDispatched(q, name, label, payload, inv, iv.cancel)
 		iv.done.Done()
 	})
 	return iv

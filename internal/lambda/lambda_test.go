@@ -9,6 +9,7 @@ import (
 	"astra/internal/objectstore"
 	"astra/internal/pricing"
 	"astra/internal/simtime"
+	"astra/internal/telemetry"
 )
 
 type world struct {
@@ -178,65 +179,65 @@ func TestConcurrencyLimitBlocks(t *testing.T) {
 	}
 }
 
+// throttleWindow is an Injector that rejects every attempt 429-style
+// while the virtual clock is before until, and injects nothing else.
+type throttleWindow struct{ until simtime.Time }
+
+func (throttleWindow) InvokeFault(InvokeRef, simtime.Time) (InvokeFault, bool) {
+	return InvokeFault{}, false
+}
+
+func (w throttleWindow) ThrottleInjected(_ InvokeRef, now simtime.Time) bool { return now < w.until }
+
 func TestThrottleErrorModeWithRetries(t *testing.T) {
-	sheet := pricing.AWS()
-	sheet.Lambda.MaxConcurrency = 1
-	w := newWorld(Config{
-		Sheet:        sheet,
-		Throttle:     ThrottleError,
-		MaxRetries:   3,
-		RetryBackoff: 300 * time.Millisecond,
-	})
+	w := newWorld(Config{MaxRetries: 3, RetryBackoff: 300 * time.Millisecond})
+	tel := telemetry.New()
+	w.pl.SetTelemetry(tel)
+	w.pl.SetInjector(throttleWindow{until: 500 * time.Millisecond})
 	w.pl.MustRegister("f", 1024, func(ctx *Ctx) ([]byte, error) {
 		ctx.Work(0.5)
 		return nil, nil
 	})
-	var okCount, throttledCount int
 	w.run(t, func(p *simtime.Proc) {
-		p.Parallel(2, "inv", func(q *simtime.Proc, i int) {
-			_, err := w.pl.Invoke(q, "f", nil)
-			switch {
-			case err == nil:
-				okCount++
-			case errors.Is(err, ErrThrottled):
-				throttledCount++
-			default:
-				t.Errorf("unexpected error %v", err)
-			}
-		})
+		if _, err := w.pl.Invoke(p, "f", nil); err != nil {
+			t.Fatalf("err = %v; want success once the window clears", err)
+		}
 	})
-	// Second invocation retries at 300ms and 900ms; the first finishes at
-	// 500ms, so a retry lands while capacity is free.
-	if okCount != 2 || throttledCount != 0 {
-		t.Fatalf("ok = %d, throttled = %d; want both to succeed via retry", okCount, throttledCount)
+	// Rejected at 0 and at 300ms (backoff 300ms, then 600ms); the retry
+	// at 900ms lands after the window closes at 500ms.
+	if got := w.pl.Throttles(); got != 2 {
+		t.Fatalf("throttles = %d, want 2", got)
 	}
-	if w.pl.Throttles() == 0 {
-		t.Fatal("expected at least one recorded throttle")
+	if got := tel.Counter(telemetry.MLambdaRetries).Value(); got != 2 {
+		t.Fatalf("retries = %d, want 2", got)
+	}
+	if recs := w.pl.Records(); len(recs) != 1 || recs[0].Start != 900*time.Millisecond {
+		t.Fatalf("records = %+v, want one run starting at 900ms", recs)
 	}
 }
 
 func TestThrottleErrorExhaustsRetries(t *testing.T) {
-	sheet := pricing.AWS()
-	sheet.Lambda.MaxConcurrency = 1
-	w := newWorld(Config{Sheet: sheet, Throttle: ThrottleError, MaxRetries: 1, RetryBackoff: time.Millisecond})
-	w.pl.MustRegister("slow", 1024, func(ctx *Ctx) ([]byte, error) {
-		ctx.Work(100)
+	w := newWorld(Config{MaxRetries: 1, RetryBackoff: time.Millisecond})
+	tel := telemetry.New()
+	w.pl.SetTelemetry(tel)
+	w.pl.SetInjector(throttleWindow{until: time.Hour})
+	w.pl.MustRegister("f", 1024, func(ctx *Ctx) ([]byte, error) {
+		t.Error("handler ran inside the throttle window")
 		return nil, nil
 	})
-	var gotThrottled bool
 	w.run(t, func(p *simtime.Proc) {
-		p.Parallel(2, "inv", func(q *simtime.Proc, i int) {
-			if i == 1 {
-				q.Sleep(time.Millisecond) // ensure the first invocation holds the slot
-			}
-			_, err := w.pl.Invoke(q, "slow", nil)
-			if errors.Is(err, ErrThrottled) {
-				gotThrottled = true
-			}
-		})
+		if _, err := w.pl.Invoke(p, "f", nil); !errors.Is(err, ErrThrottled) {
+			t.Fatalf("err = %v, want ErrThrottled after retries are exhausted", err)
+		}
 	})
-	if !gotThrottled {
-		t.Fatal("expected a throttled failure after retries exhausted")
+	if got := w.pl.Throttles(); got != 2 {
+		t.Fatalf("throttles = %d, want 2 (the attempt and its one retry)", got)
+	}
+	if got := tel.Counter(telemetry.MLambdaRetries).Value(); got != 1 {
+		t.Fatalf("retries = %d, want 1", got)
+	}
+	if n := len(w.pl.Records()); n != 0 {
+		t.Fatalf("%d records; a throttled attempt never runs", n)
 	}
 }
 

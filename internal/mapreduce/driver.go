@@ -161,7 +161,7 @@ type RunStats struct {
 	// Canceled counts invocations intentionally killed as speculative
 	// race losers (billed, but not failures).
 	Canceled int
-	// Throttles counts 429 rejections at the concurrency cap.
+	// Throttles counts 429 rejections by injected throttle windows.
 	Throttles int
 	// PeakConcurrency is the high-water mark of simultaneous lambdas.
 	PeakConcurrency int

@@ -353,12 +353,3 @@ func maxIntModel(a, b int) int {
 	}
 	return b
 }
-
-// PredictJCT is a convenience returning just the completion time.
-func (m *Exact) PredictJCT(cfg mapreduce.Config) (time.Duration, error) {
-	pr, err := m.Predict(cfg)
-	if err != nil {
-		return 0, err
-	}
-	return pr.JCT(), nil
-}

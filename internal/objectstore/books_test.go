@@ -46,7 +46,7 @@ func TestStoreBooksOneRowPerOp(t *testing.T) {
 	boom := errors.New("injected")
 	for _, tc := range cases {
 		for _, faulted := range []bool{false, true} {
-			name := string(tc.op)
+			name := tc.op.String()
 			if faulted {
 				name += "/faulted"
 			}
@@ -109,7 +109,7 @@ func TestStoreBooksOneRowPerOp(t *testing.T) {
 				}
 				ev := evs[0]
 				if faulted {
-					if ev.Kind != flight.KindChaosFault || ev.Name != string(tc.op) {
+					if ev.Kind != flight.KindChaosFault || ev.Name != tc.op.String() {
 						t.Fatalf("faulted request event = %+v, want one %s chaos fault", ev, tc.op)
 					}
 					return

@@ -134,9 +134,6 @@ func TestBucketMetricsScoped(t *testing.T) {
 	if g := store.Metrics(); g.Puts != 2 || g.Gets != 1 {
 		t.Fatalf("global metrics = %+v", g)
 	}
-	if m := store.DefaultClassMetrics(); m.Puts != 2 {
-		t.Fatalf("default-class metrics = %+v", m)
-	}
 }
 
 func TestClassLatencyOverride(t *testing.T) {

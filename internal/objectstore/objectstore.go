@@ -40,18 +40,22 @@ var (
 )
 
 // Op identifies a request class for metering and fault injection.
-type Op string
+type Op uint8
 
 // Request classes. List and Head bill as GET-class requests, matching S3;
 // Copy bills as a PUT-class request (S3 CopyObject).
 const (
-	OpGet    Op = "GET"
-	OpPut    Op = "PUT"
-	OpList   Op = "LIST"
-	OpHead   Op = "HEAD"
-	OpDelete Op = "DELETE"
-	OpCopy   Op = "COPY"
+	OpGet Op = iota
+	OpPut
+	OpList
+	OpHead
+	OpDelete
+	OpCopy
 )
+
+// String is the class's S3 name ("GET", "PUT", ...), the spelling chaos
+// rules match and chaos events carry.
+func (op Op) String() string { return books[op].name }
 
 // Object is a stored value. Profiled objects carry only a size; their Data
 // is nil and consumers must treat them as opaque payloads of Size bytes.
@@ -209,41 +213,6 @@ func (s *Store) SetTelemetry(reg *telemetry.Registry) { s.tel = reg }
 // whose handler issued it. Observe-only; nil detaches.
 func (s *Store) SetFlightRecorder(rec *flight.Recorder) { s.rec = rec }
 
-// record emits one completed request into the attached flight recorder.
-func (s *Store) record(p *simtime.Proc, kind flight.Kind, bucket, key string, n int64, start simtime.Time) {
-	if rec := s.rec; rec != nil {
-		rec.Op(p, kind, bucket, key, n, start, s.sched.Now())
-	}
-}
-
-// observe mirrors one request into the attached registry.
-func (s *Store) observe(op Op, bytesIn, bytesOut int64) {
-	tel := s.tel
-	if tel == nil {
-		return
-	}
-	switch op {
-	case OpGet:
-		tel.Counter(telemetry.MStoreGets).Inc()
-	case OpPut:
-		tel.Counter(telemetry.MStorePuts).Inc()
-	case OpList:
-		tel.Counter(telemetry.MStoreLists).Inc()
-	case OpHead:
-		tel.Counter(telemetry.MStoreHeads).Inc()
-	case OpDelete:
-		tel.Counter(telemetry.MStoreDeletes).Inc()
-	case OpCopy:
-		tel.Counter(telemetry.MStoreCopies).Inc()
-	}
-	if bytesIn > 0 {
-		tel.Counter(telemetry.MStoreBytesIn).Add(bytesIn)
-	}
-	if bytesOut > 0 {
-		tel.Counter(telemetry.MStoreBytesOut).Add(bytesOut)
-	}
-}
-
 // Metrics returns the store-wide counter snapshot.
 func (s *Store) Metrics() Metrics { return s.metrics }
 
@@ -338,25 +307,94 @@ func (s *Store) transfer(p *simtime.Proc, b *bucket, n int64) {
 	p.Sleep(time.Duration(sec * float64(time.Second)))
 }
 
-// checkFault consults the injector before a request touches state, meters
-// or the clock. An injected fault is observe-recorded (chaos event and
-// counter) but the faulted request itself stays unmetered and uncharged.
-func (s *Store) checkFault(p *simtime.Proc, op Op, bucketName, key string) error {
-	if s.inj == nil {
-		return nil
-	}
-	err := s.inj.OpFault(op, bucketName, key)
-	if err != nil {
-		s.injFaults++
-		s.tel.Counter(telemetry.MChaosFaults).Inc()
-		s.tel.Counter(telemetry.MChaosStoreFaults).Inc()
-		if rec := s.rec; rec != nil {
-			rec.Emit(flight.Event{Kind: flight.KindChaosFault, Time: s.sched.Now(),
-				Inv: rec.InvocationOf(p), Bucket: bucketName, Key: key,
-				Name: string(op), Err: err.Error()})
+// book is one request class's row in the store's books: its name, the
+// Metrics counter one request moves, the telemetry counter mirroring it,
+// the flight kind it emits, and which way its bytes move through the
+// caller (none for the metadata ops and the server-side copy).
+type book struct {
+	name    string
+	unit    Metrics
+	counter string
+	kind    flight.Kind
+	dir     int8 // +1: bytes up (BytesIn), -1: bytes down (BytesOut), 0: none
+}
+
+// books is the one table every request is metered through, indexed by Op.
+var books = [...]book{
+	OpGet:    {"GET", Metrics{Gets: 1}, telemetry.MStoreGets, flight.KindStoreGet, -1},
+	OpPut:    {"PUT", Metrics{Puts: 1}, telemetry.MStorePuts, flight.KindStorePut, +1},
+	OpList:   {"LIST", Metrics{Lists: 1}, telemetry.MStoreLists, flight.KindStoreList, 0},
+	OpHead:   {"HEAD", Metrics{Heads: 1}, telemetry.MStoreHeads, flight.KindStoreHead, 0},
+	OpDelete: {"DELETE", Metrics{Deletes: 1}, telemetry.MStoreDeletes, flight.KindStoreDelete, 0},
+	OpCopy:   {"COPY", Metrics{Copies: 1}, telemetry.MStoreCopies, flight.KindStoreCopy, 0},
+}
+
+// add folds the deltas d into m.
+func (m *Metrics) add(d Metrics) {
+	m.Gets += d.Gets
+	m.Puts += d.Puts
+	m.Lists += d.Lists
+	m.Heads += d.Heads
+	m.Deletes += d.Deletes
+	m.Copies += d.Copies
+	m.BytesIn += d.BytesIn
+	m.BytesOut += d.BytesOut
+}
+
+// open admits one request of class op: the injector first, then the
+// bucket. An injected fault is observe-recorded (chaos event and counter)
+// but the faulted request itself touches no state, meter or clock.
+func (s *Store) open(p *simtime.Proc, op Op, bucketName, key string) (*bucket, error) {
+	if s.inj != nil {
+		if err := s.inj.OpFault(op, bucketName, key); err != nil {
+			s.injFaults++
+			s.tel.Counter(telemetry.MChaosFaults).Inc()
+			s.tel.Counter(telemetry.MChaosStoreFaults).Inc()
+			if rec := s.rec; rec != nil {
+				rec.Emit(flight.Event{Kind: flight.KindChaosFault, Time: s.sched.Now(),
+					Inv: rec.InvocationOf(p), Bucket: bucketName, Key: key,
+					Name: op.String(), Err: err.Error()})
+			}
+			return nil, err
 		}
 	}
-	return err
+	return s.bucket(bucketName)
+}
+
+// meter charges and books one admitted request of class op on b: the
+// clock (n bytes through the caller if the class moves bytes, else the
+// request latency alone), the store-wide and per-bucket Metrics, the
+// telemetry counters and one flight event carrying key and n.
+func (s *Store) meter(p *simtime.Proc, op Op, b *bucket, key string, n int64) {
+	bk := &books[op]
+	d := bk.unit
+	switch bk.dir {
+	case +1:
+		d.BytesIn = n
+	case -1:
+		d.BytesOut = n
+	}
+	t0 := s.sched.Now()
+	s.transfer(p, b, d.BytesIn+d.BytesOut)
+	s.metrics.add(d)
+	b.metrics.add(d)
+	if tel := s.tel; tel != nil {
+		tel.Counter(bk.counter).Inc()
+		if d.BytesIn > 0 {
+			tel.Counter(telemetry.MStoreBytesIn).Add(d.BytesIn)
+		}
+		if d.BytesOut > 0 {
+			tel.Counter(telemetry.MStoreBytesOut).Add(d.BytesOut)
+		}
+	}
+	if rec := s.rec; rec != nil {
+		rec.Op(p, bk.kind, b.name, key, n, t0, s.sched.Now())
+	}
+}
+
+// missing is the error for an absent key.
+func missing(bucketName, key string) error {
+	return fmt.Errorf("%w: %s/%s", ErrNoSuchKey, bucketName, key)
 }
 
 // Put stores concrete bytes, charging the caller for the upload.
@@ -374,55 +412,29 @@ func (s *Store) PutProfiled(p *simtime.Proc, bucketName, key string, size int64)
 }
 
 func (s *Store) put(p *simtime.Proc, bucketName, key string, obj *Object) error {
-	if err := s.checkFault(p, OpPut, bucketName, key); err != nil {
-		return err
-	}
-	b, err := s.bucket(bucketName)
+	b, err := s.open(p, OpPut, bucketName, key)
 	if err != nil {
 		return err
 	}
 	if obj.Size > s.cfg.Pricing.MaxObjectBytes && s.cfg.Pricing.MaxObjectBytes > 0 {
 		return fmt.Errorf("%w: %d bytes", ErrTooLarge, obj.Size)
 	}
-	t0 := s.sched.Now()
-	s.transfer(p, b, obj.Size)
-	s.metrics.Puts++
-	s.metrics.BytesIn += obj.Size
-	b.metrics.Puts++
-	b.metrics.BytesIn += obj.Size
-	s.observe(OpPut, obj.Size, 0)
-	s.record(p, flight.KindStorePut, bucketName, key, obj.Size, t0)
-	b.accrue(s.sched.Now())
-	if old, ok := b.objects[key]; ok {
-		b.curBytes -= old.Size
-	}
-	obj.Created = s.sched.Now()
-	b.objects[key] = obj
-	b.curBytes += obj.Size
+	s.meter(p, OpPut, b, key, obj.Size)
+	b.place(key, obj, s.sched.Now())
 	return nil
 }
 
 // Get retrieves an object, charging the caller for the download.
 func (s *Store) Get(p *simtime.Proc, bucketName, key string) (*Object, error) {
-	if err := s.checkFault(p, OpGet, bucketName, key); err != nil {
-		return nil, err
-	}
-	b, err := s.bucket(bucketName)
+	b, err := s.open(p, OpGet, bucketName, key)
 	if err != nil {
 		return nil, err
 	}
 	obj, ok := b.objects[key]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s/%s", ErrNoSuchKey, bucketName, key)
+		return nil, missing(bucketName, key)
 	}
-	t0 := s.sched.Now()
-	s.transfer(p, b, obj.Size)
-	s.metrics.Gets++
-	s.metrics.BytesOut += obj.Size
-	b.metrics.Gets++
-	b.metrics.BytesOut += obj.Size
-	s.observe(OpGet, 0, obj.Size)
-	s.record(p, flight.KindStoreGet, bucketName, key, obj.Size, t0)
+	s.meter(p, OpGet, b, key, obj.Size)
 	return obj, nil
 }
 
@@ -431,59 +443,33 @@ func (s *Store) Get(p *simtime.Proc, bucketName, key string) (*Object, error) {
 // bytes move through the caller. Speculative execution's commit step uses
 // it to publish a winning attempt's output under the task's final key.
 func (s *Store) Copy(p *simtime.Proc, bucketName, src, dst string) error {
-	if err := s.checkFault(p, OpCopy, bucketName, dst); err != nil {
-		return err
-	}
-	b, err := s.bucket(bucketName)
+	b, err := s.open(p, OpCopy, bucketName, dst)
 	if err != nil {
 		return err
 	}
 	obj, ok := b.objects[src]
 	if !ok {
-		return fmt.Errorf("%w: %s/%s", ErrNoSuchKey, bucketName, src)
+		return missing(bucketName, src)
 	}
-	t0 := s.sched.Now()
-	if lat := s.latencyFor(b); lat > 0 {
-		p.Sleep(lat)
-	}
-	s.metrics.Copies++
-	b.metrics.Copies++
-	s.observe(OpCopy, 0, 0)
-	s.record(p, flight.KindStoreCopy, bucketName, dst, obj.Size, t0)
-	b.accrue(s.sched.Now())
-	if old, ok := b.objects[dst]; ok {
-		b.curBytes -= old.Size
-	}
+	s.meter(p, OpCopy, b, dst, obj.Size)
 	cp := *obj
 	cp.Key = dst
-	cp.Created = s.sched.Now()
-	b.objects[dst] = &cp
-	b.curBytes += cp.Size
+	b.place(dst, &cp, s.sched.Now())
 	return nil
 }
 
 // Head returns object metadata without transferring the body. Bills as a
 // GET-class request.
 func (s *Store) Head(p *simtime.Proc, bucketName, key string) (*Object, error) {
-	if err := s.checkFault(p, OpHead, bucketName, key); err != nil {
-		return nil, err
-	}
-	b, err := s.bucket(bucketName)
+	b, err := s.open(p, OpHead, bucketName, key)
 	if err != nil {
 		return nil, err
 	}
 	obj, ok := b.objects[key]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s/%s", ErrNoSuchKey, bucketName, key)
+		return nil, missing(bucketName, key)
 	}
-	t0 := s.sched.Now()
-	if lat := s.latencyFor(b); lat > 0 {
-		p.Sleep(lat)
-	}
-	s.metrics.Heads++
-	b.metrics.Heads++
-	s.observe(OpHead, 0, 0)
-	s.record(p, flight.KindStoreHead, bucketName, key, 0, t0)
+	s.meter(p, OpHead, b, key, 0)
 	meta := *obj
 	meta.Data = nil
 	return &meta, nil
@@ -492,21 +478,11 @@ func (s *Store) Head(p *simtime.Proc, bucketName, key string) (*Object, error) {
 // List returns the keys in a bucket with the given prefix, sorted. Bills
 // as a GET-class request.
 func (s *Store) List(p *simtime.Proc, bucketName, prefix string) ([]string, error) {
-	if err := s.checkFault(p, OpList, bucketName, prefix); err != nil {
-		return nil, err
-	}
-	b, err := s.bucket(bucketName)
+	b, err := s.open(p, OpList, bucketName, prefix)
 	if err != nil {
 		return nil, err
 	}
-	t0 := s.sched.Now()
-	if lat := s.latencyFor(b); lat > 0 {
-		p.Sleep(lat)
-	}
-	s.metrics.Lists++
-	b.metrics.Lists++
-	s.observe(OpList, 0, 0)
-	s.record(p, flight.KindStoreList, bucketName, prefix, 0, t0)
+	s.meter(p, OpList, b, prefix, 0)
 	var keys []string
 	for k := range b.objects {
 		if strings.HasPrefix(k, prefix) {
@@ -519,21 +495,11 @@ func (s *Store) List(p *simtime.Proc, bucketName, prefix string) ([]string, erro
 
 // Delete removes an object. Deleting a missing key is a no-op, like S3.
 func (s *Store) Delete(p *simtime.Proc, bucketName, key string) error {
-	if err := s.checkFault(p, OpDelete, bucketName, key); err != nil {
-		return err
-	}
-	b, err := s.bucket(bucketName)
+	b, err := s.open(p, OpDelete, bucketName, key)
 	if err != nil {
 		return err
 	}
-	t0 := s.sched.Now()
-	if lat := s.latencyFor(b); lat > 0 {
-		p.Sleep(lat)
-	}
-	s.metrics.Deletes++
-	b.metrics.Deletes++
-	s.observe(OpDelete, 0, 0)
-	s.record(p, flight.KindStoreDelete, bucketName, key, 0, t0)
+	s.meter(p, OpDelete, b, key, 0)
 	if old, ok := b.objects[key]; ok {
 		b.accrue(s.sched.Now())
 		b.curBytes -= old.Size
@@ -542,18 +508,23 @@ func (s *Store) Delete(p *simtime.Proc, bucketName, key string) error {
 	return nil
 }
 
+// place puts obj under key at now, replacing any object there and
+// keeping the bucket's occupancy books.
+func (b *bucket) place(key string, obj *Object, now simtime.Time) {
+	b.accrue(now)
+	if old, ok := b.objects[key]; ok {
+		b.curBytes -= old.Size
+	}
+	obj.Created = now
+	b.objects[key] = obj
+	b.curBytes += obj.Size
+}
+
 // seed stores an object with no time charge and no request billing; it
 // models data already resident before the job starts.
 func (s *Store) seed(bucketName string, obj *Object) {
 	s.CreateBucket(bucketName)
-	b := s.buckets[bucketName]
-	b.accrue(s.sched.Now())
-	if old, ok := b.objects[obj.Key]; ok {
-		b.curBytes -= old.Size
-	}
-	obj.Created = s.sched.Now()
-	b.objects[obj.Key] = obj
-	b.curBytes += obj.Size
+	s.buckets[bucketName].place(obj.Key, obj, s.sched.Now())
 }
 
 // Seed stores concrete bytes with no time charge.
@@ -602,22 +573,4 @@ func (s *Store) Bill() Bill {
 		out.Storage += s.cfg.Pricing.StorageCost(b.byteSeconds)
 	}
 	return out
-}
-
-// DefaultClassMetrics sums counters over default-class buckets only —
-// the requests billed at the sheet's S3 rates.
-func (s *Store) DefaultClassMetrics() Metrics {
-	var m Metrics
-	for _, b := range s.buckets {
-		if b.class == nil {
-			m.Gets += b.metrics.Gets
-			m.Puts += b.metrics.Puts
-			m.Lists += b.metrics.Lists
-			m.Heads += b.metrics.Heads
-			m.Deletes += b.metrics.Deletes
-			m.BytesIn += b.metrics.BytesIn
-			m.BytesOut += b.metrics.BytesOut
-		}
-	}
-	return m
 }

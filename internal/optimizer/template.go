@@ -86,14 +86,6 @@ type TemplateStats struct {
 	Entries int
 }
 
-// HitRate is Hits/(Hits+Misses), 0 on an untouched cache.
-func (s TemplateStats) HitRate() float64 {
-	if s.Hits+s.Misses == 0 {
-		return 0
-	}
-	return float64(s.Hits) / float64(s.Hits+s.Misses)
-}
-
 // Stats reports cumulative cache traffic.
 func (tc *TemplateCache) Stats() TemplateStats {
 	st := tc.c.Stats()

@@ -421,8 +421,15 @@ func (m *Monitor) applyLocked(ev *flight.Event) {
 		if it := m.invs[ev.Inv]; it != nil {
 			it.compute += ev.Time - ev.Start
 		}
-	case flight.KindStoreGet, flight.KindStorePut, flight.KindStoreHead,
-		flight.KindStoreList, flight.KindStoreDelete, flight.KindStoreCopy:
+	case flight.KindInvokeDone:
+		m.billLocked(ev, false)
+		m.completeTaskLocked(ev)
+	case flight.KindInvokeTimeout, flight.KindInvokeError, flight.KindInvokeCanceled:
+		m.billLocked(ev, true)
+	default:
+		if !ev.Kind.IsStore() {
+			return
+		}
 		if it := m.invs[ev.Inv]; it != nil {
 			it.io += ev.Time - ev.Start
 		}
@@ -432,11 +439,6 @@ func (m *Monitor) applyLocked(ev *flight.Event) {
 		case flight.KindStorePut:
 			m.puts++
 		}
-	case flight.KindInvokeDone:
-		m.billLocked(ev, false)
-		m.completeTaskLocked(ev)
-	case flight.KindInvokeTimeout, flight.KindInvokeError, flight.KindInvokeCanceled:
-		m.billLocked(ev, true)
 	}
 }
 

@@ -604,6 +604,41 @@ func TestExecuteSettlesTenantSLO(t *testing.T) {
 	}
 }
 
+// TestExecutedRunsFiledUnderResolvedJob: one job spelled three ways and
+// executed by one tenant settles into one SLO entry and one labeled
+// attainment series, filed under the resolved profile name.
+func TestExecutedRunsFiledUnderResolvedJob(t *testing.T) {
+	tel := telemetry.New()
+	srv := startReal(t, Config{Telemetry: tel})
+	for _, w := range []string{"wordcount", "WordCount", "WORDCOUNT"} {
+		body := `{"workload":"` + w + `","num_objects":10,"object_bytes":1048576,"objective":{"goal":"min_time","budget_usd":1},"execute":true}`
+		if resp, got := post(t, srv.URL()+"/v1/plan", "acme", body); resp.StatusCode != 200 {
+			t.Fatalf("%s: status %d: %s", w, resp.StatusCode, got)
+		}
+	}
+	r, err := http.Get(srv.URL() + "/v1/tenants/acme/slo")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Body.Close()
+	var slo api.TenantSLOResponse
+	if err := json.NewDecoder(r.Body).Decode(&slo); err != nil {
+		t.Fatal(err)
+	}
+	if slo.Runs != 3 || len(slo.Entries) != 1 || slo.Entries[0].Job != "wordcount" || slo.Entries[0].Runs != 3 {
+		t.Fatalf("slo = %+v, want one wordcount entry with 3 runs", slo)
+	}
+	var series []string
+	for name := range tel.Snapshot().Counters {
+		if strings.HasPrefix(name, telemetry.MQoSSLOAttained+"{") {
+			series = append(series, name)
+		}
+	}
+	if len(series) != 1 {
+		t.Fatalf("attainment series = %v, want one", series)
+	}
+}
+
 // stubService scripts request timing so a test controls exactly when an
 // in-flight request completes, and counts how often the planner ran.
 // Every call answers differently, so equal bodies prove shared bytes.

@@ -131,7 +131,7 @@ func (s *service) execute(req *api.PlanRequest, job astra.Job, plan *astra.Execu
 	mon := astra.NewQoSMonitor(astra.QoSOptions{
 		Deadline: time.Duration(factor * float64(plan.Exact.JCT())),
 		Tenant:   api.ResolveTenant("", req.Tenant),
-		Job:      req.Workload,
+		Job:      job.Profile.Name,
 		Ledger:   s.led,
 	})
 	rep, err := astra.RunWith(model.DefaultParams(job), plan.Config, astra.WithQoSMonitor(mon))

@@ -17,9 +17,6 @@ type Proc struct {
 	joinWaiters []*Proc
 }
 
-// Name reports the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.s.Now() }
 
@@ -63,10 +60,6 @@ func (p *Proc) Sleep(d time.Duration) {
 	p.s.push(&Event{at: p.s.now + d, kind: evResume, proc: p})
 	p.park()
 }
-
-// Yield reschedules the process at the current instant, letting other
-// ready processes run first.
-func (p *Proc) Yield() { p.Sleep(0) }
 
 // Spawn starts a child process at the current virtual time and returns its
 // handle, which may be passed to Join.

@@ -37,9 +37,6 @@ func (s *Scheduler) NewPSResource(capacity float64) *PSResource {
 	return &PSResource{s: s, capacity: capacity, jobs: make(map[*psJob]struct{})}
 }
 
-// Capacity reports the configured capacity (units per second).
-func (r *PSResource) Capacity() float64 { return r.capacity }
-
 // InFlight reports the number of jobs currently being served.
 func (r *PSResource) InFlight() int { return len(r.jobs) }
 

@@ -30,17 +30,11 @@ func (s *Scheduler) NewSemaphore(capacity int) *Semaphore {
 	return &Semaphore{s: s, cap: capacity, avail: capacity}
 }
 
-// Cap reports the semaphore's capacity.
-func (sem *Semaphore) Cap() int { return sem.cap }
-
 // InUse reports the number of units currently held.
 func (sem *Semaphore) InUse() int { return sem.cap - sem.avail }
 
 // PeakInUse reports the maximum number of units ever held simultaneously.
 func (sem *Semaphore) PeakInUse() int { return sem.peakInUse }
-
-// QueueLen reports the number of processes waiting to acquire.
-func (sem *Semaphore) QueueLen() int { return len(sem.queue) }
 
 func (sem *Semaphore) noteAcquired() {
 	if in := sem.InUse(); in > sem.peakInUse {
@@ -64,20 +58,6 @@ func (sem *Semaphore) Acquire(p *Proc, n int) {
 	}
 	sem.queue = append(sem.queue, semWait{p: p, n: n})
 	p.block("semaphore")
-}
-
-// TryAcquire takes n units without blocking, reporting whether it
-// succeeded. It respects FIFO order: it fails if anyone is queued.
-func (sem *Semaphore) TryAcquire(n int) bool {
-	if n <= 0 || n > sem.cap {
-		return false
-	}
-	if len(sem.queue) == 0 && sem.avail >= n {
-		sem.avail -= n
-		sem.noteAcquired()
-		return true
-	}
-	return false
 }
 
 // Release returns n units and admits queued waiters that now fit, in FIFO

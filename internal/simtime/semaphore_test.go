@@ -57,29 +57,6 @@ func TestSemaphoreFIFONoBypass(t *testing.T) {
 	}
 }
 
-func TestSemaphoreTryAcquire(t *testing.T) {
-	_, err := Elapsed(func(p *Proc) {
-		sem := p.Scheduler().NewSemaphore(2)
-		if !sem.TryAcquire(2) {
-			t.Error("TryAcquire(2) on empty semaphore should succeed")
-		}
-		if sem.TryAcquire(1) {
-			t.Error("TryAcquire(1) on full semaphore should fail")
-		}
-		sem.Release(2)
-		if !sem.TryAcquire(1) {
-			t.Error("TryAcquire(1) after release should succeed")
-		}
-		sem.Release(1)
-		if sem.TryAcquire(0) || sem.TryAcquire(3) {
-			t.Error("TryAcquire out of range should fail")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestSemaphoreReleaseOverflowPanics(t *testing.T) {
 	s := NewScheduler()
 	err := s.Run(func(p *Proc) {

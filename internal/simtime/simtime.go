@@ -63,9 +63,6 @@ type Event struct {
 // already-canceled event is a no-op.
 func (e *Event) Cancel() { e.canceled = true }
 
-// When reports the virtual time the event is scheduled for.
-func (e *Event) When() Time { return e.at }
-
 type eventHeap []*Event
 
 func (h eventHeap) Len() int { return len(h) }

@@ -152,9 +152,6 @@ type Job struct {
 // TotalBytes reports the input dataset size.
 func (j Job) TotalBytes() int64 { return int64(j.NumObjects) * j.ObjectSize }
 
-// TotalMB reports the input dataset size in MB (the D constant).
-func (j Job) TotalMB() float64 { return float64(j.TotalBytes()) / (1 << 20) }
-
 // Validate reports whether the job is well-formed.
 func (j Job) Validate() error {
 	if err := j.Profile.Validate(); err != nil {
