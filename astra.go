@@ -541,7 +541,7 @@ type (
 	// Observe-only: attaching one never changes the simulated outcome,
 	// and a nil monitor costs nothing.
 	QoSMonitor = qos.Monitor
-	// QoSOptions configures a QoSMonitor (deadline, margins, identity,
+	// QoSOptions configures a QoSMonitor (deadline, identity,
 	// ledger, telemetry). Unset plan inputs are filled from the
 	// planner's predicted breakdown at Run time.
 	QoSOptions = qos.Options

@@ -99,10 +99,6 @@ type Options struct {
 	// Tiers overrides the memory tier candidates (default: every tier on
 	// the price sheet, the paper's L = 46).
 	Tiers []int
-	// MaxKM caps objects-per-mapper candidates (default: N).
-	MaxKM int
-	// MaxKR caps objects-per-reducer candidates (default: N).
-	MaxKR int
 	// Parallelism bounds the worker pool used for edge-weight evaluation:
 	// 0 means every available core, 1 forces the serial path. The built
 	// graph is identical at every setting.
@@ -110,9 +106,10 @@ type Options struct {
 }
 
 // Fingerprint returns a stable hash of everything in the options that
-// shapes the built graph: the tier list and the kM/kR caps. Parallelism is deliberately excluded — the
-// built DAG is bit-identical at every pool size — so a template cached
-// under one parallelism degree serves callers at any other.
+// shapes the built graph: the tier list. Parallelism is deliberately
+// excluded — the built DAG is bit-identical at every pool size — so a
+// template cached under one parallelism degree serves callers at any
+// other.
 func (o Options) Fingerprint() uint64 {
 	h := fnv.New64a()
 	var b [8]byte
@@ -126,8 +123,6 @@ func (o Options) Fingerprint() uint64 {
 	for _, t := range o.Tiers {
 		u64(uint64(int64(t)))
 	}
-	u64(uint64(int64(o.MaxKM)))
-	u64(uint64(int64(o.MaxKR)))
 	return h.Sum64()
 }
 
@@ -149,17 +144,16 @@ type DAG struct {
 	optima optima
 }
 
-// layout is what assembly and Decode share: the tier list, the fan-in
-// caps, the transfer class of every k_M and the node id base of each
+// layout is what assembly and Decode share: the tier list, the object
+// count, the transfer class of every k_M and the node id base of each
 // column.
 type layout struct {
 	tiers  []int
-	maxKM  int
-	maxKR  int
+	n      int // k_M and k_R each range over 1..n
 	nTiers int
 
 	// jcOf[kM-1] is the transfer class of k_M: the rank of its mapper
-	// count j = ceil(N/k_M) among the nJC distinct ones k_M = 1..maxKM
+	// count j = ceil(N/k_M) among the nJC distinct ones k_M = 1..n
 	// produce (j falls as k_M grows, so a class is a run of k_M values).
 	jcOf []int
 	nJC  int
@@ -198,39 +192,30 @@ func Tiers(p model.Params, opts Options) []int {
 }
 
 // newLayout resolves the options against the model: the tier list after
-// dominated-tier pruning, the fan-in caps, the transfer classes and the
-// node numbering.
+// dominated-tier pruning, the transfer classes and the node numbering.
 func newLayout(m *model.Paper, opts Options) layout {
 	tiers := Tiers(m.P, opts)
 	n := m.P.Job.NumObjects
-	maxKM := opts.MaxKM
-	if maxKM <= 0 || maxKM > n {
-		maxKM = n
-	}
-	maxKR := opts.MaxKR
-	if maxKR <= 0 || maxKR > n {
-		maxKR = n
-	}
 	L := len(tiers)
-	lay := layout{tiers: tiers, maxKM: maxKM, maxKR: maxKR, nTiers: L, jcOf: make([]int, maxKM)}
-	for kM, prev := 1, 0; kM <= maxKM; kM++ {
+	lay := layout{tiers: tiers, n: n, nTiers: L, jcOf: make([]int, n)}
+	for kM, prev := 1, 0; kM <= n; kM++ {
 		if j := (n + kM - 1) / kM; j != prev {
 			lay.nJC++
 			prev = j
 		}
 		lay.jcOf[kM-1] = lay.nJC - 1
 	}
-	// Node ids, column by column: [src, i x L, kM x maxKM, jc x nJC,
-	// kR x maxKR, (kR,a) x maxKR*L, join x maxKR, s x L, dst]. Every edge
+	// Node ids, column by column: [src, i x L, kM x n, jc x nJC,
+	// kR x n, (kR,a) x n*L, join x n, s x L, dst]. Every edge
 	// runs from one column to the next, so the ids are a topological
 	// order, which the graph requires.
 	lay.iBase = 1
 	lay.kmBase = lay.iBase + L
-	lay.jcBase = lay.kmBase + maxKM
+	lay.jcBase = lay.kmBase + n
 	lay.krBase = lay.jcBase + lay.nJC
-	lay.kraBase = lay.krBase + maxKR
-	lay.joinBase = lay.kraBase + maxKR*L
-	lay.sBase = lay.joinBase + maxKR
+	lay.kraBase = lay.krBase + n
+	lay.joinBase = lay.kraBase + n*L
+	lay.sBase = lay.joinBase + n
 	return lay
 }
 
@@ -275,11 +260,10 @@ func BuildContext(ctx context.Context, m *model.Paper, mode Mode, opts Options) 
 // the values (and therefore the assembled graph) do not depend on
 // scheduling.
 func (lay *layout) evaluate(ctx context.Context, m *model.Paper, sc *buildScratch, workers int) error {
-	tiers, L, maxKR := lay.tiers, lay.nTiers, lay.maxKR
-	n := m.P.Job.NumObjects
+	tiers, L, n := lay.tiers, lay.nTiers, lay.n
 
 	// Mapper column: feasibility plus L (time, cost) pairs per kM.
-	if err := parallel.ForEach(ctx, lay.maxKM, workers, func(i int) {
+	if err := parallel.ForEach(ctx, n, workers, func(i int) {
 		kM := i + 1
 		orch, err := mapreduce.OrchestrateFor(m.P.Job.Profile, n, kM, 2)
 		if err != nil {
@@ -303,7 +287,7 @@ func (lay *layout) evaluate(ctx context.Context, m *model.Paper, sc *buildScratc
 	// is bound from its smallest feasible kM; a class without one keeps
 	// an absent row. Each worker rebinds one RowEval from row to row, so
 	// only its first binding allocates (the step-shape buffer).
-	for kM := lay.maxKM; kM >= 1; kM-- {
+	for kM := n; kM >= 1; kM-- {
 		if sc.mapFeasible[kM-1] {
 			sc.repKM[lay.jcOf[kM-1]] = kM
 		}
@@ -314,8 +298,8 @@ func (lay *layout) evaluate(ctx context.Context, m *model.Paper, sc *buildScratc
 		if kM == 0 {
 			return
 		}
-		row := sc.transfer[jc*maxKR : (jc+1)*maxKR]
-		for kR := 1; kR <= maxKR; kR++ {
+		row := sc.transfer[jc*n : (jc+1)*n]
+		for kR := 1; kR <= n; kR++ {
 			if err := m.BindRowFor(e, kM, kR); err != nil {
 				continue
 			}
@@ -326,10 +310,10 @@ func (lay *layout) evaluate(ctx context.Context, m *model.Paper, sc *buildScratc
 	}
 
 	// Coordinator and reducer columns: one (time, cost) pair per
-	// (kR, tier) each, both read off kR's JHat row — c2 time and V2+W2
+	// (kR, tier) each, both read off kR's jHat row — c2 time and V2+W2
 	// cost for the coordinator, Eq. 9 compute and VP+WP cost for the
 	// reducers.
-	return parallel.ForEachWith(ctx, maxKR, workers, newRow, func(e *model.RowEval, i int) {
+	return parallel.ForEachWith(ctx, n, workers, newRow, func(e *model.RowEval, i int) {
 		kR := i + 1
 		if err := m.BindRowHat(e, kR); err != nil {
 			return
@@ -371,7 +355,7 @@ func (lay *layout) census(sc *buildScratch) int {
 // graph's log is its CSR and freezing it copies nothing.
 func (d *DAG) assemble(sc *buildScratch) *graph.Graph {
 	lay, mode := &d.layout, d.Mode
-	tiers, L, maxKM, maxKR := lay.tiers, lay.nTiers, lay.maxKM, lay.maxKR
+	tiers, L, n := lay.tiers, lay.nTiers, lay.n
 	g := graph.New(d.Dst + 1) // dst is the last node
 	g.Reserve(lay.census(sc))
 
@@ -399,7 +383,7 @@ func (d *DAG) assemble(sc *buildScratch) *graph.Graph {
 	// Infeasible kM values (mapper count over the lambda limit R) have no
 	// row and contribute no edges.
 	for ti := range tiers {
-		for kM := 1; kM <= maxKM; kM++ {
+		for kM := 1; kM <= n; kM++ {
 			if sc.mapFeasible[kM-1] {
 				addEdge(lay.iBase+ti, lay.kmBase+(kM-1), sc.mapT[(kM-1)*L+ti], sc.mapC[(kM-1)*L+ti])
 			}
@@ -408,7 +392,7 @@ func (d *DAG) assemble(sc *buildScratch) *graph.Graph {
 
 	// objects-per-mapper -> its transfer class, free: the class is the
 	// part of kM the rest of the path can still read.
-	for kM := 1; kM <= maxKM; kM++ {
+	for kM := 1; kM <= n; kM++ {
 		if sc.mapFeasible[kM-1] {
 			addEdge(lay.kmBase+(kM-1), lay.jcBase+lay.jcOf[kM-1], 0, 0)
 		}
@@ -417,8 +401,8 @@ func (d *DAG) assemble(sc *buildScratch) *graph.Graph {
 	// transfer class -> objects-per-reducer: transfer times, glue costs
 	// (requests + invocations).
 	for jc := 0; jc < lay.nJC; jc++ {
-		for kR := 1; kR <= maxKR; kR++ {
-			if w := sc.transfer[jc*maxKR+(kR-1)]; w.ok {
+		for kR := 1; kR <= n; kR++ {
+			if w := sc.transfer[jc*n+(kR-1)]; w.ok {
 				addEdge(lay.jcBase+jc, lay.krBase+(kR-1), w.t, w.c)
 			}
 		}
@@ -426,7 +410,7 @@ func (d *DAG) assemble(sc *buildScratch) *graph.Graph {
 
 	// objects-per-reducer -> (kR, coordinator memory): c2 time, V2+W2
 	// cost.
-	for kR := 1; kR <= maxKR; kR++ {
+	for kR := 1; kR <= n; kR++ {
 		for ta := range tiers {
 			if w := sc.coord[(kR-1)*L+ta]; w.ok {
 				addEdge(lay.krBase+(kR-1), lay.kraBase+(kR-1)*L+ta, w.t, w.c)
@@ -436,7 +420,7 @@ func (d *DAG) assemble(sc *buildScratch) *graph.Graph {
 
 	// (kR, coordinator memory) -> kR's join, free: the reduce weights
 	// below read kR and not the coordinator tier.
-	for kR := 1; kR <= maxKR; kR++ {
+	for kR := 1; kR <= n; kR++ {
 		for ta := range tiers {
 			if sc.coord[(kR-1)*L+ta].ok {
 				addEdge(lay.kraBase+(kR-1)*L+ta, lay.joinBase+(kR-1), 0, 0)
@@ -445,7 +429,7 @@ func (d *DAG) assemble(sc *buildScratch) *graph.Graph {
 	}
 
 	// kR's join -> reducer memory: Eq. 9 compute, VP+WP cost.
-	for kR := 1; kR <= maxKR; kR++ {
+	for kR := 1; kR <= n; kR++ {
 		for ts := range tiers {
 			if w := sc.reduce[(kR-1)*L+ts]; w.ok {
 				addEdge(lay.joinBase+(kR-1), lay.sBase+ts, w.t, w.c)
@@ -505,7 +489,7 @@ func (d *DAG) Decode(p graph.Path) (mapreduce.Config, error) {
 	join := p.Nodes[6] - d.joinBase
 	sIdx := p.Nodes[7] - d.sBase
 	if iIdx < 0 || iIdx >= L || sIdx < 0 || sIdx >= L || kra < 0 ||
-		kM < 1 || kM > d.maxKM || kR < 1 || kR > d.maxKR {
+		kM < 1 || kM > d.n || kR < 1 || kR > d.n {
 		return mapreduce.Config{}, fmt.Errorf("dag: path %v decodes out of range", p.Nodes)
 	}
 	if d.jcOf[kM-1] != jc {

@@ -50,11 +50,11 @@ var testTiers = []int{128, 512, 1024, 3008}
 var testClasses = []int{0, 1, 2, 3, 4, 4, 4, 4, 4, 5}
 
 // wantNodes is the node count of the nine-column layout: source and
-// destination, L mapper tiers, maxKM objects-per-mapper values, J
-// transfer classes, maxKR objects-per-reducer values, their maxKR*L
-// coordinator nodes and maxKR joins, and L reducer tiers.
-func wantNodes(L, maxKM, J, maxKR int) int {
-	return 2 + L + maxKM + J + maxKR + maxKR*L + maxKR + L
+// destination, L mapper tiers, n objects-per-mapper values, J transfer
+// classes, n objects-per-reducer values, their n*L coordinator nodes and
+// n joins, and L reducer tiers.
+func wantNodes(L, n, J int) int {
+	return 2 + L + n + J + n + n*L + n + L
 }
 
 func TestBuildShape(t *testing.T) {
@@ -65,7 +65,7 @@ func TestBuildShape(t *testing.T) {
 	if !reflect.DeepEqual(d.jcOf, testClasses) || d.nJC != 6 {
 		t.Fatalf("transfer classes %v (%d of them), want %v", d.jcOf, d.nJC, testClasses)
 	}
-	if want := wantNodes(4, 10, 6, 10); d.G.NumNodes() != want {
+	if want := wantNodes(4, 10, 6); d.G.NumNodes() != want {
 		t.Fatalf("nodes = %d, want %d", d.G.NumNodes(), want)
 	}
 	if d.G.NumEdges() == 0 {

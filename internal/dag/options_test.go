@@ -19,7 +19,7 @@ func TestDominatedTierPruning(t *testing.T) {
 	// Pruned tier set: 128..1792 = 27 tiers.
 	wantL := 27
 	n := m.P.Job.NumObjects
-	if want := wantNodes(wantL, n, d.nJC, n); d.G.NumNodes() != want {
+	if want := wantNodes(wantL, n, d.nJC); d.G.NumNodes() != want {
 		t.Fatalf("nodes = %d, want %d (pruned to %d tiers)", d.G.NumNodes(), want, wantL)
 	}
 }
@@ -72,23 +72,6 @@ func TestTiersIsTheLayoutRule(t *testing.T) {
 	}
 	if got := Tiers(m.P, Options{}); len(got) != 27 || got[len(got)-1] != 1792 {
 		t.Errorf("Tiers over the price sheet = %d tiers ending at %d, want 27 ending at 1792", len(got), got[len(got)-1])
-	}
-}
-
-func TestMaxKMAndKRCaps(t *testing.T) {
-	m := testModel()
-	d, err := BuildContext(context.Background(), m, MinimizeTime, Options{Tiers: testTiers, MaxKM: 3, MaxKR: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range allPaths(d) {
-		cfg, err := d.Decode(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if cfg.ObjsPerMapper > 3 || cfg.ObjsPerReducer > 2 {
-			t.Fatalf("caps violated: %v", cfg)
-		}
 	}
 }
 

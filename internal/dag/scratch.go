@@ -24,7 +24,7 @@ type buildScratch struct {
 	mapFeasible []bool    // by kM-1
 	mapT, mapC  []float64 // by (kM-1)*L + tierIndex
 	repKM       []int     // by transfer class: its smallest feasible kM, 0 for none
-	transfer    []pairW   // by class*maxKR + (kR-1)
+	transfer    []pairW   // by class*n + (kR-1)
 	coord       []pairW   // by (kR-1)*L + tierIndex
 	reduce      []pairW   // by (kR-1)*L + tierIndex
 	used        bool
@@ -46,19 +46,19 @@ func grow[T any](s []T, n int) []T {
 // getBuildScratch checks a scratch out of the pool, sized (and cleared)
 // for the layout's build.
 func getBuildScratch(lay *layout, tel *telemetry.Registry) *buildScratch {
-	L, maxKM, maxKR := lay.nTiers, lay.maxKM, lay.maxKR
+	L, n := lay.nTiers, lay.n
 	sc := buildPool.Get().(*buildScratch)
 	if sc.used {
 		tel.Counter(telemetry.MDAGScratchReuse).Inc()
 	}
 	sc.used = true
-	sc.mapFeasible = grow(sc.mapFeasible, maxKM)
-	sc.mapT = grow(sc.mapT, maxKM*L)
-	sc.mapC = grow(sc.mapC, maxKM*L)
+	sc.mapFeasible = grow(sc.mapFeasible, n)
+	sc.mapT = grow(sc.mapT, n*L)
+	sc.mapC = grow(sc.mapC, n*L)
 	sc.repKM = grow(sc.repKM, lay.nJC)
-	sc.transfer = grow(sc.transfer, lay.nJC*maxKR)
-	sc.coord = grow(sc.coord, maxKR*L)
-	sc.reduce = grow(sc.reduce, maxKR*L)
+	sc.transfer = grow(sc.transfer, lay.nJC*n)
+	sc.coord = grow(sc.coord, n*L)
+	sc.reduce = grow(sc.reduce, n*L)
 	return sc
 }
 

@@ -62,7 +62,7 @@ func AblationSolvers() (string, error) {
 }
 
 // AblationDAG quantifies the Fig. 5 DAG's separability approximation: the
-// DAG shortest path (paper model, JHat estimators) versus the exact-model
+// DAG shortest path (paper model, jHat estimators) versus the exact-model
 // optimum, both evaluated by execution, for a compute-heavy and a
 // scan-heavy workload.
 func AblationDAG() (string, error) {

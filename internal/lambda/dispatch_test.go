@@ -9,7 +9,7 @@ import (
 
 func TestDispatchLatencySerializesAsyncLaunches(t *testing.T) {
 	w := newWorld(Config{DispatchLatency: 100 * time.Millisecond})
-	w.pl.MustRegister("f", 1024, func(ctx *Ctx) ([]byte, error) {
+	w.register(t, "f", 1024, func(ctx *Ctx) ([]byte, error) {
 		ctx.Work(1)
 		return nil, nil
 	})
@@ -32,7 +32,7 @@ func TestDispatchLatencySerializesAsyncLaunches(t *testing.T) {
 
 func TestDispatchLatencyOnSyncInvoke(t *testing.T) {
 	w := newWorld(Config{DispatchLatency: 250 * time.Millisecond})
-	w.pl.MustRegister("f", 1024, func(ctx *Ctx) ([]byte, error) {
+	w.register(t, "f", 1024, func(ctx *Ctx) ([]byte, error) {
 		ctx.Work(1)
 		return nil, nil
 	})
@@ -48,7 +48,7 @@ func TestDispatchLatencyOnSyncInvoke(t *testing.T) {
 
 func TestDispatchExcludedFromBilling(t *testing.T) {
 	w := newWorld(Config{DispatchLatency: time.Second})
-	w.pl.MustRegister("f", 1024, func(ctx *Ctx) ([]byte, error) {
+	w.register(t, "f", 1024, func(ctx *Ctx) ([]byte, error) {
 		ctx.Work(0.5)
 		return nil, nil
 	})
@@ -68,7 +68,7 @@ func TestDispatchExcludedFromBilling(t *testing.T) {
 
 func TestZeroDispatchIsFree(t *testing.T) {
 	w := newWorld(Config{})
-	w.pl.MustRegister("f", 1024, func(ctx *Ctx) ([]byte, error) { return nil, nil })
+	w.register(t, "f", 1024, func(ctx *Ctx) ([]byte, error) { return nil, nil })
 	elapsed := w.run(t, func(p *simtime.Proc) {
 		iv := w.pl.InvokeAsync(p, "f", "", nil)
 		if _, err := iv.Wait(p); err != nil {

@@ -19,11 +19,14 @@ func ExamplePlatform_Invoke() {
 		Pricing:   pricing.AWS().Store,
 	})
 	platform := lambda.New(sched, store, lambda.Config{})
-	platform.MustRegister("crunch", 128, func(ctx *lambda.Ctx) ([]byte, error) {
+	_, err := platform.Register("crunch", 128, func(ctx *lambda.Ctx) ([]byte, error) {
 		ctx.Work(1) // one reference-second of compute
 		return []byte("done"), nil
 	})
-	err := sched.Run(func(p *simtime.Proc) {
+	if err != nil {
+		panic(err)
+	}
+	err = sched.Run(func(p *simtime.Proc) {
 		resp, err := platform.Invoke(p, "crunch", nil)
 		if err != nil {
 			panic(err)
@@ -54,8 +57,11 @@ func ExamplePlatform_coldStart() {
 		ColdStart: 250 * time.Millisecond,
 		KeepAlive: 10 * time.Minute,
 	})
-	platform.MustRegister("f", 1024, func(ctx *lambda.Ctx) ([]byte, error) { return nil, nil })
-	err := sched.Run(func(p *simtime.Proc) {
+	_, err := platform.Register("f", 1024, func(ctx *lambda.Ctx) ([]byte, error) { return nil, nil })
+	if err != nil {
+		panic(err)
+	}
+	err = sched.Run(func(p *simtime.Proc) {
 		platform.Invoke(p, "f", nil)
 		platform.Invoke(p, "f", nil)
 	})

@@ -200,15 +200,6 @@ func (pl *Platform) Register(name string, memMB int, handler Handler) (*Function
 	return f, nil
 }
 
-// MustRegister is Register for static setup code; it panics on error.
-func (pl *Platform) MustRegister(name string, memMB int, handler Handler) *Function {
-	f, err := pl.Register(name, memMB, handler)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
 // Records returns all invocation records so far, in completion order.
 func (pl *Platform) Records() []Record { return pl.records }
 

@@ -27,6 +27,14 @@ func newWorld(cfg Config) *world {
 	return &world{sched: sched, store: store, pl: New(sched, store, cfg)}
 }
 
+// register installs a function and fails the test if Register refuses it.
+func (w *world) register(t *testing.T, name string, memMB int, handler Handler) {
+	t.Helper()
+	if _, err := w.pl.Register(name, memMB, handler); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func (w *world) run(t *testing.T, body func(p *simtime.Proc)) time.Duration {
 	t.Helper()
 	if err := w.sched.Run(body); err != nil {
@@ -66,7 +74,7 @@ func TestWorkScalesWithMemory(t *testing.T) {
 	// 8 reference-seconds of work at 128 MB (8x slower than 1024 ref)
 	// takes 64 virtual seconds.
 	w := newWorld(Config{})
-	w.pl.MustRegister("f", 128, func(ctx *Ctx) ([]byte, error) {
+	w.register(t, "f", 128, func(ctx *Ctx) ([]byte, error) {
 		ctx.Work(8)
 		return nil, nil
 	})
@@ -102,7 +110,7 @@ func TestRegisterRejectsInvalidMemory(t *testing.T) {
 
 func TestColdStartAndWarmPool(t *testing.T) {
 	w := newWorld(Config{ColdStart: 500 * time.Millisecond, KeepAlive: time.Hour})
-	w.pl.MustRegister("f", 1024, func(ctx *Ctx) ([]byte, error) {
+	w.register(t, "f", 1024, func(ctx *Ctx) ([]byte, error) {
 		ctx.Work(1)
 		return nil, nil
 	})
@@ -135,7 +143,7 @@ func TestColdStartAndWarmPool(t *testing.T) {
 
 func TestWarmContainerExpires(t *testing.T) {
 	w := newWorld(Config{ColdStart: 500 * time.Millisecond, KeepAlive: time.Second})
-	w.pl.MustRegister("f", 1024, func(ctx *Ctx) ([]byte, error) { return nil, nil })
+	w.register(t, "f", 1024, func(ctx *Ctx) ([]byte, error) { return nil, nil })
 	w.run(t, func(p *simtime.Proc) {
 		_, _ = w.pl.Invoke(p, "f", nil)
 		p.Sleep(10 * time.Second) // past keep-alive
@@ -151,7 +159,7 @@ func TestConcurrencyLimitBlocks(t *testing.T) {
 	sheet := pricing.AWS()
 	sheet.Lambda.MaxConcurrency = 2
 	w := newWorld(Config{Sheet: sheet})
-	w.pl.MustRegister("f", 1024, func(ctx *Ctx) ([]byte, error) {
+	w.register(t, "f", 1024, func(ctx *Ctx) ([]byte, error) {
 		ctx.Work(1)
 		return nil, nil
 	})
@@ -194,7 +202,7 @@ func TestThrottleErrorModeWithRetries(t *testing.T) {
 	tel := telemetry.New()
 	w.pl.SetTelemetry(tel)
 	w.pl.SetInjector(throttleWindow{until: 500 * time.Millisecond})
-	w.pl.MustRegister("f", 1024, func(ctx *Ctx) ([]byte, error) {
+	w.register(t, "f", 1024, func(ctx *Ctx) ([]byte, error) {
 		ctx.Work(0.5)
 		return nil, nil
 	})
@@ -221,7 +229,7 @@ func TestThrottleErrorExhaustsRetries(t *testing.T) {
 	tel := telemetry.New()
 	w.pl.SetTelemetry(tel)
 	w.pl.SetInjector(throttleWindow{until: time.Hour})
-	w.pl.MustRegister("f", 1024, func(ctx *Ctx) ([]byte, error) {
+	w.register(t, "f", 1024, func(ctx *Ctx) ([]byte, error) {
 		t.Error("handler ran inside the throttle window")
 		return nil, nil
 	})
@@ -245,7 +253,7 @@ func TestTimeoutEnforcedAndBilledAtLimit(t *testing.T) {
 	sheet := pricing.AWS()
 	sheet.Lambda.Timeout = 2 * time.Second
 	w := newWorld(Config{Sheet: sheet})
-	w.pl.MustRegister("f", 1024, func(ctx *Ctx) ([]byte, error) {
+	w.register(t, "f", 1024, func(ctx *Ctx) ([]byte, error) {
 		ctx.Work(10) // way past the 2s timeout
 		return nil, nil
 	})
@@ -266,7 +274,7 @@ func TestTimeoutEnforcedAndBilledAtLimit(t *testing.T) {
 
 func TestBillingMatchesPricing(t *testing.T) {
 	w := newWorld(Config{})
-	w.pl.MustRegister("f", 512, func(ctx *Ctx) ([]byte, error) {
+	w.register(t, "f", 512, func(ctx *Ctx) ([]byte, error) {
 		ctx.Work(1) // 2s at 512 MB
 		return nil, nil
 	})
@@ -285,7 +293,7 @@ func TestBillingMatchesPricing(t *testing.T) {
 func TestHandlerStoreAccessChargesTransfer(t *testing.T) {
 	w := newWorld(Config{})
 	w.store.Seed("in", "obj", make([]byte, 100<<20)) // 100 MiB at 100 MiB/s = 1s
-	w.pl.MustRegister("f", 1024, func(ctx *Ctx) ([]byte, error) {
+	w.register(t, "f", 1024, func(ctx *Ctx) ([]byte, error) {
 		obj, err := ctx.Get("in", "obj")
 		if err != nil {
 			return nil, err
@@ -307,7 +315,7 @@ func TestHandlerStoreAccessChargesTransfer(t *testing.T) {
 
 func TestInvokeAsyncOverlaps(t *testing.T) {
 	w := newWorld(Config{})
-	w.pl.MustRegister("f", 1024, func(ctx *Ctx) ([]byte, error) {
+	w.register(t, "f", 1024, func(ctx *Ctx) ([]byte, error) {
 		ctx.Work(5)
 		return []byte("done"), nil
 	})
@@ -329,7 +337,7 @@ func TestInvokeAsyncOverlaps(t *testing.T) {
 
 func TestRecordLabelsAndPayload(t *testing.T) {
 	w := newWorld(Config{})
-	w.pl.MustRegister("echo", 1024, func(ctx *Ctx) ([]byte, error) {
+	w.register(t, "echo", 1024, func(ctx *Ctx) ([]byte, error) {
 		return ctx.Payload(), nil
 	})
 	w.run(t, func(p *simtime.Proc) {
@@ -351,7 +359,7 @@ func TestTimeoutDuringStoreTransfer(t *testing.T) {
 	sheet.Lambda.Timeout = time.Second
 	w := newWorld(Config{Sheet: sheet})
 	w.store.Seed("in", "huge", make([]byte, 500<<20)) // 5s transfer
-	w.pl.MustRegister("f", 1024, func(ctx *Ctx) ([]byte, error) {
+	w.register(t, "f", 1024, func(ctx *Ctx) ([]byte, error) {
 		_, err := ctx.Get("in", "huge")
 		return nil, err
 	})
@@ -365,7 +373,7 @@ func TestTimeoutDuringStoreTransfer(t *testing.T) {
 
 func TestCtxRemaining(t *testing.T) {
 	w := newWorld(Config{})
-	w.pl.MustRegister("f", 1024, func(ctx *Ctx) ([]byte, error) {
+	w.register(t, "f", 1024, func(ctx *Ctx) ([]byte, error) {
 		before := ctx.Remaining()
 		ctx.Work(1)
 		after := ctx.Remaining()

@@ -182,11 +182,11 @@ func TestProfiledModeRunsLargeJob(t *testing.T) {
 	if rep.JCT <= 0 {
 		t.Fatal("JCT must be positive")
 	}
-	// Sort's data ratios are 1.0, so the input plus all intermediates must
-	// still be at rest: well over the 100 GB input — without the host ever
-	// holding those bytes.
-	if w.store.StoredBytes() < job.TotalBytes() {
-		t.Fatalf("stored = %d, want at least the input size", w.store.StoredBytes())
+	// Sort's data ratios are 1.0, so the job writes at least its 100 GB
+	// input again and deletes none of it — without the host ever holding
+	// those bytes.
+	if m := w.store.Metrics(); m.BytesIn < job.TotalBytes() || m.Deletes != 0 {
+		t.Fatalf("store took in %d bytes and deleted %d objects, want at least the input size and none", m.BytesIn, m.Deletes)
 	}
 }
 

@@ -100,7 +100,7 @@ func TestPaperSpeedFlatteningAboveFloor(t *testing.T) {
 	}
 }
 
-// TestPaperDAGEdgeDecomposition: with kM = 1 (so j = N = JHat), the four
+// TestPaperDAGEdgeDecomposition: with kM = 1 (so j = N = jHat), the four
 // Fig. 5 edge weights must sum exactly to the full model's objective.
 func TestPaperDAGEdgeDecomposition(t *testing.T) {
 	m := NewPaper(testParams())
@@ -124,8 +124,8 @@ func TestPaperDAGEdgeDecomposition(t *testing.T) {
 	}
 }
 
-// TestPaperCostEdgeDecomposition: with kM = 1 (JHat exact) and the
-// reducer memory equal to the SHat estimate, the four cost-mode edge
+// TestPaperCostEdgeDecomposition: with kM = 1 (jHat exact) and the
+// reducer memory equal to the sHat estimate, the four cost-mode edge
 // weights must sum to the full model's cost objective.
 func TestPaperCostEdgeDecomposition(t *testing.T) {
 	m := NewPaper(testParams())

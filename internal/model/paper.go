@@ -18,18 +18,11 @@ import (
 //
 // Weights that the paper's separable DAG cannot know exactly (the mapper
 // count j on late edges, the reducer memory s inside the coordinator's
-// waiting bill) are estimated with the documented JHat/SHat constants;
-// Predict — which sees the whole configuration — uses exact values, so the
-// estimation error exists only inside the DAG solver and is quantified by
-// the A2 ablation.
+// waiting bill) are estimated (jHat, sHat); Predict — which sees the
+// whole configuration — uses exact values, so the estimation error exists
+// only inside the DAG solver and is quantified by the A2 ablation.
 type Paper struct {
 	P Params
-	// JHat is the mapper-count estimate for edges whose column pair does
-	// not include j. Zero defaults to N (maximum parallelism).
-	JHat int
-	// SHat is the reducer-memory estimate for the coordinator's waiting
-	// bill on cost-mode edges. Zero defaults to the speed reference tier.
-	SHat int
 	// Aggregate selects the literal Eq. 9 reduce-phase charging: totals
 	// across all steps, blind to within-step parallelism. Taken
 	// literally it makes a single all-consuming reducer (k_R >= j) look
@@ -40,20 +33,16 @@ type Paper struct {
 	Aggregate bool
 }
 
-// NewPaper builds the paper model with default estimators.
+// NewPaper builds the paper model.
 func NewPaper(p Params) *Paper { return &Paper{P: p} }
 
-func (m *Paper) jHat() int {
-	if m.JHat > 0 {
-		return m.JHat
-	}
-	return m.P.Job.NumObjects
-}
+// jHat is the mapper-count estimate for edges whose column pair does not
+// include j: N, maximum parallelism.
+func (m *Paper) jHat() int { return m.P.Job.NumObjects }
 
+// sHat is the reducer-memory estimate for the coordinator's waiting bill
+// on cost-mode edges: the speed reference tier, or 1024 MB without one.
 func (m *Paper) sHat() int {
-	if m.SHat > 0 {
-		return m.SHat
-	}
 	if m.P.Speed.RefMemMB > 0 {
 		return m.P.Speed.RefMemMB
 	}
@@ -254,7 +243,7 @@ func (m *Paper) GlueCost(kM, kR int) (float64, error) {
 }
 
 // CoordCost is the third cost edge set: the coordinator's storage term V2
-// plus its own compute bill (its waiting bill uses the SHat estimator).
+// plus its own compute bill (its waiting bill uses the sHat estimator).
 func (m *Paper) CoordCost(memMB, kR int) (float64, error) {
 	var e RowEval
 	if err := m.BindRowHat(&e, kR); err != nil {
@@ -273,7 +262,7 @@ func (m *Paper) ReduceCost(memMB, kR int) (float64, error) {
 }
 
 // Predict evaluates the full model for a configuration. Unlike the DAG
-// edge components, Predict knows the whole configuration, so no JHat/SHat
+// edge components, Predict knows the whole configuration, so no jHat/sHat
 // estimation is involved.
 func (m *Paper) Predict(cfg mapreduce.Config) (Prediction, error) {
 	if err := m.P.Validate(); err != nil {

@@ -6,7 +6,7 @@ import (
 
 // RowEval caches the per-orchestration state that one DAG column row
 // shares across every memory tier: the step shapes, their Q/R totals,
-// the storage-held byte totals, and the SHat-priced waiting time. The
+// the storage-held byte totals, and the sHat-priced waiting time. The
 // DAG builder binds a RowEval to each (kM, kR) or kR row and then asks it
 // for each tier's weight, so the orchestration and step shapes are
 // derived once per row instead of once per edge. A zero RowEval is
@@ -21,11 +21,11 @@ type RowEval struct {
 	orch   mapreduce.Orchestration
 	shapes []stepShape
 
-	q, r     float64 // Q and R totals over the steps
-	held2    float64 // D + S + Q: bytes held during the coordinator phase
-	heldP    float64 // D + S + R: bytes held during the reduce phase
-	d2       float64 // coordinator state-object write time
-	waitSHat float64 // waiting bill at the SHat tier (all steps but the last)
+	q, r    float64 // Q and R totals over the steps
+	held2   float64 // D + S + Q: bytes held during the coordinator phase
+	heldP   float64 // D + S + R: bytes held during the reduce phase
+	d2      float64 // coordinator state-object write time
+	waitHat float64 // waiting bill at the sHat tier (all steps but the last)
 }
 
 // BindRowFor binds the row to the exact orchestration of a (kM, kR)
@@ -39,7 +39,7 @@ func (m *Paper) BindRowFor(e *RowEval, kM, kR int) error {
 	return nil
 }
 
-// BindRowHat binds the row to the JHat-estimated orchestration for kR
+// BindRowHat binds the row to the jHat-estimated orchestration for kR
 // (the coordinator and reducer columns).
 func (m *Paper) BindRowHat(e *RowEval, kR int) error {
 	orch, err := m.orchHat(kR)
@@ -61,9 +61,9 @@ func (m *Paper) BindRow(e *RowEval, orch mapreduce.Orchestration) {
 	e.held2 = D + S + e.q
 	e.heldP = D + S + e.r
 	e.d2 = float64(orch.NumSteps()) * (m.P.latSec() + m.P.xferSec(m.P.StateObjectBytes))
-	e.waitSHat = 0
+	e.waitHat = 0
 	for p := 0; p < len(e.shapes)-1; p++ {
-		e.waitSHat += m.stepTime(e.shapes[p], m.sHat())
+		e.waitHat += m.stepTime(e.shapes[p], m.sHat())
 	}
 }
 
@@ -91,19 +91,19 @@ func (e *RowEval) GlueCost(kR int) float64 {
 }
 
 // CoordCost is Paper.CoordCost at one coordinator tier of the bound
-// JHat row.
+// jHat row.
 func (e *RowEval) CoordCost(memMB int) float64 {
 	m := e.m
 	st := m.P.Sheet.Store
 	l := m.P.Sheet.Lambda
 	t2 := m.P.dispSec() + m.P.coordComputeSec(m.jHat(), memMB) + e.d2
 	v2 := float64(st.StorageCost(t2 * e.held2))
-	w2 := float64(l.PerSecond(memMB)) * (t2 + e.waitSHat)
+	w2 := float64(l.PerSecond(memMB)) * (t2 + e.waitHat)
 	return v2 + w2
 }
 
 // ReduceCompute is Paper.ReduceCompute at one reducer tier of the bound
-// JHat row.
+// jHat row.
 func (e *RowEval) ReduceCompute(memMB int) float64 {
 	total := 0.0
 	for _, s := range e.shapes {
@@ -112,7 +112,7 @@ func (e *RowEval) ReduceCompute(memMB int) float64 {
 	return total
 }
 
-// ReduceCost is Paper.ReduceCost at one reducer tier of the bound JHat
+// ReduceCost is Paper.ReduceCost at one reducer tier of the bound jHat
 // row.
 func (e *RowEval) ReduceCost(memMB int) float64 {
 	m := e.m

@@ -269,15 +269,6 @@ func (s *Store) ByteSeconds() float64 {
 	return total
 }
 
-// StoredBytes reports the bytes currently at rest across all buckets.
-func (s *Store) StoredBytes() int64 {
-	var total int64
-	for _, b := range s.buckets {
-		total += b.curBytes
-	}
-	return total
-}
-
 // latencyFor resolves the per-request latency for a bucket.
 func (s *Store) latencyFor(b *bucket) time.Duration {
 	if b != nil && b.class != nil {
@@ -535,15 +526,6 @@ func (s *Store) Seed(bucketName, key string, data []byte) {
 // SeedProfiled stores a size-only object with no time charge.
 func (s *Store) SeedProfiled(bucketName, key string, size int64) {
 	s.seed(bucketName, &Object{Key: key, Size: size, Profiled: true})
-}
-
-// ObjectCount reports the number of objects in a bucket (0 if absent).
-func (s *Store) ObjectCount(bucketName string) int {
-	b, ok := s.buckets[bucketName]
-	if !ok {
-		return 0
-	}
-	return len(b.objects)
 }
 
 // Bill is the store's contribution to the job bill: request charges plus

@@ -137,9 +137,14 @@ func TestDeleteIdempotentAndFreesStorage(t *testing.T) {
 		if err := s.Delete(p, "b", "k"); err != nil { // idempotent
 			t.Fatal(err)
 		}
+		if _, err := s.Head(p, "b", "k"); !errors.Is(err, ErrNoSuchKey) {
+			t.Fatalf("Head after delete: err = %v, want ErrNoSuchKey", err)
+		}
+		p.Sleep(time.Hour)
 	})
-	if store.StoredBytes() != 0 {
-		t.Fatalf("StoredBytes = %d after delete", store.StoredBytes())
+	// Nothing was at rest for the hour after the delete.
+	if got := store.Bill().Storage; got != 0 {
+		t.Fatalf("storage bill = %v after delete, want 0", got)
 	}
 	if store.Metrics().Deletes != 2 {
 		t.Fatalf("Deletes = %d, want 2", store.Metrics().Deletes)
@@ -147,15 +152,19 @@ func TestDeleteIdempotentAndFreesStorage(t *testing.T) {
 }
 
 func TestOverwriteReplacesSize(t *testing.T) {
-	_, store := run(t, func(p *simtime.Proc, s *Store) {
+	run(t, func(p *simtime.Proc, s *Store) {
 		s.Seed("b", "k", make([]byte, 100))
 		if err := s.Put(p, "b", "k", make([]byte, 40)); err != nil {
 			t.Fatal(err)
 		}
+		obj, err := s.Head(p, "b", "k")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if obj.Size != 40 {
+			t.Fatalf("Size = %d, want 40 after overwrite", obj.Size)
+		}
 	})
-	if store.StoredBytes() != 40 {
-		t.Fatalf("StoredBytes = %d, want 40 after overwrite", store.StoredBytes())
-	}
 }
 
 func TestByteSecondsAccounting(t *testing.T) {
@@ -312,17 +321,18 @@ func TestObjectTooLarge(t *testing.T) {
 }
 
 func TestObjectCount(t *testing.T) {
-	_, store := run(t, func(p *simtime.Proc, s *Store) {
+	run(t, func(p *simtime.Proc, s *Store) {
 		s.Seed("b", "a", nil)
 		s.Seed("b", "b", nil)
 		s.Seed("b", "a", nil) // overwrite, not a new object
+		keys, err := s.List(p, "b", "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(keys) != 2 {
+			t.Fatalf("List = %v, want 2 objects", keys)
+		}
 	})
-	if n := store.ObjectCount("b"); n != 2 {
-		t.Fatalf("ObjectCount = %d, want 2", n)
-	}
-	if n := store.ObjectCount("missing"); n != 0 {
-		t.Fatalf("ObjectCount(missing) = %d, want 0", n)
-	}
 }
 
 func TestMetricsSub(t *testing.T) {

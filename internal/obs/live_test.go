@@ -24,7 +24,7 @@ import (
 func TestScrapeUnderLoadMatchesFinalSnapshot(t *testing.T) {
 	tel := astra.NewTelemetry()
 	rec := astra.NewFlightRecorder()
-	s := startServer(t, obs.Options{Telemetry: tel, Flight: rec, PollEvery: time.Millisecond})
+	s := startServer(t, obs.Options{Telemetry: tel, Flight: rec})
 
 	ctx, cancel := context.WithCancel(context.Background())
 	var wg sync.WaitGroup

@@ -19,8 +19,7 @@ import (
 // the per-bucket increase into a registry histogram via ObserveN, using a
 // representative value per bucket (the finite right edge, else the left).
 type Sampler struct {
-	reg   *telemetry.Registry
-	every time.Duration
+	reg *telemetry.Registry
 
 	samples []metrics.Sample
 	prev    map[string][]uint64 // histogram name -> last seen bucket counts
@@ -52,18 +51,17 @@ var runtimeSecondsBounds = []float64{
 	1e-7, 1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1,
 }
 
-// NewSampler builds a sampler publishing into reg every interval
-// (default 250ms). Call Start to begin and Stop to halt it.
-func NewSampler(reg *telemetry.Registry, every time.Duration) *Sampler {
-	if every <= 0 {
-		every = 250 * time.Millisecond
-	}
+// sampleEvery is the sampler's cadence.
+const sampleEvery = 250 * time.Millisecond
+
+// NewSampler builds a sampler publishing into reg every sampleEvery. Call
+// Start to begin and Stop to halt it.
+func NewSampler(reg *telemetry.Registry) *Sampler {
 	s := &Sampler{
-		reg:   reg,
-		every: every,
-		prev:  make(map[string][]uint64),
-		stop:  make(chan struct{}),
-		done:  make(chan struct{}),
+		reg:  reg,
+		prev: make(map[string][]uint64),
+		stop: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	s.samples = make([]metrics.Sample, len(sampledMetrics))
 	for i, m := range sampledMetrics {
@@ -78,7 +76,7 @@ func (s *Sampler) Start() {
 	s.startOnce.Do(func() {
 		go func() {
 			defer close(s.done)
-			t := time.NewTicker(s.every)
+			t := time.NewTicker(sampleEvery)
 			defer t.Stop()
 			s.SampleOnce()
 			for {

@@ -11,7 +11,7 @@ import (
 
 func TestSamplerPublishesRuntimeHealth(t *testing.T) {
 	reg := telemetry.New()
-	s := obs.NewSampler(reg, time.Hour) // ticker irrelevant; sample by hand
+	s := obs.NewSampler(reg) // never started; sample by hand
 	s.SampleOnce()
 
 	if g := reg.Gauge(telemetry.MGoGoroutines).Value(); g <= 0 {
@@ -41,17 +41,21 @@ func TestSamplerStopIdempotentAndWithoutStart(t *testing.T) {
 	reg := telemetry.New()
 
 	// Stop without Start must not hang.
-	s := obs.NewSampler(reg, time.Millisecond)
+	s := obs.NewSampler(reg)
 	s.Stop()
 	s.Stop()
 
-	// Start then Stop joins the goroutine.
-	s = obs.NewSampler(reg, time.Millisecond)
+	// Start samples at once and then on every tick (250ms); Stop joins
+	// the goroutine.
+	s = obs.NewSampler(reg)
 	s.Start()
-	time.Sleep(5 * time.Millisecond)
+	samples := reg.Counter(telemetry.MGoSamples)
+	for deadline := time.Now().Add(5 * time.Second); samples.Value() < 2 && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+	}
 	s.Stop()
 	s.Stop()
-	if c := reg.Counter(telemetry.MGoSamples).Value(); c < 1 {
-		t.Fatalf("samples counter = %d, want >= 1", c)
+	if c := samples.Value(); c < 2 {
+		t.Fatalf("samples counter = %d after a tick, want >= 2", c)
 	}
 }

@@ -55,26 +55,22 @@ type Options struct {
 	// RuntimeMetrics starts the runtime/metrics sampler goroutine,
 	// publishing astra_go_* gauges and histograms into the registry.
 	RuntimeMetrics bool
-	// SampleEvery is the sampler cadence (default 250ms).
-	SampleEvery time.Duration
-	// PollEvery is the /events follow-mode poll cadence (default 25ms).
-	PollEvery time.Duration
-	// FrontierHistory bounds the retained FrontierUpdate log (default
-	// 64; older updates are dropped and counted).
-	FrontierHistory int
-	// QoS mounts a streaming QoS monitor on /qos. Nil disables the
-	// endpoint until PublishQoS is called.
-	QoS *qos.Monitor
 }
+
+// The /events follow-mode poll cadence, and the number of FrontierUpdates
+// /frontier retains (older ones are dropped and counted).
+const (
+	pollEvery       = 25 * time.Millisecond
+	frontierHistory = 64
+)
 
 // Server is one observability plane instance. Construct with NewServer,
 // mount via Handler or Start, and always Shutdown when done.
 type Server struct {
-	reg       *telemetry.Registry
-	rec       *flight.Recorder
-	pollEvery time.Duration
-	sampler   *Sampler
-	frontier  *updateLog
+	reg      *telemetry.Registry
+	rec      *flight.Recorder
+	sampler  *Sampler
+	frontier *updateLog
 
 	mux *http.ServeMux
 	// Listener provides Start, Addr and URL.
@@ -98,26 +94,16 @@ func NewServer(o Options) *Server {
 	if reg == nil {
 		reg = telemetry.New()
 	}
-	poll := o.PollEvery
-	if poll <= 0 {
-		poll = 25 * time.Millisecond
-	}
-	hist := o.FrontierHistory
-	if hist <= 0 {
-		hist = 64
-	}
 	s := &Server{
-		reg:       reg,
-		rec:       o.Flight,
-		pollEvery: poll,
-		frontier:  newUpdateLog(hist, reg.Counter(telemetry.MObsSSEDropped)),
-		mux:       http.NewServeMux(),
-		closing:   make(chan struct{}),
-		qos:       o.QoS,
+		reg:      reg,
+		rec:      o.Flight,
+		frontier: newUpdateLog(frontierHistory, reg.Counter(telemetry.MObsSSEDropped)),
+		mux:      http.NewServeMux(),
+		closing:  make(chan struct{}),
 	}
 	s.Listener = NewListener(s.mux)
 	if o.RuntimeMetrics {
-		s.sampler = NewSampler(reg, o.SampleEvery)
+		s.sampler = NewSampler(reg)
 		s.sampler.Start()
 	}
 	s.handle("/healthz", s.handleHealthz)
@@ -246,7 +232,7 @@ func (s *Server) serveSSE(w http.ResponseWriter, r *http.Request, fetch sseFetch
 		}
 		var poll <-chan time.Time
 		if wake == nil {
-			poll = time.After(s.pollEvery)
+			poll = time.After(pollEvery)
 		}
 		select {
 		case <-r.Context().Done():

@@ -125,11 +125,12 @@ func TestEventsReplayAndGapAccounting(t *testing.T) {
 
 func TestFrontierReplayAndBoundedHistory(t *testing.T) {
 	reg := telemetry.New()
-	s := startServer(t, obs.Options{Telemetry: reg, FrontierHistory: 2})
+	s := startServer(t, obs.Options{Telemetry: reg})
 
+	// The log keeps the last 64 updates: of 67, the first 3 are dropped.
 	observe := s.FrontierObserver()
-	for i := 1; i <= 5; i++ {
-		observe(optimizer.FrontierUpdate{Phase: i, Final: i == 5})
+	for i := 1; i <= 67; i++ {
+		observe(optimizer.FrontierUpdate{Phase: i, Final: i == 67})
 	}
 	code, body := get(t, s.URL()+"/frontier?follow=0")
 	if code != 200 {
@@ -138,10 +139,10 @@ func TestFrontierReplayAndBoundedHistory(t *testing.T) {
 	if !strings.Contains(body, ": gap 3 update(s) dropped") {
 		t.Fatalf("missing drop comment in:\n%s", body)
 	}
-	if !strings.Contains(body, `"phase":4`) || !strings.Contains(body, `"phase":5`) {
+	if !strings.Contains(body, `"phase":4,`) || !strings.Contains(body, `"phase":67,`) {
 		t.Fatalf("retained updates missing in:\n%s", body)
 	}
-	if strings.Contains(body, `"phase":3`) {
+	if strings.Contains(body, `"phase":3,`) {
 		t.Fatalf("evicted update replayed:\n%s", body)
 	}
 	if !strings.Contains(body, `"final":true`) {
@@ -164,12 +165,7 @@ func TestShutdownReleasesSSEClients(t *testing.T) {
 
 	rec := flight.New()
 	rec.Emit(flight.Event{Kind: "test", Name: "e1"})
-	s := obs.NewServer(obs.Options{
-		Flight:         rec,
-		RuntimeMetrics: true,
-		SampleEvery:    time.Millisecond,
-		PollEvery:      time.Millisecond,
-	})
+	s := obs.NewServer(obs.Options{Flight: rec, RuntimeMetrics: true})
 	if err := s.Start("127.0.0.1:0"); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +233,7 @@ func TestShutdownReleasesSSEClients(t *testing.T) {
 // updates appended after it connected, and is closed by the final one
 // once the log is closed by Shutdown.
 func TestFrontierFollowSeesLiveUpdates(t *testing.T) {
-	s := startServer(t, obs.Options{PollEvery: time.Millisecond})
+	s := startServer(t, obs.Options{})
 	observe := s.FrontierObserver()
 	observe(optimizer.FrontierUpdate{Phase: 1})
 

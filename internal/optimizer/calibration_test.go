@@ -10,7 +10,7 @@ import (
 	"astra/internal/workload"
 )
 
-// queryParams builds an instance where the DAG's JHat estimators are
+// queryParams builds an instance where the DAG's jHat estimators are
 // known to be optimistic for kM > 1 plans (scan-heavy profile, enough
 // objects that the mapper-count estimate matters).
 func queryParams() model.Params {

@@ -196,8 +196,6 @@ type Planner struct {
 	// rounds builds each DAG once; set it to share builds across planner
 	// instances.
 	Templates *TemplateCache
-	// BruteWorkLimit bounds brute-force enumeration (default 2e6 configs).
-	BruteWorkLimit int
 	// AggregateModel makes the DAG edges use the literal Eq. 9 aggregate
 	// reduce-phase charging instead of the per-step default — the model
 	// the paper wrote down verbatim, kept for the A3 planning ablation.
@@ -515,19 +513,8 @@ func (c bruteCandidate) better(than bruteCandidate) bool {
 func (pl *Planner) bruteSolve(ctx context.Context, obj Objective, exact model.Predictor) (mapreduce.Config, error) {
 	tiers := dag.Tiers(pl.Params, pl.DAGOptions)
 	n := pl.Params.Job.NumObjects
-	maxKM := pl.DAGOptions.MaxKM
-	if maxKM <= 0 || maxKM > n {
-		maxKM = n
-	}
-	maxKR := pl.DAGOptions.MaxKR
-	if maxKR <= 0 || maxKR > n {
-		maxKR = n
-	}
-	limit := pl.BruteWorkLimit
-	if limit <= 0 {
-		limit = 2_000_000
-	}
-	combos := maxKM * maxKR * len(tiers) * len(tiers) * len(tiers)
+	const limit = 2_000_000 // configurations brute force may enumerate
+	combos := n * n * len(tiers) * len(tiers) * len(tiers)
 	if combos > limit {
 		return mapreduce.Config{}, fmt.Errorf(
 			"optimizer: brute force over %d configurations exceeds the work limit %d; restrict DAGOptions",
@@ -535,10 +522,10 @@ func (pl *Planner) bruteSolve(ctx context.Context, obj Objective, exact model.Pr
 	}
 	sp := telemetry.FromContext(ctx).StartSpan("plan/solve/brute")
 	defer sp.End()
-	pairs := make([]bruteCandidate, maxKM*maxKR)
+	pairs := make([]bruteCandidate, n*n)
 	if err := parallel.ForEach(ctx, len(pairs), pl.Parallelism, func(pi int) {
-		kM := pi/maxKR + 1
-		kR := pi%maxKR + 1
+		kM := pi/n + 1
+		kR := pi%n + 1
 		orch, err := mapreduce.OrchestrateFor(pl.Params.Job.Profile, n, kM, kR)
 		if err != nil {
 			return

@@ -39,8 +39,8 @@ type TemplateKey struct {
 	// Params is model.Params.Fingerprint(): job shape, profile, price
 	// sheet contents, speed model, latencies.
 	Params uint64
-	// Opts is dag.Options.Fingerprint(): tier list and kM/kR caps
-	// (parallelism excluded — it never changes the graph).
+	// Opts is dag.Options.Fingerprint(): the tier list (parallelism
+	// excluded — it never changes the graph).
 	Opts uint64
 	// Mode is the shortest-path objective the edge weights encode.
 	Mode dag.Mode

@@ -17,7 +17,7 @@ import (
 )
 
 // TestTemplateKeyNoCollisions is the cache-key safety property: any
-// difference in model parameters, tier list, kM/kR caps, DAG mode or
+// difference in model parameters, tier list, DAG mode or
 // model flavor must produce a distinct template key —
 // a collision would silently serve one tenant another tenant's graph.
 func TestTemplateKeyNoCollisions(t *testing.T) {
@@ -62,10 +62,6 @@ func TestTemplateKeyNoCollisions(t *testing.T) {
 		{Tiers: []int{1024}},
 		{Tiers: []int{1024, 2048}},
 		{Tiers: []int{2048, 1024}}, // order matters: it is the node layout
-		{MaxKM: 1},
-		{MaxKM: 5},
-		{MaxKR: 2},
-		{MaxKM: 5, MaxKR: 2},
 	}
 
 	seen := make(map[TemplateKey]string)
@@ -88,8 +84,8 @@ func TestTemplateKeyNoCollisions(t *testing.T) {
 	// at every pool size, and splitting the cache by pool size would
 	// throw away exactly the cross-tenant hits the cache exists for.
 	for _, par := range []int{0, 1, 4, 64} {
-		o := dag.Options{MaxKM: 5, Parallelism: par}
-		if got, want := o.Fingerprint(), (dag.Options{MaxKM: 5}).Fingerprint(); got != want {
+		o := dag.Options{Tiers: []int{1024}, Parallelism: par}
+		if got, want := o.Fingerprint(), (dag.Options{Tiers: []int{1024}}).Fingerprint(); got != want {
 			t.Fatalf("Options.Fingerprint changed with Parallelism=%d: %x != %x", par, got, want)
 		}
 	}

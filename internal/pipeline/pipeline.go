@@ -113,10 +113,6 @@ type Planner struct {
 	// Params template: Job is overwritten per stage; everything else
 	// (sheet, bandwidth, latencies, speed) applies pipeline-wide.
 	Params model.Params
-	// FrontierSize caps each stage's Pareto frontier (default
-	// optimizer.DefaultFrontierSize, 24); the composite frontier is
-	// pruned to FrontierSize^2 at each join.
-	FrontierSize int
 	// Parallelism bounds the per-stage frontier sweeps' worker pool
 	// (0 = all cores, 1 = serial). Plans are identical at every setting.
 	Parallelism int
@@ -134,13 +130,6 @@ type Planner struct {
 
 // NewPlanner creates a pipeline planner from a parameter template.
 func NewPlanner(params model.Params) *Planner { return &Planner{Params: params} }
-
-func (pl *Planner) frontierSize() int {
-	if pl.FrontierSize > 0 {
-		return pl.FrontierSize
-	}
-	return optimizer.DefaultFrontierSize
-}
 
 // cache returns the shared prediction cache, creating one on demand.
 func (pl *Planner) cache() *model.PredictionCache {
@@ -171,7 +160,7 @@ func (pl *Planner) stageFrontier(ctx context.Context, pf workload.Profile, in st
 		ObjectSize: maxInt64(in.bytes/int64(in.objects), 1),
 	}
 	sp := &optimizer.Planner{Params: params, Parallelism: pl.Parallelism, Cache: pl.cache(), Templates: pl.templates()}
-	res, err := sp.Frontier(ctx, pl.frontierSize(), nil)
+	res, err := sp.Frontier(ctx, optimizer.DefaultFrontierSize, nil)
 	if err != nil {
 		return nil, fmt.Errorf("pipeline: stage profile %q: %w", pf.Name, err)
 	}
@@ -248,7 +237,9 @@ func (pl *Planner) PlanContext(ctx context.Context, p Pipeline, obj optimizer.Ob
 				})
 			}
 		}
-		frontier = pruneComposites(next, pl.frontierSize()*pl.frontierSize())
+		// Each stage sweeps DefaultFrontierSize points; the composite
+		// set keeps at most the square of that.
+		frontier = pruneComposites(next, optimizer.DefaultFrontierSize*optimizer.DefaultFrontierSize)
 		if len(frontier) == 0 {
 			return nil, optimizer.ErrNoFeasiblePlan
 		}

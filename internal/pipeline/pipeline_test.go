@@ -194,7 +194,6 @@ func TestThreeStagePipeline(t *testing.T) {
 		InputBytes:   12 * (32 << 20),
 	}
 	pl := NewPlanner(templParams())
-	pl.FrontierSize = 10
 	plan, err := pl.Plan(p, optimizer.Objective{Goal: optimizer.MinTimeUnderBudget, Budget: 1e9})
 	if err != nil {
 		t.Fatal(err)

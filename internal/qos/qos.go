@@ -47,7 +47,7 @@ type State int
 const (
 	// OnTrack: the projected JCT is within the risk threshold.
 	OnTrack State = iota
-	// AtRisk: the projected JCT exceeds (1 - RiskMargin) x deadline; the
+	// AtRisk: the projected JCT exceeds (1 - riskMargin) x deadline; the
 	// deadline itself has not passed yet.
 	AtRisk
 	// Breached: the deadline passed with the run still incomplete.
@@ -71,9 +71,21 @@ func (s State) String() string {
 // reports: the paper's Eq. 3-10 decomposition, matching flight.StageTerms.
 var termNames = [4]string{"startup", "compute", "io", "waiting"}
 
+// The monitor's fixed thresholds. riskMargin is the at_risk guard band:
+// the monitor flips to at_risk when the projected JCT exceeds
+// (1 - riskMargin) x deadline, so the warning strictly precedes the
+// breach. driftSlack is the CUSUM slack k (per-task normalized error
+// absorbed before the score accumulates) and driftThreshold the alarm
+// level h.
+const (
+	riskMargin     = 0.05
+	driftSlack     = 0.25
+	driftThreshold = 1.0
+)
+
 // Options configures a Monitor. The zero value is usable once EnsurePlan
 // supplies a predicted breakdown: deadline defaults to 1.5x the predicted
-// JCT, risk margin to 5%, CUSUM slack to 0.25 and threshold to 1.0.
+// JCT.
 type Options struct {
 	// Predicted is the plan's per-stage breakdown for the executed
 	// configuration (Exact.PredictBreakdown). Left nil, EnsurePlan fills
@@ -83,16 +95,6 @@ type Options struct {
 	// Deadline is the QoS completion-time threshold (Eq. 20). Zero means
 	// "1.5x the predicted JCT", resolved by EnsurePlan.
 	Deadline time.Duration
-	// RiskMargin is the at_risk guard band: the monitor flips to at_risk
-	// when the projected JCT exceeds (1 - RiskMargin) x Deadline, so the
-	// warning strictly precedes the breach. Zero means 0.05; values are
-	// clamped to [0, 0.5].
-	RiskMargin float64
-	// DriftSlack is the CUSUM slack k (per-task normalized error absorbed
-	// before the score accumulates). Zero means 0.25.
-	DriftSlack float64
-	// DriftThreshold is the CUSUM alarm level h. Zero means 1.0.
-	DriftThreshold float64
 	// Tenant and Job identify the run in the SLO ledger and snapshots.
 	Tenant, Job string
 	// Ledger, if set, receives the run's Outcome at EndRun.
@@ -159,16 +161,13 @@ type stageTrack struct {
 type Monitor struct {
 	mu sync.Mutex
 
-	pred      *flight.Breakdown
-	sheet     *pricing.Sheet
-	deadline  time.Duration
-	margin    float64
-	slack     float64
-	threshold float64
-	tenant    string
-	job       string
-	ledger    *Ledger
-	tel       *telemetry.Registry
+	pred     *flight.Breakdown
+	sheet    *pricing.Sheet
+	deadline time.Duration
+	tenant   string
+	job      string
+	ledger   *Ledger
+	tel      *telemetry.Registry
 
 	rec     *flight.Recorder
 	began   bool
@@ -196,33 +195,14 @@ type Monitor struct {
 // New creates a monitor. A nil return is never produced; a nil *Monitor
 // is nonetheless safe everywhere it can be attached.
 func New(o Options) *Monitor {
-	m := &Monitor{
-		pred:      o.Predicted,
-		deadline:  o.Deadline,
-		margin:    o.RiskMargin,
-		slack:     o.DriftSlack,
-		threshold: o.DriftThreshold,
-		tenant:    o.Tenant,
-		job:       o.Job,
-		ledger:    o.Ledger,
-		tel:       o.Telemetry,
+	return &Monitor{
+		pred:     o.Predicted,
+		deadline: o.Deadline,
+		tenant:   o.Tenant,
+		job:      o.Job,
+		ledger:   o.Ledger,
+		tel:      o.Telemetry,
 	}
-	if m.margin == 0 {
-		m.margin = 0.05
-	}
-	if m.margin < 0 {
-		m.margin = 0
-	}
-	if m.margin > 0.5 {
-		m.margin = 0.5
-	}
-	if m.slack <= 0 {
-		m.slack = 0.25
-	}
-	if m.threshold <= 0 {
-		m.threshold = 1.0
-	}
-	return m
 }
 
 // EnsurePlan fills the monitor's unset plan inputs: the predicted
@@ -250,7 +230,7 @@ func (m *Monitor) EnsurePlan(bd *flight.Breakdown, sheet *pricing.Sheet) {
 // riskThresholdLocked is the projected-JCT level that flips on_track to
 // at_risk: (1 - margin) x deadline.
 func (m *Monitor) riskThresholdLocked() time.Duration {
-	return m.deadline - time.Duration(m.margin*float64(m.deadline))
+	return m.deadline - time.Duration(riskMargin*float64(m.deadline))
 }
 
 // BeginRun resets the monitor for one run: it anchors at the recorder's
@@ -518,19 +498,19 @@ func (m *Monitor) observeTermsLocked(st *stageTrack, it *invTrack, ev *flight.Ev
 			denom = floor
 		}
 		x := float64(obs[i]-pred[i]) / float64(denom)
-		s := st.cusum[i] + x - m.slack
+		s := st.cusum[i] + x - driftSlack
 		if s < 0 {
 			s = 0
 		}
 		st.cusum[i] = s
-		if s >= m.threshold && !st.drifted[i] {
+		if s >= driftThreshold && !st.drifted[i] {
 			st.drifted[i] = true
 			m.drifted++
 			m.appendTransitionLocked(Transition{
 				Kind: "drift", Stage: st.name, Term: termNames[i],
 				At: ev.Time - m.t0,
 				Reason: fmt.Sprintf("cusum %.2f >= %.2f after task %s",
-					s, m.threshold, it.label),
+					s, driftThreshold, it.label),
 			})
 		}
 	}
@@ -547,9 +527,7 @@ func (m *Monitor) advanceLocked(t simtime.Time) {
 	if t <= m.clock {
 		return
 	}
-	prev := m.clock
 	m.clock = t
-	_ = prev
 	if m.pred == nil || m.deadline <= 0 {
 		return
 	}

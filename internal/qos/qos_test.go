@@ -1,6 +1,7 @@
 package qos
 
 import (
+	"fmt"
 	"runtime"
 	"sync"
 	"testing"
@@ -380,5 +381,62 @@ func TestFoldNeverCallsTheRecorder(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("Poll did not return: the fold runs under the recorder's lock (flight.VisitSince), " +
 			"so nothing under applyLocked may call the recorder")
+	}
+}
+
+// TestDefaultThresholdsArePinned drives a default monitor to each side of
+// its three fixed thresholds, so moving any of them fails: at_risk flips
+// once the projected JCT exceeds 0.95 x the deadline, and a term drifts
+// once its CUSUM, accumulating max(0, S + x - 0.25) per task, reaches 1.0.
+func TestDefaultThresholdsArePinned(t *testing.T) {
+	// Deadline 20s: the risk threshold is exactly 19s.
+	for _, tc := range []struct {
+		jct  time.Duration
+		want string
+	}{
+		{19 * time.Second, "on_track"},
+		{19*time.Second + 1, "at_risk"},
+	} {
+		bd := testBreakdown()
+		bd.JCT = tc.jct
+		m := New(Options{Predicted: bd, Deadline: 20 * time.Second})
+		m.BeginRun(nil, 0, testStages())
+		if got := m.Snapshot().State; got != tc.want {
+			t.Errorf("planned JCT %v against a 20s deadline: %s, want %s", tc.jct, got, tc.want)
+		}
+	}
+
+	// Map tasks whose compute overruns the predicted 5s by the given
+	// amounts (x = overrun/5s); every other term stays under prediction.
+	// One task alarms at x = k + h = 1.25; two tasks at x1 + x2 = 2k + h
+	// = 1.5, which separates k from h.
+	drifts := func(overruns ...time.Duration) int {
+		rec := flight.New()
+		m := New(Options{Predicted: testBreakdown(), Deadline: time.Hour})
+		m.BeginRun(rec, 0, testStages())
+		for i, over := range overruns {
+			inv, label := int64(i+1), fmt.Sprintf("map-%d", i)
+			end := simtime.Time(time.Second + 5*time.Second + over)
+			rec.Emit(flight.Event{Kind: flight.KindInvokeScheduled, Inv: inv, Label: label})
+			rec.Emit(flight.Event{Kind: flight.KindCompute, Inv: inv,
+				Start: simtime.Time(time.Second), Time: end})
+			rec.Emit(flight.Event{Kind: flight.KindInvokeDone, Inv: inv, Label: label,
+				Start: simtime.Time(time.Second), Time: end, MemoryMB: 1024})
+		}
+		m.Poll(time.Minute)
+		return m.Snapshot().DriftedTerms
+	}
+	for _, tc := range []struct {
+		overruns []time.Duration
+		want     int
+	}{
+		{[]time.Duration{6250 * time.Millisecond}, 1},
+		{[]time.Duration{6250*time.Millisecond - 1}, 0},
+		{[]time.Duration{3750 * time.Millisecond, 3750 * time.Millisecond}, 1},
+		{[]time.Duration{3750*time.Millisecond - 1, 3750*time.Millisecond - 1}, 0},
+	} {
+		if got := drifts(tc.overruns...); got != tc.want {
+			t.Errorf("compute overruns %v: %d drifted terms, want %d", tc.overruns, got, tc.want)
+		}
 	}
 }

@@ -63,7 +63,7 @@ func BenchmarkForkJoin100(b *testing.B) {
 func BenchmarkSemaphoreContention(b *testing.B) {
 	b.ReportAllocs()
 	_, err := Elapsed(func(p *Proc) {
-		sem := p.Scheduler().NewSemaphore(10)
+		sem := p.s.NewSemaphore(10)
 		for i := 0; i < b.N; i++ {
 			p.Parallel(100, "w", func(q *Proc, j int) {
 				sem.Acquire(q, 1)
@@ -82,7 +82,7 @@ func BenchmarkSemaphoreContention(b *testing.B) {
 func BenchmarkPSResource(b *testing.B) {
 	b.ReportAllocs()
 	_, err := Elapsed(func(p *Proc) {
-		r := p.Scheduler().NewPSResource(1e9)
+		r := p.s.NewPSResource(1e9)
 		for i := 0; i < b.N; i++ {
 			p.Parallel(50, "xfer", func(q *Proc, j int) {
 				r.Use(q, float64(1000*(j+1)))

@@ -27,8 +27,9 @@ func ExampleScheduler_Run() {
 
 // A FIFO semaphore turns 6 one-second tasks into 3 waves of 2.
 func ExampleSemaphore() {
-	elapsed, err := simtime.Elapsed(func(p *simtime.Proc) {
-		sem := p.Scheduler().NewSemaphore(2)
+	s := simtime.NewScheduler()
+	sem := s.NewSemaphore(2)
+	err := s.Run(func(p *simtime.Proc) {
 		p.Parallel(6, "task", func(q *simtime.Proc, i int) {
 			sem.Acquire(q, 1)
 			q.Sleep(time.Second)
@@ -38,7 +39,7 @@ func ExampleSemaphore() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(elapsed)
+	fmt.Println(s.Now())
 	// Output:
 	// 3s
 }
@@ -46,8 +47,9 @@ func ExampleSemaphore() {
 // Processor sharing: two equal transfers over one link each take twice
 // the solo time.
 func ExamplePSResource() {
-	elapsed, err := simtime.Elapsed(func(p *simtime.Proc) {
-		link := p.Scheduler().NewPSResource(100) // 100 units/second
+	s := simtime.NewScheduler()
+	link := s.NewPSResource(100) // 100 units/second
+	err := s.Run(func(p *simtime.Proc) {
 		p.Parallel(2, "xfer", func(q *simtime.Proc, i int) {
 			link.Use(q, 100)
 		})
@@ -55,7 +57,7 @@ func ExamplePSResource() {
 	if err != nil {
 		panic(err)
 	}
-	fmt.Println(elapsed.Round(time.Millisecond))
+	fmt.Println(s.Now().Round(time.Millisecond))
 	// Output:
 	// 2s
 }

@@ -20,9 +20,6 @@ type Proc struct {
 // Now reports the current virtual time.
 func (p *Proc) Now() Time { return p.s.Now() }
 
-// Scheduler returns the scheduler this process runs on.
-func (p *Proc) Scheduler() *Scheduler { return p.s }
-
 // park gives up the baton and waits to be resumed: the process runs the
 // event loop itself until the next process event, and returns at once if
 // that event is its own resume. If the simulation is being torn down,

@@ -18,9 +18,6 @@ type PSResource struct {
 	jobs       map[*psJob]struct{}
 	lastUpdate Time
 	pending    *Event
-
-	// Served accumulates total units served, for conservation checks.
-	served float64
 }
 
 type psJob struct {
@@ -36,12 +33,6 @@ func (s *Scheduler) NewPSResource(capacity float64) *PSResource {
 	}
 	return &PSResource{s: s, capacity: capacity, jobs: make(map[*psJob]struct{})}
 }
-
-// InFlight reports the number of jobs currently being served.
-func (r *PSResource) InFlight() int { return len(r.jobs) }
-
-// Served reports total units served so far.
-func (r *PSResource) Served() float64 { return r.served }
 
 // perJobRate is the current service rate each job receives.
 func (r *PSResource) perJobRate() float64 {
@@ -66,7 +57,6 @@ func (r *PSResource) advance() {
 			done = j.remaining
 		}
 		j.remaining -= done
-		r.served += done
 	}
 	r.lastUpdate = now
 }
@@ -105,7 +95,6 @@ func (r *PSResource) onCompletion() {
 	const eps = 1e-6
 	for j := range r.jobs {
 		if j.remaining <= eps {
-			r.served += j.remaining
 			j.remaining = 0
 			delete(r.jobs, j)
 			j.latch.Done()

@@ -9,7 +9,7 @@ import (
 func TestSemaphoreLimitsConcurrency(t *testing.T) {
 	// 10 workers, each holding a unit for 1s, capacity 2 -> 5 waves -> 5s.
 	elapsed, err := Elapsed(func(p *Proc) {
-		sem := p.Scheduler().NewSemaphore(2)
+		sem := p.s.NewSemaphore(2)
 		p.Parallel(10, "w", func(q *Proc, i int) {
 			sem.Acquire(q, 1)
 			q.Sleep(time.Second)
@@ -31,7 +31,7 @@ func TestSemaphoreFIFONoBypass(t *testing.T) {
 	// A large request at the head must not be bypassed by later small ones.
 	var order []string
 	_, err := Elapsed(func(p *Proc) {
-		sem := p.Scheduler().NewSemaphore(4)
+		sem := p.s.NewSemaphore(4)
 		sem.Acquire(p, 3) // 1 left
 		big := p.Spawn("big", func(q *Proc) {
 			sem.Acquire(q, 2)
@@ -82,7 +82,7 @@ func TestSemaphoreAcquireBeyondCapPanics(t *testing.T) {
 func TestPSResourceSingleJobExactDuration(t *testing.T) {
 	// 100 units at 10 units/s -> 10s.
 	elapsed, err := Elapsed(func(p *Proc) {
-		r := p.Scheduler().NewPSResource(10)
+		r := p.s.NewPSResource(10)
 		r.Use(p, 100)
 	})
 	if err != nil {
@@ -96,7 +96,7 @@ func TestPSResourceSingleJobExactDuration(t *testing.T) {
 func TestPSResourceFairSharing(t *testing.T) {
 	// Two equal jobs share the link: both finish at 2x the solo time.
 	elapsed, err := Elapsed(func(p *Proc) {
-		r := p.Scheduler().NewPSResource(10)
+		r := p.s.NewPSResource(10)
 		p.Parallel(2, "xfer", func(q *Proc, i int) { r.Use(q, 100) })
 	})
 	if err != nil {
@@ -113,7 +113,7 @@ func TestPSResourceStaggeredArrivals(t *testing.T) {
 	// finishes at 15s. B then alone with 50 left at 10/s -> finishes at 20s.
 	var aDone, bDone Time
 	elapsed, err := Elapsed(func(p *Proc) {
-		r := p.Scheduler().NewPSResource(10)
+		r := p.s.NewPSResource(10)
 		a := p.Spawn("a", func(q *Proc) {
 			r.Use(q, 100)
 			aDone = q.Now()
@@ -141,9 +141,11 @@ func TestPSResourceStaggeredArrivals(t *testing.T) {
 }
 
 func TestPSResourceConservation(t *testing.T) {
+	// The arrivals overlap, so the resource is never idle: a
+	// work-conserving resource ends when the 150 units are served at 7/s.
 	var r *PSResource
-	_, err := Elapsed(func(p *Proc) {
-		r = p.Scheduler().NewPSResource(7)
+	elapsed, err := Elapsed(func(p *Proc) {
+		r = p.s.NewPSResource(7)
 		p.Parallel(5, "xfer", func(q *Proc, i int) {
 			q.Sleep(time.Duration(i) * 300 * time.Millisecond)
 			r.Use(q, float64(10*(i+1)))
@@ -152,18 +154,19 @@ func TestPSResourceConservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := 10.0 + 20 + 30 + 40 + 50
-	if diff := r.Served() - want; diff > 1e-3 || diff < -1e-3 {
-		t.Fatalf("served = %v, want %v", r.Served(), want)
+	units := 10.0 + 20 + 30 + 40 + 50
+	want := time.Duration(units / 7 * float64(time.Second))
+	if d := absDur(elapsed - want); d > time.Millisecond {
+		t.Fatalf("elapsed = %v, want ~%v", elapsed, want)
 	}
-	if r.InFlight() != 0 {
-		t.Fatalf("in-flight = %d after all jobs done", r.InFlight())
+	if len(r.jobs) != 0 {
+		t.Fatalf("%d jobs in flight after all are done", len(r.jobs))
 	}
 }
 
 func TestPSResourceZeroAmountImmediate(t *testing.T) {
 	elapsed, err := Elapsed(func(p *Proc) {
-		r := p.Scheduler().NewPSResource(1)
+		r := p.s.NewPSResource(1)
 		r.Use(p, 0)
 		r.Use(p, -5)
 	})

@@ -116,7 +116,7 @@ func TestDeterministicEventOrderAtSameInstant(t *testing.T) {
 func TestAfterCallbackFires(t *testing.T) {
 	var fired Time
 	elapsed, err := Elapsed(func(p *Proc) {
-		p.Scheduler().After(3*time.Second, func() { fired = p.Scheduler().Now() })
+		p.s.After(3*time.Second, func() { fired = p.s.Now() })
 		p.Sleep(10 * time.Second)
 	})
 	if err != nil {
@@ -133,7 +133,7 @@ func TestAfterCallbackFires(t *testing.T) {
 func TestEventCancel(t *testing.T) {
 	fired := false
 	_, err := Elapsed(func(p *Proc) {
-		ev := p.Scheduler().After(time.Second, func() { fired = true })
+		ev := p.s.After(time.Second, func() { fired = true })
 		ev.Cancel()
 		p.Sleep(5 * time.Second)
 	})
@@ -149,7 +149,7 @@ func TestAtInThePastClampsToNow(t *testing.T) {
 	var fired Time = -1
 	_, err := Elapsed(func(p *Proc) {
 		p.Sleep(5 * time.Second)
-		p.Scheduler().At(time.Second, func() { fired = p.Scheduler().Now() })
+		p.s.At(time.Second, func() { fired = p.s.Now() })
 		p.Sleep(time.Second)
 	})
 	if err != nil {
@@ -197,7 +197,7 @@ func TestRunTwiceRejected(t *testing.T) {
 
 func TestLatchWakesAllWaiters(t *testing.T) {
 	elapsed, err := Elapsed(func(p *Proc) {
-		l := p.Scheduler().NewLatch()
+		l := p.s.NewLatch()
 		var ws []*Proc
 		for i := 0; i < 3; i++ {
 			ws = append(ws, p.Spawn("w", func(q *Proc) {
@@ -220,7 +220,7 @@ func TestLatchWakesAllWaiters(t *testing.T) {
 
 func TestLatchWaitAfterDone(t *testing.T) {
 	elapsed, err := Elapsed(func(p *Proc) {
-		l := p.Scheduler().NewLatch()
+		l := p.s.NewLatch()
 		l.Done()
 		l.Wait(p) // immediate
 		p.Sleep(time.Second)
@@ -235,7 +235,7 @@ func TestLatchWaitAfterDone(t *testing.T) {
 
 func TestCounterBarrier(t *testing.T) {
 	elapsed, err := Elapsed(func(p *Proc) {
-		c := p.Scheduler().NewCounter(3)
+		c := p.s.NewCounter(3)
 		for i := 0; i < 3; i++ {
 			i := i
 			p.Spawn("w", func(q *Proc) {
@@ -255,7 +255,7 @@ func TestCounterBarrier(t *testing.T) {
 
 func TestCounterZeroWaitImmediate(t *testing.T) {
 	_, err := Elapsed(func(p *Proc) {
-		c := p.Scheduler().NewCounter(0)
+		c := p.s.NewCounter(0)
 		c.Wait(p)
 	})
 	if err != nil {

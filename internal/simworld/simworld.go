@@ -77,9 +77,9 @@ func New(params model.Params, in Input) (*World, error) {
 		Speed:           params.Speed,
 		DispatchLatency: params.DispatchLatency,
 		DisableTimeout:  !in.Concrete,
-		// Consulted only for injected 429 windows (capacity throttling
-		// queues FIFO in the default mode): retry with backoff the way a
-		// real SDK would, instead of failing on the first rejection.
+		// Consulted only for injected 429 windows (the concurrency cap
+		// always queues FIFO): retry with backoff the way a real SDK
+		// would, instead of failing on the first rejection.
 		MaxRetries: 8,
 	})
 	w := &World{

@@ -224,18 +224,16 @@ type Registry struct {
 
 	spanMu    sync.Mutex
 	spans     []SpanRecord
-	spanCap   int
 	spanSeq   int64
 	spanDrops int64
 }
 
-// New creates an empty registry with the default span cap.
+// New creates an empty registry.
 func New() *Registry {
 	return &Registry{
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		spanCap:  DefaultSpanCap,
 	}
 }
 
@@ -377,22 +375,11 @@ func (r *Registry) record(rec SpanRecord) {
 	defer r.spanMu.Unlock()
 	r.spanSeq++
 	rec.Seq = r.spanSeq
-	if len(r.spans) >= r.spanCap {
+	if len(r.spans) >= DefaultSpanCap {
 		r.spanDrops++
 		return
 	}
 	r.spans = append(r.spans, rec)
-}
-
-// SetSpanCap overrides the span buffer bound (for tests and small
-// embedded uses). Existing spans are kept even if over the new cap.
-func (r *Registry) SetSpanCap(n int) {
-	if r == nil || n <= 0 {
-		return
-	}
-	r.spanMu.Lock()
-	r.spanCap = n
-	r.spanMu.Unlock()
 }
 
 // ctxKey keys the registry in a context.

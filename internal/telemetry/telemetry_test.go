@@ -27,7 +27,6 @@ func TestNilNoOp(t *testing.T) {
 	sp.SetVirtual(0, time.Second)
 	sp.End()
 	reg.RecordVirtual("run", 0, time.Second)
-	reg.SetSpanCap(4)
 
 	if v := reg.Counter("c").Value(); v != 0 {
 		t.Errorf("nil counter value = %d, want 0", v)
@@ -129,13 +128,12 @@ func TestSpanPathsAndVirtualTime(t *testing.T) {
 
 func TestSpanCapDrops(t *testing.T) {
 	reg := New()
-	reg.SetSpanCap(2)
-	for i := 0; i < 5; i++ {
+	for i := 0; i < DefaultSpanCap+3; i++ {
 		reg.StartSpan("s").End()
 	}
 	snap := reg.Snapshot()
-	if len(snap.Spans) != 2 {
-		t.Errorf("stored spans = %d, want 2", len(snap.Spans))
+	if len(snap.Spans) != DefaultSpanCap {
+		t.Errorf("stored spans = %d, want %d", len(snap.Spans), DefaultSpanCap)
 	}
 	if snap.SpanDrops != 3 {
 		t.Errorf("span drops = %d, want 3", snap.SpanDrops)
@@ -148,7 +146,6 @@ func TestSpanCapDrops(t *testing.T) {
 // final counts also verify no update was lost.
 func TestConcurrentHammer(t *testing.T) {
 	reg := New()
-	reg.SetSpanCap(64)
 	const goroutines = 16
 	const perG = 500
 
@@ -169,14 +166,16 @@ func TestConcurrentHammer(t *testing.T) {
 		}(g)
 	}
 	// Concurrent readers: snapshots and exports must not race with the
-	// writers above.
+	// writers above. Each takes a bounded number: a snapshot copies up to
+	// DefaultSpanCap spans under the span lock, and an unbounded stream
+	// of them starves the writers under the race detector.
 	stop := make(chan struct{})
 	var readers sync.WaitGroup
 	for r := 0; r < 4; r++ {
 		readers.Add(1)
 		go func() {
 			defer readers.Done()
-			for {
+			for i := 0; i < 25; i++ {
 				select {
 				case <-stop:
 					return

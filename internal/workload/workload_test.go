@@ -186,11 +186,8 @@ func TestSeedConcreteAndProfiled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(keys) != 5 || store.ObjectCount("in") != 5 {
-		t.Fatalf("keys = %v, count = %d", keys, store.ObjectCount("in"))
-	}
-	if store.StoredBytes() != 5*1024 {
-		t.Fatalf("stored = %d", store.StoredBytes())
+	if len(keys) != 5 {
+		t.Fatalf("keys = %v", keys)
 	}
 
 	big := Sort100GB()
@@ -201,12 +198,35 @@ func TestSeedConcreteAndProfiled(t *testing.T) {
 	if len(keys2) != 200 {
 		t.Fatalf("profiled keys = %d", len(keys2))
 	}
-	if store.StoredBytes() != 5*1024+big.TotalBytes() {
-		t.Fatalf("stored = %d, want input+profiled", store.StoredBytes())
-	}
 	// Seeding is free: no requests metered.
 	if m := store.Metrics(); m.Puts != 0 {
 		t.Fatalf("seeding metered %d puts", m.Puts)
+	}
+
+	// Each bucket holds exactly its seeded objects and bytes.
+	stored := func(p *simtime.Proc, bucket string) (n int, bytes int64) {
+		listed, err := store.List(p, bucket, "")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, k := range listed {
+			obj, err := store.Head(p, bucket, k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bytes += obj.Size
+		}
+		return len(listed), bytes
+	}
+	if err := sched.Run(func(p *simtime.Proc) {
+		if n, b := stored(p, "in"); n != 5 || b != 5*1024 {
+			t.Errorf("in: %d objects, %d bytes, want 5 and %d", n, b, 5*1024)
+		}
+		if n, b := stored(p, "big"); n != 200 || b != big.TotalBytes() {
+			t.Errorf("big: %d objects, %d bytes, want 200 and %d", n, b, big.TotalBytes())
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
 }
 
