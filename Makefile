@@ -52,11 +52,14 @@ procs:
 	done
 
 # One set of books per plan: nothing reconciles a series towards a total
-# another writer also increments, and the planner never copies the
-# registry to read its own counters.
+# another writer also increments, the planner never copies the registry
+# to read its own counters, and the bounded caches (internal/lru and its
+# template and response wrappers) keep no tally beside the registry
+# series they write: no Stats() method, no stats struct.
 books:
 	! grep -rn 'PublishCacheStats\|publishCounterTotal\|fillFromDeltas\|MPlanCache' --include=*.go .
 	! grep -n 'Snapshot()' internal/optimizer/*.go | grep -v _test
+	! grep -n 'func ([^)]*) Stats()\|Stats struct' internal/lru/*.go internal/optimizer/template.go internal/server/respcache.go | grep -v _test
 
 # benchmark/ is a module of its own that compiles against internal
 # packages by signature (benchmark/layers.go); `go build ./...` does not

@@ -159,10 +159,6 @@ func NewPlanCache() *PlanCache { return model.NewPredictionCache() }
 // one explicitly, or WithPrivateCaches to opt a call out of sharing.
 type TemplateCache = optimizer.TemplateCache
 
-// TemplateStats summarizes template-cache traffic (hits, misses,
-// builds, singleflight waits, evictions, resident entries).
-type TemplateStats = optimizer.TemplateStats
-
 // NewTemplateCache creates a bounded DAG-template cache; maxTemplates
 // <= 0 selects the default bound. Safe for concurrent use.
 func NewTemplateCache(maxTemplates int) *TemplateCache {
@@ -189,9 +185,10 @@ var (
 const sharedPredictionCap = 1 << 18
 
 // SharedCaches returns the process-wide template and prediction caches
-// that Plan, Frontier and PlanPipeline use by default. Expose their
-// Stats on a dashboard, or pass them to your own optimizer.Planner
-// instances to join the shared pool.
+// that Plan, Frontier and PlanPipeline use by default; pass them to your
+// own optimizer.Planner instances to join the shared pool. The caches
+// keep no tallies: their traffic is recorded in the astra_plan_template_*
+// and astra_predcache_* series of each call's Telemetry registry.
 func SharedCaches() (*TemplateCache, *PlanCache) {
 	sharedOnce.Do(func() {
 		sharedTemplates = NewTemplateCache(0)
@@ -203,10 +200,10 @@ func SharedCaches() (*TemplateCache, *PlanCache) {
 // Telemetry is a metrics-and-spans registry: atomic counters, gauges,
 // bounded histograms and hierarchical spans over wall and virtual time.
 // Attach one to planning (WithTelemetry) and/or execution
-// (WithRunTelemetry), then export with Snapshot().WritePrometheus or
-// WriteJSON. Telemetry is observe-only — plans and simulated results are
-// bit-identical with a registry attached or not — and a nil *Telemetry
-// everywhere means zero overhead.
+// (WithRunTelemetry), then export with WritePrometheus or
+// Snapshot().WriteJSON. Telemetry is observe-only — plans and simulated
+// results are bit-identical with a registry attached or not — and a nil
+// *Telemetry everywhere means zero overhead.
 type Telemetry = telemetry.Registry
 
 // TelemetrySnapshot is a frozen registry state, safe to diff and export

@@ -729,11 +729,10 @@ func writeFrontierCSV(f io.Writer, pts []astra.FrontierPoint) error {
 // the format from the path's extension: .json gets the full JSON document
 // (spans included), anything else the Prometheus text exposition.
 func writeMetrics(f io.Writer, path string, tel *astra.Telemetry) error {
-	snap := tel.Snapshot()
 	if strings.HasSuffix(path, ".json") {
-		return snap.WriteJSON(f)
+		return tel.Snapshot().WriteJSON(f)
 	}
-	return snap.WritePrometheus(f)
+	return tel.WritePrometheus(f)
 }
 
 // writeTrace exports a timeline to a pre-opened file, picking the format

@@ -65,9 +65,6 @@ func (c *Ctx) Payload() []byte { return c.payload }
 // Now reports the current virtual time.
 func (c *Ctx) Now() simtime.Time { return c.proc.Now() }
 
-// Remaining reports time left before the deadline (may be negative).
-func (c *Ctx) Remaining() time.Duration { return c.deadline - c.proc.Now() }
-
 // checkDeadline panics with ErrCanceled on a pending cancellation, or
 // ErrTimeout once the deadline has passed. The panic unwinds the handler;
 // Platform.runHandler converts it to an error.

@@ -370,21 +370,3 @@ func TestTimeoutDuringStoreTransfer(t *testing.T) {
 		}
 	})
 }
-
-func TestCtxRemaining(t *testing.T) {
-	w := newWorld(Config{})
-	w.register(t, "f", 1024, func(ctx *Ctx) ([]byte, error) {
-		before := ctx.Remaining()
-		ctx.Work(1)
-		after := ctx.Remaining()
-		if before-after != time.Second {
-			t.Errorf("Remaining shrank by %v, want 1s", before-after)
-		}
-		return nil, nil
-	})
-	w.run(t, func(p *simtime.Proc) {
-		if _, err := w.pl.Invoke(p, "f", nil); err != nil {
-			t.Fatal(err)
-		}
-	})
-}

@@ -29,7 +29,6 @@ type Cache[K comparable, V any] struct {
 	now   func() time.Time
 	order *list.List // resident entries, most recently used first
 	items map[K]*entry[K, V]
-	stats Stats
 }
 
 // entry is one slot. While its fill is in flight it is in items only (so
@@ -46,20 +45,9 @@ type entry[K comparable, V any] struct {
 	stored time.Time
 }
 
-// Stats is a point-in-time summary of cache traffic.
-type Stats struct {
-	// Hits served a resident value. Misses is every other lookup: a Get
-	// that found nothing, a Do that ran its fill (also in Fills) and a Do
-	// that joined another caller's fill (also in Waits).
-	Hits, Misses, Fills, Waits uint64
-	// Expired counts values dropped for outliving the TTL, Evictions
-	// values displaced to keep the bound.
-	Expired, Evictions uint64
-	// Entries is the resident value count (fills in flight excluded).
-	Entries int
-}
-
-// Result says what one call did to the cache.
+// Result says what one call did to the cache. The cache keeps no tally
+// of its own: a caller that wants its traffic counted counts these (and
+// Do's onWait calls) into its own metric series.
 type Result struct {
 	// Hit reports that a resident, unexpired value was served.
 	Hit bool
@@ -90,13 +78,11 @@ func New[K comparable, V any](capacity int, ttl time.Duration, now func() time.T
 	}
 }
 
-// Stats reports cumulative traffic and current residency.
-func (c *Cache[K, V]) Stats() Stats {
+// Len reports the resident value count (fills in flight excluded).
+func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	st := c.stats
-	st.Entries = c.order.Len()
-	return st
+	return c.order.Len()
 }
 
 // Get returns the resident value for key without filling: a miss (or an
@@ -107,7 +93,6 @@ func (c *Cache[K, V]) Get(key K) (V, Result) {
 	defer c.mu.Unlock()
 	e, res := c.lookupLocked(key)
 	if !res.Hit {
-		c.stats.Misses++
 		var zero V
 		return zero, res
 	}
@@ -141,10 +126,8 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, fill func(context.Context) 
 			res.Hit = true
 			return e.val, res, nil
 		}
-		c.stats.Misses++
 		if e != nil {
 			// Someone else is mid-fill: this miss waits rather than works.
-			c.stats.Waits++
 			c.mu.Unlock()
 			if onWait != nil {
 				onWait()
@@ -161,7 +144,6 @@ func (c *Cache[K, V]) Do(ctx context.Context, key K, fill func(context.Context) 
 		}
 		e = &entry[K, V]{key: key, done: make(chan struct{})}
 		c.items[key] = e
-		c.stats.Fills++
 		c.mu.Unlock()
 
 		res.Evicted = c.fill(ctx, e, fill)
@@ -206,11 +188,9 @@ func (c *Cache[K, V]) lookupLocked(key K) (*entry[K, V], Result) {
 	}
 	if c.ttl > 0 && c.now().Sub(e.stored) >= c.ttl {
 		c.removeLocked(e)
-		c.stats.Expired++
 		return nil, Result{Expired: true}
 	}
 	c.order.MoveToFront(e.el)
-	c.stats.Hits++
 	return e, Result{Hit: true}
 }
 
@@ -234,7 +214,6 @@ func (c *Cache[K, V]) publishLocked(e *entry[K, V]) int {
 		c.removeLocked(coldest.Value.(*entry[K, V]))
 		evicted++
 	}
-	c.stats.Evictions += uint64(evicted)
 	return evicted
 }
 

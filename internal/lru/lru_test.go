@@ -24,10 +24,25 @@ func value(v string) func(context.Context) (string, error) {
 	return func(context.Context) (string, error) { return v, nil }
 }
 
-// waitFor polls until the cache has counted n waits: every joiner
-// registers before it blocks, so this is "the herd is aboard".
-func waitFor(c *Cache[string, string], n uint64) {
-	for c.Stats().Waits < n {
+// tally counts what a test's Do calls report through their callbacks:
+// the cache keeps no tally of its own.
+type tally struct{ fills, waits atomic.Int64 }
+
+// value is a fill that counts itself and yields v.
+func (tl *tally) value(v string) func(context.Context) (string, error) {
+	return func(context.Context) (string, error) {
+		tl.fills.Add(1)
+		return v, nil
+	}
+}
+
+// wait is the onWait callback that counts a waiter.
+func (tl *tally) wait() { tl.waits.Add(1) }
+
+// waitFor polls until n waiters have counted themselves: every joiner
+// calls onWait before it blocks, so this is "the herd is aboard".
+func (tl *tally) waitFor(n int64) {
+	for tl.waits.Load() < n {
 		time.Sleep(time.Millisecond)
 	}
 }
@@ -47,9 +62,8 @@ func TestDoRefillsExpiredOnce(t *testing.T) {
 	if v, res, _ := c.Do(bg, "k", value("v3"), nil); v != "v2" || !res.Hit {
 		t.Fatalf("Do after refill = %q, %+v; want a hit on v2", v, res)
 	}
-	want := Stats{Hits: 1, Misses: 2, Fills: 2, Expired: 1, Entries: 1}
-	if st := c.Stats(); st != want {
-		t.Fatalf("stats = %+v, want %+v", st, want)
+	if n := c.Len(); n != 1 {
+		t.Fatalf("Len = %d, want 1", n)
 	}
 }
 
@@ -77,8 +91,8 @@ func TestPutDuringFill(t *testing.T) {
 	if v, _ := c.Get("k"); v != "put" {
 		t.Fatalf("resident after the fill = %q; the later Put must stay", v)
 	}
-	if st := c.Stats(); st.Entries != 1 {
-		t.Fatalf("entries = %d, want 1", st.Entries)
+	if n := c.Len(); n != 1 {
+		t.Fatalf("Len = %d, want 1", n)
 	}
 }
 
@@ -110,15 +124,17 @@ func TestInFlightSurvivesCompetingFill(t *testing.T) {
 	if v, res := c.Get("slow"); v != "s" || !res.Hit {
 		t.Fatalf("slow = %q, %+v after landing", v, res)
 	}
-	if st := c.Stats(); st.Entries != 1 || st.Evictions != 1 {
-		t.Fatalf("stats = %+v, want 1 entry / 1 eviction", st)
+	if n := c.Len(); n != 1 {
+		t.Fatalf("Len = %d, want 1", n)
 	}
 }
 
 func TestCancelledWaiterLeavesFillRunning(t *testing.T) {
 	c := New[string, string](4, 0, nil)
+	var tl tally
 	release := make(chan struct{})
 	fill := func(context.Context) (string, error) {
+		tl.fills.Add(1)
 		<-release
 		return "v", nil
 	}
@@ -128,18 +144,18 @@ func TestCancelledWaiterLeavesFillRunning(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			results[i], _, _ = c.Do(context.Background(), "k", fill, nil)
+			results[i], _, _ = c.Do(context.Background(), "k", fill, tl.wait)
 		}(i)
 	}
-	waitFor(c, 2)
+	tl.waitFor(2)
 	ctx, cancel := context.WithCancel(context.Background())
 	waited := 0
 	quit := make(chan error)
 	go func() {
-		_, _, err := c.Do(ctx, "k", fill, func() { waited++ })
+		_, _, err := c.Do(ctx, "k", fill, func() { waited++; tl.wait() })
 		quit <- err
 	}()
-	waitFor(c, 3)
+	tl.waitFor(3)
 	cancel()
 	if err := <-quit; !errors.Is(err, context.Canceled) || waited != 1 {
 		t.Fatalf("cancelled waiter: err %v after %d onWait calls; want context.Canceled after 1", err, waited)
@@ -151,40 +167,40 @@ func TestCancelledWaiterLeavesFillRunning(t *testing.T) {
 			t.Fatalf("caller %d got %q; the fill must complete for the others", i, v)
 		}
 	}
-	if st := c.Stats(); st.Fills != 1 || st.Misses != 4 || st.Waits != 3 {
-		t.Fatalf("stats = %+v, want 1 fill / 4 misses / 3 waits", st)
+	if fills, waits := tl.fills.Load(), tl.waits.Load(); fills != 1 || waits != 3 {
+		t.Fatalf("%d fills / %d waits, want 1 / 3", fills, waits)
 	}
 }
 
 func TestFailedFillPromotesAWaiter(t *testing.T) {
 	c := New[string, string](4, 0, nil)
+	var tl tally
 	boom := errors.New("boom")
-	release := make(chan struct{})
+	started, release := make(chan struct{}), make(chan struct{})
 	failed := make(chan error)
 	go func() {
 		_, _, err := c.Do(context.Background(), "k", func(context.Context) (string, error) {
+			close(started)
 			<-release
 			return "", boom
 		}, nil)
 		failed <- err
 	}()
-	for c.Stats().Fills < 1 {
-		time.Sleep(time.Millisecond)
-	}
+	<-started
 	var wg sync.WaitGroup
 	results := make([]string, 4)
 	for i := range results {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, _, err := c.Do(context.Background(), "k", value("ok"), nil)
+			v, _, err := c.Do(context.Background(), "k", tl.value("ok"), tl.wait)
 			if err != nil {
 				t.Errorf("waiter %d inherited %v", i, err)
 			}
 			results[i] = v
 		}(i)
 	}
-	waitFor(c, 4)
+	tl.waitFor(4)
 	close(release)
 	if err := <-failed; !errors.Is(err, boom) {
 		t.Fatalf("failed filler got %v, want its own error", err)
@@ -196,8 +212,8 @@ func TestFailedFillPromotesAWaiter(t *testing.T) {
 		}
 	}
 	// One waiter refilled; the other three joined it or hit its value.
-	if st := c.Stats(); st.Fills != 2 || st.Entries != 1 {
-		t.Fatalf("stats = %+v, want 2 fills / 1 entry", st)
+	if fills, n := tl.fills.Load(), c.Len(); fills != 1 || n != 1 {
+		t.Fatalf("%d refills / %d resident, want 1 / 1", fills, n)
 	}
 }
 
@@ -206,27 +222,27 @@ func TestFailedFillPromotesAWaiter(t *testing.T) {
 // on it refills the key instead of waiting on it for good.
 func TestPanickedFillPromotesAWaiter(t *testing.T) {
 	c := New[string, string](4, 0, nil)
-	release := make(chan struct{})
+	var tl tally
+	started, release := make(chan struct{}), make(chan struct{})
 	panicked := make(chan any)
 	go func() {
 		defer func() { panicked <- recover() }()
 		c.Do(context.Background(), "k", func(context.Context) (string, error) {
+			close(started)
 			<-release
 			panic("boom")
 		}, nil)
 	}()
-	for c.Stats().Fills < 1 {
-		time.Sleep(time.Millisecond)
-	}
+	<-started
 	got := make(chan string)
 	go func() {
-		v, _, err := c.Do(context.Background(), "k", value("ok"), nil)
+		v, _, err := c.Do(context.Background(), "k", tl.value("ok"), tl.wait)
 		if err != nil {
 			t.Errorf("waiter inherited %v", err)
 		}
 		got <- v
 	}()
-	waitFor(c, 1)
+	tl.waitFor(1)
 	close(release)
 	if p := <-panicked; p != "boom" {
 		t.Fatalf("the filler recovered %v, want its own panic", p)
@@ -234,8 +250,8 @@ func TestPanickedFillPromotesAWaiter(t *testing.T) {
 	if v := <-got; v != "ok" {
 		t.Fatalf("waiter got %q", v)
 	}
-	if st := c.Stats(); st.Fills != 2 || st.Entries != 1 {
-		t.Fatalf("stats = %+v, want 2 fills / 1 entry", st)
+	if fills, n := tl.fills.Load(), c.Len(); fills != 1 || n != 1 {
+		t.Fatalf("%d refills / %d resident, want 1 / 1", fills, n)
 	}
 }
 
@@ -285,7 +301,7 @@ func TestHammer(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if st := c.Stats(); st.Entries > capacity {
-		t.Fatalf("%d resident, cap %d (stats %+v)", st.Entries, capacity, st)
+	if n := c.Len(); n > capacity {
+		t.Fatalf("%d resident, cap %d", n, capacity)
 	}
 }

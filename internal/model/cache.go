@@ -109,7 +109,6 @@ type PredictionCache struct {
 	// only speed, never results.
 	shardCap int
 
-	parent                  *PredictionCache // set on a Tally: counts repeat on it
 	hits, misses, evictions atomic.Uint64
 }
 
@@ -135,11 +134,11 @@ func NewPredictionCacheWithCap(maxEntries int) *PredictionCache {
 
 // Tally returns the same cache under books of its own: lookups through
 // it (and through predictors it Wraps) read and fill c's entries and
-// are counted from zero on the tally as well as on c. A plan or a sweep
+// are counted from zero on the tally alone, not on c. A plan or a sweep
 // takes one, so its Stats and Evictions are exactly the traffic it
 // caused, whatever else shares c meanwhile.
 func (c *PredictionCache) Tally() *PredictionCache {
-	return &PredictionCache{shards: c.shards, shardCap: c.shardCap, parent: c}
+	return &PredictionCache{shards: c.shards, shardCap: c.shardCap}
 }
 
 // shardFor picks the shard for a key by rehashing its volatile parts.
@@ -153,7 +152,8 @@ func (c *PredictionCache) shardFor(k cacheKey) *cacheShard {
 	return &c.shards[h&(cacheShards-1)]
 }
 
-// Stats reports cumulative hit and miss counts.
+// Stats reports cumulative hit and miss counts of lookups made through
+// c itself (a tally's lookups count on the tally only).
 func (c *PredictionCache) Stats() (hits, misses uint64) {
 	return c.hits.Load(), c.misses.Load()
 }
@@ -169,22 +169,16 @@ func (c *PredictionCache) predict(k cacheKey, compute Predictor, cfg mapreduce.C
 	v, ok := sh.m[k]
 	sh.mu.RUnlock()
 	if ok {
-		for t := c; t != nil; t = t.parent {
-			t.hits.Add(1)
-		}
+		c.hits.Add(1)
 		return v.pred, v.err
 	}
-	for t := c; t != nil; t = t.parent {
-		t.misses.Add(1)
-	}
+	c.misses.Add(1)
 	pred, err := compute.Predict(cfg)
 	sh.mu.Lock()
 	if _, present := sh.m[k]; !present && c.shardCap > 0 && len(sh.m) >= c.shardCap {
 		for victim := range sh.m {
 			delete(sh.m, victim)
-			for t := c; t != nil; t = t.parent {
-				t.evictions.Add(1)
-			}
+			c.evictions.Add(1)
 			break
 		}
 	}

@@ -257,18 +257,6 @@ func (b *bucket) accrue(now simtime.Time) {
 	b.lastUpdate = now
 }
 
-// ByteSeconds reports cumulative storage occupancy across all buckets up
-// to the current virtual instant.
-func (s *Store) ByteSeconds() float64 {
-	now := s.sched.Now()
-	total := 0.0
-	for _, b := range s.buckets {
-		b.accrue(now)
-		total += b.byteSeconds
-	}
-	return total
-}
-
 // latencyFor resolves the per-request latency for a bucket.
 func (s *Store) latencyFor(b *bucket) time.Duration {
 	if b != nil && b.class != nil {

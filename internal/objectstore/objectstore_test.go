@@ -181,8 +181,11 @@ func TestByteSecondsAccounting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if bs := store.ByteSeconds(); math.Abs(bs-10000) > 1 {
-		t.Fatalf("ByteSeconds = %v, want ~10000", bs)
+	// 1000 B held for 10 s is 10,000 byte-seconds, billed at the sheet's
+	// storage rate.
+	want := pricing.AWS().Store.StorageCost(10000)
+	if got := store.Bill().Storage; got <= 0 || math.Abs(float64(got-want)) > 1e-4*float64(want) {
+		t.Fatalf("Storage = %v, want %v (10,000 byte-seconds)", got, want)
 	}
 }
 

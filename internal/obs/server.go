@@ -183,7 +183,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.reg.Snapshot().WritePrometheus(w)
+	_ = s.reg.WritePrometheus(w)
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, _ *http.Request) {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"runtime"
 	"strings"
 	"testing"
@@ -84,6 +85,36 @@ func TestEndpointsSmoke(t *testing.T) {
 	}
 	if n := strings.Count(body, "# TYPE "+telemetry.MObsHTTPRequests+" "); n != 1 {
 		t.Fatalf("want exactly one TYPE line for %s, got %d", telemetry.MObsHTTPRequests, n)
+	}
+}
+
+// TestMetricsScrapeCopiesNoSpans: /metrics renders counters, gauges and
+// histograms only, so a scrape of a registry whose span buffer is full
+// (DefaultSpanCap records, about 650 KB) allocates a small fraction of
+// that buffer instead of copying it.
+func TestMetricsScrapeCopiesNoSpans(t *testing.T) {
+	reg := telemetry.New()
+	for i := 0; i < telemetry.DefaultSpanCap; i++ {
+		reg.StartSpan("plan").End()
+	}
+	h := obs.NewServer(obs.Options{Telemetry: reg}).Handler()
+	scrape := func() {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+		if rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), telemetry.MObsHTTPRequests) {
+			t.Fatalf("/metrics: code %d, body %q", rec.Code, rec.Body.String())
+		}
+	}
+	scrape() // the first scrape creates the endpoint's series
+	const scrapes = 8
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < scrapes; i++ {
+		scrape()
+	}
+	runtime.ReadMemStats(&after)
+	if per := (after.TotalAlloc - before.TotalAlloc) / scrapes; per >= 64<<10 {
+		t.Fatalf("a scrape of a registry holding %d spans allocated %d B, want under 64 KB", telemetry.DefaultSpanCap, per)
 	}
 }
 

@@ -382,7 +382,7 @@ func TestBoundsComputedOncePerTemplate(t *testing.T) {
 			t.Fatalf("after wave %d: to-go bounds computed %d times on one template, want 1", w, n)
 		}
 	}
-	if st := tc.Stats(); st.Builds != 1 {
-		t.Fatalf("template built %d times, want 1", st.Builds)
+	if n := reg.Counter(telemetry.MPlanTemplateBuilds).Value(); n != 1 {
+		t.Fatalf("template built %d times, want 1", n)
 	}
 }

@@ -3,6 +3,7 @@ package optimizer
 import (
 	"context"
 	"errors"
+	"reflect"
 	"testing"
 	"time"
 
@@ -177,17 +178,19 @@ func TestFrontierWorkersKnob(t *testing.T) {
 // solves, so a min_cost plan followed by a sweep through one Planner
 // builds the cost-mode DAG once and the sweep hits the plan's template.
 func TestPlanAndSweepShareOneBuild(t *testing.T) {
-	tc := NewTemplateCache(0)
+	tel := telemetry.New()
 	pl := New(sortParams())
-	pl.Solver, pl.Templates = Auto, tc
+	pl.Solver, pl.Templates, pl.Tel = Auto, NewTemplateCache(0), tel
 	if _, err := pl.Plan(unconstrainedCost()); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := pl.Frontier(context.Background(), 8, nil); err != nil {
 		t.Fatal(err)
 	}
-	if st := tc.Stats(); st.Builds != 1 || st.Hits != 1 {
-		t.Fatalf("template stats %+v, want one build and the sweep's hit", st)
+	if got, want := templateBooks(tel), (map[string]int64{
+		telemetry.MPlanTemplateMisses: 1, telemetry.MPlanTemplateBuilds: 1, telemetry.MPlanTemplateHits: 1,
+	}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("template books %v, want one build and the sweep's hit: %v", got, want)
 	}
 }
 

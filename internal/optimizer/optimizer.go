@@ -318,7 +318,8 @@ func (pl *Planner) PlanContext(ctx context.Context, obj Objective) (*Plan, error
 	if err := obj.Validate(); err != nil {
 		return nil, err
 	}
-	// This plan's own books; both forward, to pl.Tel and to the cache.
+	// This plan's own books: the scope forwards to pl.Tel, and the tally
+	// counts this plan's prediction lookups alone (flushed to the scope).
 	tel, booked := pl.Tel.Scope()
 	tally := pl.cache().Tally()
 	defer flushPredictionTally(tel, tally)

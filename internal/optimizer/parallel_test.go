@@ -106,12 +106,12 @@ func TestPlannerMemoization(t *testing.T) {
 	if pl.Cache == nil {
 		t.Fatal("no prediction cache materialized")
 	}
-	_, missesAfterFirst := pl.Cache.Stats()
 	d1, err := pl.buildDAG(context.Background(), dag.MinimizeTime)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := pl.Plan(unconstrainedTime()); err != nil {
+	second, err := pl.Plan(unconstrainedTime())
+	if err != nil {
 		t.Fatal(err)
 	}
 	d2, err := pl.buildDAG(context.Background(), dag.MinimizeTime)
@@ -121,11 +121,10 @@ func TestPlannerMemoization(t *testing.T) {
 	if d1 != d2 {
 		t.Fatal("DAG rebuilt despite memoization")
 	}
-	hits, misses := pl.Cache.Stats()
-	if misses != missesAfterFirst {
-		t.Fatalf("second plan recomputed predictions: misses %d -> %d", missesAfterFirst, misses)
+	if misses := second.Search.CacheMisses; misses != 0 {
+		t.Fatalf("second plan recomputed %d predictions", misses)
 	}
-	if hits == 0 {
+	if second.Search.CacheHits == 0 {
 		t.Fatal("second plan never hit the prediction cache")
 	}
 }
@@ -139,15 +138,15 @@ func TestSharedCacheAcrossPlanners(t *testing.T) {
 	if _, err := a.Plan(unconstrainedTime()); err != nil {
 		t.Fatal(err)
 	}
-	_, missesAfterA := cache.Stats()
 
 	b := planner(Brute)
 	b.Cache = cache
-	if _, err := b.Plan(unconstrainedTime()); err != nil {
+	p, err := b.Plan(unconstrainedTime())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, misses := cache.Stats(); misses != missesAfterA {
-		t.Fatalf("second planner recomputed predictions: misses %d -> %d", missesAfterA, misses)
+	if misses := p.Search.CacheMisses; misses != 0 {
+		t.Fatalf("second planner recomputed %d predictions", misses)
 	}
 }
 

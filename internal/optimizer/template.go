@@ -75,30 +75,6 @@ func NewTemplateCache(maxTemplates int) *TemplateCache {
 	return &TemplateCache{c: lru.New[TemplateKey, *dag.DAG](maxTemplates, 0, nil)}
 }
 
-// TemplateStats is a point-in-time summary of cache traffic.
-type TemplateStats struct {
-	// Hits served a frozen template with no build; Misses triggered (or
-	// joined) a build. Builds counts builds actually executed — under
-	// singleflight, Misses - Builds callers waited instead (also counted
-	// in Waits).
-	Hits, Misses, Builds, Evictions, Waits uint64
-	// Entries is the current resident template count.
-	Entries int
-}
-
-// Stats reports cumulative cache traffic.
-func (tc *TemplateCache) Stats() TemplateStats {
-	st := tc.c.Stats()
-	return TemplateStats{
-		Hits:      st.Hits,
-		Misses:    st.Misses,
-		Builds:    st.Fills,
-		Evictions: st.Evictions,
-		Waits:     st.Waits,
-		Entries:   st.Entries,
-	}
-}
-
 // Get resolves a template, building it through build on a miss. Exactly
 // one concurrent caller per key runs build; the rest block on its result
 // (or their own ctx). A failed build is not cached: waiters retry — a
@@ -107,8 +83,9 @@ func (tc *TemplateCache) Stats() TemplateStats {
 // shared and frozen: every search runs on it in place.
 //
 // Get is the only writer of astra_plan_template_*: each call counts what
-// it did into the caller's registry (telemetry.FromContext), so a
-// registry that every user of the cache passes holds exactly Stats().
+// it did into the caller's registry (telemetry.FromContext). The cache
+// keeps no tally of its own, so those series are the record of its
+// traffic.
 func (tc *TemplateCache) Get(ctx context.Context, key TemplateKey, build func(context.Context) (*dag.DAG, error)) (*dag.DAG, error) {
 	// Looked up on every call, so all five are exported from the first on.
 	tel := telemetry.FromContext(ctx)
@@ -136,7 +113,7 @@ func (tc *TemplateCache) Get(ctx context.Context, key TemplateKey, build func(co
 	}
 	evictions.Add(int64(res.Evicted))
 	if built && tel != nil {
-		tel.Gauge(telemetry.MPlanTemplateEntries).Set(int64(tc.c.Stats().Entries))
+		tel.Gauge(telemetry.MPlanTemplateEntries).Set(int64(tc.c.Len()))
 	}
 	return d, err
 }

@@ -121,11 +121,12 @@ func TestTemplateHitPlanIdentical(t *testing.T) {
 		{"Auto", Auto},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
+			tel := telemetry.New()
 			plan := func(tpl *TemplateCache) *Plan {
 				pl := New(params)
 				pl.Solver = tc.solver
 				pl.Parallelism = 1
-				pl.Templates = tpl
+				pl.Templates, pl.Tel = tpl, tel
 				p, err := pl.Plan(obj)
 				if err != nil {
 					t.Fatalf("plan (templates=%v): %v", tpl != nil, err)
@@ -136,8 +137,8 @@ func TestTemplateHitPlanIdentical(t *testing.T) {
 			shared := NewTemplateCache(0)
 			missPlan := normalizePlan(plan(shared)) // populates the cache
 			hitPlan := normalizePlan(plan(shared))  // must be served from it
-			if st := shared.Stats(); st.Hits == 0 {
-				t.Fatalf("second plan did not hit the template cache: %+v", st)
+			if tel.Counter(telemetry.MPlanTemplateHits).Value() == 0 {
+				t.Fatal("second plan did not hit the template cache")
 			}
 			if !reflect.DeepEqual(cold, missPlan) {
 				t.Errorf("template-miss plan differs from cold plan:\ncold: %+v\nmiss: %+v", cold, missPlan)
@@ -155,6 +156,8 @@ func TestTemplateCacheSingleflight(t *testing.T) {
 	params := model.DefaultParams(workload.WordCount1GB())
 	tc := NewTemplateCache(0)
 	key := KeyFor(params, dag.MinimizeTime, dag.Options{}, false)
+	tel := telemetry.New()
+	ctx := telemetry.NewContext(context.Background(), tel)
 
 	const herd = 16
 	var builds int
@@ -166,7 +169,7 @@ func TestTemplateCacheSingleflight(t *testing.T) {
 	for i := 0; i < herd; i++ {
 		go func(i int) {
 			defer wg.Done()
-			d, err := tc.Get(context.Background(), key, func(ctx context.Context) (*dag.DAG, error) {
+			d, err := tc.Get(ctx, key, func(ctx context.Context) (*dag.DAG, error) {
 				mu.Lock()
 				builds++
 				mu.Unlock()
@@ -182,7 +185,7 @@ func TestTemplateCacheSingleflight(t *testing.T) {
 	}
 	// Every non-builder registers as a waiting miss before blocking on
 	// the flight; release the builder once the whole herd is aboard.
-	for tc.Stats().Waits < herd-1 {
+	for tel.Counter(telemetry.MPlanTemplateWaits).Value() < herd-1 {
 		time.Sleep(time.Millisecond)
 	}
 	close(release)
@@ -195,38 +198,99 @@ func TestTemplateCacheSingleflight(t *testing.T) {
 			t.Fatalf("caller %d got a different *dag.DAG than caller 0", i)
 		}
 	}
-	st := tc.Stats()
-	if st.Builds != 1 || st.Misses != herd || st.Waits != herd-1 {
-		t.Fatalf("stats after herd: %+v (want 1 build, %d misses, %d waits)", st, herd, herd-1)
+	if got, want := templateBooks(tel), (map[string]int64{
+		telemetry.MPlanTemplateMisses: herd,
+		telemetry.MPlanTemplateBuilds: 1,
+		telemetry.MPlanTemplateWaits:  herd - 1,
+	}); !reflect.DeepEqual(got, want) {
+		t.Fatalf("books after the herd = %v, want %v", got, want)
 	}
 }
 
-// TestTemplateCacheEviction asserts the LRU bound holds and evictions are
-// counted, while an evicted key simply rebuilds.
-func TestTemplateCacheEviction(t *testing.T) {
-	jobs := []workload.Job{
-		workload.WordCount1GB(),
-		workload.WordCount10GB(),
-		workload.Query25GB(),
-	}
-	tc := NewTemplateCache(2)
-	for _, j := range jobs {
-		params := model.DefaultParams(j)
-		_, err := tc.Get(context.Background(), KeyFor(params, dag.MinimizeTime, dag.Options{}, false),
-			func(ctx context.Context) (*dag.DAG, error) {
-				return dag.BuildContext(ctx, model.NewPaper(params), dag.MinimizeTime, dag.Options{Parallelism: 1})
-			})
-		if err != nil {
-			t.Fatalf("build %s: %v", j.Profile.Name, err)
+// templateSeries are the counters TemplateCache.Get books.
+var templateSeries = []string{
+	telemetry.MPlanTemplateHits, telemetry.MPlanTemplateMisses, telemetry.MPlanTemplateBuilds,
+	telemetry.MPlanTemplateWaits, telemetry.MPlanTemplateEvictions,
+}
+
+// templateBooks reads the non-zero astra_plan_template_* counters.
+func templateBooks(tel *telemetry.Registry) map[string]int64 {
+	books := map[string]int64{}
+	for _, name := range templateSeries {
+		if v := tel.Counter(name).Value(); v != 0 {
+			books[name] = v
 		}
 	}
-	st := tc.Stats()
-	if st.Entries > 2 {
-		t.Fatalf("cache holds %d entries, cap is 2", st.Entries)
+	return books
+}
+
+// TestTemplateCacheEviction: the caller's registry is the complete book
+// of the cache's traffic. A scripted miss and build, hit, waiter and
+// eviction each book exactly their own deltas, the bound holds, and the
+// entries gauge follows Len().
+func TestTemplateCacheEviction(t *testing.T) {
+	tc := NewTemplateCache(2)
+	tel := telemetry.New()
+	ctx := telemetry.NewContext(context.Background(), tel)
+	build := func(context.Context) (*dag.DAG, error) { return &dag.DAG{G: graph.New(1)}, nil }
+	get := func(k uint64, build func(context.Context) (*dag.DAG, error)) {
+		if _, err := tc.Get(ctx, TemplateKey{Params: k}, build); err != nil {
+			t.Errorf("Get(%d): %v", k, err)
+		}
 	}
-	if st.Evictions == 0 {
-		t.Fatalf("no evictions counted after overflowing the cap: %+v", st)
+	step := func(what string, do func(), want map[string]int64, entries int) {
+		t.Helper()
+		before := templateBooks(tel)
+		do()
+		delta := map[string]int64{}
+		for name, v := range templateBooks(tel) {
+			if d := v - before[name]; d != 0 {
+				delta[name] = d
+			}
+		}
+		if !reflect.DeepEqual(delta, want) {
+			t.Errorf("%s booked %v, want %v", what, delta, want)
+		}
+		if n, g := tc.c.Len(), tel.Gauge(telemetry.MPlanTemplateEntries).Value(); n != entries || g != int64(n) {
+			t.Errorf("after %s: Len %d, entries gauge %d; want %d for both", what, n, g, entries)
+		}
 	}
+
+	step("a miss", func() { get(0, build) }, map[string]int64{
+		telemetry.MPlanTemplateMisses: 1, telemetry.MPlanTemplateBuilds: 1,
+	}, 1)
+	step("a hit", func() { get(0, build) }, map[string]int64{
+		telemetry.MPlanTemplateHits: 1,
+	}, 1)
+	step("a builder and a waiter", func() {
+		started, release := make(chan struct{}), make(chan struct{})
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			get(1, func(ctx context.Context) (*dag.DAG, error) {
+				close(started)
+				<-release
+				return build(ctx)
+			})
+		}()
+		<-started
+		waits := tel.Counter(telemetry.MPlanTemplateWaits)
+		go func() {
+			defer wg.Done()
+			get(1, build)
+		}()
+		for deadline := time.Now().Add(5 * time.Second); waits.Value() < 1 && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		close(release)
+		wg.Wait()
+	}, map[string]int64{
+		telemetry.MPlanTemplateMisses: 2, telemetry.MPlanTemplateBuilds: 1, telemetry.MPlanTemplateWaits: 1,
+	}, 2)
+	step("a build past the bound", func() { get(2, build) }, map[string]int64{
+		telemetry.MPlanTemplateMisses: 1, telemetry.MPlanTemplateBuilds: 1, telemetry.MPlanTemplateEvictions: 1,
+	}, 2)
 }
 
 // TestTemplateRaceHammer drives many goroutines planning a mixed set of
@@ -303,17 +367,16 @@ func TestTemplateRaceHammer(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
-	if st := tpl.Stats(); st.Evictions == 0 {
-		t.Logf("warning: hammer produced no template evictions (stats %+v)", st)
-	}
 }
 
 // TestTemplateSeriesMatchCacheStats: Get is the only writer of
-// astra_plan_template_*, so a registry every caller passes holds exactly
-// the cache's own totals — while a neighbouring request races the same
-// keys (hits, waits, evictions all interleave at cap 4) and scrapes the
-// registry throughout. A second writer reconciling the series towards
-// Stats() used to over-count builds or evictions here.
+// astra_plan_template_*, so a registry every caller passes balances
+// exactly — every lookup a hit or a miss, every miss a build or a wait,
+// every build resident or evicted — while a neighbouring request races
+// the same keys (hits, waits, evictions all interleave at cap 4) and
+// scrapes the registry throughout. A second writer reconciling the
+// series towards a total of the cache's own used to over-count builds
+// or evictions here.
 func TestTemplateSeriesMatchCacheStats(t *testing.T) {
 	keys, trials := 20000, 20
 	if testing.Short() {
@@ -342,20 +405,12 @@ func TestTemplateSeriesMatchCacheStats(t *testing.T) {
 		walk(false)
 		<-neighbour
 
-		st := tc.Stats()
-		for name, want := range map[string]uint64{
-			telemetry.MPlanTemplateHits:      st.Hits,
-			telemetry.MPlanTemplateMisses:    st.Misses,
-			telemetry.MPlanTemplateBuilds:    st.Builds,
-			telemetry.MPlanTemplateEvictions: st.Evictions,
-			telemetry.MPlanTemplateWaits:     st.Waits,
-		} {
-			if got := tel.Counter(name).Value(); got != int64(want) {
-				t.Errorf("trial %d: %s = %d, cache counted %d (%+v)", trial, name, got, want, st)
-			}
-		}
-		if st.Hits+st.Misses != uint64(2*keys) || st.Builds < uint64(keys) {
-			t.Fatalf("trial %d: implausible traffic %+v", trial, st)
+		books := templateBooks(tel)
+		hits, misses := books[telemetry.MPlanTemplateHits], books[telemetry.MPlanTemplateMisses]
+		builds, waits := books[telemetry.MPlanTemplateBuilds], books[telemetry.MPlanTemplateWaits]
+		evictions := books[telemetry.MPlanTemplateEvictions]
+		if hits+misses != int64(2*keys) || builds+waits != misses || builds-evictions != int64(tc.c.Len()) || builds < int64(keys) {
+			t.Fatalf("trial %d: books %v do not balance over %d lookups and %d resident", trial, books, 2*keys, tc.c.Len())
 		}
 	}
 }

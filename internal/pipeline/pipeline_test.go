@@ -9,6 +9,7 @@ import (
 	"astra/internal/model"
 	"astra/internal/optimizer"
 	"astra/internal/pricing"
+	"astra/internal/telemetry"
 	"astra/internal/workload"
 )
 
@@ -102,21 +103,24 @@ func TestPlanUnconstrainedAndExecute(t *testing.T) {
 func TestStageSweepsShareOneTemplateCache(t *testing.T) {
 	pl := NewPlanner(templParams())
 	obj := optimizer.Objective{Goal: optimizer.MinTimeUnderBudget, Budget: 1e9}
-	if _, err := pl.Plan(logAnalytics(), obj); err != nil {
+	tel := telemetry.New()
+	ctx := telemetry.NewContext(context.Background(), tel)
+	builds, hits := tel.Counter(telemetry.MPlanTemplateBuilds), tel.Counter(telemetry.MPlanTemplateHits)
+	if _, err := pl.PlanContext(ctx, logAnalytics(), obj); err != nil {
 		t.Fatal(err)
 	}
 	if pl.Templates == nil {
 		t.Fatal("stage sweeps left the planner without a template cache")
 	}
-	first := pl.Templates.Stats()
-	if first.Builds == 0 {
-		t.Fatalf("no stage DAG built: %+v", first)
+	firstBuilds, firstHits := builds.Value(), hits.Value()
+	if firstBuilds == 0 {
+		t.Fatal("no stage DAG built")
 	}
-	if _, err := pl.Plan(logAnalytics(), obj); err != nil {
+	if _, err := pl.PlanContext(ctx, logAnalytics(), obj); err != nil {
 		t.Fatal(err)
 	}
-	if again := pl.Templates.Stats(); again.Builds != first.Builds || again.Hits <= first.Hits {
-		t.Fatalf("replanning rebuilt stage DAGs: first %+v, again %+v", first, again)
+	if builds.Value() != firstBuilds || hits.Value() <= firstHits {
+		t.Fatalf("replanning rebuilt stage DAGs: builds %d -> %d, hits %d -> %d", firstBuilds, builds.Value(), firstHits, hits.Value())
 	}
 }
 

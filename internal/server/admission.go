@@ -235,6 +235,3 @@ func (a *Admission) releaseLocked(ts *tenantState) {
 	ts.inflight--
 	a.inFlight.Add(-1)
 }
-
-// QueueDepth reports the total queued waiters across tenants.
-func (a *Admission) QueueDepth() int64 { return a.queueDepth.Value() }

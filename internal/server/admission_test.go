@@ -97,7 +97,9 @@ func TestAdmissionTenantsIndependent(t *testing.T) {
 // injected clock.
 func TestAdmissionQueueFIFO(t *testing.T) {
 	clk := newVclock()
-	a := NewAdmission(TenantQuota{Burst: 100, MaxInFlight: 1, MaxQueue: 4}, telemetry.New(), nil, clk.now)
+	tel := telemetry.New()
+	queued := tel.Gauge(telemetry.MServerQueueDepth)
+	a := NewAdmission(TenantQuota{Burst: 100, MaxInFlight: 1, MaxQueue: 4}, tel, nil, clk.now)
 	first, rej, err := a.Admit(context.Background(), "t")
 	if rej != nil || err != nil {
 		t.Fatalf("first admit: rej=%v err=%v", rej, err)
@@ -124,7 +126,7 @@ func TestAdmissionQueueFIFO(t *testing.T) {
 		// Wait until this goroutine is parked in the queue before
 		// launching the next, so arrival order is the launch order.
 		for {
-			if a.QueueDepth() == int64(i) {
+			if queued.Value() == int64(i) {
 				break
 			}
 			time.Sleep(time.Millisecond)
@@ -159,7 +161,8 @@ func TestAdmissionQueueFullRejects(t *testing.T) {
 // TestAdmissionQueuedWaiterCancel: a cancelled waiter leaves the queue
 // and never leaks the slot, even when the grant races the cancellation.
 func TestAdmissionQueuedWaiterCancel(t *testing.T) {
-	a := NewAdmission(TenantQuota{Burst: 100, MaxInFlight: 1, MaxQueue: 4}, telemetry.New(), nil, newVclock().now)
+	tel := telemetry.New()
+	a := NewAdmission(TenantQuota{Burst: 100, MaxInFlight: 1, MaxQueue: 4}, tel, nil, newVclock().now)
 	tk, _, _ := a.Admit(context.Background(), "t")
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -168,7 +171,7 @@ func TestAdmissionQueuedWaiterCancel(t *testing.T) {
 		_, _, err := a.Admit(ctx, "t")
 		errc <- err
 	}()
-	for a.QueueDepth() != 1 {
+	for tel.Gauge(telemetry.MServerQueueDepth).Value() != 1 {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
@@ -188,7 +191,8 @@ func TestAdmissionQueuedWaiterCancel(t *testing.T) {
 // aborts queued waiters with ErrDraining.
 func TestAdmissionDrainingReleasesWaiters(t *testing.T) {
 	closing := make(chan struct{})
-	a := NewAdmission(TenantQuota{Burst: 100, MaxInFlight: 1, MaxQueue: 4}, telemetry.New(), closing, newVclock().now)
+	tel := telemetry.New()
+	a := NewAdmission(TenantQuota{Burst: 100, MaxInFlight: 1, MaxQueue: 4}, tel, closing, newVclock().now)
 	tk, _, _ := a.Admit(context.Background(), "t")
 	defer tk.Release()
 	errc := make(chan error, 1)
@@ -196,7 +200,7 @@ func TestAdmissionDrainingReleasesWaiters(t *testing.T) {
 		_, _, err := a.Admit(context.Background(), "t")
 		errc <- err
 	}()
-	for a.QueueDepth() != 1 {
+	for tel.Gauge(telemetry.MServerQueueDepth).Value() != 1 {
 		time.Sleep(time.Millisecond)
 	}
 	close(closing)

@@ -178,12 +178,6 @@ func (s *Server) Handler() http.Handler { return s.mux }
 // Registry returns the registry the server counts into.
 func (s *Server) Registry() *telemetry.Registry { return s.reg }
 
-// Admission exposes the admission controller (tests inspect queue depth).
-func (s *Server) Admission() *Admission { return s.adm }
-
-// RespCache exposes the response cache (tests verify hit accounting).
-func (s *Server) RespCache() *RespCache { return s.cache }
-
 // Shutdown drains the control plane gracefully, in order: (1) the drain
 // gate flips, so new requests get 503; (2) every in-flight plan — SSE
 // frontier streams included — runs to completion (bounded by ctx); (3)

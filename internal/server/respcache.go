@@ -15,22 +15,11 @@ import (
 	"astra/internal/telemetry"
 )
 
-// RespCacheStats summarizes response-cache traffic.
-type RespCacheStats struct {
-	Hits   int64
-	Misses int64
-	// Waits counts the misses that joined another request's render
-	// instead of running their own (see Do).
-	Waits     int64
-	Expired   int64
-	Evictions int64
-	Entries   int
-}
-
 // RespCache is a bounded, TTL'd LRU of rendered responses. Safe for
 // concurrent use. The bound, the TTL and the coalescing of concurrent
 // misses are lru.Cache's; this type adds the defaults and the
-// astra_server_respcache_* series.
+// astra_server_respcache_* series, which are the one record of its
+// traffic.
 type RespCache struct {
 	c *lru.Cache[string, []byte]
 
@@ -104,19 +93,5 @@ func (c *RespCache) count(res lru.Result) {
 		c.expired.Inc()
 	}
 	c.evictions.Add(int64(res.Evicted))
-	c.resident.Set(int64(c.c.Stats().Entries))
-}
-
-// Stats snapshots the cache's own tallies (the registry series follow
-// them call by call).
-func (c *RespCache) Stats() RespCacheStats {
-	st := c.c.Stats()
-	return RespCacheStats{
-		Hits:      int64(st.Hits),
-		Misses:    int64(st.Misses),
-		Waits:     int64(st.Waits),
-		Expired:   int64(st.Expired),
-		Evictions: int64(st.Evictions),
-		Entries:   st.Entries,
-	}
+	c.resident.Set(int64(c.c.Len()))
 }

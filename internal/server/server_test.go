@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -141,8 +142,10 @@ func TestResponseCacheServesWithoutSearch(t *testing.T) {
 	if got := tel.Counter(telemetry.MPlanSolves).Value(); got != solvesAfterCold {
 		t.Fatalf("warm request invoked the search engine: solves %d -> %d", solvesAfterCold, got)
 	}
-	if st := srv.RespCache().Stats(); st.Hits != 1 || st.Misses != 1 {
-		t.Fatalf("respcache stats = %+v, want 1 hit / 1 miss", st)
+	if got := respBooks(tel); !reflect.DeepEqual(got, map[string]int64{
+		telemetry.MServerRespCacheHits: 1, telemetry.MServerRespCacheMisses: 1,
+	}) {
+		t.Fatalf("respcache books = %v, want 1 hit / 1 miss", got)
 	}
 }
 
@@ -298,7 +301,7 @@ func TestRateLimit429Deterministic(t *testing.T) {
 // Admission runs on a virtual clock that only a rejected client advances,
 // so each tenant's burst runs dry and 429s are certain. The response cache
 // runs the planner once per distinct fingerprint, and the X-Astra-Cache
-// verdicts the clients saw are the cache's own books.
+// verdicts the clients saw are the cache's books on the registry.
 func TestTightQuotaRetriedToCompletion(t *testing.T) {
 	const workers, tenants, perWorker, burst, maxAttempts = 4, 2, 10, 3, 100
 	shapes := []string{
@@ -378,8 +381,8 @@ func TestTightQuotaRetriedToCompletion(t *testing.T) {
 	if verdicts["hit"]+verdicts["miss"] != requests {
 		t.Fatalf("cache verdicts = %v, want %d hits and misses", verdicts, requests)
 	}
-	if st := srv.RespCache().Stats(); st.Hits != verdicts["hit"] || st.Misses != verdicts["miss"] {
-		t.Fatalf("respcache stats = %+v, clients saw %v", st, verdicts)
+	if got := respBooks(tel); got[telemetry.MServerRespCacheHits] != verdicts["hit"] || got[telemetry.MServerRespCacheMisses] != verdicts["miss"] {
+		t.Fatalf("respcache books = %v, clients saw %v", got, verdicts)
 	}
 }
 
@@ -806,15 +809,18 @@ func TestConcurrentMissesPlanOnce(t *testing.T) {
 					verdicts[i], bodies[i] = fetch()
 				}(i)
 			}
+			// A waiter's miss is booked before it blocks, so herd misses
+			// mean the render and every waiter are aboard.
+			misses := srv.Registry().Counter(telemetry.MServerRespCacheMisses)
 			deadline := time.Now().Add(5 * time.Second)
-			for srv.RespCache().Stats().Waits < herd-1 && time.Now().Before(deadline) {
+			for misses.Value() < herd && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
 			}
-			waits := srv.RespCache().Stats().Waits
+			joined := misses.Value()
 			close(stub.release)
 			wg.Wait()
-			if waits != herd-1 {
-				t.Fatalf("%d of %d requests joined the first one's render (planner calls: %d)", waits, herd-1, stub.calls.Load())
+			if joined != herd {
+				t.Fatalf("%d of %d requests missed on the first one's render (planner calls: %d)", joined, herd, stub.calls.Load())
 			}
 
 			if n := stub.calls.Load(); n != 1 {
@@ -826,8 +832,8 @@ func TestConcurrentMissesPlanOnce(t *testing.T) {
 						i, verdicts[i], bodies[i], bodies[0])
 				}
 			}
-			if st := srv.RespCache().Stats(); st.Hits != 0 || st.Misses != herd {
-				t.Fatalf("respcache stats = %+v, want 0 hits / %d misses", st, herd)
+			if got := respBooks(srv.Registry()); !reflect.DeepEqual(got, map[string]int64{telemetry.MServerRespCacheMisses: herd}) {
+				t.Fatalf("respcache books = %v, want 0 hits / %d misses", got, herd)
 			}
 			if v, b := fetch(); v != "hit" || b != bodies[0] || stub.calls.Load() != 1 {
 				t.Fatalf("request after the herd: verdict %q, body %q, planner calls %d; want a hit on %q",

@@ -59,10 +59,11 @@ type ServiceConfig struct {
 	// to 1; a shared service must not let one tenant's plan occupy every
 	// core).
 	Parallelism int
-	// SLOFactor is the default deadline multiple for executed requests
-	// that name none (<= 0: 1.05).
-	SLOFactor float64
 }
+
+// defaultSLOFactor is the deadline multiple, over the plan's predicted
+// JCT, of an executed request that names no slo_factor.
+const defaultSLOFactor = 1.05
 
 type service struct {
 	cfg ServiceConfig
@@ -82,9 +83,6 @@ func NewService(cfg ServiceConfig) Service {
 	}
 	if cfg.Parallelism <= 0 {
 		cfg.Parallelism = 1
-	}
-	if cfg.SLOFactor <= 0 {
-		cfg.SLOFactor = 1.05
 	}
 	return &service{cfg: cfg, tel: tel, led: led}
 }
@@ -126,7 +124,7 @@ func (s *service) Plan(ctx context.Context, req *api.PlanRequest) (*api.PlanResp
 func (s *service) execute(req *api.PlanRequest, job astra.Job, plan *astra.ExecutionPlan) (*api.RunOutcome, error) {
 	factor := req.SLOFactor
 	if factor <= 0 {
-		factor = s.cfg.SLOFactor
+		factor = defaultSLOFactor
 	}
 	mon := astra.NewQoSMonitor(astra.QoSOptions{
 		Deadline: time.Duration(factor * float64(plan.Exact.JCT())),

@@ -35,40 +35,3 @@ func (l *Latch) Wait(p *Proc) {
 	l.waiters = append(l.waiters, p)
 	p.block("latch")
 }
-
-// Counter is a countdown latch: it releases once Add has been balanced by
-// the configured number of Done calls. Used to model barrier-style phase
-// completion (e.g., "all mappers finished").
-type Counter struct {
-	s       *Scheduler
-	n       int
-	waiters []*Proc
-}
-
-// NewCounter creates a countdown latch expecting n Done calls.
-func (s *Scheduler) NewCounter(n int) *Counter { return &Counter{s: s, n: n} }
-
-// Done decrements the counter; when it reaches zero all waiters wake.
-// Calling Done more times than the initial count panics: that is always a
-// bookkeeping bug in the simulation harness.
-func (c *Counter) Done() {
-	if c.n <= 0 {
-		panic("simtime: Counter.Done called more times than its count")
-	}
-	c.n--
-	if c.n == 0 {
-		for _, w := range c.waiters {
-			c.s.wake(w)
-		}
-		c.waiters = nil
-	}
-}
-
-// Wait blocks p until the count reaches zero.
-func (c *Counter) Wait(p *Proc) {
-	if c.n == 0 {
-		return
-	}
-	c.waiters = append(c.waiters, p)
-	p.block("counter")
-}

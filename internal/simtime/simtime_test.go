@@ -233,48 +233,6 @@ func TestLatchWaitAfterDone(t *testing.T) {
 	}
 }
 
-func TestCounterBarrier(t *testing.T) {
-	elapsed, err := Elapsed(func(p *Proc) {
-		c := p.s.NewCounter(3)
-		for i := 0; i < 3; i++ {
-			i := i
-			p.Spawn("w", func(q *Proc) {
-				q.Sleep(time.Duration(i+1) * time.Second)
-				c.Done()
-			})
-		}
-		c.Wait(p)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if elapsed != 3*time.Second {
-		t.Fatalf("elapsed = %v, want 3s (slowest worker)", elapsed)
-	}
-}
-
-func TestCounterZeroWaitImmediate(t *testing.T) {
-	_, err := Elapsed(func(p *Proc) {
-		c := p.s.NewCounter(0)
-		c.Wait(p)
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCounterOverDonePanics(t *testing.T) {
-	s := NewScheduler()
-	err := s.Run(func(p *Proc) {
-		c := s.NewCounter(1)
-		c.Done()
-		c.Done()
-	})
-	if err == nil || !strings.Contains(err.Error(), "Counter.Done") {
-		t.Fatalf("err = %v, want over-Done panic", err)
-	}
-}
-
 func TestElapsedReportsVirtualNotWallTime(t *testing.T) {
 	start := time.Now()
 	elapsed, err := Elapsed(func(p *Proc) { p.Sleep(24 * time.Hour) })

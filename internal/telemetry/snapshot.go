@@ -32,6 +32,27 @@ type Snapshot struct {
 // Snapshot freezes the registry's current state. On a nil registry it
 // returns an empty (but usable) snapshot.
 func (r *Registry) Snapshot() Snapshot {
+	s := r.metrics()
+	if r == nil {
+		return s
+	}
+	r.spanMu.Lock()
+	s.Spans = append([]SpanRecord(nil), r.spans...)
+	s.SpanDrops = r.spanDrops
+	r.spanMu.Unlock()
+	return s
+}
+
+// WritePrometheus renders the registry's counters, gauges and histograms
+// as Snapshot.WritePrometheus does, without copying the span buffer the
+// exposition never reads: a scrape costs the metrics alone, however many
+// spans are retained.
+func (r *Registry) WritePrometheus(w io.Writer) error {
+	return r.metrics().WritePrometheus(w)
+}
+
+// metrics freezes the registry's counters, gauges and histograms.
+func (r *Registry) metrics() Snapshot {
 	s := Snapshot{
 		Counters:   map[string]int64{},
 		Gauges:     map[string]int64{},
@@ -60,10 +81,6 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Histograms[name] = hs
 	}
 	r.mu.RUnlock()
-	r.spanMu.Lock()
-	s.Spans = append([]SpanRecord(nil), r.spans...)
-	s.SpanDrops = r.spanDrops
-	r.spanMu.Unlock()
 	return s
 }
 
