@@ -51,15 +51,23 @@ procs:
 			./internal/lambda ./internal/objectstore ./internal/simtime ./internal/chaos || exit 1; \
 	done
 
-# One set of books per plan: nothing reconciles a series towards a total
-# another writer also increments, the planner never copies the registry
-# to read its own counters, and the bounded caches (internal/lru and its
-# template and response wrappers) keep no tally beside the registry
-# series they write: no Stats() method, no stats struct.
+# One set of books per plan and per run: nothing reconciles a series
+# towards a total another writer also increments, the planner never
+# copies the registry to read its own counters, and the bounded caches
+# (internal/lru and its template and response wrappers) keep no tally
+# beside the registry series they write: no Stats() method, no stats
+# struct. A simulated run counts each fact once, where it happens: the
+# chaos engine keeps no tally beside the platform's (no Stats() method),
+# the platform counts a throttle once (no throttles field beside
+# ChaosCounters.ThrottleRejects), and phase windows are the flight
+# recorder's, not registry spans (no RecordVirtual).
 books:
 	! grep -rn 'PublishCacheStats\|publishCounterTotal\|fillFromDeltas\|MPlanCache' --include=*.go .
 	! grep -n 'Snapshot()' internal/optimizer/*.go | grep -v _test
 	! grep -n 'func ([^)]*) Stats()\|Stats struct' internal/lru/*.go internal/optimizer/template.go internal/server/respcache.go | grep -v _test
+	! grep -rn 'RecordVirtual' --include=*.go .
+	! grep -n 'func ([^)]*) Stats()' internal/chaos/*.go
+	! grep -nE '^[[:space:]]+throttles[[:space:]]' internal/lambda/lambda.go
 
 # benchmark/ is a module of its own that compiles against internal
 # packages by signature (benchmark/layers.go); `go build ./...` does not

@@ -468,8 +468,6 @@ type (
 	// interfaces. Engines are single-run: build a fresh one per Run so
 	// rule fire-counters start from zero.
 	ChaosEngine = chaos.Engine
-	// ChaosStats summarizes what an engine injected during a run.
-	ChaosStats = chaos.Stats
 	// Resilience is the Report section attributing a run's fault and
 	// recovery costs.
 	Resilience = mapreduce.Resilience
@@ -522,9 +520,10 @@ func WithTaskRetries(n int) RunOption {
 }
 
 // WithRunTelemetry attaches a registry to the execution: lambda
-// invocations, cold starts, throttles, object-store traffic and
-// virtual-time phase spans are recorded. The simulated outcome is
-// identical with or without it.
+// invocations, cold starts, throttles and object-store traffic are
+// counted. Phase windows are the flight recorder's (WithFlightRecorder)
+// and Report.Phases. The simulated outcome is identical with or without
+// it.
 func WithRunTelemetry(reg *Telemetry) RunOption {
 	return func(s *mapreduce.JobSpec) { s.Telemetry = reg }
 }

@@ -1,13 +1,19 @@
 package astra
 
 import (
+	"fmt"
 	"testing"
+	"time"
+
+	"astra/internal/flight"
 )
 
-// TestRunWithTelemetryStats drives a job with a registry attached and
-// checks the three readouts agree: the report's RunStats, the raw
-// registry counters, and the virtual run spans — and that attaching
-// telemetry leaves the simulated result untouched.
+// TestRunWithTelemetryStats drives a job with a registry and a flight
+// recorder attached and checks the readouts agree: the report's RunStats
+// with the raw registry counters, and Report.Phases with the recorder's
+// phase windows, which are the run's only record of them (the registry
+// holds no spans for a run). Attaching both leaves the simulated result
+// untouched.
 func TestRunWithTelemetryStats(t *testing.T) {
 	job := NewJob(WordCount, 10, 64<<20)
 	cfg := Config{
@@ -20,7 +26,7 @@ func TestRunWithTelemetryStats(t *testing.T) {
 	}
 
 	reg := NewTelemetry()
-	rep, err := Run(job, cfg, WithRunTelemetry(reg))
+	rep, err := Run(job, cfg, WithRunTelemetry(reg), WithFlightRecorder(NewFlightRecorder()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,15 +35,12 @@ func TestRunWithTelemetryStats(t *testing.T) {
 			rep.JCT, bare.JCT, rep.Cost.Total(), bare.Cost.Total())
 	}
 
-	st := rep.Telemetry()
+	st := rep.Stats
 	if st.Invocations != len(rep.Records) {
 		t.Fatalf("stats invocations = %d, records = %d", st.Invocations, len(rep.Records))
 	}
-	if st.ColdStarts == 0 || st.StorePuts == 0 || st.StoreGets == 0 || st.StoreBytesOut == 0 {
+	if st.ColdStarts == 0 || st.StorePuts == 0 || st.StoreGets == 0 || st.StoreBytesOut == 0 || st.PeakConcurrency == 0 {
 		t.Fatalf("platform stats empty: %+v", st)
-	}
-	if st.PeakConcurrency != rep.PeakConcurrency {
-		t.Fatalf("stats peak %d, report peak %d", st.PeakConcurrency, rep.PeakConcurrency)
 	}
 
 	snap := reg.Snapshot()
@@ -47,27 +50,22 @@ func TestRunWithTelemetryStats(t *testing.T) {
 	if got := snap.Counter("astra_store_put_total"); got != st.StorePuts {
 		t.Fatalf("registry puts = %d, stats = %d", got, st.StorePuts)
 	}
-	runSpans := snap.SpansUnder("run")
-	if len(runSpans) == 0 {
-		t.Fatal("no run spans recorded")
+	if len(snap.Spans) != 0 {
+		t.Fatalf("the run recorded %d span(s) on the registry; its phases are the flight recorder's", len(snap.Spans))
 	}
-	for _, sp := range runSpans {
-		if !sp.HasVirtual {
-			t.Fatalf("run span %q lacks virtual time", sp.Path)
+	phases := map[string]time.Duration{}
+	for _, ev := range rep.Events {
+		if ev.Kind == flight.KindPhase {
+			phases[ev.Name] = ev.Time - ev.Start
 		}
 	}
-	// The root span must cover the whole job on the virtual clock.
-	found := false
-	for _, sp := range runSpans {
-		if sp.Path == "run" {
-			found = true
-			if sp.Virt != rep.JCT {
-				t.Fatalf("run span virtual duration %v, JCT %v", sp.Virt, rep.JCT)
-			}
-		}
+	if phases["run"] != rep.JCT || phases["map"] != rep.Phases.Map {
+		t.Fatalf("phase windows %v, want run %v and map %v", phases, rep.JCT, rep.Phases.Map)
 	}
-	if !found {
-		t.Fatal("missing root 'run' span")
+	for i, d := range rep.Phases.Steps {
+		if name := fmt.Sprintf("step-%02d", i); phases[name] != d {
+			t.Fatalf("phase %s = %v, Report.Phases.Steps[%d] = %v", name, phases[name], i, d)
+		}
 	}
 }
 

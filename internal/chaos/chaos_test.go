@@ -130,10 +130,6 @@ func TestMaxCountBoundsFires(t *testing.T) {
 	if hits != 1 {
 		t.Fatalf("rule fired %d times, want 1 (max_count)", hits)
 	}
-	st := e.Stats()
-	if len(st.ByRule) != 1 || st.ByRule[0].Fired != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
 }
 
 func TestStoreRepeatHeals(t *testing.T) {
@@ -176,9 +172,6 @@ func TestThrottleWindow(t *testing.T) {
 	if e.ThrottleInjected(ref, 15*simtime.Time(time.Second)) {
 		t.Fatal("throttled at the window's exclusive end")
 	}
-	if e.Stats().Throttles != 1 {
-		t.Fatalf("throttle count = %d, want 1", e.Stats().Throttles)
-	}
 }
 
 func TestEffectsCompose(t *testing.T) {
@@ -191,9 +184,6 @@ func TestEffectsCompose(t *testing.T) {
 	f, ok := e.InvokeFault(lambda.InvokeRef{Function: "mapper", Label: "map-1"}, 0)
 	if !ok || f.Straggle != 3 || !f.ForceCold {
 		t.Fatalf("composed fault = %+v (ok=%v), want straggle 3 + forced cold", f, ok)
-	}
-	if got := e.Stats().LambdaFaults; got != 1 {
-		t.Fatalf("LambdaFaults = %d, want 1 (one attempt afflicted)", got)
 	}
 }
 

@@ -22,7 +22,9 @@ var ErrStoreFault = errors.New("chaos: injected store fault")
 // same seeded plan injects the same faults regardless of scheduling
 // interleaving. Counters (MaxCount, Repeat) are the only mutable state,
 // and within one deterministic simulation they advance identically run to
-// run.
+// run. What was injected is counted where it lands, by the platform
+// (lambda.ChaosCounters, objectstore's InjectedFaults and the
+// astra_chaos_* series); the engine keeps no tally of its own.
 //
 // Use a fresh Engine per run: counters carry across runs otherwise.
 type Engine struct {
@@ -32,21 +34,6 @@ type Engine struct {
 	fired    []int          // per-rule total fires (MaxCount bookkeeping)
 	keyFails map[string]int // (rule, bucket, key) -> store faults so far (Repeat)
 	occ      map[string]uint64
-	stats    Stats
-}
-
-// Stats summarizes what an engine injected.
-type Stats struct {
-	LambdaFaults int // invocation attempts given at least one effect
-	StoreFaults  int // store requests aborted
-	Throttles    int // injected 429 rejections
-	ByRule       []RuleCount
-}
-
-// RuleCount is one rule's fire count.
-type RuleCount struct {
-	Rule  string
-	Fired int
 }
 
 // NewEngine validates the plan and builds an engine for one run.
@@ -63,18 +50,6 @@ func NewEngine(p *Plan) (*Engine, error) {
 		keyFails: make(map[string]int),
 		occ:      make(map[string]uint64),
 	}, nil
-}
-
-// Stats snapshots the engine's injection counts.
-func (e *Engine) Stats() Stats {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	st := e.stats
-	st.ByRule = make([]RuleCount, len(e.plan.Rules))
-	for i := range e.plan.Rules {
-		st.ByRule[i] = RuleCount{Rule: e.ruleName(i), Fired: e.fired[i]}
-	}
-	return st
 }
 
 func (e *Engine) ruleName(i int) string {
@@ -211,9 +186,6 @@ func (e *Engine) InvokeFault(ref lambda.InvokeRef, now simtime.Time) (lambda.Inv
 		e.fired[i]++
 		have = true
 	}
-	if have {
-		e.stats.LambdaFaults++
-	}
 	return out, have
 }
 
@@ -247,7 +219,6 @@ func (e *Engine) ThrottleInjected(ref lambda.InvokeRef, now simtime.Time) bool {
 			continue
 		}
 		e.fired[i]++
-		e.stats.Throttles++
 		return true
 	}
 	return false
@@ -295,7 +266,6 @@ func (e *Engine) OpFault(op objectstore.Op, bucket, key string) error {
 			}
 		}
 		e.fired[i]++
-		e.stats.StoreFaults++
 		msg := r.Error
 		if msg == "" {
 			msg = "transient error"

@@ -222,7 +222,7 @@ func AblationConcurrencyCap() (string, error) {
 		if err != nil {
 			return "", err
 		}
-		t.add(fmt.Sprint(cap), fmtDur(rep.JCT), fmt.Sprint(rep.PeakConcurrency),
+		t.add(fmt.Sprint(cap), fmtDur(rep.JCT), fmt.Sprint(rep.Stats.PeakConcurrency),
 			fmt.Sprintf("%+.1f%%", 100*(rep.JCT.Seconds()-blind.TotalSec())/blind.TotalSec()),
 			fmt.Sprintf("%+.2f%%", 100*(rep.JCT.Seconds()-aware.TotalSec())/aware.TotalSec()))
 	}

@@ -317,17 +317,6 @@ func (r *Recorder) Len() int {
 	return n
 }
 
-// Dropped reports how many events the ring overwrote.
-func (r *Recorder) Dropped() int64 {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	v := r.dropped
-	r.mu.Unlock()
-	return v
-}
-
 // Events returns the retained events in emission order.
 func (r *Recorder) Events() []Event {
 	if r == nil {

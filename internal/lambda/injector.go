@@ -90,15 +90,13 @@ func (pl *Platform) SetInjector(inj Injector) { pl.inj = inj }
 type ChaosCounters struct {
 	// Faults counts invocation attempts that received at least one effect.
 	Faults int
-	// Per-effect counts. ThrottleRejects counts injected 429s (also
-	// included in the platform's Throttles()).
+	// Per-effect counts. ThrottleRejects counts injected 429s, the
+	// platform's only throttles.
 	FailedBeforeStart int
 	FailedMidFlight   int
 	Straggled         int
 	ForcedColdStarts  int
 	ThrottleRejects   int
-	// Canceled counts invocations killed via Cancel.
-	Canceled int
 }
 
 // Sub returns the counter deltas c - o, for scoping one run.
@@ -110,7 +108,6 @@ func (c ChaosCounters) Sub(o ChaosCounters) ChaosCounters {
 		Straggled:         c.Straggled - o.Straggled,
 		ForcedColdStarts:  c.ForcedColdStarts - o.ForcedColdStarts,
 		ThrottleRejects:   c.ThrottleRejects - o.ThrottleRejects,
-		Canceled:          c.Canceled - o.Canceled,
 	}
 }
 
@@ -133,7 +130,6 @@ func (pl *Platform) Cancel(iv *Invocation) {
 		return
 	}
 	iv.cancel.requested = true
-	pl.chaos.Canceled++
 }
 
 // WaitAny blocks until one of invs completes or timeout elapses, returning

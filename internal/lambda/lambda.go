@@ -156,7 +156,6 @@ type Platform struct {
 	funcs       map[string]*Function
 	records     []Record
 	recSeq      int64
-	throttles   int
 	tel         *telemetry.Registry
 	rec         *flight.Recorder
 
@@ -203,10 +202,6 @@ func (pl *Platform) Register(name string, memMB int, handler Handler) (*Function
 // Records returns all invocation records so far, in completion order.
 func (pl *Platform) Records() []Record { return pl.records }
 
-// Throttles reports how many invocation attempts injected 429 windows
-// rejected.
-func (pl *Platform) Throttles() int { return pl.throttles }
-
 // SetTelemetry attaches a registry that receives per-invocation counters
 // and latency histograms (see telemetry.MLambda*). Telemetry is
 // observe-only: the simulation's virtual-time results are identical with
@@ -219,18 +214,13 @@ func (pl *Platform) SetTelemetry(reg *telemetry.Registry) { pl.tel = reg }
 // bit-identical with or without it. A nil recorder detaches.
 func (pl *Platform) SetFlightRecorder(rec *flight.Recorder) { pl.rec = rec }
 
-// PeakConcurrency reports the high-water mark of simultaneous executions.
+// PeakConcurrency reports the high-water mark of simultaneous executions
+// since the last RestartPeak.
 func (pl *Platform) PeakConcurrency() int { return pl.concurrency.PeakInUse() }
 
-// Bill sums the Lambda-side bill: duration costs plus invocation fees for
-// every invocation, successful or not.
-func (pl *Platform) Bill() pricing.USD {
-	var total pricing.USD
-	for _, r := range pl.records {
-		total += r.Cost
-	}
-	return total
-}
+// RestartPeak begins a new high-water mark at the executions in flight
+// now, so a run that calls it first reads its own peak.
+func (pl *Platform) RestartPeak() { pl.concurrency.RestartPeak() }
 
 // takeWarm pops a still-warm container for f, expiring stale entries.
 func (pl *Platform) takeWarm(f *Function) bool {
@@ -326,7 +316,6 @@ func (pl *Platform) invokeDispatched(p *simtime.Proc, name, label string, payloa
 	// concurrency level, subject to the retry policy.
 	if pl.inj != nil {
 		for ta := 0; pl.inj.ThrottleInjected(ref, pl.sched.Now()); ta++ {
-			pl.throttles++
 			pl.chaos.ThrottleRejects++
 			pl.tel.Counter(telemetry.MLambdaThrottles).Inc()
 			pl.tel.Counter(telemetry.MChaosThrottleRejects).Inc()

@@ -213,7 +213,7 @@ func TestThrottleErrorModeWithRetries(t *testing.T) {
 	})
 	// Rejected at 0 and at 300ms (backoff 300ms, then 600ms); the retry
 	// at 900ms lands after the window closes at 500ms.
-	if got := w.pl.Throttles(); got != 2 {
+	if got := w.pl.ChaosCounters().ThrottleRejects; got != 2 {
 		t.Fatalf("throttles = %d, want 2", got)
 	}
 	if got := tel.Counter(telemetry.MLambdaRetries).Value(); got != 2 {
@@ -238,7 +238,7 @@ func TestThrottleErrorExhaustsRetries(t *testing.T) {
 			t.Fatalf("err = %v, want ErrThrottled after retries are exhausted", err)
 		}
 	})
-	if got := w.pl.Throttles(); got != 2 {
+	if got := w.pl.ChaosCounters().ThrottleRejects; got != 2 {
 		t.Fatalf("throttles = %d, want 2 (the attempt and its one retry)", got)
 	}
 	if got := tel.Counter(telemetry.MLambdaRetries).Value(); got != 1 {
@@ -285,8 +285,9 @@ func TestBillingMatchesPricing(t *testing.T) {
 	})
 	l := pricing.AWS().Lambda
 	want := l.DurationCost(512, 2*time.Second) + l.InvocationCost(1)
-	if got := w.pl.Bill(); math.Abs(float64(got-want)) > 1e-15 {
-		t.Fatalf("bill = %v, want %v", got, want)
+	recs := w.pl.Records()
+	if len(recs) != 1 || math.Abs(float64(recs[0].Cost-want)) > 1e-15 {
+		t.Fatalf("records %+v, want one billed %v", recs, want)
 	}
 }
 

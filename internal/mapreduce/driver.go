@@ -78,9 +78,8 @@ type JobSpec struct {
 	// (their duration ran). Zero means fail-fast.
 	TaskRetries int
 	// Telemetry, if set, receives platform counters (invocations, cold
-	// starts, store traffic) and virtual-time phase spans for the run.
-	// Observe-only: the simulated results are identical with or without
-	// it.
+	// starts, store traffic) for the run. Observe-only: the simulated
+	// results are identical with or without it.
 	Telemetry *telemetry.Registry
 	// Recorder, if set, captures the run's full event stream — every
 	// invocation lifecycle transition, store request, compute interval
@@ -155,15 +154,12 @@ type RunStats struct {
 	Timeouts int
 	// Errors counts invocations failing for any other reason.
 	Errors int
-	// TaskRetries counts driver- or coordinator-level re-invocations of
-	// failed mappers and reducers.
-	TaskRetries int
 	// Canceled counts invocations intentionally killed as speculative
 	// race losers (billed, but not failures).
 	Canceled int
-	// Throttles counts 429 rejections by injected throttle windows.
-	Throttles int
-	// PeakConcurrency is the high-water mark of simultaneous lambdas.
+	// PeakConcurrency is the run's own high-water mark of simultaneous
+	// lambdas: it starts from those already in flight when the run
+	// begins.
 	PeakConcurrency int
 	// Object-store traffic attributable to the run.
 	StoreGets, StorePuts        int64
@@ -196,9 +192,6 @@ type Report struct {
 	// Config — the astra layer attaches it to recorded runs so Audit can
 	// diff prediction against measurement.
 	Predicted *flight.Breakdown
-	// PeakConcurrency is the job's high-water mark of simultaneous
-	// lambdas.
-	PeakConcurrency int
 	// Stats summarizes platform activity; see RunStats.
 	Stats RunStats
 	// Resilience attributes the run's adversity: injected faults, retry
@@ -209,9 +202,6 @@ type Report struct {
 // DeadlineMet reports whether the run finished within a QoS deadline (the
 // Eq. 20 constraint the planner promised).
 func (r *Report) DeadlineMet(deadline time.Duration) bool { return r.JCT <= deadline }
-
-// Telemetry returns the run's platform-activity summary.
-func (r *Report) Telemetry() RunStats { return r.Stats }
 
 // Driver executes MapReduce jobs on a Lambda platform.
 type Driver struct {
@@ -326,8 +316,7 @@ func (d *Driver) Run(p *simtime.Proc, spec JobSpec, cfg Config) (*Report, error)
 	recBase := len(d.pl.Records())
 	bill0 := store.Bill()
 	store0 := store.Metrics()
-	throttles0 := d.pl.Throttles()
-	peak0 := d.pl.PeakConcurrency()
+	d.pl.RestartPeak()
 	t0 := p.Now()
 	if spec.QoS != nil {
 		spec.QoS.BeginRun(spec.Recorder, t0, qosStages(spec, orch))
@@ -438,17 +427,9 @@ func (d *Driver) Run(p *simtime.Proc, spec JobSpec, cfg Config) (*Report, error)
 		Storage:  bill.Storage - bill0.Storage,
 		Workflow: workflowFee,
 	}
-	if pk := d.pl.PeakConcurrency(); pk > peak0 {
-		rep.PeakConcurrency = pk
-	}
 
-	// --- Platform-activity summary (always computed) and virtual-time
-	// phase spans (when a registry is attached). ---
-	st := RunStats{
-		TaskRetries:     run.taskRetries,
-		Throttles:       d.pl.Throttles() - throttles0,
-		PeakConcurrency: rep.PeakConcurrency,
-	}
+	// --- Platform-activity summary (always computed). ---
+	st := RunStats{PeakConcurrency: d.pl.PeakConcurrency()}
 	for _, r := range recs {
 		st.Invocations++
 		if r.Cold {
@@ -485,16 +466,6 @@ func (d *Driver) Run(p *simtime.Proc, spec JobSpec, cfg Config) (*Report, error)
 	}
 	rep.Resilience = run.res
 
-	if tel := spec.Telemetry; tel != nil {
-		tel.RecordVirtual("run", t0, end)
-		tel.RecordVirtual("run/map", t0, mapEnd)
-		if spec.Orchestrator == CoordinatorLambda {
-			tel.RecordVirtual("run/coordinator", coordSpan.start, coordSpan.end)
-		}
-		for i, s := range run.stepSpans {
-			tel.RecordVirtual(fmt.Sprintf("run/step-%02d", i), s.start, s.end)
-		}
-	}
 	if rec := spec.Recorder; rec != nil {
 		// Phase markers anchor the critical-path analyzer; emitted at run
 		// end (in a fixed order) so the windows are final.

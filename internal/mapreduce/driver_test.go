@@ -274,8 +274,8 @@ func TestJobSurvivesConcurrencyThrottling(t *testing.T) {
 	spec := smallWordCountSpec(t, w, 12, 1024)
 	cfg := Config{MapperMemMB: 1024, CoordMemMB: 1024, ReducerMemMB: 1024, ObjsPerMapper: 1, ObjsPerReducer: 3}
 	rep := w.runJob(t, spec, cfg)
-	if rep.PeakConcurrency > 3 {
-		t.Fatalf("peak concurrency %d exceeded the limit", rep.PeakConcurrency)
+	if pk := rep.Stats.PeakConcurrency; pk != 3 {
+		t.Fatalf("peak concurrency %d, want the limit 3", pk)
 	}
 	if rep.JCT <= 0 {
 		t.Fatal("job should still complete")

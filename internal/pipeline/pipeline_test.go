@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"context"
+	"sort"
 	"testing"
 	"time"
 
@@ -94,6 +95,52 @@ func TestPlanUnconstrainedAndExecute(t *testing.T) {
 	relCost := float64(res.Cost.Total()-plan.TotalCost) / float64(plan.TotalCost)
 	if relCost < -0.02 || relCost > 0.02 {
 		t.Fatalf("measured cost %v vs predicted %v", res.Cost.Total(), plan.TotalCost)
+	}
+}
+
+// TestStagePeakIsItsOwn: every stage of a pipeline runs on one platform,
+// and each stage's Stats.PeakConcurrency is that stage's own high-water
+// mark, recounted here from its invocation records, even when an earlier
+// stage ran more lambdas at once.
+func TestStagePeakIsItsOwn(t *testing.T) {
+	p := logAnalytics()
+	plan, err := NewPlanner(templParams()).Plan(p, optimizer.Objective{Goal: optimizer.MinTimeUnderBudget, Budget: 1e9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan.Stages[1].Config = mapreduce.Config{MapperMemMB: 1024, CoordMemMB: 1024, ReducerMemMB: 1024,
+		ObjsPerMapper: 1, ObjsPerReducer: 1}
+	res, err := Execute(templParams(), p, plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, rep := range res.Stages {
+		// A slot is held from a record's Start to its End (worlds have no
+		// cold-start delay and the cap never binds here); at a shared
+		// instant the ending invocation releases first.
+		type edge struct {
+			at    time.Duration
+			delta int
+		}
+		var edges []edge
+		for _, r := range rep.Records {
+			edges = append(edges, edge{r.Start, 1}, edge{r.End, -1})
+		}
+		sort.Slice(edges, func(a, b int) bool {
+			if edges[a].at != edges[b].at {
+				return edges[a].at < edges[b].at
+			}
+			return edges[a].delta < edges[b].delta
+		})
+		own, in := 0, 0
+		for _, e := range edges {
+			in += e.delta
+			own = max(own, in)
+		}
+		if got := rep.Stats.PeakConcurrency; got < 1 || got != own {
+			t.Errorf("stage %d (%d invocations): peak concurrency %d, want its own %d",
+				i, rep.Stats.Invocations, got, own)
+		}
 	}
 }
 

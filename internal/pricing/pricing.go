@@ -11,7 +11,6 @@ package pricing
 
 import (
 	"fmt"
-	"math"
 	"time"
 )
 
@@ -230,18 +229,6 @@ func (l Lambda) ValidMemory(memMB int) bool {
 	return (memMB-l.MinMemoryMB)%l.MemoryStepMB == 0
 }
 
-// ClampMemory rounds memMB to the nearest valid tier.
-func (l Lambda) ClampMemory(memMB int) int {
-	if memMB <= l.MinMemoryMB {
-		return l.MinMemoryMB
-	}
-	if memMB >= l.MaxMemoryMB {
-		return l.MaxMemoryMB
-	}
-	steps := float64(memMB-l.MinMemoryMB) / float64(l.MemoryStepMB)
-	return l.MinMemoryMB + int(math.Round(steps))*l.MemoryStepMB
-}
-
 // BilledDuration rounds d up to the billing quantum.
 func (l Lambda) BilledDuration(d time.Duration) time.Duration {
 	if d <= 0 {
@@ -285,12 +272,6 @@ func (o ObjectStore) RequestCost(gets, puts int64) USD {
 func (o ObjectStore) StorageCost(byteSeconds float64) USD {
 	gbMonths := byteSeconds / gb / month.Seconds()
 	return o.StoragePerGBMonth * USD(gbMonths)
-}
-
-// StorageRate reports H as dollars per (MB x second), the form the
-// analytic model uses.
-func (o ObjectStore) StorageRate() USD {
-	return o.StorageCost(1 << 20) // one MB held for one second
 }
 
 // VMCost computes the bill for running one VM for d, honoring the minimum

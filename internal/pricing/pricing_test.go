@@ -47,28 +47,6 @@ func TestValidMemory(t *testing.T) {
 	}
 }
 
-func TestClampMemory(t *testing.T) {
-	l := AWS().Lambda
-	cases := []struct{ in, want int }{
-		{0, 128}, {128, 128}, {150, 128}, {161, 192}, {3500, 3008}, {1024, 1024},
-	}
-	for _, c := range cases {
-		if got := l.ClampMemory(c.in); got != c.want {
-			t.Errorf("ClampMemory(%d) = %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
-func TestClampMemoryAlwaysValid(t *testing.T) {
-	l := AWS().Lambda
-	f := func(m int16) bool {
-		return l.ValidMemory(l.ClampMemory(int(m)))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestBilledDurationRoundsUp(t *testing.T) {
 	l := AWS().Lambda
 	cases := []struct{ in, want time.Duration }{
@@ -148,17 +126,6 @@ func TestStorageCost(t *testing.T) {
 	}
 	if got := s.StorageCost(0); got != 0 {
 		t.Fatalf("zero occupancy = %v, want 0", got)
-	}
-}
-
-func TestStorageRateConsistency(t *testing.T) {
-	s := AWS().Store
-	// StorageRate x (MB-seconds) must agree with StorageCost(byte-seconds).
-	mbSeconds := 12345.0
-	a := float64(s.StorageRate()) * mbSeconds
-	b := float64(s.StorageCost(mbSeconds * (1 << 20)))
-	if math.Abs(a-b) > 1e-15 {
-		t.Fatalf("rate path %v != direct path %v", a, b)
 	}
 }
 

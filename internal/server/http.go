@@ -456,7 +456,9 @@ func (s *Server) handleTenantSLO(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "missing tenant id", 0)
 		return
 	}
-	ticket := s.admit(w, r, tenant)
+	// The read spends the caller's quota; the path only names whose SLO
+	// is read.
+	ticket := s.admit(w, r, api.ResolveTenant(r.Header.Get(api.TenantHeader), ""))
 	if ticket == nil {
 		return
 	}

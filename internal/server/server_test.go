@@ -295,6 +295,42 @@ func TestRateLimit429Deterministic(t *testing.T) {
 	}
 }
 
+// TestSLOReadSpendsCallersQuota: reading a tenant's SLO is admitted
+// under the caller's tenant (X-Astra-Tenant), not the tenant the path
+// names, so one tenant's reads cannot drain another's quota.
+func TestSLOReadSpendsCallersQuota(t *testing.T) {
+	clk := newVclock()
+	srv := startReal(t, Config{
+		Quota: TenantQuota{Rate: 1, Burst: 2, MaxInFlight: 4},
+		Now:   clk.now,
+	})
+	getSLO := func(caller string) int {
+		req, err := http.NewRequest(http.MethodGet, srv.URL()+"/v1/tenants/victim/slo", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set(api.TenantHeader, caller)
+		r, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, r.Body)
+		r.Body.Close()
+		return r.StatusCode
+	}
+	for i := 0; i < 2; i++ {
+		if code := getSLO("mallory"); code != 200 {
+			t.Fatalf("read %d: status %d, want 200", i, code)
+		}
+	}
+	if code := getSLO("mallory"); code != http.StatusTooManyRequests {
+		t.Fatalf("third read: status %d, want 429 from the caller's own bucket", code)
+	}
+	if resp, body := post(t, srv.URL()+"/v1/plan", "victim", planBody); resp.StatusCode != 200 {
+		t.Fatalf("victim's plan after another tenant read its SLO: status %d (%s)", resp.StatusCode, body)
+	}
+}
+
 // TestTightQuotaRetriedToCompletion is the caller's side of a tight
 // quota: concurrent clients of two tenants replay two recurring shapes and
 // retry every 429 after its retry_after_ms, and every request ends 200.
@@ -875,7 +911,13 @@ func TestConcurrentTenantsHammer(t *testing.T) {
 						t.Errorf("%s frontier %d: %d", tenant, i, r.StatusCode)
 					}
 				default:
-					r, err := http.Get(srv.URL() + "/v1/tenants/" + tenant + "/slo")
+					req, err := http.NewRequest(http.MethodGet, srv.URL()+"/v1/tenants/"+tenant+"/slo", nil)
+					if err != nil {
+						t.Errorf("%s slo: %v", tenant, err)
+						continue
+					}
+					req.Header.Set(api.TenantHeader, tenant)
+					r, err := http.DefaultClient.Do(req)
 					if err != nil {
 						t.Errorf("%s slo: %v", tenant, err)
 						continue

@@ -12,8 +12,9 @@ type Semaphore struct {
 	avail int
 	queue []semWait
 
-	// peakInUse tracks the high-water mark of acquired units, handy for
-	// asserting a run never exceeded the concurrency the model assumed.
+	// peakInUse tracks the high-water mark of acquired units since the
+	// last RestartPeak, handy for asserting a run never exceeded the
+	// concurrency the model assumed.
 	peakInUse int
 }
 
@@ -33,8 +34,12 @@ func (s *Scheduler) NewSemaphore(capacity int) *Semaphore {
 // InUse reports the number of units currently held.
 func (sem *Semaphore) InUse() int { return sem.cap - sem.avail }
 
-// PeakInUse reports the maximum number of units ever held simultaneously.
+// PeakInUse reports the maximum number of units held simultaneously
+// since the semaphore was made or its peak last restarted.
 func (sem *Semaphore) PeakInUse() int { return sem.peakInUse }
+
+// RestartPeak starts a new high-water mark at the units held now.
+func (sem *Semaphore) RestartPeak() { sem.peakInUse = sem.InUse() }
 
 func (sem *Semaphore) noteAcquired() {
 	if in := sem.InUse(); in > sem.peakInUse {

@@ -1,7 +1,7 @@
 // Package telemetry is Astra's dependency-light observability layer:
-// atomic counters, gauges, bounded histograms, and hierarchical spans
-// over wall and virtual time, collected in a Registry and exported as
-// Prometheus text exposition or JSON (see Snapshot).
+// atomic counters, gauges, bounded histograms, and hierarchical
+// wall-clock spans, collected in a Registry and exported as Prometheus
+// text exposition or JSON (see Snapshot).
 //
 // The design goal is a zero-cost default: every method is safe on a nil
 // receiver and returns immediately, so instrumented code holds plain
@@ -139,8 +139,8 @@ var DurationBuckets = []float64{1e-4, 5e-4, 1e-3, 5e-3, 0.01, 0.05, 0.1, 0.5, 1,
 var SizeBuckets = []float64{1, 4, 16, 64, 256, 1024, 4096, 16384, 65536, 262144, 1048576}
 
 // SpanRecord is one finished span. Hierarchy is encoded in the path
-// ("plan/solve/algorithm1/round"); wall time is always present, virtual
-// time only when the instrumented code runs on the simulated clock.
+// ("plan/solve/algorithm1/round"). Spans time the planner on the wall
+// clock; an executed run's virtual-time phases are the flight recorder's.
 type SpanRecord struct {
 	// Path is the '/'-joined span hierarchy.
 	Path string `json:"path"`
@@ -150,39 +150,14 @@ type SpanRecord struct {
 	WallStart time.Time `json:"wall_start"`
 	// Wall is the span's wall-clock duration.
 	Wall time.Duration `json:"wall_ns"`
-	// VirtStart/Virt describe the span on the simulation's virtual
-	// clock; valid only when HasVirtual is set.
-	VirtStart  time.Duration `json:"virt_start_ns,omitempty"`
-	Virt       time.Duration `json:"virt_ns,omitempty"`
-	HasVirtual bool          `json:"has_virtual,omitempty"`
 }
 
 // Span is an in-flight span. A nil *Span is a no-op, so call sites need
-// no branches; Child on a nil span returns nil.
+// no branches.
 type Span struct {
 	reg       *Registry
 	path      string
 	wallStart time.Time
-	virtStart time.Duration
-	virtEnd   time.Duration
-	hasVirt   bool
-}
-
-// Child opens a sub-span whose path extends the receiver's.
-func (s *Span) Child(name string) *Span {
-	if s == nil {
-		return nil
-	}
-	return &Span{reg: s.reg, path: s.path + "/" + name, wallStart: time.Now()}
-}
-
-// SetVirtual attaches the span's interval on the simulation's virtual
-// clock (simtime.Time is a time.Duration, so this stays dependency-free).
-func (s *Span) SetVirtual(start, end time.Duration) {
-	if s == nil {
-		return
-	}
-	s.virtStart, s.virtEnd, s.hasVirt = start, end, true
 }
 
 // End finishes the span and records it into the registry's bounded span
@@ -191,17 +166,11 @@ func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	rec := SpanRecord{
+	s.reg.record(SpanRecord{
 		Path:      s.path,
 		WallStart: s.wallStart,
 		Wall:      time.Since(s.wallStart),
-	}
-	if s.hasVirt {
-		rec.VirtStart = s.virtStart
-		rec.Virt = s.virtEnd - s.virtStart
-		rec.HasVirtual = true
-	}
-	s.reg.record(rec)
+	})
 }
 
 // DefaultSpanCap bounds the per-registry span buffer; completions past
@@ -343,22 +312,6 @@ func (r *Registry) StartSpan(name string) *Span {
 		return nil
 	}
 	return &Span{reg: r, path: name, wallStart: time.Now()}
-}
-
-// RecordVirtual records a completed span that lived purely on the
-// simulation's virtual clock (wall duration zero) — how the platform
-// reports phase intervals after a run.
-func (r *Registry) RecordVirtual(path string, start, end time.Duration) {
-	if r == nil {
-		return
-	}
-	r.record(SpanRecord{
-		Path:       path,
-		WallStart:  time.Now(),
-		VirtStart:  start,
-		Virt:       end - start,
-		HasVirtual: true,
-	})
 }
 
 // record appends a finished span, honoring the buffer cap; a scope hands

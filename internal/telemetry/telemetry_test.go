@@ -9,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 // TestNilNoOp exercises every method on nil receivers: the disabled
@@ -22,11 +21,7 @@ func TestNilNoOp(t *testing.T) {
 	reg.Gauge("g").SetMax(9)
 	reg.Gauge("g").Add(-1)
 	reg.Histogram("h", nil).Observe(1.5)
-	sp := reg.StartSpan("plan")
-	sp.Child("solve").End()
-	sp.SetVirtual(0, time.Second)
-	sp.End()
-	reg.RecordVirtual("run", 0, time.Second)
+	reg.StartSpan("plan").End()
 
 	if v := reg.Counter("c").Value(); v != 0 {
 		t.Errorf("nil counter value = %d, want 0", v)
@@ -95,13 +90,12 @@ func TestCounterGaugeHistogram(t *testing.T) {
 	}
 }
 
-func TestSpanPathsAndVirtualTime(t *testing.T) {
+func TestSpanPaths(t *testing.T) {
 	reg := New()
 	root := reg.StartSpan("plan")
-	child := root.Child("solve").Child("csp")
-	child.End()
+	reg.StartSpan("plan/solve/csp").End()
 	root.End()
-	reg.RecordVirtual("run/map", 2*time.Second, 5*time.Second)
+	reg.StartSpan("planner").End()
 
 	snap := reg.Snapshot()
 	if n := len(snap.Spans); n != 3 {
@@ -113,10 +107,6 @@ func TestSpanPathsAndVirtualTime(t *testing.T) {
 	under := snap.SpansUnder("plan")
 	if len(under) != 2 {
 		t.Errorf("SpansUnder(plan) = %d spans, want 2", len(under))
-	}
-	virt := snap.Spans[2]
-	if !virt.HasVirtual || virt.Virt != 3*time.Second || virt.VirtStart != 2*time.Second {
-		t.Errorf("virtual span = %+v, want 2s..5s", virt)
 	}
 	// Seq orders completions.
 	for i, sp := range snap.Spans {
@@ -160,7 +150,7 @@ func TestConcurrentHammer(t *testing.T) {
 				reg.Gauge("depth").SetMax(int64(id*perG + i))
 				reg.Histogram("lat", DurationBuckets).Observe(float64(i) * 1e-4)
 				sp := reg.StartSpan("hammer")
-				sp.Child("inner").End()
+				reg.StartSpan("hammer/inner").End()
 				sp.End()
 			}
 		}(g)
@@ -506,9 +496,9 @@ func TestScope(t *testing.T) {
 
 	sc.Histogram("h", SizeBuckets).Observe(3)
 	sp := sc.StartSpan("plan")
-	sp.Child("solve").End()
+	sc.StartSpan("plan/solve").End()
 	sp.End()
-	sc.RecordVirtual("run", 0, time.Second)
+	sc.StartSpan("frontier").End()
 	snap = reg.Snapshot()
 	if snap.Histograms["h"].Count != 1 {
 		t.Errorf("histogram observed through the scope: parent count %d, want 1", snap.Histograms["h"].Count)
