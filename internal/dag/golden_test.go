@@ -3,7 +3,9 @@ package dag
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"math"
 	"os"
 	"path/filepath"
@@ -50,10 +52,9 @@ func goldenLine(t *testing.T, d *DAG, p graph.Path) string {
 func TestPlansMatchGolden(t *testing.T) {
 	update := os.Getenv("UPDATE_GOLDEN") != ""
 	limits := map[string]float64{}
-	var want []byte
 	if !update {
-		var err error
-		if want, err = os.ReadFile(goldenPlansPath); err != nil {
+		want, err := os.ReadFile(goldenPlansPath)
+		if err != nil {
 			t.Fatal(err)
 		}
 		for _, line := range strings.Split(strings.TrimSpace(string(want)), "\n") {
@@ -100,22 +101,88 @@ func TestPlansMatchGolden(t *testing.T) {
 			}
 		}
 	}
-	if update {
-		if err := os.MkdirAll(filepath.Dir(goldenPlansPath), 0o755); err != nil {
+	matchGolden(t, goldenPlansPath, got.Bytes(), "plan")
+}
+
+// matchGolden compares what a golden test produced with the file at
+// path, naming the first line that differs, or rewrites the file under
+// UPDATE_GOLDEN=1.
+func matchGolden(t *testing.T, path string, got []byte, what string) {
+	t.Helper()
+	if os.Getenv("UPDATE_GOLDEN") != "" {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := os.WriteFile(goldenPlansPath, got.Bytes(), 0o644); err != nil {
+		if err := os.WriteFile(path, got, 0o644); err != nil {
 			t.Fatal(err)
 		}
 		return
 	}
-	if !bytes.Equal(got.Bytes(), want) {
-		gl, wl := strings.Split(got.String(), "\n"), strings.Split(string(want), "\n")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		gl, wl := strings.Split(string(got), "\n"), strings.Split(string(want), "\n")
 		for i := range gl {
 			if i >= len(wl) || gl[i] != wl[i] {
-				t.Fatalf("plan moved (UPDATE_GOLDEN=1 only if the model changed):\n got  %s\n want %s", gl[i], wl[min(i, len(wl)-1)])
+				t.Fatalf("%s moved (UPDATE_GOLDEN=1 only if the model changed):\n got  %s\n want %s", what, gl[i], wl[min(i, len(wl)-1)])
 			}
 		}
-		t.Fatalf("golden file has %d lines, the suite produced %d", len(wl), len(gl))
+		t.Fatalf("%s has %d lines, the suite produced %d", path, len(wl), len(gl))
 	}
+}
+
+const goldenEdgesPath = "testdata/edges.golden"
+
+// TestEdgesMatchGolden pins every edge weight of a build, not only the
+// ones a solved path crosses: for every built-in profile x N in {1, 2, 3,
+// 7, 16, 20, 64, 97, 136, 207} x object sizes {1 MB, 32 MB, 1 GB} x both
+// modes under default options, the node count, the edge count and an
+// FNV-64a digest of every edge's (from, to, W bits, Side bits) in node
+// order. plans.golden cannot see a weight that moves off the optimum;
+// this file can, so a change to how the builder evaluates weights that
+// should be output-neutral must leave it untouched.
+func TestEdgesMatchGolden(t *testing.T) {
+	ctx := context.Background()
+	var got bytes.Buffer
+	for _, name := range workload.Names() {
+		pf, err := workload.ByName(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int{1, 2, 3, 7, 16, 20, 64, 97, 136, 207} {
+			for _, size := range []int64{1 << 20, 32 << 20, 1 << 30} {
+				m := model.NewPaper(model.DefaultParams(workload.Job{Profile: pf, NumObjects: n, ObjectSize: size}))
+				for _, mode := range []Mode{MinimizeTime, MinimizeCost} {
+					d, err := BuildContext(ctx, m, mode, Options{})
+					if err != nil {
+						t.Fatal(err)
+					}
+					fmt.Fprintf(&got, "%s %d %d %s %d %d %016x\n", name, n, size, mode,
+						d.G.NumNodes(), d.G.NumEdges(), edgeDigest(d.G))
+				}
+			}
+		}
+	}
+	matchGolden(t, goldenEdgesPath, got.Bytes(), "edge weight")
+}
+
+// edgeDigest hashes every edge of g in node order.
+func edgeDigest(g *graph.Graph) uint64 {
+	h := fnv.New64a()
+	var b [8]byte
+	u64 := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	for u := 0; u < g.NumNodes(); u++ {
+		for _, e := range g.EdgesFrom(u) {
+			u64(uint64(u))
+			u64(uint64(e.To))
+			u64(math.Float64bits(e.W))
+			u64(math.Float64bits(e.Side))
+		}
+	}
+	return h.Sum64()
 }
