@@ -9,10 +9,11 @@ import (
 
 // BenchmarkColdBuild is one cold template build per op, cycling over 24
 // shapes: {sort, query, wordcount} x N in {64, 97, 136, 207} x both modes,
-// under default options (the worker pool at every core), as a planning
-// service builds a shape it has never seen. Run it with -benchmem:
-// allocs/op and B/op are what a cold plan's build leaves for the
-// collector.
+// under default tiers, as a planning service builds a shape it has never
+// seen. "pool" evaluates weights on a worker pool at every core, the
+// default; "serial" at Parallelism 1, as astra-server builds. Run it with
+// -benchmem: allocs/op and B/op are what a cold plan's build leaves for
+// the collector.
 func BenchmarkColdBuild(b *testing.B) {
 	type shape struct {
 		m    *model.Paper
@@ -27,12 +28,18 @@ func BenchmarkColdBuild(b *testing.B) {
 		}
 	}
 	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s := shapes[i%len(shapes)]
-		if _, err := BuildContext(ctx, s.m, s.mode, Options{}); err != nil {
-			b.Fatal(err)
-		}
+	for _, c := range []struct {
+		name string
+		opts Options
+	}{{"pool", Options{}}, {"serial", Options{Parallelism: 1}}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := shapes[i%len(shapes)]
+				if _, err := BuildContext(ctx, s.m, s.mode, c.opts); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

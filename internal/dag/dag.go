@@ -261,6 +261,10 @@ func BuildContext(ctx context.Context, m *model.Paper, mode Mode, opts Options) 
 // scheduling.
 func (lay *layout) evaluate(ctx context.Context, m *model.Paper, sc *buildScratch, workers int) error {
 	tiers, L, n := lay.tiers, lay.nTiers, lay.n
+	// The constants every weight reads, computed once for the build and
+	// shared read-only by its workers.
+	w := &sc.weights
+	w.Bind(m, tiers)
 
 	// Mapper column: feasibility plus L (time, cost) pairs per kM.
 	if err := parallel.ForEach(ctx, n, workers, func(i int) {
@@ -273,10 +277,7 @@ func (lay *layout) evaluate(ctx context.Context, m *model.Paper, sc *buildScratc
 			return
 		}
 		sc.mapFeasible[kM-1] = true
-		for ti, mem := range tiers {
-			sc.mapT[(kM-1)*L+ti] = m.MapperTime(mem, kM)
-			sc.mapC[(kM-1)*L+ti] = m.MapperCostFor(orch, mem, kM)
-		}
+		w.MapperRow(orch, kM, sc.mapT[(kM-1)*L:kM*L], sc.mapC[(kM-1)*L:kM*L])
 	}); err != nil {
 		return err
 	}
@@ -292,6 +293,7 @@ func (lay *layout) evaluate(ctx context.Context, m *model.Paper, sc *buildScratc
 			sc.repKM[lay.jcOf[kM-1]] = kM
 		}
 	}
+	singleStep := m.P.Job.Profile.SingleStepReduce
 	newRow := func() *model.RowEval { return new(model.RowEval) }
 	if err := parallel.ForEachWith(ctx, lay.nJC, workers, newRow, func(e *model.RowEval, jc int) {
 		kM := sc.repKM[jc]
@@ -299,8 +301,26 @@ func (lay *layout) evaluate(ctx context.Context, m *model.Paper, sc *buildScratc
 			return
 		}
 		row := sc.transfer[jc*n : (jc+1)*n]
-		for kR := 1; kR <= n; kR++ {
-			if err := m.BindRowFor(e, kM, kR); err != nil {
+		// Every kR >= j orchestrates one reducing step whose one reducer
+		// takes all j mapper outputs, and so does kR = 1 when the
+		// reducers cascade (mapreduce.Orchestrate): those rows share one
+		// binding and one transfer time, and only the glue cost's GET
+		// count reads kR.
+		j := (n + kM - 1) / kM
+		if err := w.BindRowFor(e, kM, j); err != nil {
+			return
+		}
+		t := e.TransferTime()
+		for kR := j; kR <= n; kR++ {
+			row[kR-1] = pairW{ok: true, t: t, c: e.GlueCost(kR)}
+		}
+		first := 1
+		if !singleStep && j > 1 {
+			row[0] = pairW{ok: true, t: t, c: e.GlueCost(1)}
+			first = 2
+		}
+		for kR := first; kR < j; kR++ {
+			if err := w.BindRowFor(e, kM, kR); err != nil {
 				continue
 			}
 			row[kR-1] = pairW{ok: true, t: e.TransferTime(), c: e.GlueCost(kR)}
@@ -312,16 +332,17 @@ func (lay *layout) evaluate(ctx context.Context, m *model.Paper, sc *buildScratc
 	// Coordinator and reducer columns: one (time, cost) pair per
 	// (kR, tier) each, both read off kR's jHat row — c2 time and V2+W2
 	// cost for the coordinator, Eq. 9 compute and VP+WP cost for the
-	// reducers.
+	// reducers. The coordinator's time does not read kR: it is the
+	// build's per-tier constant.
 	return parallel.ForEachWith(ctx, n, workers, newRow, func(e *model.RowEval, i int) {
 		kR := i + 1
-		if err := m.BindRowHat(e, kR); err != nil {
+		if err := w.BindRowHat(e, kR); err != nil {
 			return
 		}
 		coord, reduce := sc.coord[(kR-1)*L:kR*L], sc.reduce[(kR-1)*L:kR*L]
-		for ti, mem := range tiers {
-			coord[ti] = pairW{ok: true, t: m.CoordCompute(mem), c: e.CoordCost(mem)}
-			reduce[ti] = pairW{ok: true, t: e.ReduceCompute(mem), c: e.ReduceCost(mem)}
+		for ti := range tiers {
+			coord[ti] = pairW{ok: true, t: w.CoordCompute(ti), c: e.CoordCost(ti)}
+			reduce[ti] = pairW{ok: true, t: e.ReduceCompute(ti), c: e.ReduceCost(ti)}
 		}
 	})
 }

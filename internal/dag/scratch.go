@@ -3,6 +3,7 @@ package dag
 import (
 	"sync"
 
+	"astra/internal/model"
 	"astra/internal/telemetry"
 )
 
@@ -27,6 +28,7 @@ type buildScratch struct {
 	transfer    []pairW   // by class*n + (kR-1)
 	coord       []pairW   // by (kR-1)*L + tierIndex
 	reduce      []pairW   // by (kR-1)*L + tierIndex
+	weights     model.Weights
 	used        bool
 }
 

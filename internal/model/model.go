@@ -131,11 +131,16 @@ func (p *Params) xferSec(n int64) float64 {
 // computeSec is the compute time for n bytes at the given memory tier:
 // bytes x u x speed factor (Eq. 3 with u_i realized by the speed model).
 func (p *Params) computeSec(n int64, memMB int) float64 {
+	return p.computeSecAt(n, p.Speed.Factor(memMB))
+}
+
+// computeSecAt is computeSec at a tier whose speed factor is f.
+func (p *Params) computeSecAt(n int64, f float64) float64 {
 	if n <= 0 {
 		return 0
 	}
 	mb := float64(n) / (1 << 20)
-	return mb * p.Job.Profile.USecPerMB * p.Speed.Factor(memMB)
+	return mb * p.Job.Profile.USecPerMB * f
 }
 
 // coordComputeSec is the coordinator's compute time for j objects.

@@ -96,38 +96,44 @@ func qTotals(shapes []stepShape) (Q, R float64) {
 	return Q, R
 }
 
+// The step and execution-time formulas below read the request and
+// dispatch latencies in seconds (lat, disp) and the memory tier's speed
+// factor (f) as arguments: Predict and the per-edge methods derive them
+// from Params per call, a DAG build once (Weights). The values are the
+// same bits either way, and so is every sum over them.
+
 // stepTime is one step's duration: the serialized reducer dispatches plus
 // its busiest reducer's request latencies, transfer and compute
 // (default), or the step's share of the Eq. 9 aggregate (Aggregate mode).
-func (m *Paper) stepTime(s stepShape, memMB int) float64 {
+func (m *Paper) stepTime(s stepShape, lat, disp, f float64) float64 {
 	in, out, load := s.busyIn, s.busyIn*m.P.Job.Profile.ReduceOutputRatio, s.loads.Max()
 	if m.Aggregate {
 		in, out = s.totalIn, s.totalOut
 	}
-	return float64(s.loads.Count())*m.P.dispSec() +
-		float64(load+1)*m.P.latSec() +
+	return float64(s.loads.Count())*disp +
+		float64(load+1)*lat +
 		(in+out)/m.P.BandwidthBps +
-		(in/(1<<20))*m.P.Job.Profile.USecPerMB*m.P.Speed.Factor(memMB)
+		(in/(1<<20))*m.P.Job.Profile.USecPerMB*f
 }
 
 // stepCompute is the compute part of a step's duration.
-func (m *Paper) stepCompute(s stepShape, memMB int) float64 {
+func (m *Paper) stepCompute(s stepShape, f float64) float64 {
 	in := s.busyIn
 	if m.Aggregate {
 		in = s.totalIn
 	}
-	return (in / (1 << 20)) * m.P.Job.Profile.USecPerMB * m.P.Speed.Factor(memMB)
+	return (in / (1 << 20)) * m.P.Job.Profile.USecPerMB * f
 }
 
 // stepTransfer is the non-compute part of a step's duration, including
 // the serialized reducer dispatches.
-func (m *Paper) stepTransfer(s stepShape) float64 {
+func (m *Paper) stepTransfer(s stepShape, lat, disp float64) float64 {
 	in, out, load := s.busyIn, s.busyIn*m.P.Job.Profile.ReduceOutputRatio, s.loads.Max()
 	if m.Aggregate {
 		in, out = s.totalIn, s.totalOut
 	}
-	return float64(s.loads.Count())*m.P.dispSec() +
-		float64(load+1)*m.P.latSec() + (in+out)/m.P.BandwidthBps
+	return float64(s.loads.Count())*disp +
+		float64(load+1)*lat + (in+out)/m.P.BandwidthBps
 }
 
 // orchFor computes the job shape for a (kM, kR) pair.
@@ -153,10 +159,10 @@ func maxKMFor(j, n int) int {
 
 // mapperExecSec is one mapper's billable execution time for a given
 // object load: its GET/PUT request latencies, transfers and compute.
-func (m *Paper) mapperExecSec(memMB, load int) float64 {
+func (m *Paper) mapperExecSec(load int, lat, f float64) float64 {
 	in := int64(load) * m.P.Job.ObjectSize
 	out := int64(float64(in) * m.P.Job.Profile.MapOutputRatio)
-	return float64(load+1)*m.P.latSec() + m.P.xferSec(in+out) + m.P.computeSec(in, memMB)
+	return float64(load+1)*lat + m.P.xferSec(in+out) + m.P.computeSecAt(in, f)
 }
 
 // MapperTime is Eq. (4) with the dispatch serialization added: the j
@@ -164,7 +170,7 @@ func (m *Paper) mapperExecSec(memMB, load int) float64 {
 // split the slowest mapper carries exactly kM objects.
 func (m *Paper) MapperTime(memMB, kM int) float64 {
 	j := (m.P.Job.NumObjects + kM - 1) / kM
-	return float64(j)*m.P.dispSec() + m.mapperExecSec(memMB, kM)
+	return float64(j)*m.P.dispSec() + m.mapperExecSec(kM, m.P.latSec(), m.P.Speed.Factor(memMB))
 }
 
 // TransferTime is the second edge set: the coordinator's state-object
@@ -172,7 +178,7 @@ func (m *Paper) MapperTime(memMB, kM int) float64 {
 // latencies (d3).
 func (m *Paper) TransferTime(kM, kR int) (float64, error) {
 	var e RowEval
-	if err := m.BindRowFor(&e, kM, kR); err != nil {
+	if err := m.weightsAt().BindRowFor(&e, kM, kR); err != nil {
 		return 0, err
 	}
 	return e.TransferTime(), nil
@@ -188,10 +194,10 @@ func (m *Paper) CoordCompute(memMB int) float64 {
 // for the estimated mapper count, with kR fixing the cascade.
 func (m *Paper) ReduceCompute(memMB, kR int) (float64, error) {
 	var e RowEval
-	if err := m.BindRowHat(&e, kR); err != nil {
+	if err := m.weightsAt(memMB).BindRowHat(&e, kR); err != nil {
 		return 0, err
 	}
-	return e.ReduceCompute(memMB), nil
+	return e.ReduceCompute(0), nil
 }
 
 // --- Cost components (Fig. 5 edge weights, cost mode) ---
@@ -202,7 +208,15 @@ func (m *Paper) MapperCost(memMB, kM int) float64 {
 	if err != nil {
 		return math.Inf(1)
 	}
-	return m.MapperCostFor(orch, memMB, kM)
+	st := m.P.Sheet.Store
+	l := m.P.Sheet.Lambda
+	j := orch.Mappers()
+	t1 := m.MapperTime(memMB, kM)
+	u1 := float64(st.RequestCost(int64(kM)*int64(j), int64(j)))
+	v1 := float64(st.StorageCost(float64(m.P.Job.TotalBytes()) * t1))
+	w1 := m.mapperBillSec(orch, memMB)*float64(l.PerSecond(memMB)) +
+		float64(l.InvocationCost(j))
+	return u1 + v1 + w1
 }
 
 // mapperBillSec sums the mapping phase's billable seconds: each mapper is
@@ -210,23 +224,24 @@ func (m *Paper) MapperCost(memMB, kM int) float64 {
 // the phase maximum (the greedy split leaves at most one short-tailed
 // mapper).
 func (m *Paper) mapperBillSec(orch mapreduce.Orchestration, memMB int) float64 {
+	lat, f := m.P.latSec(), m.P.Speed.Factor(memMB)
 	return addOver(0, orch.MapperLoads, func(load int) float64 {
-		return m.mapperExecSec(memMB, load)
+		return m.mapperExecSec(load, lat, f)
 	})
 }
 
 // reducerBillSec sums the reducing phase's billable seconds across every
 // reducer's own duration, using each step's average object size.
-func (m *Paper) reducerBillSec(shapes []stepShape, memMB int) float64 {
+func (m *Paper) reducerBillSec(shapes []stepShape, lat, f float64) float64 {
 	beta := m.P.Job.Profile.ReduceOutputRatio
 	total := 0.0
 	for _, s := range shapes {
 		perObj := s.totalIn / float64(s.loads.Objects())
 		total = addOver(total, s.loads, func(load int) float64 {
 			in := perObj * float64(load)
-			return float64(load+1)*m.P.latSec() +
+			return float64(load+1)*lat +
 				(in+in*beta)/m.P.BandwidthBps +
-				(in/(1<<20))*m.P.Job.Profile.USecPerMB*m.P.Speed.Factor(memMB)
+				(in/(1<<20))*m.P.Job.Profile.USecPerMB*f
 		})
 	}
 	return total
@@ -236,7 +251,7 @@ func (m *Paper) reducerBillSec(shapes []stepShape, memMB int) float64 {
 // request charges plus their invocation fees (U2 + UP + I2 + I3).
 func (m *Paper) GlueCost(kM, kR int) (float64, error) {
 	var e RowEval
-	if err := m.BindRowFor(&e, kM, kR); err != nil {
+	if err := m.weightsAt().BindRowFor(&e, kM, kR); err != nil {
 		return 0, err
 	}
 	return e.GlueCost(kR), nil
@@ -246,19 +261,19 @@ func (m *Paper) GlueCost(kM, kR int) (float64, error) {
 // plus its own compute bill (its waiting bill uses the sHat estimator).
 func (m *Paper) CoordCost(memMB, kR int) (float64, error) {
 	var e RowEval
-	if err := m.BindRowHat(&e, kR); err != nil {
+	if err := m.weightsAt(memMB).BindRowHat(&e, kR); err != nil {
 		return 0, err
 	}
-	return e.CoordCost(memMB), nil
+	return e.CoordCost(0), nil
 }
 
 // ReduceCost is the fourth cost edge set: VP + WP for (kR, s).
 func (m *Paper) ReduceCost(memMB, kR int) (float64, error) {
 	var e RowEval
-	if err := m.BindRowHat(&e, kR); err != nil {
+	if err := m.weightsAt(memMB).BindRowHat(&e, kR); err != nil {
 		return 0, err
 	}
-	return e.ReduceCost(memMB), nil
+	return e.ReduceCost(0), nil
 }
 
 // Predict evaluates the full model for a configuration. Unlike the DAG
@@ -285,10 +300,12 @@ func (m *Paper) Predict(cfg mapreduce.Config) (Prediction, error) {
 	t1 := m.MapperTime(cfg.MapperMemMB, cfg.ObjsPerMapper)
 	t2 := m.P.dispSec() + m.P.coordComputeSec(j, cfg.CoordMemMB) +
 		float64(P)*(m.P.latSec()+m.P.xferSec(m.P.StateObjectBytes))
+	lat, disp := m.P.latSec(), m.P.dispSec()
+	fRed := m.P.Speed.Factor(cfg.ReducerMemMB)
 	taus := make([]float64, P)
 	tp := 0.0
 	for p, s := range shapes {
-		taus[p] = m.stepTime(s, cfg.ReducerMemMB)
+		taus[p] = m.stepTime(s, lat, disp, fRed)
 		tp += taus[p]
 	}
 
@@ -320,7 +337,7 @@ func (m *Paper) Predict(cfg mapreduce.Config) (Prediction, error) {
 	}
 	w1 := float64(l.PerSecond(cfg.MapperMemMB)) * m.mapperBillSec(orch, cfg.MapperMemMB)
 	w2 := float64(l.PerSecond(cfg.CoordMemMB)) * (t2 + waiting)
-	wp := float64(l.PerSecond(cfg.ReducerMemMB)) * m.reducerBillSec(shapes, cfg.ReducerMemMB)
+	wp := float64(l.PerSecond(cfg.ReducerMemMB)) * m.reducerBillSec(shapes, lat, fRed)
 	inv := l.InvocationCost(j + 1 + g)
 	pr.LambdaCost = pricing.USD(w1+w2+wp) + inv
 	return pr, nil
