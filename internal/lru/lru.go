@@ -1,7 +1,19 @@
-// Package lru is the one bounded cache in the tree: least-recently-used
-// eviction, an optional time-to-live, and single-flight fills, behind a
-// small generic type. optimizer.TemplateCache and server.RespCache are
-// typed wrappers over it that add only their keys and metric series.
+// Package lru is the one bounded cache in the tree: segmented
+// least-recently-used eviction, an optional time-to-live, and
+// single-flight fills, behind a small generic type.
+// optimizer.TemplateCache and server.RespCache are typed wrappers over it
+// that add only their keys and metric series.
+//
+// Segmented means a new value is on probation until it is first read. The
+// probation segment holds at most half the bound, a value's first read
+// moves it to the protected segment, and eviction takes the coldest
+// value on probation before any protected one. So a run of values that
+// are written once and never read again (a planning service's one-off
+// shapes) can fill at most half the cache, and cannot push out a value
+// that callers come back for, which plain LRU lets any run of cap
+// one-offs do. Half and not less: the probation segment is also where a
+// batch of values stored together waits for its first reads, and a
+// smaller one evicts the start of the batch before it is read.
 //
 // Single-flight means that of any number of concurrent Do calls missing
 // on one key, exactly one runs the fill while the rest wait for its
@@ -23,26 +35,33 @@ import (
 // concurrent use. Values are shared between callers and must be treated
 // as immutable.
 type Cache[K comparable, V any] struct {
-	mu    sync.Mutex
-	cap   int
-	ttl   time.Duration
-	now   func() time.Time
-	order *list.List // resident entries, most recently used first
-	items map[K]*entry[K, V]
+	mu        sync.Mutex
+	cap       int
+	ttl       time.Duration
+	now       func() time.Time
+	probation *list.List // resident entries never read, most recent first
+	protected *list.List // resident entries read at least once, most recently used first
+	items     map[K]*entry[K, V]
 }
+
+// probationCap is the most entries the probation segment holds: half the
+// bound, and at least one.
+func (c *Cache[K, V]) probationCap() int { return max(1, c.cap/2) }
 
 // entry is one slot. While its fill is in flight it is in items only (so
 // eviction cannot reach it) and el is nil; done is closed when the fill
 // ends, after which val, err and stored never change — a Put replaces
 // the entry instead of updating it, so woken waiters read without the
-// lock.
+// lock. el and protected say where a resident entry is, and change under
+// the lock.
 type entry[K comparable, V any] struct {
-	key    K
-	el     *list.Element
-	done   chan struct{}
-	val    V
-	err    error
-	stored time.Time
+	key       K
+	el        *list.Element
+	protected bool
+	done      chan struct{}
+	val       V
+	err       error
+	stored    time.Time
 }
 
 // Result says what one call did to the cache. The cache keeps no tally
@@ -70,11 +89,12 @@ func New[K comparable, V any](capacity int, ttl time.Duration, now func() time.T
 		now = time.Now
 	}
 	return &Cache[K, V]{
-		cap:   capacity,
-		ttl:   ttl,
-		now:   now,
-		order: list.New(),
-		items: make(map[K]*entry[K, V]),
+		cap:       capacity,
+		ttl:       ttl,
+		now:       now,
+		probation: list.New(),
+		protected: list.New(),
+		items:     make(map[K]*entry[K, V]),
 	}
 }
 
@@ -82,7 +102,7 @@ func New[K comparable, V any](capacity int, ttl time.Duration, now func() time.T
 func (c *Cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.order.Len()
+	return c.probation.Len() + c.protected.Len()
 }
 
 // Get returns the resident value for key without filling: a miss (or an
@@ -179,8 +199,9 @@ func (c *Cache[K, V]) fill(ctx context.Context, e *entry[K, V], fill func(contex
 }
 
 // lookupLocked resolves key to its resident entry (a hit, moved to the
-// front), to the entry of a fill in flight (no hit, non-nil) or to
-// nothing, dropping a resident value that has outlived the TTL.
+// front of the protected segment), to the entry of a fill in flight (no
+// hit, non-nil) or to nothing, dropping a resident value that has
+// outlived the TTL.
 func (c *Cache[K, V]) lookupLocked(key K) (*entry[K, V], Result) {
 	e := c.items[key]
 	if e == nil || e.el == nil {
@@ -190,26 +211,36 @@ func (c *Cache[K, V]) lookupLocked(key K) (*entry[K, V], Result) {
 		c.removeLocked(e)
 		return nil, Result{Expired: true}
 	}
-	c.order.MoveToFront(e.el)
+	if e.protected {
+		c.protected.MoveToFront(e.el)
+	} else {
+		c.probation.Remove(e.el)
+		e.el, e.protected = c.protected.PushFront(e), true
+	}
 	return e, Result{Hit: true}
 }
 
-// publishLocked makes e the resident entry for its key, stamps its TTL,
-// and evicts from the cold end until the bound holds, reporting how many
-// values went. e itself and fills in flight are never evicted, so a herd
-// of distinct fills can hold the cache over its bound until they land.
+// publishLocked makes e the resident entry for its key, on probation,
+// stamps its TTL, and evicts until the bounds hold, reporting how many
+// values went: the coldest entry on probation while that segment is over
+// its half, then while the cache is over its bound the coldest on
+// probation or, with none but e there, the coldest protected one. e
+// itself and fills in flight are never evicted, so a herd of distinct
+// fills can hold the cache over its bound until they land.
 func (c *Cache[K, V]) publishLocked(e *entry[K, V]) int {
 	if old := c.items[e.key]; old != nil && old.el != nil {
-		c.order.Remove(old.el)
+		c.unlinkLocked(old)
 	}
 	e.stored = c.now()
-	e.el = c.order.PushFront(e)
+	e.el, e.protected = c.probation.PushFront(e), false
 	c.items[e.key] = e
 	evicted := 0
-	for len(c.items) > c.cap {
-		coldest := c.order.Back()
-		if coldest == e.el {
-			break
+	for c.probation.Len() > c.probationCap() || len(c.items) > c.cap {
+		coldest := c.probation.Back()
+		if coldest == e.el { // e alone on probation: the cache is over its bound
+			if coldest = c.protected.Back(); coldest == nil {
+				break
+			}
 		}
 		c.removeLocked(coldest.Value.(*entry[K, V]))
 		evicted++
@@ -219,6 +250,15 @@ func (c *Cache[K, V]) publishLocked(e *entry[K, V]) int {
 
 // removeLocked drops a resident entry.
 func (c *Cache[K, V]) removeLocked(e *entry[K, V]) {
-	c.order.Remove(e.el)
+	c.unlinkLocked(e)
 	delete(c.items, e.key)
+}
+
+// unlinkLocked takes a resident entry off its segment.
+func (c *Cache[K, V]) unlinkLocked(e *entry[K, V]) {
+	if e.protected {
+		c.protected.Remove(e.el)
+	} else {
+		c.probation.Remove(e.el)
+	}
 }

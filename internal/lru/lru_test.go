@@ -305,3 +305,141 @@ func TestHammer(t *testing.T) {
 		t.Fatalf("%d resident, cap %d", n, capacity)
 	}
 }
+
+// resident reports which of keys hold a value, without reading any (a
+// Get would promote it).
+func resident[V any](c *Cache[string, V], keys ...string) map[string]bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	in := map[string]bool{}
+	for _, k := range keys {
+		if e := c.items[k]; e != nil && e.el != nil {
+			in[k] = true
+		}
+	}
+	return in
+}
+
+// TestUnreadEntryEvictedFirst: a value never read goes before one that
+// was, even when the read one is the least recently used. Plain LRU
+// would evict r1 here.
+func TestUnreadEntryEvictedFirst(t *testing.T) {
+	c := New[string, string](4, 0, nil) // probation holds 2
+	for _, k := range []string{"r1", "r2"} {
+		c.Put(k, k)
+		if _, res := c.Get(k); !res.Hit {
+			t.Fatalf("%s missing", k)
+		}
+	}
+	c.Put("u1", "u1")
+	c.Put("u2", "u2")
+	if res := c.Put("u3", "u3"); res.Evicted != 1 {
+		t.Fatalf("a third unread Put evicted %d, want 1", res.Evicted)
+	}
+	want := map[string]bool{"r1": true, "r2": true, "u2": true, "u3": true}
+	if got := resident(c, "r1", "r2", "u1", "u2", "u3"); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("resident %v, want %v", got, want)
+	}
+}
+
+// TestOneOffRunLeavesReadEntries: a run of cap one-off fills, each never
+// read again, evicts only one-offs while anything but the newest is on
+// probation: every value that was read stays, as long as the read ones
+// leave room for one more.
+func TestOneOffRunLeavesReadEntries(t *testing.T) {
+	const capacity = 8
+	c := New[string, string](capacity, 0, nil)
+	bg := context.Background()
+	var hot []string
+	for i := 0; i < capacity-1; i++ {
+		k := fmt.Sprintf("hot%d", i)
+		hot = append(hot, k)
+		c.Do(bg, k, value(k), nil)
+		if _, res, _ := c.Do(bg, k, value(k), nil); !res.Hit {
+			t.Fatalf("%s: second Do missed", k)
+		}
+	}
+	evicted := 0
+	for i := 0; i < capacity; i++ {
+		k := fmt.Sprintf("once%d", i)
+		_, res, _ := c.Do(bg, k, value(k), nil)
+		evicted += res.Evicted
+	}
+	if got := resident(c, hot...); len(got) != len(hot) {
+		t.Fatalf("%d of %d read values resident after the run", len(got), len(hot))
+	}
+	if evicted != capacity-1 || c.Len() != capacity {
+		t.Fatalf("the run evicted %d and left %d resident, want %d and %d", evicted, c.Len(), capacity-1, capacity)
+	}
+	if got := resident(c, "once7"); !got["once7"] {
+		t.Fatal("the newest one-off is not resident")
+	}
+}
+
+// TestFirstReadPromotes: the first hit, through Get or Do, takes a value
+// off probation, so unread values stored after it cannot push it out;
+// one left unread beside it goes.
+func TestFirstReadPromotes(t *testing.T) {
+	c := New[string, string](4, 0, nil) // probation holds 2
+	bg := context.Background()
+	c.Put("g", "g")
+	c.Do(bg, "d", value("d"), nil)
+	if _, res := c.Get("g"); !res.Hit {
+		t.Fatal("g missing")
+	}
+	if _, res, _ := c.Do(bg, "d", value("other"), nil); !res.Hit {
+		t.Fatal("d missing")
+	}
+	c.Put("unread", "unread")
+	for i := 0; i < 6; i++ {
+		c.Put(fmt.Sprint(i), "x")
+	}
+	want := map[string]bool{"g": true, "d": true}
+	if got := resident(c, "g", "d", "unread"); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("resident %v, want %v", got, want)
+	}
+}
+
+// TestProbationKeepsFillAndTTLContracts: the segments change what goes,
+// not the single-flight, TTL or settling rules. A fill in flight is not
+// on probation, so a run of unread Puts cannot evict it; it lands on
+// probation like any new value. A protected value still expires at its
+// TTL. A fill that panics leaves nothing resident to be evicted.
+func TestProbationKeepsFillAndTTLContracts(t *testing.T) {
+	clk := &clock{}
+	c := New[string, string](2, time.Minute, clk.now) // probation holds 1
+	bg := context.Background()
+	started, release := make(chan struct{}), make(chan struct{})
+	landed := make(chan Result)
+	go func() {
+		_, res, _ := c.Do(bg, "slow", func(context.Context) (string, error) {
+			close(started)
+			<-release
+			return "s", nil
+		}, nil)
+		landed <- res
+	}()
+	<-started
+	c.Put("a", "a")
+	if res := c.Put("b", "b"); res.Evicted != 1 {
+		t.Fatalf("second unread Put beside a fill in flight evicted %d, want 1 (a)", res.Evicted)
+	}
+	close(release)
+	if res := <-landed; res.Evicted != 1 {
+		t.Fatalf("the fill's landing evicted %d, want 1 (b)", res.Evicted)
+	}
+	if v, res := c.Get("slow"); v != "s" || !res.Hit {
+		t.Fatalf("slow = %q, %+v after landing", v, res)
+	}
+	clk.advance(time.Minute)
+	if _, res := c.Get("slow"); res.Hit || !res.Expired {
+		t.Fatalf("protected value at its TTL = %+v, want expired", res)
+	}
+	func() {
+		defer func() { recover() }()
+		c.Do(bg, "boom", func(context.Context) (string, error) { panic("boom") }, nil)
+	}()
+	if n := c.Len(); n != 0 {
+		t.Fatalf("Len = %d after an expiry and a panicked fill, want 0", n)
+	}
+}

@@ -22,12 +22,16 @@ import (
 // frontier sweep prune with are memoized on it (dag.DAG.ToGoBounds), so
 // they too are computed once per shape and evicted with it.
 //
-// The bound, the least-recently-used eviction and the single-flight
-// builds — a thundering herd of identical jobs performs one build while
-// the rest wait on it — are lru.Cache's; this type adds the key, the
-// freeze before publish and the astra_plan_template_* series. Evicted
-// templates stay valid for searches already holding them, the arrays are
-// simply no longer findable. All methods are safe for concurrent use.
+// The bound, the eviction and the single-flight builds — a thundering
+// herd of identical jobs performs one build while the rest wait on it —
+// are lru.Cache's; this type adds the key, the freeze before publish and
+// the astra_plan_template_* series. Eviction is segmented LRU: a new
+// template is on probation until a later plan reads it, probation holds
+// at most half the bound, and its coldest template goes first. So a run
+// of one-off shapes recycles at most half the cache among themselves and
+// never evicts a template that plans come back to. Evicted templates stay
+// valid for searches already holding them, the arrays are simply no
+// longer findable. All methods are safe for concurrent use.
 type TemplateCache struct {
 	c *lru.Cache[TemplateKey, *dag.DAG]
 }
@@ -62,7 +66,8 @@ func KeyFor(params model.Params, mode dag.Mode, opts dag.Options, aggregate bool
 // the Sort100GB scale — 0.58 MB of CSR arrays for its 27,454 edges, plus
 // 0.1 MB of to-go bounds once a binding plan computes them — so a full
 // cache holds ~45 MB; 64 distinct (shape, mode) pairs is far beyond what
-// a tenant mix touches between evictions.
+// a tenant mix touches between evictions. One-off shapes, built once and
+// never planned again, hold at most 32 of the 64 (the probation half).
 const DefaultTemplateCap = 64
 
 // NewTemplateCache creates a bounded template cache. maxTemplates <= 0

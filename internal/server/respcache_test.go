@@ -111,23 +111,37 @@ func TestRespCacheHitMissAndTTL(t *testing.T) {
 	}, hit, 1)
 }
 
+// TestRespCacheLRUEviction: a response never read goes before any that
+// was, and among responses that were read the least recently used goes.
+// With a bound of 3, probation (responses not yet read) holds one.
 func TestRespCacheLRUEviction(t *testing.T) {
 	clk := newVclock()
 	tel := telemetry.New()
 	c := NewRespCache(3, time.Hour, tel, clk.now)
-	for i := 0; i < 3; i++ {
-		c.Put(fmt.Sprintf("k%d", i), []byte{byte(i)})
+	for i := 0; i < 2; i++ {
+		k := fmt.Sprintf("k%d", i)
+		c.Put(k, []byte{byte(i)})
+		if c.Get(k) == nil {
+			t.Fatalf("%s missing before eviction", k)
+		}
 	}
-	// Touch k0 so k1 becomes the eviction victim.
-	if c.Get("k0") == nil {
-		t.Fatal("k0 missing before eviction")
-	}
-	bookStep(t, c, tel, "a Put past the bound", func() { c.Put("k3", []byte{3}) },
+	c.Put("k2", []byte{2})
+	bookStep(t, c, tel, "a second unread Put", func() { c.Put("k3", []byte{3}) },
 		map[string]int64{telemetry.MServerRespCacheEvictions: 1}, 3)
-	if c.Get("k1") != nil {
-		t.Fatal("LRU victim k1 survived")
+	if c.Get("k2") != nil {
+		t.Fatal("unread k2 survived a second unread Put")
 	}
-	for _, k := range []string{"k0", "k2", "k3"} {
+	// Reading k3 protects it: every resident response has now been read,
+	// and the next Put past the bound takes the least recently used.
+	if c.Get("k3") == nil {
+		t.Fatal("k3 missing before eviction")
+	}
+	bookStep(t, c, tel, "a Put past the bound", func() { c.Put("k4", []byte{4}) },
+		map[string]int64{telemetry.MServerRespCacheEvictions: 1}, 3)
+	if c.Get("k0") != nil {
+		t.Fatal("LRU victim k0 survived")
+	}
+	for _, k := range []string{"k1", "k3", "k4"} {
 		if c.Get(k) == nil {
 			t.Fatalf("%s evicted wrongly", k)
 		}
