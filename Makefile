@@ -59,7 +59,8 @@ procs:
 # struct. A simulated run counts each fact once, where it happens: the
 # chaos engine keeps no tally beside the platform's (no Stats() method),
 # the platform counts a throttle once (no throttles field beside
-# ChaosCounters.ThrottleRejects), and phase windows are the flight
+# ChaosCounters.ThrottleRejects, and no lambda throttle series beside
+# astra_chaos_throttle_rejects_total), and phase windows are the flight
 # recorder's, not registry spans (no RecordVirtual).
 books:
 	! grep -rn 'PublishCacheStats\|publishCounterTotal\|fillFromDeltas\|MPlanCache' --include=*.go .
@@ -68,6 +69,7 @@ books:
 	! grep -rn 'RecordVirtual' --include=*.go .
 	! grep -n 'func ([^)]*) Stats()' internal/chaos/*.go
 	! grep -nE '^[[:space:]]+throttles[[:space:]]' internal/lambda/lambda.go
+	! grep -rn 'MLambdaThrottles\|astra_lambda_throttles_total' --include=*.go .
 
 # benchmark/ is a module of its own that compiles against internal
 # packages by signature (benchmark/layers.go); `go build ./...` does not

@@ -317,7 +317,6 @@ func (pl *Platform) invokeDispatched(p *simtime.Proc, name, label string, payloa
 	if pl.inj != nil {
 		for ta := 0; pl.inj.ThrottleInjected(ref, pl.sched.Now()); ta++ {
 			pl.chaos.ThrottleRejects++
-			pl.tel.Counter(telemetry.MLambdaThrottles).Inc()
 			pl.tel.Counter(telemetry.MChaosThrottleRejects).Inc()
 			pl.chaosEvent(inv, f.Name, label, "throttle", "")
 			if rec := pl.rec; rec != nil {

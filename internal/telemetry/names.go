@@ -56,7 +56,6 @@ const (
 	MLambdaColdStarts      = "astra_lambda_cold_starts_total"
 	MLambdaTimeouts        = "astra_lambda_timeouts_total"
 	MLambdaErrors          = "astra_lambda_errors_total"
-	MLambdaThrottles       = "astra_lambda_throttles_total"
 	MLambdaRetries         = "astra_lambda_retries_total"
 	MLambdaDurationSeconds = "astra_lambda_duration_seconds"
 	MLambdaQueuedSeconds   = "astra_lambda_queued_seconds"

@@ -11,6 +11,9 @@ import (
 // TestChaosAndSpeculationNamesRoundTrip: every chaos and speculation
 // metric name must be a valid Prometheus series that survives the
 // exposition format round-trip with its value intact.
+// MChaosThrottleRejects is the platform's one throttle series: injected
+// windows are its only 429s, so no lambda-side throttle counter exists
+// beside it (make books fails if one returns).
 func TestChaosAndSpeculationNamesRoundTrip(t *testing.T) {
 	names := []string{
 		MStoreCopies,
