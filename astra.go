@@ -179,10 +179,13 @@ var (
 // sharedPredictionCap bounds the process-wide prediction cache. A cold
 // unconstrained plan memoizes 2 predictions (the chosen configuration
 // under the paper model and under the exact one); binding plans and
-// frontier sweeps memoize one per candidate they re-evaluate. 1<<18
-// entries holds a long stream of distinct tenant shapes before eviction
-// while keeping worst-case residency bounded.
-const sharedPredictionCap = 1 << 18
+// frontier sweeps memoize one per candidate they re-evaluate. An entry is
+// ~350 B, so 1<<14 entries hold ~6 MB: far more than the few hundred a
+// mix of recurring shapes reads again, and the most a stream of one-off
+// shapes can pin. A larger bound bought no hits, only residency: at
+// 1<<18 (~90 MB) the cache grew with every cold plan served, and its
+// growth outweighed the template cache's one-off half.
+const sharedPredictionCap = 1 << 14
 
 // SharedCaches returns the process-wide template and prediction caches
 // that Plan, Frontier and PlanPipeline use by default; pass them to your
