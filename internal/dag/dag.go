@@ -22,7 +22,8 @@
 //     depend on k_M only through the mapper count j = ceil(N/k_M), which
 //     takes ~2*sqrt(N) distinct values. Each feasible k_M has one free
 //     edge to its class, and the class carries the transfer fan to every
-//     k_R: J*N evaluated pairs and edges where a k_M -> k_R fan has N^2.
+//     k_R: J*N edges where a k_M -> k_R fan has N^2, from at most Σ_j j
+//     bound rows (every k_R >= j orchestrates the same single reducer).
 //   - join(k_R). The coordinator weight reads (k_R, a), so that column
 //     is keyed by both; the reduce weight reads (k_R, s) and not a, so
 //     every (k_R, a) has one free edge to k_R's join and the join carries
@@ -38,8 +39,13 @@
 // label-setting) can enforce the budget or deadline along the path.
 //
 // Edge-weight evaluation — thousands of analytic model calls over L
-// memory tiers and N fan-in candidates — is sharded across a bounded
-// worker pool (Options.Parallelism). Each worker rebinds one model.RowEval
+// memory tiers and N fan-in candidates — computes each distinct weight
+// once: the constants every weight reads (latencies in seconds, each
+// tier's speed factor, price and coordinator time) once per build
+// (model.Weights), the transfer row once for all the k_R >= j that
+// orchestrate the same single reducer, and each mapper execution time
+// once per (k_M, tier). It is sharded across a bounded worker pool
+// (Options.Parallelism). Each worker rebinds one model.RowEval
 // from row to row, and every orchestration a row reads is a closed form
 // (mapreduce.Split), so evaluating a row allocates nothing. The weights
 // are computed into per-index slots and the graph is assembled serially

@@ -102,7 +102,6 @@ func (w *Weights) MapperRow(orch mapreduce.Orchestration, kM int, t, c []float64
 // per-edge originals.
 type RowEval struct {
 	w      *Weights
-	orch   mapreduce.Orchestration
 	shapes []stepShape
 	d2     float64 // coordinator state-object write time
 
@@ -148,7 +147,6 @@ func (w *Weights) BindRowHat(e *RowEval, kR int) error {
 // bind derives the row state every column reads from an orchestration.
 func (w *Weights) bind(e *RowEval, orch mapreduce.Orchestration) {
 	e.w = w
-	e.orch = orch
 	e.shapes = w.m.reduceShapeInto(e.shapes[:0], orch)
 	e.d2 = float64(orch.NumSteps()) * w.state
 }
@@ -167,11 +165,11 @@ func (e *RowEval) GlueCost(kR int) float64 {
 	m := e.w.m
 	st := m.P.Sheet.Store
 	l := m.P.Sheet.Lambda
-	g := 0 // e.orch.Reducers(), read off the bound steps' splits
+	g := 0 // the orchestration's Reducers(), read off the bound steps' splits
 	for _, s := range e.shapes {
 		g += s.loads.Count()
 	}
-	u2 := float64(st.RequestCost(0, int64(e.orch.NumSteps())))
+	u2 := float64(st.RequestCost(0, int64(len(e.shapes))))
 	up := float64(st.RequestCost(int64(g)*int64(kR), int64(g)))
 	return u2 + up + float64(l.InvocationCost(1)) + float64(l.InvocationCost(g))
 }
